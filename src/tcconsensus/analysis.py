@@ -23,15 +23,21 @@ from .errors import (
 )
 from .graph import is_strongly_connected
 from .intervals import IntervalSet
-from .rays import BoxRaySpec, GeometryReport, ray_geometry_check  # noqa: F401
+from .rays import BoxRaySpec
 
 QUOTIENT_EDGE_TOL = 1e-12
 
 
 def consensus_zone(system: System) -> IntervalSet:
-    """Intersection of the fixed-point sets over all edges."""
+    """Intersection of the fixed-point sets over all edges.
+
+    Each distinct function enters once, so the enclosure padding does not
+    grow with the edge count. Enclosures (the functions without an exact
+    piecewise-linear form) go first: exact sets carry no padding of their
+    own, so intersecting them last clips the padding the enclosures add.
+    """
     zone = IntervalSet.reals()
-    for _, fn in sorted(system.constraints.items()):
+    for _, fn in sorted(system.distinct, key=lambda item: item[1].pwl() is not None):
         zone = zone.intersect(fixed_point_set(fn))
         if zone.is_empty:
             return zone
@@ -61,7 +67,7 @@ def _candidate_boxes(system: System, phi: IntervalSet) -> list[tuple[float, floa
     # geometric expansions of the union-of-fixed-points hull
     lo = math.inf
     hi = -math.inf
-    for _, fn in sorted(system.constraints.items()):
+    for _, fn in system.distinct:
         try:
             theta = fixed_point_set(fn)
         except UnresolvableEnclosureError:
@@ -112,7 +118,7 @@ def _spec_admits_all(
         # middle condition: identity on the box, i.e. the box sits in the zone
         if not _contains_interval(phi, spec.box_lo, spec.box_hi):
             return False
-    for _, fn in sorted(system.constraints.items()):
+    for _, fn in system.distinct:
         report = sector_membership(fn, spec, grid=grid)
         if mode == "theorem2":
             if not (report.lower.passed and report.upper.passed):
@@ -214,7 +220,7 @@ def _quotient_condition(system: System, strict: bool) -> ConditionResult:
     set (vacuous for edges fixed everywhere).
     """
     worst = (math.inf, -math.inf)
-    for edge, fn in sorted(system.constraints.items()):
+    for edge, fn in system.distinct:
         try:
             qb = difference_quotient_bounds(
                 fn, IntervalSet.reals(), exclude_fixed=strict

@@ -38,7 +38,7 @@ _TOP_LEVEL_KEYS = {
     "analysis",
     "output_dir",
 }
-_ANALYSIS_KEYS = {"classify", "rays", "equilibrium", "monitors"}
+_ANALYSIS_KEYS = {"classify", "equilibrium", "monitors"}
 _INTEGRATION_KEYS = {"dt", "t_final", "method", "record_stride"}
 
 
@@ -53,7 +53,6 @@ class RunConfig:
     integration: IntegrationSpec | None = None
     seed: int = 0
     classify: bool = True
-    rays: bool = True
     equilibrium: bool = False
     monitors: bool = True
     output_dir: str | None = None
@@ -89,7 +88,6 @@ class RunConfig:
             }
         out["analysis"] = {
             "classify": self.classify,
-            "rays": self.rays,
             "equilibrium": self.equilibrium,
             "monitors": self.monitors,
         }
@@ -180,7 +178,6 @@ def config_from_dict(data: dict) -> RunConfig:
         integration=integration,
         seed=seed,
         classify=bool(analysis.get("classify", True)),
-        rays=bool(analysis.get("rays", True)),
         equilibrium=bool(analysis.get("equilibrium", False)),
         monitors=bool(analysis.get("monitors", True)),
         output_dir=data.get("output_dir"),

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -167,7 +168,13 @@ class PWLRep:
 
 
 class ConstraintFn:
-    """Base class for catalog variants. Instances are immutable values."""
+    """Base class for catalog variants. Instances are immutable values.
+
+    Piecewise-linear variants define ``_make_pwl``; the representation is
+    built once per object and serves both :meth:`pwl` and :meth:`eval_array`.
+    The others define ``_eval_direct`` instead. Every variant keeps a scalar
+    :meth:`evaluate`, written from its own formula, as the reference.
+    """
 
     variant: str = ""
     is_gate: bool = False
@@ -175,16 +182,23 @@ class ConstraintFn:
     def evaluate(self, x: float) -> float:
         raise NotImplementedError
 
-    def eval_array(self, x: np.ndarray) -> np.ndarray:
-        return np.array([self.evaluate(float(v)) for v in np.ravel(x)]).reshape(
-            np.shape(x)
-        )
-
-    def pwl(self) -> PWLRep | None:
+    def _make_pwl(self) -> PWLRep | None:
         return None
 
-    def discontinuities(self) -> tuple[float, ...]:
-        return ()
+    def _eval_direct(self, x: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    @cached_property
+    def _rep(self) -> PWLRep | None:
+        return self._make_pwl()
+
+    def pwl(self) -> PWLRep | None:
+        return self._rep
+
+    def eval_array(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        rep = self._rep
+        return rep.eval_array(x) if rep is not None else self._eval_direct(x)
 
     def bounded_range(self):
         p = self.pwl()
@@ -209,10 +223,7 @@ class Identity(ConstraintFn):
     def evaluate(self, x: float) -> float:
         return x
 
-    def eval_array(self, x):
-        return np.asarray(x, dtype=float)
-
-    def pwl(self):
+    def _make_pwl(self):
         return PWLRep((0.0,), (0.0,), 1.0, 1.0)
 
 
@@ -225,10 +236,7 @@ class Affine(ConstraintFn):
     def evaluate(self, x: float) -> float:
         return self.k * x + self.m
 
-    def eval_array(self, x):
-        return self.k * np.asarray(x, dtype=float) + self.m
-
-    def pwl(self):
+    def _make_pwl(self):
         return PWLRep((0.0,), (self.m,), self.k, self.k)
 
 
@@ -245,10 +253,7 @@ class Saturation(ConstraintFn):
     def evaluate(self, x: float) -> float:
         return min(max(x, self.lo), self.hi)
 
-    def eval_array(self, x):
-        return np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
-
-    def pwl(self):
+    def _make_pwl(self):
         if self.lo == self.hi:
             return PWLRep((self.lo,), (self.lo,), 0.0, 0.0)
         return PWLRep((self.lo, self.hi), (self.lo, self.hi), 0.0, 0.0)
@@ -277,15 +282,7 @@ class IntervalProjection(ConstraintFn):
             return self.rho * x + (1.0 - self.rho) * self.p
         return x
 
-    def eval_array(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(
-            x > self.q,
-            self.rho * x + (1.0 - self.rho) * self.q,
-            np.where(x < self.p, self.rho * x + (1.0 - self.rho) * self.p, x),
-        )
-
-    def pwl(self):
+    def _make_pwl(self):
         if self.p == self.q:
             return PWLRep((self.p,), (self.p,), self.rho, self.rho)
         return PWLRep((self.p, self.q), (self.p, self.q), self.rho, self.rho)
@@ -302,8 +299,8 @@ class ScaledSine(ConstraintFn):
     def evaluate(self, x: float) -> float:
         return self.amplitude * math.sin(x + self.phase)
 
-    def eval_array(self, x):
-        return self.amplitude * np.sin(np.asarray(x, dtype=float) + self.phase)
+    def _eval_direct(self, x):
+        return self.amplitude * np.sin(x + self.phase)
 
     def bounded_range(self):
         a = abs(self.amplitude)
@@ -343,22 +340,18 @@ class PiecewiseLinear(ConstraintFn):
     def __post_init__(self):
         knots = tuple((float(a), float(b)) for a, b in self.knots)
         object.__setattr__(self, "knots", knots)
-        rep = PWLRep(
-            tuple(k[0] for k in knots),
-            tuple(k[1] for k in knots),
-            self.left_slope,
-            self.right_slope,
-        )
-        object.__setattr__(self, "_rep", rep)
+        self.pwl()  # validates the knot order
 
     def evaluate(self, x: float) -> float:
         return self._rep.eval(x)
 
-    def eval_array(self, x):
-        return self._rep.eval_array(np.asarray(x, dtype=float))
-
-    def pwl(self):
-        return self._rep
+    def _make_pwl(self):
+        return PWLRep(
+            tuple(k[0] for k in self.knots),
+            tuple(k[1] for k in self.knots),
+            self.left_slope,
+            self.right_slope,
+        )
 
 
 @dataclass(frozen=True)
@@ -382,21 +375,12 @@ class GatedIdentity(ConstraintFn):
     def evaluate(self, x: float) -> float:
         return x
 
-    def eval_array(self, x):
-        return np.asarray(x, dtype=float)
-
-    def gate_open(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
     def gate_mask(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return (x >= self.lo) & (x <= self.hi)
 
-    def pwl(self):
+    def _make_pwl(self):
         return PWLRep((0.0,), (0.0,), 1.0, 1.0)
-
-    def discontinuities(self):
-        return (self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -416,9 +400,7 @@ class Tabulated(ConstraintFn):
         if len(self.xs) != len(self.ys) or len(self.xs) < 2:
             raise ValueError("need matching xs/ys with at least two samples")
         if self.interpolation == "linear":
-            object.__setattr__(
-                self, "_rep", PWLRep(self.xs, self.ys, 0.0, 0.0)
-            )
+            self.pwl()  # validates the sample order
         elif self.interpolation == "pchip":
             from scipy.interpolate import PchipInterpolator
 
@@ -436,14 +418,13 @@ class Tabulated(ConstraintFn):
         x = min(max(x, self.xs[0]), self.xs[-1])
         return float(self._interp(x))
 
-    def eval_array(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.interpolation == "linear":
-            return self._rep.eval_array(x)
+    def _eval_direct(self, x):
         return np.asarray(self._interp(np.clip(x, self.xs[0], self.xs[-1])))
 
-    def pwl(self):
-        return self._rep if self.interpolation == "linear" else None
+    def _make_pwl(self):
+        if self.interpolation == "linear":
+            return PWLRep(self.xs, self.ys, 0.0, 0.0)
+        return None
 
     def bounded_range(self):
         return min(self.ys), max(self.ys)
@@ -461,33 +442,29 @@ class Mix(ConstraintFn):
     def __post_init__(self):
         if not (0.0 <= self.weight <= 1.0):
             raise ValueError("mix weight must lie in [0, 1]")
-        merged = None
-        p1 = self.first.pwl()
-        p2 = self.second.pwl()
-        if p1 is not None and p2 is not None:
-            w = self.weight
-            xs = tuple(sorted(set(p1.xs) | set(p2.xs)))
-            ys = tuple(w * p1.eval(x) + (1.0 - w) * p2.eval(x) for x in xs)
-            merged = PWLRep(
-                xs,
-                ys,
-                w * p1.left_slope + (1.0 - w) * p2.left_slope,
-                w * p1.right_slope + (1.0 - w) * p2.right_slope,
-            )
-        object.__setattr__(self, "_merged", merged)
 
     def evaluate(self, x: float) -> float:
         w = self.weight
         return w * self.first.evaluate(x) + (1.0 - w) * self.second.evaluate(x)
 
-    def eval_array(self, x):
-        if self._merged is not None:
-            return self._merged.eval_array(np.asarray(x, dtype=float))
+    def _make_pwl(self):
+        p1 = self.first.pwl()
+        p2 = self.second.pwl()
+        if p1 is None or p2 is None:
+            return None
+        w = self.weight
+        xs = tuple(sorted(set(p1.xs) | set(p2.xs)))
+        ys = tuple(w * p1.eval(x) + (1.0 - w) * p2.eval(x) for x in xs)
+        return PWLRep(
+            xs,
+            ys,
+            w * p1.left_slope + (1.0 - w) * p2.left_slope,
+            w * p1.right_slope + (1.0 - w) * p2.right_slope,
+        )
+
+    def _eval_direct(self, x):
         w = self.weight
         return w * self.first.eval_array(x) + (1.0 - w) * self.second.eval_array(x)
-
-    def pwl(self):
-        return self._merged
 
     def bounded_range(self):
         r1 = self.first.bounded_range()

@@ -5,6 +5,15 @@ The state of agent ``i`` evolves as the weighted sum over in-edges of
 the transmission from ``j`` to ``i``. Gated edges drop their whole
 contribution while the sender state is outside the accepted interval.
 
+A :class:`System` compiles its constraint map once into an edge table keyed
+by distinct function value. One kernel, :func:`_input_sums`, evaluates each
+distinct function once over all of its sender columns and scatters the
+values to the receivers with one dense product against the table's weight
+block. It returns the constrained input sum ``num_i = sum_j a_ij f_ji(x_j)``
+and the active in-degree ``den_i = sum_j a_ij`` over the edges not gated
+shut. The right-hand side is ``num - x * den``; the equilibrium module's
+Picard map is ``num / den``.
+
 Integration is deterministic fixed-step forward integration (RK4 by
 default): identical inputs produce bit-identical trajectories. For
 discontinuous constraints this selects one of the possibly many solutions;
@@ -13,13 +22,12 @@ there is no event detection.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .constraints import ConstraintFn, GatedIdentity
+from .constraints import ConstraintFn
 from .errors import MissingWitnessError, NonFiniteStateError
 from .graph import Digraph, row_stats
 from .rays import (
@@ -33,10 +41,27 @@ from .rays import (
 
 @dataclass(frozen=True)
 class System:
-    """A digraph plus one constraint per edge, keyed ``(sender, receiver)``."""
+    """A digraph plus one constraint per edge, keyed ``(sender, receiver)``.
+
+    Construction compiles the constraint map into an edge table keyed by
+    function value: variants are frozen dataclasses, so equal-valued copies
+    (one per edge after a JSON load, say) share one entry.
+
+    - ``distinct`` pairs each distinct function with its first edge in
+      sorted order. The ledger loops iterate it instead of every edge, and
+      still name the edge the per-edge loop would have stopped at.
+    - The weight block has one row per distinct (function, sender) pair and
+      one column per agent: row ``k`` holds ``a_ij`` for every receiver ``i``
+      whose edge from the row's sender ``j`` carries the row's function.
+      Each function's rows are contiguous, and gated functions' rows come
+      last.
+    """
 
     graph: Digraph
     constraints: dict[tuple[int, int], ConstraintFn]
+    distinct: tuple[tuple[tuple[int, int], ConstraintFn], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         edges = set(self.graph.edges())
@@ -48,39 +73,58 @@ class System:
                 f"constraint map must cover the edge set exactly; "
                 f"missing {sorted(missing)}, extra {sorted(extra)}"
             )
-        # group edges by (sender, function) so the right-hand side needs one
-        # function evaluation per group rather than per edge
-        groups: list[tuple[int, ConstraintFn, np.ndarray, np.ndarray]] = []
-        by_sender: dict[tuple[int, int], list[tuple[int, float]]] = {}
-        fns: dict[int, ConstraintFn] = {}
+        first: dict[ConstraintFn, tuple[int, int]] = {}
+        receivers: dict[ConstraintFn, dict[int, list[int]]] = {}
         for (j, i), fn in sorted(self.constraints.items()):
-            key = (j, id(fn))
-            fns[id(fn)] = fn
-            by_sender.setdefault(key, []).append((i, self.graph.weights[i, j]))
-        for (j, fid), pairs in sorted(by_sender.items()):
-            fn = fns[fid]
-            recv = [int(p[0]) for p in pairs]
-            w = [float(p[1]) for p in pairs]
-            # piecewise-linear representations evaluate via a precomputed
-            # slope/intercept table, the fastest path available
-            rep = None if fn.is_gate else fn.pwl()
-            evalf = rep.eval_array if rep is not None else fn.eval_array
-            groups.append((j, fn, evalf, recv, w))
-        object.__setattr__(self, "_groups", groups)
-        # in-degree row sums over non-gated edges only (see rhs_batch)
-        plain_alpha = np.zeros(self.graph.n)
-        for j, fn, evalf, recv, w in groups:
-            if not fn.is_gate:
-                for r, wt in zip(recv, w):
-                    plain_alpha[r] += wt
-        object.__setattr__(self, "_plain_alpha", plain_alpha)
+            first.setdefault(fn, (j, i))
+            receivers.setdefault(fn, {}).setdefault(j, []).append(i)
+        object.__setattr__(
+            self, "distinct", tuple((edge, fn) for fn, edge in first.items())
+        )
+
+        spans = []
+        rows: list[tuple[int, list[int]]] = []
+        for fn in sorted(receivers, key=lambda fn: fn.is_gate):
+            start = len(rows)
+            rows.extend(receivers[fn].items())
+            spans.append((fn, start, len(rows)))
+        block = np.zeros((len(rows), self.n))
+        for k, (j, recv) in enumerate(rows):
+            block[k, recv] = self.graph.weights[recv, j]
+        gate_start = next((a for fn, a, _ in spans if fn.is_gate), len(rows))
+        object.__setattr__(self, "_spans", tuple(spans))
+        object.__setattr__(
+            self, "_senders", np.array([j for j, _ in rows], dtype=np.intp)
+        )
+        object.__setattr__(self, "_block", block)
+        object.__setattr__(self, "_gate_start", gate_start)
+        object.__setattr__(self, "_plain_alpha", block[:gate_start].sum(axis=0))
 
     @property
     def n(self) -> int:
         return self.graph.n
 
-    def constraint_on(self, j: int, i: int) -> ConstraintFn:
-        return self.constraints[(j, i)]
+
+def _input_sums(
+    system: System, X: NDArray[np.float64]
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Constrained input sums and active in-degrees for a batch of states.
+
+    ``X`` has shape ``(m, n)``; both results do too. A gated edge adds
+    neither its value nor its weight while its sender is outside the gate.
+    """
+    XS = X[:, system._senders]
+    V = np.empty_like(XS)
+    g = system._gate_start
+    open_ = np.empty((X.shape[0], XS.shape[1] - g))
+    for fn, a, b in system._spans:
+        V[:, a:b] = fn.eval_array(XS[:, a:b])
+        if fn.is_gate:
+            open_[:, a - g : b - g] = fn.gate_mask(XS[:, a:b])
+            V[:, a:b] *= open_[:, a - g : b - g]
+    num = V @ system._block
+    den = system._plain_alpha + open_ @ system._block[g:]
+    return num, den
 
 
 def rhs(system: System, x) -> NDArray[np.float64]:
@@ -92,24 +136,9 @@ def rhs(system: System, x) -> NDArray[np.float64]:
 
 
 def rhs_batch(system: System, X: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Right-hand side for a batch of states, shape ``(m, n)``.
-
-    The ``-a_ij * x_i`` parts of the non-gated edges sum to ``-alpha_i x_i``
-    and are applied once outside the edge loop; gated edges keep their whole
-    term inside because their effective degree depends on the gate.
-    """
-    dx = np.zeros_like(X)
-    for j, fn, evalf, recv, w in system._groups:
-        xj = X[:, j]
-        if fn.is_gate:
-            active = fn.gate_mask(xj)
-            for r, wt in zip(recv, w):
-                dx[:, r] += wt * active * (xj - X[:, r])
-        else:
-            fj = evalf(xj)
-            for r, wt in zip(recv, w):
-                dx[:, r] += wt * fj
-    return dx - X * system._plain_alpha
+    """Right-hand side for a batch of states, shape ``(m, n)``."""
+    num, den = _input_sums(system, X)
+    return num - X * den
 
 
 def default_dt(system: System) -> float:

@@ -11,12 +11,12 @@ note.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import GatedIdentity, difference_quotient_bounds, fixed_point_set
-from .dynamics import IntegrationSpec, System, default_dt, integrate, rhs
+from .constraints import difference_quotient_bounds, fixed_point_set
+from .dynamics import IntegrationSpec, System, _input_sums, default_dt, integrate, rhs
 from .errors import (
     EmptyFixedPointSetError,
     NoInEdgeAgentError,
@@ -43,23 +43,12 @@ class Equilibrium:
 def _picard_map(system: System, e: np.ndarray) -> np.ndarray:
     """Degree-normalized update: each agent moves to the weighted mean of its
     constrained in-neighbor transmissions. Gated edges drop out of both the
-    numerator and the effective degree while closed."""
-    num = np.zeros_like(e)
-    den = np.zeros_like(e)
-    for j, fn, _evalf, recv, w in system._groups:
-        xj = e[j]
-        if isinstance(fn, GatedIdentity):
-            if not fn.gate_open(xj):
-                continue
-            val = xj
-        else:
-            val = fn.evaluate(xj)
-        for r, wt in zip(recv, w):
-            num[r] += wt * val
-            den[r] += wt
+    numerator and the effective degree while closed; an agent with no open
+    in-edge keeps its state."""
+    num, den = _input_sums(system, e[None, :])
     out = e.copy()
-    active = den > 0
-    out[active] = num[active] / den[active]
+    active = den[0] > 0
+    out[active] = num[0, active] / den[0, active]
     return out
 
 
@@ -229,7 +218,7 @@ def theta_hull(system: System) -> tuple[float, float]:
     """Hull ``[X_m, X_M]`` of the union of all edge fixed-point sets."""
     lo = math.inf
     hi = -math.inf
-    for edge, fn in sorted(system.constraints.items()):
+    for edge, fn in system.distinct:
         theta = fixed_point_set(fn)
         if theta.is_empty:
             raise EmptyFixedPointSetError(f"edge {edge} has an empty fixed-point set")
@@ -256,7 +245,7 @@ def invariant_box(system: System) -> tuple[float, float] | None:
 
     k_star = math.inf
     ceiling = -math.inf
-    for _, fn in sorted(system.constraints.items()):
+    for _, fn in system.distinct:
         qb = difference_quotient_bounds(fn, region)
         if qb is None:
             continue
@@ -279,7 +268,7 @@ def invariant_box(system: System) -> tuple[float, float] | None:
 
 
 def _box_self_mapped(system: System, lo: float, hi: float, samples: int = 2001) -> bool:
-    for _, fn in sorted(system.constraints.items()):
+    for _, fn in system.distinct:
         rep = fn.pwl()
         if rep is not None:
             f_lo, f_hi = rep.range_over(lo, hi)

@@ -8,7 +8,7 @@ endpoints. Endpoints may be ``-inf``/``+inf``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -95,18 +95,6 @@ class IntervalSet:
 
     def clip(self, lo: float, hi: float) -> "IntervalSet":
         return self.intersect(IntervalSet.closed(lo, hi))
-
-    def measure_points(self) -> list[float]:
-        """Representative points: endpoints plus midpoints of finite pieces."""
-        pts = []
-        for lo, hi in self.pieces:
-            if math.isfinite(lo):
-                pts.append(lo)
-            if math.isfinite(hi) and hi != lo:
-                pts.append(hi)
-            if math.isfinite(lo) and math.isfinite(hi):
-                pts.append(0.5 * (lo + hi))
-        return pts
 
     def __iter__(self):
         return iter(self.pieces)

@@ -82,7 +82,6 @@ class Scenario:
     eq_spec: EquilibriumRaySpec | None = None
     consensus_threshold: float = 1e-3
     decay_threshold: float = 1e-3
-    budget_seconds: float = 60.0
 
     def sample_x0(self, seed: int = 0, count: int = 1) -> NDArray[np.float64]:
         return self.x0.sample(self.system.n, seed, count)
@@ -157,7 +156,6 @@ def _ex1() -> Scenario:
         checks=("consensus", "y_monotone", "lemma6"),
         ray_hints=(spec,),
         box_spec=spec,
-        budget_seconds=30.0,
     )
 
 
@@ -184,7 +182,6 @@ def _ex2() -> Scenario:
         checks=("consensus", "y_monotone", "box_invariance", "lemma6"),
         ray_hints=(spec,),
         box_spec=spec,
-        budget_seconds=30.0,
     )
 
 
@@ -209,7 +206,6 @@ def _ex3() -> Scenario:
         expected_class="UniqueEquilibrium",
         checks=("v_monotone",),
         eq_spec=EquilibriumRaySpec(-1.0, -1.0),
-        budget_seconds=30.0,
     )
 
 
@@ -235,7 +231,6 @@ def _ex4() -> Scenario:
         expected_class="EquilibriumExists",
         checks=("box_invariance",),
         box_spec=BoxRaySpec(-3.4, 3.4, 0.0, -0.5, -0.5),
-        budget_seconds=30.0,
     )
 
 
@@ -258,7 +253,6 @@ def _interval() -> Scenario:
         expected_class="Consensus",
         checks=("consensus", "distance_decay"),
         box_spec=BoxRaySpec(-0.5, 0.5, 0.0, -1.0, -1.0),
-        budget_seconds=30.0,
     )
 
 
@@ -277,7 +271,6 @@ def _discarded() -> Scenario:
         integration=IntegrationSpec(dt=1e-3, t_final=50.0),
         expected_class="Consensus",
         checks=("consensus",),
-        budget_seconds=30.0,
     )
 
 
@@ -296,7 +289,6 @@ def _sine() -> Scenario:
         integration=IntegrationSpec(dt=1e-3, t_final=50.0),
         expected_class="Consensus",
         checks=("consensus",),
-        budget_seconds=30.0,
     )
 
 
@@ -323,7 +315,6 @@ def _necessity_2agent() -> Scenario:
         checks=("distance_decay",),
         expected_check_failures=frozenset({"distance_decay"}),
         box_spec=BoxRaySpec(-1.0, 1.0, 0.0, -1.0, -1.0),
-        budget_seconds=30.0,
     )
 
 
@@ -358,7 +349,6 @@ def _bipartite() -> Scenario:
         expected_class="Inconclusive",
         checks=("consensus",),
         expected_check_failures=frozenset({"consensus"}),
-        budget_seconds=30.0,
     )
 
 

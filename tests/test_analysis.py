@@ -1,5 +1,7 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from tcconsensus import (
@@ -7,6 +9,7 @@ from tcconsensus import (
     BoxRaySpec,
     Identity,
     IntervalSet,
+    ScaledSine,
     System,
     build_digraph,
     classify_system,
@@ -14,7 +17,10 @@ from tcconsensus import (
     find_admissible_rays,
     scenario_by_name,
     sector_membership,
+    system_from_dict,
+    system_to_dict,
 )
+from tcconsensus.scenarios import builtin_scenarios
 
 
 def two_agent(f_01, f_10):
@@ -23,8 +29,6 @@ def two_agent(f_01, f_10):
 
 
 def all_identity(n=3):
-    import numpy as np
-
     g = build_digraph(np.ones((n, n)) - np.eye(n))
     return System(g, {e: Identity() for e in g.edges()})
 
@@ -55,6 +59,15 @@ class TestConsensusZone:
                 for lo, hi in zone.pieces:
                     assert theta.contains(lo, slack=slack + theta.tolerance)
                     assert theta.contains(hi, slack=slack + theta.tolerance)
+
+    def test_zone_does_not_grow_with_edge_count(self):
+        fn = ScaledSine(1.0, math.pi)
+        zones = []
+        for n in (3, 8):
+            g = build_digraph(np.ones((n, n)) - np.eye(n))
+            zones.append(consensus_zone(System(g, {e: fn for e in g.edges()})))
+        assert zones[0].pieces == zones[1].pieces
+        assert zones[0].tolerance == zones[1].tolerance
 
     def test_ex1_zone_is_origin(self):
         zone = consensus_zone(scenario_by_name("ex1").system)
@@ -158,3 +171,11 @@ class TestClassify:
         verdict = classify_system(scenario_by_name("ex2").system)
         assert isinstance(verdict.zone, IntervalSet)
         assert verdict.zone.pieces == ((-1.0, 1.0),)
+
+    @pytest.mark.parametrize("sc", builtin_scenarios(), ids=lambda sc: sc.name)
+    def test_equal_valued_copies_classify_alike(self, sc):
+        copy = system_from_dict(system_to_dict(sc.system))
+        assert (
+            classify_system(copy, sc.ray_hints).to_dict()
+            == classify_system(sc.system, sc.ray_hints).to_dict()
+        )

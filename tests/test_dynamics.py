@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from tcconsensus import (
     Affine,
     BoxRaySpec,
     EquilibriumRaySpec,
+    GatedIdentity,
     Identity,
     IntegrationSpec,
     System,
@@ -16,7 +19,12 @@ from tcconsensus import (
     rhs,
     scenario_by_name,
 )
+from tcconsensus.app import system_from_dict, system_to_dict
+from tcconsensus.dynamics import rhs_batch
+from tcconsensus.equilibrium import _picard_map
 from tcconsensus.errors import MissingWitnessError, NonFiniteStateError
+
+from test_constraints import CATALOG
 
 
 def two_agent(f_01, f_10):
@@ -60,6 +68,65 @@ class TestRhs:
         g = build_digraph([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
             System(g, {(1, 0): Identity()})
+
+
+def per_edge_sums(system, x):
+    """The model formula edge by edge: ``num_i = sum_j a_ij f_ji(x_j)`` and
+    ``den_i = sum_j a_ij``, where a gated edge adds nothing while its sender
+    is outside ``[lo, hi]``."""
+    num = np.zeros(system.n)
+    den = np.zeros(system.n)
+    for (j, i), fn in system.constraints.items():
+        if fn.is_gate and not fn.lo <= x[j] <= fn.hi:
+            continue
+        a = system.graph.weights[i, j]
+        num[i] += a * fn.evaluate(float(x[j]))
+        den[i] += a
+    return num, den
+
+
+def random_catalog_system(seed):
+    """Seeded random digraph whose edges draw from the whole catalog, so
+    most functions serve several edges and several senders."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    w = rng.uniform(0.2, 2.0, size=(n, n)) * (rng.random((n, n)) < 0.6)
+    np.fill_diagonal(w, 0.0)
+    g = build_digraph(w)
+    return System(g, {e: CATALOG[rng.integers(len(CATALOG))] for e in g.edges()})
+
+
+class TestEdgeTableMatchesPerEdgeLoop:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("copies", ["shared", "json"])
+    def test_rhs_and_picard(self, seed, copies):
+        sys_ = random_catalog_system(seed)
+        if copies == "json":
+            sys_ = system_from_dict(json.loads(json.dumps(system_to_dict(sys_))))
+        rng = np.random.default_rng(100 + seed)
+        X = rng.uniform(-3.0, 3.0, size=(6, sys_.n))
+        got = rhs_batch(sys_, X)
+        for x, row in zip(X, got):
+            num, den = per_edge_sums(sys_, x)
+            ref = num - x * den
+            assert np.abs(row - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
+            ref = np.where(den > 0, num / np.where(den > 0, den, 1.0), x)
+            picard = _picard_map(sys_, x)
+            assert np.abs(picard - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
+
+    def test_closed_gates_drop_out(self):
+        gate = GatedIdentity(-1.0, 1.0)
+        sys_ = two_agent(gate, Affine(0.5, 0.0))
+        # agent 0 is outside the gate on its edge to agent 1
+        x = np.array([3.0, 0.5])
+        assert rhs(sys_, x) == pytest.approx([0.25 - 3.0, 0.0])
+        assert _picard_map(sys_, x) == pytest.approx([0.25, 0.5])
+
+    def test_equal_copies_share_one_entry(self):
+        sys_ = random_catalog_system(7)
+        rt = system_from_dict(json.loads(json.dumps(system_to_dict(sys_))))
+        assert rt.distinct == sys_.distinct
+        assert len(rt.distinct) == len({id(fn) for fn in sys_.constraints.values()})
 
 
 class TestIntegrationSpec:
