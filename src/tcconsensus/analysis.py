@@ -3,8 +3,9 @@ classifier.
 
 The classifier runs a ledger of named conditions (connectivity, zone
 emptiness, chord-slope bounds, ray existence, self-mapped box) and maps the
-ledger to a verdict. Ray search is a bounded deterministic grid search;
-"not found" is recorded as inconclusive, never as a disproof.
+ledger to a verdict. The ray search tries a bounded set of boxes and anchors;
+for each it reads the ray slopes off the edges' ray-ratio ranges in closed
+form. "Not found" is recorded as inconclusive, never as a disproof.
 """
 
 from __future__ import annotations
@@ -14,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import difference_quotient_bounds, fixed_point_set, sector_membership
+from .constraints import (
+    STRICT_MARGIN,
+    difference_quotient_bounds,
+    fixed_point_set,
+    ratio_range,
+    sector_membership,
+)
 from .dynamics import System
 from .errors import (
     EmptyFixedPointSetError,
@@ -47,8 +54,8 @@ def consensus_zone(system: System) -> IntervalSet:
 # ---------------------------------------------------------------------------
 # ray search
 
-SLOPE_GRID = tuple(-(2.0**j) for j in range(-6, 7))
 ANCHOR_COUNT = 33
+SEARCH_GRID = 5e-3
 
 
 def _contains_interval(s: IntervalSet, lo: float, hi: float) -> bool:
@@ -92,23 +99,8 @@ def _candidate_boxes(system: System, phi: IntervalSet) -> list[tuple[float, floa
     return out
 
 
-def _slope_pairs(mode: str) -> list[tuple[float, float]]:
-    pairs = []
-    if mode == "theorem1":
-        for k1 in SLOPE_GRID:
-            pairs.append((k1, 1.0 / k1))
-    elif mode == "theorem2":
-        for k1 in SLOPE_GRID:
-            for k2 in SLOPE_GRID:
-                if k1 * k2 <= 1.0 + 1e-12:
-                    pairs.append((k1, k2))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return pairs
-
-
 def _spec_admits_all(
-    system: System, spec: BoxRaySpec, mode: str, phi: IntervalSet, grid: float
+    system: System, spec: BoxRaySpec, mode: str, phi: IntervalSet
 ) -> bool:
     if mode == "theorem1" and not spec.check_unit_product(1e-9):
         return False
@@ -119,7 +111,7 @@ def _spec_admits_all(
         if not _contains_interval(phi, spec.box_lo, spec.box_hi):
             return False
     for _, fn in system.distinct:
-        report = sector_membership(fn, spec, grid=grid)
+        report = sector_membership(fn, spec, grid=SEARCH_GRID)
         if mode == "theorem2":
             if not (report.lower.passed and report.upper.passed):
                 return False
@@ -128,36 +120,55 @@ def _spec_admits_all(
     return True
 
 
+def _unit_product_rays(
+    system: System, box_lo: float, box_hi: float, anchor: float
+) -> BoxRaySpec | None:
+    """Slopes ``k1 = -(p+t)``, ``k2 = -(q+t)`` clearing every edge's ray ratio,
+    with caps ``p``, ``q = max(0, -inf r)`` per side and ``t > 0`` solving
+    ``(p+t)(q+t) = 1``. ``None`` when no negative pair with ``k1*k2 <= 1``
+    clears them (some ``r`` exceeds 1, or ``p*q >= 1``)."""
+    caps = {"lower": 0.0, "upper": 0.0}
+    for _, fn in system.distinct:
+        for side in caps:
+            r = ratio_range(fn, box_lo, box_hi, anchor, side, SEARCH_GRID)
+            if r.sup > 1.0 + STRICT_MARGIN:
+                return None
+            caps[side] = max(caps[side], -r.inf)
+    p, q = caps["lower"], caps["upper"]
+    if not p * q < 1.0:  # an infinite cap times a zero one is nan: infeasible too
+        return None
+    t = 0.5 * (math.sqrt((p - q) ** 2 + 4.0) - (p + q))
+    return BoxRaySpec(box_lo, box_hi, anchor, -(p + t), -(q + t))
+
+
 def find_admissible_rays(
     system: System,
     mode: str = "theorem2",
     hints: tuple[BoxRaySpec, ...] = (),
-    grid: float = 5e-3,
 ) -> BoxRaySpec | None:
     """Search for a box-and-ray spec admitting every edge under ``mode``.
 
     ``theorem1`` enforces negative slopes with product one and the box-range
     condition; ``theorem2`` enforces slope product at most one and identity
-    on the box. Hint specs are verified first. Returns ``None`` when the
-    bounded search fails; absence is not a proof of non-existence.
+    on the box. Hint specs are verified first. Then the box and anchor are a
+    bounded search, and for each the slopes come in closed form (product one,
+    serving both modes), certified by :func:`sector_membership`. Returns
+    ``None`` when no candidate admits rays; absence is not a proof.
     """
+    if mode not in ("theorem1", "theorem2"):
+        raise ValueError(f"unknown mode {mode!r}")
     phi = consensus_zone(system)
     for hint in hints:
-        if _spec_admits_all(system, hint, mode, phi, grid):
+        if _spec_admits_all(system, hint, mode, phi):
             return hint
     for box_lo, box_hi in _candidate_boxes(system, phi):
-        if box_hi < box_lo:
+        if mode == "theorem2" and not _contains_interval(phi, box_lo, box_hi):
             continue
-        anchors = (
-            [box_lo]
-            if box_hi == box_lo
-            else list(np.linspace(box_lo, box_hi, ANCHOR_COUNT))
-        )
-        for k1, k2 in _slope_pairs(mode):
-            for anchor in anchors:
-                spec = BoxRaySpec(box_lo, box_hi, float(anchor), k1, k2)
-                if _spec_admits_all(system, spec, mode, phi, grid):
-                    return spec
+        n = 1 if box_hi == box_lo else ANCHOR_COUNT
+        for anchor in np.linspace(box_lo, box_hi, n):
+            spec = _unit_product_rays(system, box_lo, box_hi, float(anchor))
+            if spec is not None and _spec_admits_all(system, spec, mode, phi):
+                return spec
     return None
 
 

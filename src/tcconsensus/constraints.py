@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     UnboundedRegionError,
+    UnknownConstraintVariantError,
     UnresolvableEnclosureError,
 )
 from .intervals import IntervalSet
@@ -35,6 +36,11 @@ BISECTION_FP_TOL = 1e-8
 # piecewise-linear representation
 
 
+def _check_knots(xs: tuple[float, ...]) -> None:
+    if not xs or any(b <= a for a, b in zip(xs, xs[1:])):
+        raise ValueError("knot x-coordinates must be non-empty and strictly increasing")
+
+
 @dataclass(frozen=True)
 class PWLRep:
     """Continuous piecewise-linear function: knots plus affine tails."""
@@ -45,12 +51,8 @@ class PWLRep:
     right_slope: float
 
     def __post_init__(self):
-        if not self.xs:
-            raise ValueError("PWLRep needs at least one knot")
-        if any(b <= a for a, b in zip(self.xs, self.xs[1:])):
-            raise ValueError("knot x-coordinates must be strictly increasing")
+        _check_knots(self.xs)
         object.__setattr__(self, "_axs", np.asarray(self.xs, dtype=np.float64))
-        object.__setattr__(self, "_ays", np.asarray(self.ys, dtype=np.float64))
         # per-piece slope/intercept tables indexed by searchsorted bin
         pieces = self.pieces()
         object.__setattr__(
@@ -340,7 +342,7 @@ class PiecewiseLinear(ConstraintFn):
     def __post_init__(self):
         knots = tuple((float(a), float(b)) for a, b in self.knots)
         object.__setattr__(self, "knots", knots)
-        self.pwl()  # validates the knot order
+        _check_knots(tuple(k[0] for k in knots))
 
     def evaluate(self, x: float) -> float:
         return self._rep.eval(x)
@@ -400,7 +402,7 @@ class Tabulated(ConstraintFn):
         if len(self.xs) != len(self.ys) or len(self.xs) < 2:
             raise ValueError("need matching xs/ys with at least two samples")
         if self.interpolation == "linear":
-            self.pwl()  # validates the sample order
+            _check_knots(self.xs)
         elif self.interpolation == "pchip":
             from scipy.interpolate import PchipInterpolator
 
@@ -498,8 +500,6 @@ _VARIANTS = {
 
 
 def from_dict(record: dict) -> ConstraintFn:
-    from .errors import UnknownConstraintVariantError
-
     rec = dict(record)
     name = rec.pop("variant", None)
     cls = _VARIANTS.get(name)
@@ -704,128 +704,112 @@ class SectorReport:
         return self.lower.passed and self.box.passed and self.upper.passed
 
 
-def _linear_ok(ga, gb, a_inc, b_inc, strict) -> bool:
-    # g is linear on [a, b]; require g <= 0 (or < 0 if strict) on the
-    # region points, which include the endpoints per the inclusion flags.
-    m = STRICT_MARGIN
-    if not strict:
-        return ga <= m and gb <= m
-    if ga > m or gb > m:
-        return False
-    if abs(ga) <= m and abs(gb) <= m:
-        return False  # g vanishes on the whole segment
-    if a_inc and ga >= -m:
-        return False
-    if b_inc and gb >= -m:
-        return False
-    return True
+@dataclass(frozen=True)
+class RatioRange:
+    """Range of the ray ratio ``r(x) = (f(x) - anchor) / (x - anchor)`` on one
+    side of the box. ``inf_at``/``sup_at`` is the point attaining each extreme,
+    or the limit it is approached at: the box edge, or ``-inf``/``+inf``."""
+
+    inf: float
+    inf_attained: bool
+    inf_at: float
+    sup: float
+    sup_at: float
+    exact: bool
+
+    def verdict(self, k: float) -> SectorVerdict:
+        """The side's sector condition for ray slope ``k``: ``r <= 1``
+        everywhere and ``k < r`` (``k <= inf`` when the infimum is a limit)."""
+        m = STRICT_MARGIN
+        if self.sup > 1.0 + m:
+            return SectorVerdict(False, self.sup_at, self.exact)
+        ok = k < self.inf - m if self.inf_attained else k <= self.inf + m
+        return SectorVerdict(ok, None if ok else self.inf_at, self.exact)
 
 
-def _check_pwl_region(rep, lo, hi, lo_inc, hi_inc, conditions):
-    """Exact check of linear inequalities over [lo, hi].
+def _sample_step(box_lo: float, box_hi: float, grid: float) -> tuple[float, float]:
+    """Half-width of the window sampled around the anchor, and its step."""
+    horizon = max(10.0, 4.0 * (box_hi - box_lo))
+    return horizon, grid * 2.0 * horizon
 
-    ``conditions`` is a list of ``(coef_x, const, coef_f, strict)`` meaning
-    require ``coef_x*x + const + coef_f*f(x) <= 0`` (< 0 when strict).
+
+def ratio_range(
+    f: ConstraintFn, box_lo: float, box_hi: float, anchor: float, side: str, grid: float
+) -> RatioRange:
+    """Range of the ray ratio of ``f`` below (``side="lower"``, ``x < box_lo``)
+    or above (``side="upper"``, ``x > box_hi``) the box.
+
+    Outside the box every sector condition reads off this ratio: below,
+    ``x <= f(x)`` iff ``r <= 1`` and ``f(x) < L1(x)`` iff ``k1 < r``; above,
+    ``f(x) <= x`` iff ``r <= 1`` and ``L2(x) < f(x)`` iff ``k2 < r``.
+
+    Exact on the whole half-line for piecewise-linear-representable variants:
+    on a piece ``s*x + c`` the ratio is ``s + d/(x - anchor)`` with
+    ``d = s*anchor + c - anchor``, constant (and attained) when ``d == 0`` and
+    strictly monotone otherwise, so its extremes lie at the piece ends. Knots
+    inside the region are attained; the box edge and the tails (limit: the
+    tail slope) are not. Other variants are sampled on ``anchor +- horizon``
+    and reported inexact.
     """
-    if hi < lo or (hi == lo and not (lo_inc and hi_inc)):
-        return True, None
-    cuts = sorted({lo, hi} | {x for x in rep.xs if lo < x < hi})
-    segs = list(zip(cuts, cuts[1:])) if len(cuts) > 1 else [(lo, hi)]
-    for a, b in segs:
-        fa, fb = rep.eval(a), rep.eval(b)
-        a_inc = lo_inc if a == lo else True
-        b_inc = hi_inc if b == hi else True
-        for cx, c0, cf, strict in conditions:
-            ga = cx * a + c0 + cf * fa
-            gb = cx * b + c0 + cf * fb
-            if not _linear_ok(ga, gb, a_inc, b_inc, strict):
-                # report the worse endpoint as the witness
-                return False, a if ga >= gb else b
-    return True, None
-
-
-def _check_sampled_region(f, lo, hi, lo_inc, hi_inc, conditions, step):
-    if hi < lo or (hi == lo and not (lo_inc and hi_inc)):
-        return True, None
-    n = max(int(math.ceil((hi - lo) / step)) + 1, 8) if hi > lo else 1
-    xs = np.linspace(lo, hi, n)
-    vals = f.eval_array(xs)
-    m = STRICT_MARGIN
-    for cx, c0, cf, strict in conditions:
-        g = cx * xs + c0 + cf * vals
-        bad = g >= -m if strict else g > m
-        if not lo_inc and n > 1:
-            bad[0] = g[0] > m
-        if not hi_inc and n > 1:
-            bad[-1] = g[-1] > m
-        idx = np.flatnonzero(bad)
-        if idx.size:
-            return False, float(xs[idx[0]])
-    return True, None
+    if side not in ("lower", "upper"):
+        raise ValueError(f"unknown side {side!r}")
+    lower = side == "lower"
+    edge = box_lo if lower else box_hi
+    rep = f.pwl()
+    if rep is None:
+        horizon, step = _sample_step(box_lo, box_hi, grid)
+        far = anchor - horizon if lower else anchor + horizon
+        n = max(int(math.ceil(abs(edge - far) / step)) + 1, 8)
+        xs = np.linspace(far, edge, n)[:-1]
+        r = (f.eval_array(xs) - anchor) / (xs - anchor)
+        i, j = int(r.argmin()), int(r.argmax())
+        return RatioRange(r[i], True, xs[i], r[j], xs[j], exact=False)
+    ends = []  # (ratio, attained, x) at the ends of each piece inside the region
+    for lo, hi, s, c in rep.pieces():
+        lo, hi = (lo, min(hi, edge)) if lower else (max(lo, edge), hi)
+        if hi <= lo:
+            continue
+        d = s * anchor + c - anchor
+        for x in (lo, hi):
+            if d == 0.0 or math.isinf(x):
+                v = s
+            elif x == anchor:  # the edge is the anchor: r diverges there
+                v = math.copysign(math.inf, -d if lower else d)
+            else:
+                v = s + d / (x - anchor)
+            ends.append((v, d == 0.0 or (math.isfinite(x) and x != edge), x))
+    inf = min(ends, key=lambda e: (e[0], not e[1]))  # attained wins a tie
+    sup = max(ends, key=lambda e: e[0])
+    return RatioRange(inf[0], inf[1], inf[2], sup[0], sup[2], exact=True)
 
 
 def sector_membership(
-    f: ConstraintFn,
-    spec: BoxRaySpec,
-    grid: float = 1e-3,
-    horizon: float | None = None,
+    f: ConstraintFn, spec: BoxRaySpec, grid: float = 1e-3
 ) -> SectorReport:
     """Check the three sector conditions of the box-and-ray geometry.
 
-    Lower region ``(anchor - horizon, box_lo)``: ``x <= f(x) < L1(x)``.
+    Lower region ``x < box_lo``: ``x <= f(x) < L1(x)``.
     Box ``[box_lo, box_hi]``: ``box_lo <= f(x) <= box_hi``.
-    Upper region ``(box_hi, anchor + horizon)``: ``L2(x) < f(x) <= x``.
+    Upper region ``x > box_hi``: ``L2(x) < f(x) <= x``.
 
-    Exact for piecewise-linear-representable variants, grid-sampled
-    otherwise. Violations are data (reported with a witness point), never
-    errors.
+    The ray conditions are decided on :func:`ratio_range`. Exact on the whole
+    line for piecewise-linear-representable variants (the box condition at
+    the knots and box edges); grid-sampled on ``anchor +- horizon``
+    otherwise. Violations are data (reported with a witness point, or the
+    limit it is approached at), never errors.
     """
-    if horizon is None:
-        horizon = max(10.0, 4.0 * (spec.box_hi - spec.box_lo))
-    w_lo = spec.anchor - horizon
-    w_hi = spec.anchor + horizon
-    step = grid * 2.0 * horizon
-
-    # conditions as coef_x*x + const + coef_f*f(x) <= 0 (strict flag last)
-    lower_conds = [
-        (1.0, 0.0, -1.0, False),  # x - f(x) <= 0
-        (-spec.k1, -(1.0 - spec.k1) * spec.anchor, 1.0, True),  # f - L1 < 0
-    ]
-    box_conds = [
-        (0.0, spec.box_lo, -1.0, False),  # box_lo - f <= 0
-        (0.0, -spec.box_hi, 1.0, False),  # f - box_hi <= 0
-    ]
-    upper_conds = [
-        (spec.k2, (1.0 - spec.k2) * spec.anchor, -1.0, True),  # L2 - f < 0
-        (-1.0, 0.0, 1.0, False),  # f - x <= 0
-    ]
-
+    lo, hi = spec.box_lo, spec.box_hi
     rep = f.pwl()
     if rep is not None:
-        lo_ok, lo_viol = _check_pwl_region(
-            rep, w_lo, spec.box_lo, True, False, lower_conds
-        )
-        box_ok, box_viol = _check_pwl_region(
-            rep, spec.box_lo, spec.box_hi, True, True, box_conds
-        )
-        up_ok, up_viol = _check_pwl_region(
-            rep, spec.box_hi, w_hi, False, True, upper_conds
-        )
-        exact = True
+        xs = np.array(sorted({lo, hi} | {x for x in rep.xs if lo < x < hi}))
     else:
-        lo_ok, lo_viol = _check_sampled_region(
-            f, w_lo, spec.box_lo, True, False, lower_conds, step
-        )
-        box_ok, box_viol = _check_sampled_region(
-            f, spec.box_lo, spec.box_hi, True, True, box_conds, step
-        )
-        up_ok, up_viol = _check_sampled_region(
-            f, spec.box_hi, w_hi, False, True, upper_conds, step
-        )
-        exact = False
-
+        step = _sample_step(lo, hi, grid)[1]
+        xs = np.linspace(lo, hi, max(int(math.ceil((hi - lo) / step)) + 1, 8))
+    vals = f.eval_array(xs)
+    bad = xs[(vals < lo - STRICT_MARGIN) | (vals > hi + STRICT_MARGIN)]
+    box = SectorVerdict(not bad.size, bad[0] if bad.size else None, rep is not None)
     return SectorReport(
-        lower=SectorVerdict(lo_ok, lo_viol, exact),
-        box=SectorVerdict(box_ok, box_viol, exact),
-        upper=SectorVerdict(up_ok, up_viol, exact),
+        lower=ratio_range(f, lo, hi, spec.anchor, "lower", grid).verdict(spec.k1),
+        box=box,
+        upper=ratio_range(f, lo, hi, spec.anchor, "upper", grid).verdict(spec.k2),
     )

@@ -7,8 +7,12 @@ import pytest
 from tcconsensus import (
     Affine,
     BoxRaySpec,
+    GatedIdentity,
     Identity,
+    IntervalProjection,
     IntervalSet,
+    PiecewiseLinear,
+    Saturation,
     ScaledSine,
     System,
     build_digraph,
@@ -31,6 +35,35 @@ def two_agent(f_01, f_10):
 def all_identity(n=3):
     g = build_digraph(np.ones((n, n)) - np.eye(n))
     return System(g, {e: Identity() for e in g.edges()})
+
+
+# the wide-network benchmark's five shapes: all fix [-1, 1]; the last breaks
+# the unit chord-slope sector, so classification needs the ray search
+WIDE_SHAPES = (
+    Saturation(-1.0, 1.0),
+    IntervalProjection(-1.0, 1.0, 0.5),
+    IntervalProjection(-1.5, 1.5, 0.25),
+    GatedIdentity(-2.0, 2.0),
+    PiecewiseLinear(((-1.0, -1.0), (1.0, 1.0)), 0.0, -1.5),
+)
+
+
+def ring_plus_random(n=12, extra=3, seed=0):
+    rng = np.random.default_rng(seed)
+    w = np.zeros((n, n))
+    for i in range(n):
+        others = [j for j in range(n) if j not in (i, (i - 1) % n)]
+        w[i, [(i - 1) % n, *rng.choice(others, extra, replace=False)]] = 1.0
+    g = build_digraph(w)
+    edges = sorted(g.edges())
+    shapes = {e: WIDE_SHAPES[k % len(WIDE_SHAPES)] for k, e in enumerate(edges)}
+    return System(g, shapes)
+
+
+def diverging_pair():
+    # tails of slope -1.1 cross any unit-product rays far from the box
+    f = PiecewiseLinear(((-1.0, -1.0), (1.0, 1.0)), -1.1, -1.1)
+    return two_agent(f, f)
 
 
 class TestConsensusZone:
@@ -109,6 +142,24 @@ class TestFindAdmissibleRays:
         spec = find_admissible_rays(sc.system, mode="theorem1", hints=sc.ray_hints)
         if spec is not None:
             assert spec.check_unit_product(1e-9)
+        spec = find_admissible_rays(all_identity(), mode="theorem1")
+        assert spec is not None and spec.check_unit_product(1e-9)
+
+    @pytest.mark.parametrize("mode", ["theorem1", "theorem2"])
+    @pytest.mark.parametrize("make", [all_identity, ring_plus_random])
+    def test_closed_form_slopes_are_certified(self, make, mode):
+        system = make()
+        spec = find_admissible_rays(system, mode=mode)
+        assert spec is not None
+        assert spec.k1 < 0 and spec.k2 < 0
+        assert abs(spec.k1 * spec.k2 - 1.0) <= 1e-9
+        for _, fn in system.distinct:
+            assert sector_membership(fn, spec).passed
+
+    def test_diverging_tails_get_no_rays(self):
+        system = diverging_pair()
+        assert find_admissible_rays(system) is None
+        assert classify_system(system).classification != "Consensus"
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):

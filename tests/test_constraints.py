@@ -23,7 +23,7 @@ from tcconsensus import (
     from_dict,
     sector_membership,
 )
-from tcconsensus.constraints import evaluate
+from tcconsensus.constraints import evaluate, ratio_range
 from tcconsensus.errors import UnboundedRegionError, UnknownConstraintVariantError
 
 CATALOG = [
@@ -273,6 +273,59 @@ class TestSectorMembership:
         spec = BoxRaySpec(0.0, 0.0, 0.0, -1.0, -0.8)
         report = sector_membership(ScaledSine(0.8, math.pi), spec)
         assert report.passed
+
+    def test_tail_beyond_any_sampling_horizon_fails(self):
+        # the tails (slope -1.1) cross the rays (slope -1) only beyond
+        # |x| ~ 20; the ratio's limit at each tail is the tail slope
+        f = PiecewiseLinear(((-1.0, -1.0), (1.0, 1.0)), -1.1, -1.1)
+        report = sector_membership(f, BoxRaySpec(-1.0, 1.0, -0.5, -1.0, -1.0))
+        assert report.box.passed
+        assert not report.lower.passed and report.lower.first_violation == -math.inf
+        assert not report.upper.passed and report.upper.first_violation == math.inf
+
+    def test_ratio_range_limits_and_attainment(self):
+        f = PiecewiseLinear(((-1.0, -1.0), (1.0, 1.0)), -1.1, 0.5)
+        lo = ratio_range(f, -1.0, 1.0, -0.5, "lower", 1e-3)
+        assert (lo.inf, lo.inf_attained, lo.inf_at) == (-1.1, False, -math.inf)
+        assert lo.sup == pytest.approx(1.0) and lo.exact
+        # the piece through (anchor, anchor) has a constant, attained ratio
+        up = ratio_range(f, 1.0, 1.0, 1.0, "upper", 1e-3)
+        assert (up.inf, up.inf_attained, up.sup) == (0.5, True, 0.5)
+        # the edge is the anchor and f(anchor) > anchor: r -> -inf from below
+        g = Affine(1.0, 0.5)
+        assert ratio_range(g, 0.0, 0.0, 0.0, "lower", 1e-3).inf == -math.inf
+        with pytest.raises(ValueError):
+            ratio_range(g, 0.0, 0.0, 0.0, "left", 1e-3)
+
+    @given(
+        xs=st.lists(st.integers(-300, 300), min_size=2, max_size=5, unique=True),
+        ys=st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=5),
+        tails=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+        box=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+        u=st.floats(0.0, 1.0),
+        slopes=st.tuples(st.floats(-4.0, -0.25), st.floats(-4.0, -0.25)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_pwl_pass_holds_on_the_whole_half_line(self, xs, ys, tails, box, u, slopes):
+        knots = tuple((x / 100.0, y) for x, y in zip(sorted(xs), ys))
+        f = PiecewiseLinear(knots, *tails)
+        box_lo, box_hi = sorted(box)
+        anchor = min(box_lo + u * (box_hi - box_lo), box_hi)
+        spec = BoxRaySpec(box_lo, box_hi, anchor, *slopes)
+        report = sector_membership(f, spec)
+        kx = np.array([k[0] for k in knots])
+        if report.lower.passed:
+            grid = np.linspace(anchor - 1e3, box_lo, 20001)[:-1]
+            x = np.concatenate([kx[kx < box_lo], grid])
+            fx = f.eval_array(x)
+            assert np.all(x - fx <= 1e-9)
+            assert np.all(fx - (spec.k1 * (x - anchor) + anchor) < 1e-9)
+        if report.upper.passed:
+            grid = np.linspace(anchor + 1e3, box_hi, 20001)[:-1]
+            x = np.concatenate([kx[kx > box_hi], grid])
+            fx = f.eval_array(x)
+            assert np.all(fx - x <= 1e-9)
+            assert np.all(spec.k2 * (x - anchor) + anchor - fx < 1e-9)
 
 
 class TestSerialization:
