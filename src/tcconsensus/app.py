@@ -22,6 +22,7 @@ from .dynamics import IntegrationSpec, System, attach_channels, integrate, monit
 from .equilibrium import solve_equilibrium
 from .errors import (
     ConfigError,
+    NonFiniteStateError,
     ParseError,
     TCConsensusError,
     ValidationError,
@@ -98,7 +99,7 @@ class RunConfig:
 
 def system_to_dict(system: System) -> dict:
     return {
-        "weights": [[float(v) for v in row] for row in system.graph.weights],
+        "weights": system.graph.weights.tolist(),
         "constraints": [
             {"sender": j, "receiver": i, "fn": fn.to_dict()}
             for (j, i), fn in sorted(system.constraints.items())
@@ -202,20 +203,6 @@ def load_config(path) -> RunConfig:
 # run pipeline
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, frozenset):
-        return sorted(obj)
-    return obj
-
-
 def _resolve(config: RunConfig) -> tuple[System, Scenario | None, IntegrationSpec, np.ndarray]:
     if config.scenario is not None:
         try:
@@ -240,6 +227,11 @@ def build_report(config: RunConfig, mode: str = "simulate"):
 
     ``mode`` is one of ``simulate`` (integrate + monitors + analysis),
     ``analyze`` (no integration), ``equilibrium`` (solve only).
+
+    A simulation that diverges returns its partial trajectory and a report
+    whose ``divergence`` record holds the detection time, the last recorded
+    time and the (0-based) agent with the largest ``|x|`` at that time, in
+    place of the final state and the monitor outcomes.
     """
     system, scn, spec, x0 = _resolve(config)
     hints = scn.ray_hints if scn is not None else ()
@@ -267,7 +259,7 @@ def build_report(config: RunConfig, mode: str = "simulate"):
         try:
             equilibrium = solve_equilibrium(system, x0)
             report["equilibrium"] = {
-                "point": _jsonify(equilibrium.point),
+                "point": equilibrium.point.tolist(),
                 "residual": equilibrium.residual,
                 "method": equilibrium.method,
                 "iterations": equilibrium.iterations,
@@ -279,29 +271,42 @@ def build_report(config: RunConfig, mode: str = "simulate"):
 
     traj = None
     if mode == "simulate":
-        traj = integrate(system, x0, spec)
-        report["final_state"] = _jsonify(traj.final_state())
-        report["final_spread"] = float(traj.spread()[-1])
-        if config.monitors and scn is not None and scn.checks:
-            mon = monitor_trajectory(
-                traj,
-                system,
-                scn.checks,
-                box=scn.box_spec,
-                equilibrium=None if equilibrium is None else equilibrium.point,
-                eq_spec=scn.eq_spec,
-                consensus_threshold=scn.consensus_threshold,
-                decay_threshold=scn.decay_threshold,
-            )
-            report["monitors"] = {
-                name: {"passed": r.passed, "value": r.value, "detail": r.detail}
-                for name, r in mon.results.items()
+        try:
+            traj = integrate(system, x0, spec)
+        except NonFiniteStateError as err:
+            if err.partial is None:
+                raise
+            traj = err.partial
+            report["divergence"] = {
+                "t_detected": err.time,
+                "t_last_recorded": float(traj.times[-1]),
+                "worst_agent": int(np.abs(traj.final_state()).argmax()),
             }
-            failures = {name for name, r in mon.results.items() if not r.passed}
-            expected = set(scn.expected_check_failures)
-            report["expected_check_failures"] = sorted(expected)
-            report["checks_match_expected"] = failures == expected
-            ok = ok and failures == expected
+            ok = False
+        else:
+            report["final_state"] = traj.final_state().tolist()
+            report["t_end"] = spec.steps() * spec.dt
+            report["final_spread"] = float(traj.spread()[-1])
+            if config.monitors and scn is not None and scn.checks:
+                mon = monitor_trajectory(
+                    traj,
+                    system,
+                    scn.checks,
+                    box=scn.box_spec,
+                    equilibrium=None if equilibrium is None else equilibrium.point,
+                    eq_spec=scn.eq_spec,
+                    consensus_threshold=scn.consensus_threshold,
+                    decay_threshold=scn.decay_threshold,
+                )
+                report["monitors"] = {
+                    name: {"passed": r.passed, "value": r.value, "detail": r.detail}
+                    for name, r in mon.results.items()
+                }
+                failures = {name for name, r in mon.results.items() if not r.passed}
+                expected = set(scn.expected_check_failures)
+                report["expected_check_failures"] = sorted(expected)
+                report["checks_match_expected"] = failures == expected
+                ok = ok and failures == expected
         attach_channels(
             traj,
             box=scn.box_spec if scn is not None else None,
@@ -313,12 +318,59 @@ def build_report(config: RunConfig, mode: str = "simulate"):
     return report, traj, ok
 
 
+def _encode_default(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if isinstance(obj, frozenset):
+        return sorted(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+# Without ``indent`` the encoder runs on the C fast path; any ``indent``
+# sends every node through the pure-Python encoder.
+_ENCODER = json.JSONEncoder(sort_keys=True, default=_encode_default)
+_INDENTED_DEPTH = 3
+
+
+def _render(obj, depth: int, out: list[str]) -> None:
+    if depth > _INDENTED_DEPTH or not isinstance(obj, (dict, list, tuple)) or not obj:
+        out.append(_ENCODER.encode(obj))
+        return
+    if isinstance(obj, dict):
+        items = [(_ENCODER.encode(str(k)) + ": ", obj[k]) for k in sorted(obj)]
+        brackets = "{}"
+    else:
+        items = [("", v) for v in obj]
+        brackets = "[]"
+    pad = "\n" + "  " * (depth + 1)
+    out.append(brackets[0])
+    for i, (prefix, value) in enumerate(items):
+        out.append(("," if i else "") + pad + prefix)
+        _render(value, depth + 1, out)
+    out.append("\n" + "  " * depth + brackets[1])
+
+
 def render_report(report: dict) -> str:
-    return json.dumps(_jsonify(report), indent=2, sort_keys=True) + "\n"
+    """Render a report as JSON with sorted keys.
+
+    Containers down to depth 3 (the report itself is depth 0) are indented
+    by two spaces per level; each deeper container goes on one line, so a
+    weight row, a constraint record or a condition witness is one line.
+    Numpy arrays and scalars render as lists and numbers, frozensets as
+    sorted lists.
+    """
+    out: list[str] = []
+    _render(report, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def run(config: RunConfig, mode: str = "simulate", out_dir=None) -> int:
-    """Run the pipeline, write artifacts, and return the exit status."""
+    """Run the pipeline, write artifacts, and return the exit status.
+
+    A simulation that diverges still writes ``report.json`` (with its
+    ``divergence`` record) and the partial ``trajectory.csv``, then exits 2.
+    """
     import sys
 
     try:
@@ -329,6 +381,12 @@ def run(config: RunConfig, mode: str = "simulate", out_dir=None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+
+    status = 0 if ok else 1
+    if "divergence" in report:
+        t = report["divergence"]["t_detected"]
+        print(f"error: divergence detected at t={t:.6g}", file=sys.stderr)
+        status = 2
 
     target = out_dir or config.output_dir
     if target is not None:
@@ -345,7 +403,7 @@ def run(config: RunConfig, mode: str = "simulate", out_dir=None) -> int:
         except OSError as err:
             print(f"error: {target}: {err}", file=sys.stderr)
             return 2
-    return 0 if ok else 1
+    return status
 
 
 def list_scenarios() -> list[dict]:

@@ -194,6 +194,10 @@ class ConstraintFn:
     def _rep(self) -> PWLRep | None:
         return self._make_pwl()
 
+    @cached_property
+    def _fixed_points(self) -> IntervalSet:
+        return _fixed_points_in(self, IntervalSet.reals())
+
     def pwl(self) -> PWLRep | None:
         return self._rep
 
@@ -531,10 +535,15 @@ def fixed_point_set(f: ConstraintFn, domain: IntervalSet | None = None) -> Inter
 
     Exact for piecewise-linear-representable variants and for gates (whose
     fixed set is the accepted interval); otherwise a scan-plus-bisection
-    enclosure with its tolerance recorded on the result.
+    enclosure with its tolerance recorded on the result. The whole-line set
+    is computed once per function object and cached.
     """
     if domain is None:
-        domain = IntervalSet.reals()
+        return f._fixed_points
+    return _fixed_points_in(f, domain)
+
+
+def _fixed_points_in(f: ConstraintFn, domain: IntervalSet) -> IntervalSet:
     if domain.is_empty:
         return IntervalSet.empty()
     if isinstance(f, GatedIdentity):

@@ -168,6 +168,9 @@ class IntegrationSpec:
             raise ValueError("record_stride must be at least 1")
 
     def steps(self) -> int:
+        """Number of fixed steps: ``t_final / dt`` rounded to the nearest
+        integer, so the horizon integrated is ``steps() * dt``, which differs
+        from ``t_final`` when it is not a multiple of ``dt``."""
         return int(round(self.t_final / self.dt))
 
     def stride(self) -> int:
@@ -259,7 +262,9 @@ def integrate_batch(
         if k % stride == 0 or k == steps:
             if not np.all(np.isfinite(X)) or np.abs(X).max() > _DIVERGENCE_LIMIT:
                 raise NonFiniteStateError(
-                    f"divergence detected at t={k * dt:.6g}", partial=partial()
+                    f"divergence detected at t={k * dt:.6g}",
+                    partial=partial(),
+                    time=k * dt,
                 )
             rec_times.append(k * dt)
             rec_states.append(X.copy())

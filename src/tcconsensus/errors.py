@@ -24,12 +24,14 @@ class NonFiniteError(TCConsensusError):
 class NonFiniteStateError(TCConsensusError):
     """Raised when integration or evaluation encounters a non-finite state.
 
-    ``partial`` may carry the trajectory accumulated before the blow-up.
+    ``partial`` may carry the trajectory accumulated before the blow-up, and
+    ``time`` the integration time at which it was detected.
     """
 
-    def __init__(self, message, partial=None):
+    def __init__(self, message, partial=None, time=None):
         super().__init__(message)
         self.partial = partial
+        self.time = time
 
 
 class UnresolvableEnclosureError(TCConsensusError):

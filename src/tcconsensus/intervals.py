@@ -75,9 +75,24 @@ class IntervalSet:
         return self.pieces[0][0], self.pieces[-1][1]
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        """Tolerance-aware intersection: each operand's pieces are padded by
-        its own certification tolerance, so two enclosures of the same point
-        that disagree within tolerance still meet."""
+        """Tolerance-aware intersection.
+
+        An operand's true set lies within its tolerance of its pieces (an
+        exact set has tolerance 0). Padding each operand by its own
+        tolerance therefore gives a superset of its true set, so the padded
+        intersection contains the true one, and two enclosures of the same
+        point that disagree within tolerance still meet.
+
+        The result keeps the padded pieces and records ``ta + tb``: each
+        endpoint may have moved outward by the padding of either operand,
+        and the sum bounds both at once, so callers that read the tolerance
+        as the set's uncertainty never understate it. The rule is sound but
+        conservative, and it depends on order: each further intersection
+        pads by the accumulated sum again, and an exact operand clips the
+        padding added before it but cannot undo padding added after it.
+        Callers wanting a tight result intersect each distinct enclosure
+        once and the exact sets last, as ``analysis.consensus_zone`` does.
+        """
         ta, tb = self.tolerance, other.tolerance
         out = []
         for a, b in self.pieces:

@@ -1,5 +1,7 @@
 import json
+import random
 
+import numpy as np
 import pytest
 
 from tcconsensus import Affine, Identity, build_digraph, System
@@ -16,6 +18,7 @@ from tcconsensus.app import (
 )
 from tcconsensus.cli import main
 from tcconsensus.errors import ParseError, ValidationError
+from tcconsensus.scenarios import builtin_scenarios
 
 CUSTOM_SYSTEM = {
     "weights": [[0.0, 1.0], [1.0, 0.0]],
@@ -155,6 +158,115 @@ class TestBuildReport:
         assert json.loads(text)["expectations_met"] is True
 
 
+def ref_jsonify(obj):
+    """The renderer's former pre-walk, kept as the oracle for its content."""
+    if isinstance(obj, dict):
+        return {str(k): ref_jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [ref_jsonify(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [ref_jsonify(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, frozenset):
+        return sorted(obj)
+    return obj
+
+
+def canonical(text):
+    # re-dumping keeps int/float/bool apart, which == on parsed values does not
+    return json.dumps(json.loads(text), sort_keys=True)
+
+
+def reference_text(report):
+    return json.dumps(ref_jsonify(report), indent=2, sort_keys=True) + "\n"
+
+
+RING_CATALOG = (
+    {"variant": "saturation", "lo": -1.0, "hi": 1.0},
+    {"variant": "interval_projection", "p": -1.0, "q": 1.0, "rho": 0.5},
+    {"variant": "gated_identity", "lo": -2.0, "hi": 2.0},
+    {
+        "variant": "piecewise_linear",
+        "knots": [[-1.0, -1.0], [1.0, 1.0]],
+        "left_slope": 0.0,
+        "right_slope": -1.5,
+    },
+)
+
+
+def ring_plus_random(n=60, extra=3, seed=7):
+    """Directed ring plus ``extra`` random in-edges per agent, one function
+    record per edge."""
+    rng = random.Random(seed)
+    weights = [[0.0] * n for _ in range(n)]
+    constraints = []
+    for i in range(n):
+        ring = (i - 1) % n
+        others = [j for j in range(n) if j not in (i, ring)]
+        for j in sorted([ring] + rng.sample(others, extra)):
+            weights[i][j] = round(rng.uniform(0.5, 1.5), 6)
+            fn = dict(rng.choice(RING_CATALOG))
+            constraints.append({"sender": j, "receiver": i, "fn": fn})
+    x0 = [rng.uniform(-3.0, 3.0) for _ in range(n)]
+    return config_from_dict(
+        {
+            "system": {"weights": weights, "constraints": constraints},
+            "x0": x0,
+            "integration": {"dt": 1e-2, "t_final": 0.1},
+        }
+    )
+
+
+SCENARIO_NAMES = [s.name for s in builtin_scenarios()]
+
+
+class TestRenderReport:
+    @pytest.mark.parametrize("mode", ["simulate", "analyze"])
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_scenario_report_content_unchanged(self, name, mode):
+        config = config_from_dict(
+            {"scenario": name, "integration": {"dt": 1e-3, "t_final": 0.25}}
+        )
+        report, _, _ = build_report(config, mode=mode)
+        assert canonical(render_report(report)) == canonical(reference_text(report))
+
+    @pytest.mark.parametrize("mode", ["analyze", "equilibrium"])
+    def test_custom_report_content_unchanged(self, mode):
+        report, _, _ = build_report(ring_plus_random(), mode=mode)
+        assert canonical(render_report(report)) == canonical(reference_text(report))
+
+    def test_numpy_values_and_frozensets(self):
+        values = {
+            "int": np.int64(3),
+            "float": np.float64(0.1),
+            "float32": np.float32(0.5),
+            "array": np.arange(3),
+            "matrix": np.array([[1.0, 2.5], [np.inf, -0.0]]),
+            "set": frozenset({3, 1, 2}),
+        }
+        report = dict(values, deep={"a": {"b": {"c": dict(values)}}})
+        text = render_report(report)
+        assert canonical(text) == canonical(reference_text(report))
+        assert json.loads(text)["deep"]["a"]["b"]["c"]["set"] == [1, 2, 3]
+        # the oracle rejected numpy bools; they now render as JSON booleans
+        flags = {"flag": np.bool_(True), "deep": {"a": {"b": {"c": [np.bool_(False)]}}}}
+        assert canonical(render_report(flags)) == canonical(
+            '{"flag": true, "deep": {"a": {"b": {"c": [false]}}}}'
+        )
+
+    def test_weight_row_on_one_line(self):
+        config = ring_plus_random()
+        report, _, _ = build_report(config, mode="analyze")
+        row = config.system.graph.weights[5].tolist()
+        # depth 4: report > config > system > weights > row
+        assert " " * 8 + json.dumps(row) + "," in render_report(report).splitlines()
+
+    def test_rendering_is_deterministic(self):
+        report, _, _ = build_report(ring_plus_random(), mode="analyze")
+        assert render_report(report).encode() == render_report(report).encode()
+
+
 class TestRun:
     def test_run_writes_artifacts(self, tmp_path):
         config = config_from_dict({"scenario": "necessity-2agent"})
@@ -183,6 +295,45 @@ class TestRun:
             {"scenario": "ex2", "integration": {"dt": 1e-3, "t_final": 0.01}}
         )
         assert run(config, out_dir=tmp_path / "o") == 1
+
+    def test_divergence_keeps_artifacts(self, tmp_path, capsys):
+        ring = {
+            "weights": [[0.0, 1.0], [1.0, 0.0]],
+            "constraints": [
+                {"sender": 0, "receiver": 1, "fn": {"variant": "affine", "k": -3.0}},
+                {"sender": 1, "receiver": 0, "fn": {"variant": "affine", "k": -3.0}},
+            ],
+        }
+        config = config_from_dict(
+            {
+                "system": ring,
+                "x0": [1.0, -1.0],
+                "integration": {"dt": 1e-2, "t_final": 30.0},
+            }
+        )
+        assert run(config, out_dir=tmp_path / "out") == 2
+        assert "divergence detected" in capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        div = report["divergence"]
+        assert set(div) == {"t_detected", "t_last_recorded", "worst_agent"}
+        assert 0.0 < div["t_last_recorded"] < div["t_detected"] < 30.0
+        assert div["worst_agent"] in (0, 1)
+        assert "final_state" not in report and report["expectations_met"] is False
+        rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+        assert rows[0].startswith("t,x_1,x_2")
+        assert float(rows[-1].split(",")[0]) == div["t_last_recorded"]
+
+    def test_report_records_integrated_horizon(self):
+        config = config_from_dict(
+            {
+                "system": CUSTOM_SYSTEM,
+                "x0": [1.0, -1.0],
+                "integration": {"dt": 0.003, "t_final": 0.01},
+            }
+        )
+        report, traj, _ = build_report(config)
+        assert report["t_end"] == 3 * 0.003 == traj.times[-1]
+        assert report["config"]["integration"]["t_final"] == 0.01
 
     def test_list_scenarios(self):
         listed = list_scenarios()
