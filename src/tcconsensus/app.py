@@ -41,6 +41,8 @@ _TOP_LEVEL_KEYS = {
 }
 _ANALYSIS_KEYS = {"classify", "equilibrium", "monitors"}
 _INTEGRATION_KEYS = {"dt", "t_final", "method", "record_stride"}
+_SYSTEM_KEYS = {"weights", "constraints"}
+_CONSTRAINT_KEYS = {"sender", "receiver", "fn"}
 
 
 @dataclass(frozen=True)
@@ -98,22 +100,61 @@ class RunConfig:
 
 
 def system_to_dict(system: System) -> dict:
+    """The system as a JSON-ready record. Each distinct function object is
+    serialized once; every edge that carries it shares that ``fn`` record."""
+    objects = {id(fn): fn for fn in system.constraints.values()}
+    records = {key: fn.to_dict() for key, fn in objects.items()}
     return {
         "weights": system.graph.weights.tolist(),
         "constraints": [
-            {"sender": j, "receiver": i, "fn": fn.to_dict()}
+            {"sender": j, "receiver": i, "fn": records[id(fn)]}
             for (j, i), fn in sorted(system.constraints.items())
         ],
     }
 
 
+def _check_keys(record, allowed: set[str], what: str) -> None:
+    if not isinstance(record, dict):
+        raise ValidationError(f"'{what}' must be an object")
+    unknown = set(record) - allowed
+    if unknown:
+        raise ValidationError(f"unknown {what} keys: {sorted(unknown)}")
+
+
+def _agent_index(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"agent index must be an integer, got {value!r}")
+    return int(value)
+
+
 def system_from_dict(record: dict) -> System:
+    """Validate a system record (``weights`` plus per-edge ``constraints``)
+    and compile it into a :class:`System`.
+
+    Equal ``fn`` records load as one shared, immutable function object:
+    records are memoized on ``repr()`` of the parsed record, which is exact
+    (a float's ``repr`` round-trips) and keeps types apart (``1``, ``1.0``
+    and ``True`` differ), so parsing and validation run once per distinct
+    record, and records that are equal as values but differ in type stay
+    separate objects and echo back unchanged. Unknown keys, a repeated
+    ``(sender, receiver)`` pair and agent indices that are not integers are
+    rejected.
+    """
+    _check_keys(record, _SYSTEM_KEYS, "system")
     try:
         graph = build_digraph(record["weights"])
+        loaded: dict[str, _constraints.ConstraintFn] = {}
         cmap = {}
         for entry in record["constraints"]:
-            key = (int(entry["sender"]), int(entry["receiver"]))
-            cmap[key] = _constraints.from_dict(entry["fn"])
+            _check_keys(entry, _CONSTRAINT_KEYS, "constraint")
+            key = (_agent_index(entry["sender"]), _agent_index(entry["receiver"]))
+            if key in cmap:
+                raise ValidationError(f"repeated constraint record for edge {key}")
+            memo = repr(entry["fn"])
+            fn = loaded.get(memo)
+            if fn is None:
+                fn = loaded[memo] = _constraints.from_dict(entry["fn"])
+            cmap[key] = fn
         return System(graph, cmap)
     except KeyError as err:
         raise ValidationError(f"system record missing field {err}") from err
@@ -135,11 +176,7 @@ def config_from_dict(data: dict) -> RunConfig:
     integration = None
     if "integration" in data:
         rec = data["integration"]
-        if not isinstance(rec, dict):
-            raise ValidationError("'integration' must be an object")
-        unknown = set(rec) - _INTEGRATION_KEYS
-        if unknown:
-            raise ValidationError(f"unknown integration keys: {sorted(unknown)}")
+        _check_keys(rec, _INTEGRATION_KEYS, "integration")
         if "dt" not in rec or "t_final" not in rec:
             raise ValidationError("'integration' requires 'dt' and 't_final'")
         try:
@@ -153,11 +190,7 @@ def config_from_dict(data: dict) -> RunConfig:
             raise ValidationError(str(err)) from err
 
     analysis = data.get("analysis", {})
-    if not isinstance(analysis, dict):
-        raise ValidationError("'analysis' must be an object")
-    unknown = set(analysis) - _ANALYSIS_KEYS
-    if unknown:
-        raise ValidationError(f"unknown analysis keys: {sorted(unknown)}")
+    _check_keys(analysis, _ANALYSIS_KEYS, "analysis")
 
     x0 = data.get("x0")
     if x0 is not None:

@@ -23,6 +23,7 @@ from .errors import (
     UnboundedRegionError,
     UnknownConstraintVariantError,
     UnresolvableEnclosureError,
+    ValidationError,
 )
 from .intervals import IntervalSet
 from .rays import BoxRaySpec
@@ -446,6 +447,10 @@ class Mix(ConstraintFn):
     weight: float = 0.5
 
     def __post_init__(self):
+        if not (
+            isinstance(self.first, ConstraintFn) and isinstance(self.second, ConstraintFn)
+        ):
+            raise TypeError("mix members must be constraint functions")
         if not (0.0 <= self.weight <= 1.0):
             raise ValueError("mix weight must lie in [0, 1]")
 
@@ -504,21 +509,24 @@ _VARIANTS = {
 
 
 def from_dict(record: dict) -> ConstraintFn:
+    """Build a variant from its ``to_dict`` record; nested ``mix`` members
+    are records too. Keys other than ``variant`` and the variant's fields
+    are rejected."""
     rec = dict(record)
     name = rec.pop("variant", None)
     cls = _VARIANTS.get(name)
     if cls is None:
         raise UnknownConstraintVariantError(f"unknown constraint variant {name!r}")
+    unknown = set(rec) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValidationError(f"unknown {name} keys: {sorted(unknown)}")
     kwargs = {}
-    for f in fields(cls):
-        if f.name not in rec:
-            continue
-        v = rec[f.name]
+    for key, v in rec.items():
         if isinstance(v, dict) and "variant" in v:
             v = from_dict(v)
         elif isinstance(v, list):
             v = tuple(tuple(k) if isinstance(k, list) else k for k in v)
-        kwargs[f.name] = v
+        kwargs[key] = v
     return cls(**kwargs)
 
 

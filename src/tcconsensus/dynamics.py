@@ -23,6 +23,7 @@ there is no event detection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from numpy.typing import NDArray
@@ -45,7 +46,11 @@ class System:
 
     Construction compiles the constraint map into an edge table keyed by
     function value: variants are frozen dataclasses, so equal-valued copies
-    (one per edge after a JSON load, say) share one entry.
+    share one entry. The edges are grouped by object identity first (in
+    numpy, over the objects' ``id``), then the distinct objects are merged
+    by value, so a map that reuses a few objects on many edges costs one
+    value hash per object, not per edge. The table itself is built with
+    array operations.
 
     - ``distinct`` pairs each distinct function with its first edge in
       sorted order. The ledger loops iterate it instead of every edge, and
@@ -53,8 +58,8 @@ class System:
     - The weight block has one row per distinct (function, sender) pair and
       one column per agent: row ``k`` holds ``a_ij`` for every receiver ``i``
       whose edge from the row's sender ``j`` carries the row's function.
-      Each function's rows are contiguous, and gated functions' rows come
-      last.
+      Functions follow in first-edge order with gated functions last; each
+      function's rows are contiguous, its senders ascending.
     """
 
     graph: Digraph
@@ -65,37 +70,60 @@ class System:
 
     def __post_init__(self):
         edges = set(self.graph.edges())
-        keys = set(self.constraints)
-        if keys != edges:
-            missing = edges - keys
-            extra = keys - edges
+        covered = set(self.constraints)
+        if covered != edges:
+            missing = edges - covered
+            extra = covered - edges
             raise ValueError(
                 f"constraint map must cover the edge set exactly; "
                 f"missing {sorted(missing)}, extra {sorted(extra)}"
             )
-        first: dict[ConstraintFn, tuple[int, int]] = {}
-        receivers: dict[ConstraintFn, dict[int, list[int]]] = {}
-        for (j, i), fn in sorted(self.constraints.items()):
-            first.setdefault(fn, (j, i))
-            receivers.setdefault(fn, {}).setdefault(j, []).append(i)
+        n, count = self.n, len(self.constraints)
+        keys = list(self.constraints)
+        fns = list(self.constraints.values())
+        senders, receivers = (
+            np.fromiter(chain.from_iterable(keys), dtype=np.intp, count=2 * count)
+            .reshape(count, 2)
+            .T
+        )
+        ids = np.fromiter(map(id, fns), dtype=np.uint64, count=count)
+        _, obj_first, obj_of_edge = np.unique(
+            ids, return_index=True, return_inverse=True
+        )
+        by_value: dict[ConstraintFn, int] = {}
+        value_of_obj = np.array(
+            [by_value.setdefault(fns[e], len(by_value)) for e in obj_first.tolist()],
+            dtype=np.intp,
+        )
+        group = value_of_obj[obj_of_edge]
+
+        # each value's first edge in sorted (sender, receiver) order
+        order = np.lexsort((receivers, senders))
+        _, first_sorted = np.unique(group[order], return_index=True)
+        firsts = order[np.sort(first_sorted)].tolist()
         object.__setattr__(
-            self, "distinct", tuple((edge, fn) for fn, edge in first.items())
+            self, "distinct", tuple((keys[e], fns[e]) for e in firsts)
         )
 
-        spans = []
-        rows: list[tuple[int, list[int]]] = []
-        for fn in sorted(receivers, key=lambda fn: fn.is_gate):
-            start = len(rows)
-            rows.extend(receivers[fn].items())
-            spans.append((fn, start, len(rows)))
-        block = np.zeros((len(rows), self.n))
-        for k, (j, recv) in enumerate(rows):
-            block[k, recv] = self.graph.weights[recv, j]
-        gate_start = next((a for fn, a, _ in spans if fn.is_gate), len(rows))
-        object.__setattr__(self, "_spans", tuple(spans))
-        object.__setattr__(
-            self, "_senders", np.array([j for j, _ in rows], dtype=np.intp)
+        gated = np.array([fns[e].is_gate for e in firsts], dtype=bool)
+        by_rank = np.argsort(gated, kind="stable")
+        rank = np.empty(len(firsts), dtype=np.intp)
+        rank[group[firsts][by_rank]] = np.arange(len(firsts))
+        row_keys, row_of_edge = np.unique(
+            rank[group] * n + senders, return_inverse=True
         )
+        block = np.zeros((len(row_keys), n))
+        block[row_of_edge, receivers] = self.graph.weights[receivers, senders]
+        bounds = np.searchsorted(
+            row_keys // n, np.arange(len(firsts) + 1)
+        ).tolist()
+        spans = tuple(
+            (fns[firsts[k]], bounds[r], bounds[r + 1])
+            for r, k in enumerate(by_rank.tolist())
+        )
+        gate_start = bounds[len(firsts) - int(gated.sum())]
+        object.__setattr__(self, "_spans", spans)
+        object.__setattr__(self, "_senders", row_keys % n)
         object.__setattr__(self, "_block", block)
         object.__setattr__(self, "_gate_start", gate_start)
         object.__setattr__(self, "_plain_alpha", block[:gate_start].sum(axis=0))

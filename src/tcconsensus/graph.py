@@ -40,7 +40,7 @@ class Digraph:
     def edges(self) -> list[tuple[int, int]]:
         """All edges as ``(j, i)`` pairs, ``j`` sender, ``i`` receiver."""
         receivers, senders = np.nonzero(self.weights)
-        return [(int(j), int(i)) for i, j in zip(receivers, senders)]
+        return list(zip(senders.tolist(), receivers.tolist()))
 
     def laplacian(self) -> NDArray[np.float64]:
         alpha, _ = row_stats(self)
@@ -74,28 +74,27 @@ def row_stats(g: Digraph) -> tuple[NDArray[np.float64], float]:
 
 
 def is_strongly_connected(g: Digraph) -> bool:
-    """Exact strong-connectivity test via Tarjan-style double DFS.
+    """Exact strong-connectivity test: agent 0 reaches every agent and every
+    agent reaches agent 0.
 
-    Every vertex must reach every other along directed edges; with the
-    ``j -> i`` convention, reachability follows columns-to-rows.
+    Each search expands a whole boolean frontier per step, so it costs one
+    numpy pass per distance level rather than Python work per vertex. With
+    the ``j -> i`` convention, ``adj[:, front]`` holds the edges leaving the
+    frontier, so the forward search runs on ``adj`` and the backward search
+    on ``adj.T``.
     """
     n = g.n
     if n <= 1:
         return True
     adj = g.weights > 0  # adj[i, j]: edge j -> i
 
-    def reaches_all(out_edges) -> bool:
-        # out_edges[v] yields successors of v
+    def reaches_all(succ) -> bool:
         seen = np.zeros(n, dtype=bool)
-        stack = [0]
         seen[0] = True
-        while stack:
-            v = stack.pop()
-            for w in np.flatnonzero(out_edges[v]):
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(int(w))
+        front = seen.copy()
+        while front.any():
+            front = succ[:, front].any(axis=1) & ~seen
+            seen |= front
         return bool(seen.all())
 
-    # forward: successors of j are rows i with adj[i, j]; that is adj.T[j]
-    return reaches_all(adj.T) and reaches_all(adj)
+    return reaches_all(adj) and reaches_all(adj.T)

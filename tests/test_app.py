@@ -185,6 +185,7 @@ def reference_text(report):
 RING_CATALOG = (
     {"variant": "saturation", "lo": -1.0, "hi": 1.0},
     {"variant": "interval_projection", "p": -1.0, "q": 1.0, "rho": 0.5},
+    {"variant": "interval_projection", "p": -1.5, "q": 1.5, "rho": 0.25},
     {"variant": "gated_identity", "lo": -2.0, "hi": 2.0},
     {
         "variant": "piecewise_linear",
@@ -218,6 +219,97 @@ def ring_plus_random(n=60, extra=3, seed=7):
     )
 
 
+def int_and_float_ring(n=6):
+    """Ring plus chords whose saturation records alternate between integer
+    and float bounds: equal as values, different as JSON."""
+    weights = [[0.0] * n for _ in range(n)]
+    constraints = []
+    for i in range(n):
+        for j in sorted({(i - 1) % n, (i + 2) % n}):
+            weights[i][j] = 1.0 + 0.25 * j
+            bound = 1 if len(constraints) % 2 else 1.0
+            fn = {"variant": "saturation", "lo": -bound, "hi": bound}
+            constraints.append({"sender": j, "receiver": i, "fn": fn})
+    return config_from_dict(
+        {
+            "system": {"weights": weights, "constraints": constraints},
+            "x0": [float(v) for v in np.linspace(-2.0, 2.0, n)],
+            "integration": {"dt": 1e-2, "t_final": 0.1},
+        }
+    )
+
+
+class TestSystemLoading:
+    def test_equal_records_load_as_one_object(self):
+        fns = ring_plus_random().system.constraints.values()
+        assert len(fns) == 60 * 4
+        assert len({id(fn) for fn in fns}) == len(RING_CATALOG) == 5
+
+    def test_int_and_float_records_stay_apart(self):
+        sys_ = int_and_float_ring().system
+        objects = {id(fn): fn for fn in sys_.constraints.values()}
+        assert len(objects) == 2
+        assert len(set(objects.values())) == 1  # one value
+        echo = system_to_dict(sys_)
+        for rec in echo["constraints"]:
+            own = sys_.constraints[(rec["sender"], rec["receiver"])].to_dict()
+            assert json.dumps(rec["fn"]) == json.dumps(own)
+        assert {json.dumps(rec["fn"]) for rec in echo["constraints"]} == {
+            json.dumps({"variant": "saturation", "lo": -1, "hi": 1}),
+            json.dumps({"variant": "saturation", "lo": -1.0, "hi": 1.0}),
+        }
+
+    def test_numpy_integer_indices_accepted(self):
+        record = json.loads(json.dumps(CUSTOM_SYSTEM))
+        record["constraints"][0]["sender"] = np.int64(0)
+        record["constraints"][0]["receiver"] = np.int32(1)
+        assert system_from_dict(record).constraints == system_from_dict(
+            CUSTOM_SYSTEM
+        ).constraints
+
+
+def edited(edit):
+    record = json.loads(json.dumps(CUSTOM_SYSTEM))
+    edit(record)
+    return record
+
+
+MALFORMED_SYSTEMS = {
+    "system-key": lambda r: r.update(bogus=3),
+    "constraint-key": lambda r: r["constraints"][0].update(weight=2.0),
+    "fn-key": lambda r: r["constraints"][0].update(
+        fn={"variant": "saturation", "lo": -1, "hi": 1, "bogus": 3}
+    ),
+    "mix-member-key": lambda r: r["constraints"][0].update(
+        fn={
+            "variant": "mix",
+            "first": {"variant": "identity", "bogus": 3},
+            "second": {"variant": "affine", "k": -0.5},
+        }
+    ),
+    "mix-member-not-a-record": lambda r: r["constraints"][0].update(
+        fn={"variant": "mix", "first": 3, "second": {"variant": "identity"}}
+    ),
+    "repeated-edge": lambda r: r["constraints"].append(
+        {"sender": 0, "receiver": 1, "fn": {"variant": "identity"}}
+    ),
+    "float-index": lambda r: r["constraints"][0].update(sender=0.9),
+    "integral-float-index": lambda r: r["constraints"][0].update(sender=0.0),
+    "bool-index": lambda r: r["constraints"][1].update(sender=True),
+    "string-index": lambda r: r["constraints"][0].update(receiver="1"),
+}
+
+
+class TestSystemValidation:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SYSTEMS))
+    def test_rejected(self, case):
+        record = edited(MALFORMED_SYSTEMS[case])
+        with pytest.raises(ValidationError):
+            system_from_dict(record)
+        with pytest.raises(ValidationError):
+            config_from_dict({"system": record, "x0": [0.0, 0.0]})
+
+
 SCENARIO_NAMES = [s.name for s in builtin_scenarios()]
 
 
@@ -231,9 +323,19 @@ class TestRenderReport:
         report, _, _ = build_report(config, mode=mode)
         assert canonical(render_report(report)) == canonical(reference_text(report))
 
-    @pytest.mark.parametrize("mode", ["analyze", "equilibrium"])
-    def test_custom_report_content_unchanged(self, mode):
-        report, _, _ = build_report(ring_plus_random(), mode=mode)
+    @pytest.mark.parametrize(
+        "make, mode",
+        [
+            pytest.param(ring_plus_random, "analyze", id="analyze"),
+            pytest.param(ring_plus_random, "equilibrium", id="equilibrium"),
+            pytest.param(int_and_float_ring, "analyze", id="int-and-float-analyze"),
+            pytest.param(
+                int_and_float_ring, "equilibrium", id="int-and-float-equilibrium"
+            ),
+        ],
+    )
+    def test_custom_report_content_unchanged(self, make, mode):
+        report, _, _ = build_report(make(), mode=mode)
         assert canonical(render_report(report)) == canonical(reference_text(report))
 
     def test_numpy_values_and_frozensets(self):

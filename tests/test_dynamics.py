@@ -13,12 +13,14 @@ from tcconsensus import (
     System,
     attach_channels,
     build_digraph,
+    from_dict,
     integrate,
     integrate_batch,
     monitor_trajectory,
     rhs,
     scenario_by_name,
 )
+from tcconsensus.scenarios import builtin_scenarios
 from tcconsensus.app import system_from_dict, system_to_dict
 from tcconsensus.dynamics import rhs_batch
 from tcconsensus.equilibrium import _picard_map
@@ -127,6 +129,71 @@ class TestEdgeTableMatchesPerEdgeLoop:
         rt = system_from_dict(json.loads(json.dumps(system_to_dict(sys_))))
         assert rt.distinct == sys_.distinct
         assert len(rt.distinct) == len({id(fn) for fn in sys_.constraints.values()})
+
+
+def per_edge_table(system):
+    """The former per-edge table build, kept as the oracle: returns
+    ``distinct``, ``_spans``, ``_senders``, ``_block``, ``_gate_start`` and
+    ``_plain_alpha`` as the compiled table must hold them."""
+    first = {}
+    receivers = {}
+    for (j, i), fn in sorted(system.constraints.items()):
+        first.setdefault(fn, (j, i))
+        receivers.setdefault(fn, {}).setdefault(j, []).append(i)
+    distinct = tuple((edge, fn) for fn, edge in first.items())
+    spans = []
+    rows = []
+    for fn in sorted(receivers, key=lambda fn: fn.is_gate):
+        start = len(rows)
+        rows.extend(receivers[fn].items())
+        spans.append((fn, start, len(rows)))
+    block = np.zeros((len(rows), system.n))
+    for k, (j, recv) in enumerate(rows):
+        block[k, recv] = system.graph.weights[recv, j]
+    gate_start = next((a for fn, a, _ in spans if fn.is_gate), len(rows))
+    senders = np.array([j for j, _ in rows], dtype=np.intp)
+    return distinct, tuple(spans), senders, block, gate_start, block[:gate_start].sum(axis=0)
+
+
+def assert_table_matches_oracle(system):
+    distinct, spans, senders, block, gate_start, plain_alpha = per_edge_table(system)
+    assert system.distinct == distinct
+    assert system._spans == spans
+    assert [type(v) for s in system._spans for v in s[1:]] == [int] * 2 * len(spans)
+    assert system._gate_start == gate_start and type(system._gate_start) is int
+    for got, want in (
+        (system._senders, senders),
+        (system._block, block),
+        (system._plain_alpha, plain_alpha),
+    ):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+class TestEdgeTableMatchesPerEdgeBuild:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("copies", ["shared", "json", "per-edge"])
+    def test_random_catalog_systems(self, seed, copies):
+        sys_ = random_catalog_system(seed)
+        if copies == "json":
+            sys_ = system_from_dict(json.loads(json.dumps(system_to_dict(sys_))))
+        elif copies == "per-edge":
+            # one equal-valued object per edge: merged by value, not identity
+            sys_ = System(
+                sys_.graph,
+                {e: from_dict(fn.to_dict()) for e, fn in sys_.constraints.items()},
+            )
+        assert_table_matches_oracle(sys_)
+
+    @pytest.mark.parametrize("name", [s.name for s in builtin_scenarios()])
+    def test_scenarios(self, name):
+        assert_table_matches_oracle(scenario_by_name(name).system)
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_edgeless_system(self, n):
+        sys_ = System(build_digraph(np.zeros((n, n))), {})
+        assert_table_matches_oracle(sys_)
+        assert rhs_batch(sys_, np.ones((2, n))).tolist() == np.zeros((2, n)).tolist()
 
 
 class TestIntegrationSpec:

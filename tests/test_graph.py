@@ -94,7 +94,68 @@ def _reachability_oracle(adj):
     return reach
 
 
+def dfs_strongly_connected(g):
+    """The former per-vertex double DFS, kept as the oracle."""
+    n = g.n
+    if n <= 1:
+        return True
+    adj = g.weights > 0  # adj[i, j]: edge j -> i
+
+    def reaches_all(out_edges):
+        seen = np.zeros(n, dtype=bool)
+        stack = [0]
+        seen[0] = True
+        while stack:
+            v = stack.pop()
+            for w in np.flatnonzero(out_edges[v]):
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(int(w))
+        return bool(seen.all())
+
+    return reaches_all(adj.T) and reaches_all(adj)
+
+
+def one_way_chain(n):
+    w = np.zeros((n, n))
+    for i in range(1, n):
+        w[i, i - 1] = 1.0  # edge i-1 -> i
+    return w
+
+
+def two_components(n):
+    """Two complete halves joined by one edge from the first to the second."""
+    h = n // 2
+    w = np.zeros((n, n))
+    w[:h, :h] = 1.0
+    w[h:, h:] = 1.0
+    np.fill_diagonal(w, 0.0)
+    w[h, 0] = 1.0
+    return w
+
+
 class TestStrongConnectivity:
+    @pytest.mark.parametrize("density", [0.02, 0.08, 0.3, 0.9])
+    def test_matches_dfs_oracle_on_random_digraphs(self, density):
+        rng = np.random.default_rng(int(density * 100))
+        for n in range(1, 61):
+            w = (rng.random((n, n)) < density).astype(float)
+            np.fill_diagonal(w, 0.0)
+            g = build_digraph(w)
+            assert is_strongly_connected(g) == dfs_strongly_connected(g), n
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 60])
+    def test_matches_dfs_oracle_on_chains_and_components(self, n):
+        ring = one_way_chain(n)
+        ring[0, n - 1] = 1.0
+        for w, expected in (
+            (one_way_chain(n), False),
+            (ring, True),
+            (two_components(n), False),
+        ):
+            g = build_digraph(w)
+            assert is_strongly_connected(g) == dfs_strongly_connected(g) == expected
+
     def test_complete_graph(self):
         assert is_strongly_connected(build_digraph(complete(5)))
 
