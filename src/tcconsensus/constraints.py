@@ -390,11 +390,57 @@ class GatedIdentity(ConstraintFn):
         return PWLRep((0.0,), (0.0,), 1.0, 1.0)
 
 
+def _pchip_coefficients(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Per-piece cubic coefficients ``(c0, c1, c2, c3)`` of the pchip
+    interpolant, as rows of a ``(4, len(xs) - 1)`` array; on piece ``i`` the
+    value is ``c0*s**3 + c1*s**2 + c2*s + c3`` with ``s = x - xs[i]``.
+
+    Knot slopes follow Fritsch & Carlson (1980): the weighted harmonic mean
+    of the neighbouring secants, zero where they differ in sign or one is
+    zero; the ends take the one-sided three-point estimate, kept shape
+    preserving; two samples take the secant at both. The arithmetic is that
+    of ``scipy.interpolate.PchipInterpolator``, so values agree bitwise.
+    """
+    h = np.diff(xs)
+    m = np.diff(ys) / h
+    if len(xs) == 2:
+        d = np.array([m[0], m[0]])
+    else:
+        d = np.zeros_like(ys)
+        w1 = 2.0 * h[1:] + h[:-1]
+        w2 = h[1:] + 2.0 * h[:-1]
+        keep = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0) & (m[:-1] != 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d[1:-1][keep] = 1.0 / whmean[keep]
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    # ``+ 0.0`` turns a -0.0 sample into 0.0, as PPoly's sum starting at 0.0 does
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], ys[:-1] + 0.0))
+
+
+def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
 @dataclass(frozen=True)
 class Tabulated(ConstraintFn):
-    """Samples plus an interpolation rule. ``linear`` interpolation (with
-    flat tails) is exactly piecewise linear; ``pchip`` falls back to the
-    sampled/bisection machinery."""
+    """Samples plus an interpolation rule, clamped to the end samples outside
+    ``[xs[0], xs[-1]]``.
+
+    ``linear`` interpolation is exactly piecewise linear. ``pchip`` is the
+    shape-preserving piecewise cubic of :func:`_pchip_coefficients`,
+    evaluated per piece as ``((c3 + c2*s) + c1*s**2) + c0*(s**2*s)``, the
+    operation order of scipy's ``PPoly``. Its fixed points, chord slopes and
+    sector conditions are still sampled (see :func:`_scan_fixed_points`),
+    not decided on the cubic pieces.
+    """
 
     variant = "tabulated"
     xs: tuple[float, ...]
@@ -406,27 +452,35 @@ class Tabulated(ConstraintFn):
         object.__setattr__(self, "ys", tuple(float(v) for v in self.ys))
         if len(self.xs) != len(self.ys) or len(self.xs) < 2:
             raise ValueError("need matching xs/ys with at least two samples")
-        if self.interpolation == "linear":
-            _check_knots(self.xs)
-        elif self.interpolation == "pchip":
-            from scipy.interpolate import PchipInterpolator
-
-            object.__setattr__(
-                self,
-                "_interp",
-                PchipInterpolator(np.asarray(self.xs), np.asarray(self.ys)),
-            )
-        else:
+        if self.interpolation not in ("linear", "pchip"):
             raise ValueError(f"unknown interpolation rule {self.interpolation!r}")
+        _check_knots(self.xs)
+        if self.interpolation == "pchip":
+            xs, ys = np.array(self.xs), np.array(self.ys)
+            if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+                raise ValueError("pchip samples must be finite")
+            object.__setattr__(self, "_axs", xs)
+            object.__setattr__(self, "_coef", _pchip_coefficients(xs, ys))
 
     def evaluate(self, x: float) -> float:
         if self.interpolation == "linear":
             return self._rep.eval(x)
-        x = min(max(x, self.xs[0]), self.xs[-1])
-        return float(self._interp(x))
+        xs = self.xs
+        x = min(max(x, xs[0]), xs[-1])
+        i = min(bisect.bisect_right(xs, x), len(xs) - 1) - 1
+        c0, c1, c2, c3 = self._coef[:, i].tolist()
+        s = x - xs[i]
+        s2 = s * s
+        return ((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)
 
     def _eval_direct(self, x):
-        return np.asarray(self._interp(np.clip(x, self.xs[0], self.xs[-1])))
+        xs = self._axs
+        x = np.clip(x, xs[0], xs[-1])
+        i = np.minimum(xs.searchsorted(x, side="right"), len(xs) - 1) - 1
+        c0, c1, c2, c3 = self._coef[:, i]
+        s = x - xs[i]
+        s2 = s * s
+        return ((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)
 
     def _make_pwl(self):
         if self.interpolation == "linear":
@@ -511,7 +565,8 @@ _VARIANTS = {
 def from_dict(record: dict) -> ConstraintFn:
     """Build a variant from its ``to_dict`` record; nested ``mix`` members
     are records too. Keys other than ``variant`` and the variant's fields
-    are rejected."""
+    are rejected, and so are non-finite numbers (JSON's ``NaN`` and
+    ``Infinity``), also inside knot pairs and sample lists."""
     rec = dict(record)
     name = rec.pop("variant", None)
     cls = _VARIANTS.get(name)
@@ -524,10 +579,18 @@ def from_dict(record: dict) -> ConstraintFn:
     for key, v in rec.items():
         if isinstance(v, dict) and "variant" in v:
             v = from_dict(v)
+        elif not _all_finite(v):
+            raise ValidationError(f"{name} {key} must be finite, got {v!r}")
         elif isinstance(v, list):
             v = tuple(tuple(k) if isinstance(k, list) else k for k in v)
         kwargs[key] = v
     return cls(**kwargs)
+
+
+def _all_finite(v) -> bool:
+    if isinstance(v, list):
+        return all(_all_finite(k) for k in v)
+    return not isinstance(v, float) or math.isfinite(v)
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +642,15 @@ def _scan_window(f: ConstraintFn, domain: IntervalSet) -> tuple[float, float]:
 def _scan_fixed_points(
     f: ConstraintFn, domain: IntervalSet, resolution: float = 1e-3
 ) -> IntervalSet:
-    from scipy.optimize import brentq
+    """Fixed points of a variant without a piecewise-linear form.
 
+    ``g(x) = f(x) - x`` is sampled on a grid of step at most ``resolution``
+    over :func:`_scan_window`. Runs of samples with ``|g| <= 1e-12`` become
+    pieces; each sign change between two neighbouring samples is refined by
+    :func:`_bisect_root`. The scan itself stays sampled: a root where ``g``
+    touches zero without changing sign between samples, or a pair of roots
+    inside one grid step, is missed.
+    """
     lo, hi = _scan_window(f, domain)
     if hi < lo:
         return IntervalSet.empty()
@@ -606,13 +676,45 @@ def _scan_fixed_points(
             i = j + 1
             continue
         if i + 1 < n and not flat[i + 1] and g[i] * g[i + 1] < 0:
-            root = brentq(
-                lambda x: f.evaluate(x) - x, xs[i], xs[i + 1], xtol=1e-12
+            root = _bisect_root(
+                lambda x: f.evaluate(x) - x, float(xs[i]), float(xs[i + 1])
             )
             pieces.append((root, root))
         i += 1
     out = IntervalSet.from_pieces(pieces, BISECTION_FP_TOL)
     return out.intersect(domain)
+
+
+def _bisect_root(g, a: float, b: float) -> float:
+    """A root of the scalar ``g`` in ``[a, b]``, where ``g(a)`` and ``g(b)``
+    have opposite signs.
+
+    Halves the bracket until ``g`` is exactly zero at the midpoint or the
+    midpoint equals an endpoint, i.e. ``a`` and ``b`` are adjacent floats;
+    then returns the endpoint with the smaller ``|g|``. The returned root
+    therefore has ``g == 0`` or a sign change of ``g`` to a neighbouring
+    float. No tolerance is involved: a bracket of width ``w`` reaches
+    adjacent floats after about ``log2(w / 2**-1074)`` halvings at most (the
+    worst case is a root at 0), about 1065 for the scan's ``w <= 1e-3``.
+    Raises :class:`UnresolvableEnclosureError` when ``g`` does not confirm
+    the sign change at the ends.
+    """
+    ga, gb = g(a), g(b)
+    if not (ga < 0.0 < gb or gb < 0.0 < ga):
+        raise UnresolvableEnclosureError(
+            f"scalar evaluation does not confirm the sign change on [{a!r}, {b!r}]"
+        )
+    while True:
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            return a if abs(ga) <= abs(gb) else b
+        gm = g(mid)
+        if gm == 0.0:
+            return mid
+        if (gm < 0.0) == (ga < 0.0):
+            a, ga = mid, gm
+        else:
+            b, gb = mid, gm
 
 
 @dataclass(frozen=True)

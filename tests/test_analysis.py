@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,3 +234,37 @@ class TestClassify:
             classify_system(copy, sc.ray_hints).to_dict()
             == classify_system(sc.system, sc.ray_hints).to_dict()
         )
+
+
+# classifies the two scenarios with non-piecewise-linear edges and a pchip
+# ring, evaluates the pchip edge, then lists the scipy modules loaded
+NO_SCIPY_PROBE = """
+import sys
+import numpy as np
+from tcconsensus import Tabulated, System, build_digraph, classify_system
+from tcconsensus import scenario_by_name
+for name in ("ex1", "sine"):
+    sc = scenario_by_name(name)
+    assert classify_system(sc.system, sc.ray_hints).classification == sc.expected_class
+f = Tabulated((-2.0, -1.0, 1.0, 2.0), (-1.5, -1.0, 1.0, 1.5), "pchip")
+ring = System(build_digraph([[0.0, 1.0], [1.0, 0.0]]), {(0, 1): f, (1, 0): f})
+classify_system(ring)
+f.eval_array(np.linspace(-3.0, 3.0, 13))
+f.evaluate(0.5)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_fresh_interpreter_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    out = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import numpy as np
@@ -297,6 +298,25 @@ MALFORMED_SYSTEMS = {
     "integral-float-index": lambda r: r["constraints"][0].update(sender=0.0),
     "bool-index": lambda r: r["constraints"][1].update(sender=True),
     "string-index": lambda r: r["constraints"][0].update(receiver="1"),
+    "nan-parameter": lambda r: r["constraints"][0].update(
+        fn={"variant": "affine", "k": float("nan")}
+    ),
+    "infinite-parameter": lambda r: r["constraints"][1].update(
+        fn={"variant": "saturation", "lo": -math.inf, "hi": 1}
+    ),
+    "infinite-knot": lambda r: r["constraints"][0].update(
+        fn={"variant": "piecewise_linear", "knots": [[0.0, 0.0], [1.0, math.inf]]}
+    ),
+    "nan-sample": lambda r: r["constraints"][0].update(
+        fn={"variant": "tabulated", "xs": [-1, 0, 1], "ys": [0, float("nan"), 0]}
+    ),
+    "infinite-mix-member": lambda r: r["constraints"][0].update(
+        fn={
+            "variant": "mix",
+            "first": {"variant": "identity"},
+            "second": {"variant": "affine", "k": -0.5, "m": -math.inf},
+        }
+    ),
 }
 
 

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 
 from tcconsensus import (
     Affine,
@@ -23,8 +25,13 @@ from tcconsensus import (
     from_dict,
     sector_membership,
 )
+from tcconsensus import constraints
 from tcconsensus.constraints import evaluate, ratio_range
-from tcconsensus.errors import UnboundedRegionError, UnknownConstraintVariantError
+from tcconsensus.errors import (
+    UnboundedRegionError,
+    UnknownConstraintVariantError,
+    UnresolvableEnclosureError,
+)
 
 CATALOG = [
     Identity(),
@@ -162,6 +169,92 @@ class TestFixedPointSet:
             for lo, hi in theta.pieces:
                 for x in (lo, hi, 0.5 * (lo + hi)):
                     assert abs(f.evaluate(x) - x) <= max(tol * 2, 1e-9)
+
+    @pytest.mark.parametrize(
+        "f", [f for f in CATALOG if f.pwl() is None], ids=lambda f: f.variant
+    )
+    def test_bisection_roots_against_brentq(self, f, monkeypatch):
+        """Each root the scan refines has ``g == 0`` or a sign change of
+        ``g`` to a neighbouring float, and lies within 1e-12 of brentq's."""
+        calls = []
+
+        def recording(g, a, b):
+            root = bisect_root(g, a, b)
+            calls.append((g, a, b, root))
+            return root
+
+        bisect_root = constraints._bisect_root
+        monkeypatch.setattr(constraints, "_bisect_root", recording)
+        # irrational ends keep the roots off the scan grid, so each is bisected
+        fixed_point_set(f, IntervalSet.closed(-math.pi, math.e))
+        assert calls
+        for g, a, b, root in calls:
+            assert a <= root <= b
+            gr = g(root)
+            if gr != 0.0:
+                sides = [g(math.nextafter(root, t)) for t in (-math.inf, math.inf)]
+                assert any((v < 0.0 < gr) or (gr < 0.0 < v) for v in sides)
+            assert abs(root - brentq(g, a, b, xtol=1e-12)) <= 1e-12
+
+    def test_bisection_requires_confirmed_sign_change(self):
+        with pytest.raises(UnresolvableEnclosureError):
+            constraints._bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
+        with pytest.raises(UnresolvableEnclosureError):
+            constraints._bisect_root(lambda x: math.nan, -1.0, 1.0)
+
+
+def _pchip_tables():
+    rng = np.random.default_rng(7)
+    many = np.cumsum(rng.uniform(0.01, 2.0, 40)) - 20.0
+    flat = rng.normal(size=40)
+    flat[5:12] = flat[5]
+    flat[20:23] = 0.0
+    return {
+        "two": ((-1.0, 2.0), (0.5, -1.5)),
+        "three-monotone": ((-1.0, 0.0, 3.0), (-2.0, 0.0, 0.1)),
+        "three-peak": ((-1.0, 0.5, 3.0), (-2.0, 1.0, -0.5)),
+        "catalog": ((-2.0, -1.0, 1.0, 2.0), (-1.5, -1.0, 1.0, 1.5)),
+        "monotone-uneven": (many, np.sort(rng.normal(size=40))),
+        "random-uneven": (many, rng.normal(size=40)),
+        "flat-runs": (many, flat),
+        "signed-zero": ((0.0, 1.0, 2.0, 3.0), (0.1, -0.0, -0.3, -1.3)),
+        "steep-ends": ((0.0, 1e-3, 1.0, 1.001), (0.0, 1.0, -1.0, 5.0)),
+    }
+
+
+PCHIP_TABLES = _pchip_tables()
+
+
+class TestPchip:
+    @pytest.mark.parametrize("table", sorted(PCHIP_TABLES))
+    def test_matches_scipy_bitwise(self, table):
+        xs, ys = PCHIP_TABLES[table]
+        f = Tabulated(tuple(xs), tuple(ys), "pchip")
+        lo, hi = f.xs[0], f.xs[-1]
+        width = hi - lo
+        grid = np.concatenate(
+            [np.linspace(lo - width, hi + width, 20001), f.xs, [-np.inf, np.inf]]
+        )
+        want = PchipInterpolator(np.array(f.xs), np.array(f.ys))(np.clip(grid, lo, hi))
+        got = f.eval_array(grid)
+        scalar = np.array([f.evaluate(float(x)) for x in grid])
+        assert got.tobytes() == want.tobytes()
+        assert scalar.tobytes() == want.tobytes()
+        k = len(grid) // 7 * 7  # a 2-D slab, as the dynamics kernel passes
+        assert f.eval_array(grid[:k].reshape(-1, 7)).tobytes() == want[:k].tobytes()
+
+    @pytest.mark.parametrize(
+        "xs", [(0.0, 1.0, 1.0), (0.0, 2.0, 1.0), (0.0, math.nan, 1.0)]
+    )
+    def test_knots_must_increase(self, xs):
+        with pytest.raises(ValueError):
+            Tabulated(xs, (0.0, 1.0, 2.0), "pchip")
+
+    def test_non_finite_samples_and_unknown_rule(self):
+        with pytest.raises(ValueError):
+            Tabulated((0.0, 1.0, 2.0), (0.0, math.inf, 2.0), "pchip")
+        with pytest.raises(ValueError):
+            Tabulated((0.0, 1.0), (0.0, 1.0), "cubic")
 
 
 class TestDifferenceQuotientBounds:
