@@ -241,7 +241,7 @@ def _resolve(config: RunConfig) -> tuple[System, Scenario | None, IntegrationSpe
         try:
             scn = scenario_by_name(config.scenario)
         except KeyError as err:
-            raise ConfigError(str(err)) from err
+            raise ConfigError(err.args[0]) from err
         spec = config.integration or scn.integration
         if config.x0 is not None:
             x0 = np.asarray(config.x0, dtype=np.float64)
@@ -304,6 +304,9 @@ def build_report(config: RunConfig, mode: str = "simulate"):
 
     traj = None
     if mode == "simulate":
+        box = scn.box_spec if scn is not None else None
+        eq_point = None if equilibrium is None else equilibrium.point
+        eq_spec = scn.eq_spec if scn is not None else None
         try:
             traj = integrate(system, x0, spec)
         except NonFiniteStateError as err:
@@ -322,14 +325,7 @@ def build_report(config: RunConfig, mode: str = "simulate"):
             report["final_spread"] = float(traj.spread()[-1])
             if config.monitors and scn is not None and scn.checks:
                 mon = monitor_trajectory(
-                    traj,
-                    system,
-                    scn.checks,
-                    box=scn.box_spec,
-                    equilibrium=None if equilibrium is None else equilibrium.point,
-                    eq_spec=scn.eq_spec,
-                    consensus_threshold=scn.consensus_threshold,
-                    decay_threshold=scn.decay_threshold,
+                    traj, system, scn.checks, box, eq_point, eq_spec
                 )
                 report["monitors"] = {
                     name: {"passed": r.passed, "value": r.value, "detail": r.detail}
@@ -340,12 +336,8 @@ def build_report(config: RunConfig, mode: str = "simulate"):
                 report["expected_check_failures"] = sorted(expected)
                 report["checks_match_expected"] = failures == expected
                 ok = ok and failures == expected
-        attach_channels(
-            traj,
-            box=scn.box_spec if scn is not None else None,
-            equilibrium=None if equilibrium is None else equilibrium.point,
-            eq_spec=scn.eq_spec if scn is not None else None,
-        )
+        if "monitors" not in report:  # else they attached the same channels
+            attach_channels(traj, box=box, equilibrium=eq_point, eq_spec=eq_spec)
 
     report["expectations_met"] = ok
     return report, traj, ok

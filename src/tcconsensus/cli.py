@@ -85,7 +85,6 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "scenario":
-            scenario_by_name(args.name)  # fail fast with the known-name list
             config = RunConfig(scenario=args.name)
             mode = "simulate"
         else:

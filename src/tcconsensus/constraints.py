@@ -31,13 +31,17 @@ from .rays import BoxRaySpec
 STRICT_MARGIN = 1e-12
 ANALYTIC_FP_TOL = 0.0
 BISECTION_FP_TOL = 1e-8
+SCAN_RESOLUTION = 1e-3  # largest step of the fixed-point sign scan
+QUOTIENT_GRID = 1e-3  # chord-slope sample step, relative to the region width
 
 
 # ---------------------------------------------------------------------------
 # piecewise-linear representation
 
 
-def _check_knots(xs: tuple[float, ...]) -> None:
+def _check_knots(xs: tuple[float, ...], ys: tuple[float, ...]) -> None:
+    if not all(map(math.isfinite, (*xs, *ys))):
+        raise ValueError("knot coordinates must be finite")
     if not xs or any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("knot x-coordinates must be non-empty and strictly increasing")
 
@@ -52,7 +56,7 @@ class PWLRep:
     right_slope: float
 
     def __post_init__(self):
-        _check_knots(self.xs)
+        _check_knots(self.xs, self.ys)
         object.__setattr__(self, "_axs", np.asarray(self.xs, dtype=np.float64))
         # per-piece slope/intercept tables indexed by searchsorted bin
         pieces = self.pieces()
@@ -347,7 +351,7 @@ class PiecewiseLinear(ConstraintFn):
     def __post_init__(self):
         knots = tuple((float(a), float(b)) for a, b in self.knots)
         object.__setattr__(self, "knots", knots)
-        _check_knots(tuple(k[0] for k in knots))
+        _check_knots(tuple(k[0] for k in knots), tuple(k[1] for k in knots))
 
     def evaluate(self, x: float) -> float:
         return self._rep.eval(x)
@@ -454,11 +458,9 @@ class Tabulated(ConstraintFn):
             raise ValueError("need matching xs/ys with at least two samples")
         if self.interpolation not in ("linear", "pchip"):
             raise ValueError(f"unknown interpolation rule {self.interpolation!r}")
-        _check_knots(self.xs)
+        _check_knots(self.xs, self.ys)
         if self.interpolation == "pchip":
             xs, ys = np.array(self.xs), np.array(self.ys)
-            if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-                raise ValueError("pchip samples must be finite")
             object.__setattr__(self, "_axs", xs)
             object.__setattr__(self, "_coef", _pchip_coefficients(xs, ys))
 
@@ -639,12 +641,10 @@ def _scan_window(f: ConstraintFn, domain: IntervalSet) -> tuple[float, float]:
     return lo, hi
 
 
-def _scan_fixed_points(
-    f: ConstraintFn, domain: IntervalSet, resolution: float = 1e-3
-) -> IntervalSet:
+def _scan_fixed_points(f: ConstraintFn, domain: IntervalSet) -> IntervalSet:
     """Fixed points of a variant without a piecewise-linear form.
 
-    ``g(x) = f(x) - x`` is sampled on a grid of step at most ``resolution``
+    ``g(x) = f(x) - x`` is sampled on a grid of step at most ``SCAN_RESOLUTION``
     over :func:`_scan_window`. Runs of samples with ``|g| <= 1e-12`` become
     pieces; each sign change between two neighbouring samples is refined by
     :func:`_bisect_root`. The scan itself stays sampled: a root where ``g``
@@ -661,7 +661,7 @@ def _scan_fixed_points(
             if abs(g) <= BISECTION_FP_TOL
             else IntervalSet.empty()
         )
-    n = max(int(math.ceil((hi - lo) / resolution)) + 1, 16)
+    n = max(int(math.ceil((hi - lo) / SCAN_RESOLUTION)) + 1, 16)
     xs = np.linspace(lo, hi, n)
     g = f.eval_array(xs) - xs
     pieces = []
@@ -736,17 +736,17 @@ class QuotientBounds:
 def difference_quotient_bounds(
     f: ConstraintFn,
     region: IntervalSet | None = None,
-    grid: float = 1e-3,
     exclude_fixed: bool = False,
 ) -> QuotientBounds | None:
     """Chord-slope bounds for ``f`` with both endpoints in ``region``.
 
     Exact for piecewise-linear-representable variants (piece slopes over the
     region hull) and for the sine variant (analytic derivative range);
-    conservative sampled estimate otherwise. ``exclude_fixed`` restricts the
-    attainment flags to chords anchored off the fixed-point set, the form
-    needed by the strict equilibrium-uniqueness hypothesis; it returns
-    ``None`` when the whole region is fixed (the condition is vacuous).
+    otherwise a sampled estimate with a step of ``QUOTIENT_GRID`` times the
+    region width. ``exclude_fixed`` restricts the attainment flags to chords
+    anchored off the fixed-point set, the form needed by the strict
+    equilibrium-uniqueness hypothesis; it returns ``None`` when the whole
+    region is fixed (the condition is vacuous).
     """
     if region is None:
         region = IntervalSet.reals()
@@ -767,8 +767,8 @@ def difference_quotient_bounds(
         return QuotientBounds(lo, hi, False, False, exact=True)
 
     if isinstance(f, Mix):
-        b1 = difference_quotient_bounds(f.first, region, grid, exclude_fixed)
-        b2 = difference_quotient_bounds(f.second, region, grid, exclude_fixed)
+        b1 = difference_quotient_bounds(f.first, region, exclude_fixed)
+        b2 = difference_quotient_bounds(f.second, region, exclude_fixed)
         if b1 is None or b2 is None:
             return b1 or b2
         w = f.weight
@@ -785,7 +785,7 @@ def difference_quotient_bounds(
         raise UnboundedRegionError(
             f"{f.variant} has no affine tails; bound the region"
         )
-    step = grid * max(hull_hi - hull_lo, 1.0)
+    step = QUOTIENT_GRID * max(hull_hi - hull_lo, 1.0)
     n = max(int(math.ceil((hull_hi - hull_lo) / step)) + 1, 16)
     xs = np.linspace(hull_lo, hull_hi, n)
     vals = f.eval_array(xs)

@@ -315,6 +315,8 @@ def integrate(system: System, x0, spec: IntegrationSpec) -> Trajectory:
 
 MONOTONE_TOL_REL = 1e-9
 MONOTONE_TOL_ABS = 1e-12
+CONSENSUS_THRESHOLD = 1e-3
+DECAY_THRESHOLD = 1e-3
 
 
 @dataclass(frozen=True)
@@ -339,30 +341,38 @@ def attach_channels(
     equilibrium=None,
     eq_spec: EquilibriumRaySpec | None = None,
 ) -> Trajectory:
-    """Compute monitor channels at the stored samples, in place."""
-    traj.channels["xM"] = traj.states.max(axis=1)
-    traj.channels["xm"] = traj.states.min(axis=1)
+    """Compute the monitor channels over all stored samples at once, in
+    place, replacing those of an earlier call: ``xM`` and ``xm`` always,
+    ``Y`` and ``dist`` with ``box``, ``V`` with ``equilibrium`` and ``eq_spec``.
+    """
+    states = traj.states
+    channels = {"xM": states.max(axis=1), "xm": states.min(axis=1)}
     if box is not None:
-        traj.channels["Y"] = np.array(
-            [lyapunov_Y(s, box)[0] for s in traj.states]
-        )
-        traj.channels["dist"] = np.array(
-            [distance_to_box(s, box.box_lo, box.box_hi) for s in traj.states]
-        )
+        channels["Y"] = lyapunov_Y(states, box)[0]
+        channels["dist"] = distance_to_box(states, box.box_lo, box.box_hi)
     if equilibrium is not None and eq_spec is not None:
-        traj.channels["V"] = np.array(
-            [lyapunov_V(s, equilibrium, eq_spec) for s in traj.states]
-        )
+        channels["V"] = lyapunov_V(states, equilibrium, eq_spec)
+    traj.channels = channels
     return traj
 
 
-def _monotone(series, tol_rel, tol_abs):
-    prev = series[0]
-    for k in range(1, len(series)):
-        if series[k] > prev * (1.0 + tol_rel) + tol_abs and series[k] > prev + tol_abs:
-            return False, k
-        prev = series[k]
-    return True, None
+def _monotone(series) -> tuple[bool, int | None]:
+    """Whether ``series`` never rises by more than the relative and absolute
+    tolerances from one sample to the next, and the first sample that does."""
+    prev, cur = series[:-1], series[1:]
+    up = (cur > prev * (1.0 + MONOTONE_TOL_REL) + MONOTONE_TOL_ABS) & (
+        cur > prev + MONOTONE_TOL_ABS
+    )
+    if not up.any():
+        return True, None
+    return False, int(up.argmax()) + 1
+
+
+def _monotone_check(series) -> CheckResult:
+    ok, at = _monotone(series)
+    return CheckResult(
+        ok, float(series[-1]), "" if ok else f"increase at sample {at}"
+    )
 
 
 def monitor_trajectory(
@@ -372,20 +382,18 @@ def monitor_trajectory(
     box: BoxRaySpec | None = None,
     equilibrium=None,
     eq_spec: EquilibriumRaySpec | None = None,
-    consensus_threshold: float = 1e-3,
-    decay_threshold: float = 1e-3,
-    tol_rel: float = MONOTONE_TOL_REL,
-    tol_abs: float = MONOTONE_TOL_ABS,
 ) -> MonitorReport:
     """Run the selected per-trajectory checks and report pass/fail data.
 
     ``checks`` is an iterable drawn from ``{"box_invariance", "y_monotone",
     "v_monotone", "lemma6", "consensus", "distance_decay"}``. Checks that
     need a box/ray spec or an equilibrium raise ``MissingWitnessError`` when
-    it was not supplied.
+    it was not supplied. The channels are attached once, for the given box
+    and equilibrium, before any check runs, and every check reads them.
     """
     _, a_bar = row_stats(system.graph)
     box_tol = 10.0 * traj.dt * max(a_bar, 1.0)
+    channels = attach_channels(traj, box, equilibrium, eq_spec).channels
     results: dict[str, CheckResult] = {}
 
     def need_box():
@@ -396,57 +404,42 @@ def monitor_trajectory(
     for check in checks:
         if check == "box_invariance":
             b = need_box()
-            inside = (traj.states >= b.box_lo - 1e-12).all(axis=1) & (
-                traj.states <= b.box_hi + 1e-12
-            ).all(axis=1)
-            first = np.argmax(inside) if inside.any() else None
-            if first is None:
+            xM, xm = channels["xM"], channels["xm"]
+            inside = (xm >= b.box_lo - 1e-12) & (xM <= b.box_hi + 1e-12)
+            if not inside.any():
                 results[check] = CheckResult(True, None, "never entered the box")
                 continue
-            tail = traj.states[first:]
+            first = np.argmax(inside)
             worst = float(
-                np.maximum(b.box_lo - tail, tail - b.box_hi).max()
+                np.maximum(b.box_lo - xm[first:], xM[first:] - b.box_hi).max()
             )
             results[check] = CheckResult(
                 worst <= box_tol, worst, f"max excursion after entry (tol {box_tol:g})"
             )
         elif check == "y_monotone":
-            b = need_box()
-            attach_channels(traj, box=b)
-            ok, at = _monotone(traj.channels["Y"], tol_rel, tol_abs)
-            results[check] = CheckResult(
-                ok,
-                float(traj.channels["Y"][-1]),
-                "" if ok else f"increase at sample {at}",
-            )
+            need_box()
+            results[check] = _monotone_check(channels["Y"])
         elif check == "v_monotone":
-            if equilibrium is None or eq_spec is None:
+            if "V" not in channels:
                 raise MissingWitnessError(
                     "v_monotone requires an equilibrium and an EquilibriumRaySpec"
                 )
-            attach_channels(traj, equilibrium=equilibrium, eq_spec=eq_spec)
-            ok, at = _monotone(traj.channels["V"], tol_rel, tol_abs)
-            results[check] = CheckResult(
-                ok,
-                float(traj.channels["V"][-1]),
-                "" if ok else f"increase at sample {at}",
-            )
+            results[check] = _monotone_check(channels["V"])
         elif check == "lemma6":
             b = need_box()
             results[check] = _lemma6_check(traj, b, box_tol)
         elif check == "consensus":
-            spread = float(traj.spread()[-1])
+            spread = float(channels["xM"][-1] - channels["xm"][-1])
             results[check] = CheckResult(
-                spread < consensus_threshold,
+                spread < CONSENSUS_THRESHOLD,
                 spread,
                 f"final spread (limit {float(traj.states[-1].mean()):.6g})",
             )
         elif check == "distance_decay":
-            b = need_box()
-            attach_channels(traj, box=b)
-            final = float(traj.channels["dist"][-1])
+            need_box()
+            final = float(channels["dist"][-1])
             results[check] = CheckResult(
-                final <= decay_threshold, final, "final distance to box"
+                final <= DECAY_THRESHOLD, final, "final distance to box"
             )
         else:
             raise ValueError(f"unknown check {check!r}")
@@ -454,28 +447,27 @@ def monitor_trajectory(
 
 
 def _lemma6_check(traj: Trajectory, b: BoxRaySpec, tol: float) -> CheckResult:
-    """Case-resolved trajectory bound keyed on the term attaining Y(t0)."""
-    x0 = traj.states[0]
-    _, term = lyapunov_Y(x0, b)
-    xM = traj.states.max(axis=1)
-    xm = traj.states.min(axis=1)
+    """Case-resolved trajectory bound keyed on the term attaining Y(t0);
+    reads the ``xM`` and ``xm`` channels."""
+    _, term = lyapunov_Y(traj.states[0], b)
+    xM, xm = traj.channels["xM"], traj.channels["xm"]
     if term == "box":
         worst = float(np.maximum(b.box_lo - xm, xM - b.box_hi).max())
         bound = "stay inside the box"
     elif term == "right_ray":
-        floor = b.l2(float(x0.max()))
+        floor = b.l2(float(xM[0]))
         worst = float((floor - xm).max())
         bound = f"x_min >= L2(x_max(0)) = {floor:.6g}"
     elif term == "left_ray":
-        cap = b.l1(float(x0.min()))
+        cap = b.l1(float(xm[0]))
         worst = float((xM - cap).max())
         bound = f"x_max <= L1(x_min(0)) = {cap:.6g}"
     elif term == "xM_minus_lo":
-        floor = min(float(x0.min()), b.box_lo)
+        floor = min(float(xm[0]), b.box_lo)
         worst = float((floor - xm).max())
         bound = f"x_min >= min(x_min(0), box_lo) = {floor:.6g}"
     else:  # hi_minus_xm
-        cap = max(float(x0.max()), b.box_hi)
+        cap = max(float(xM[0]), b.box_hi)
         worst = float((xM - cap).max())
         bound = f"x_max <= max(x_max(0), box_hi) = {cap:.6g}"
     return CheckResult(worst <= tol, worst, f"case {term}: {bound} (tol {tol:g})")

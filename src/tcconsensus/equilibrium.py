@@ -26,6 +26,8 @@ from .errors import (
 from .graph import row_stats
 from .intervals import IntervalSet
 
+BOX_SAMPLES = 2001  # samples per non-PWL edge in the self-mapped box check
+
 
 def residual(system: System, point) -> float:
     """Max-norm of the right-hand side at ``point``."""
@@ -267,13 +269,13 @@ def invariant_box(system: System) -> tuple[float, float] | None:
     return None
 
 
-def _box_self_mapped(system: System, lo: float, hi: float, samples: int = 2001) -> bool:
+def _box_self_mapped(system: System, lo: float, hi: float) -> bool:
     for _, fn in system.distinct:
         rep = fn.pwl()
         if rep is not None:
             f_lo, f_hi = rep.range_over(lo, hi)
         else:
-            xs = np.linspace(lo, hi, samples)
+            xs = np.linspace(lo, hi, BOX_SAMPLES)
             vals = fn.eval_array(xs)
             f_lo, f_hi = float(vals.min()), float(vals.max())
         if f_lo < lo - 1e-12 or f_hi > hi + 1e-12:

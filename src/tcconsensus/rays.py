@@ -12,7 +12,6 @@ bracket admissible constraint functions outside the box.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,44 +103,52 @@ def ray_geometry_check(spec: BoxRaySpec) -> GeometryReport:
 Y_TERMS = ("box", "xM_minus_lo", "hi_minus_xm", "right_ray", "left_ray")
 
 
-def lyapunov_Y(state, spec: BoxRaySpec) -> tuple[float, str]:
+def lyapunov_Y(state, spec: BoxRaySpec) -> tuple:
     """Max-of-five monitor; non-increasing along admissible trajectories.
 
     Returns ``(value, term)`` where ``term`` names the attaining entry.
-    Ties resolve in ``Y_TERMS`` order, so the box term wins ties.
+    Ties resolve in ``Y_TERMS`` order, so the box term wins ties. For a
+    stack of states, agents on the last axis, both are arrays over the
+    leading axes.
     """
     x = np.asarray(state, dtype=float)
-    x_m = float(x.min())
-    x_M = float(x.max())
-    terms = (
+    x_m, x_M = x.min(axis=-1), x.max(axis=-1)
+    terms = np.stack(np.broadcast_arrays(
         spec.box_hi - spec.box_lo,
         x_M - spec.box_lo,
         spec.box_hi - x_m,
         (1.0 - spec.k2) * (x_M - spec.anchor),
         (1.0 - spec.k1) * (spec.anchor - x_m),
-    )
-    best = max(range(5), key=lambda i: (terms[i], -i))
-    return terms[best], Y_TERMS[best]
+    ))
+    best = terms.argmax(axis=0)  # the first maximum: earlier terms win ties
+    value = np.take_along_axis(terms, best[None], axis=0)[0]
+    if x.ndim == 1:
+        return float(value), Y_TERMS[best]
+    return value, np.asarray(Y_TERMS)[best]
 
 
-def lyapunov_V(state, equilibrium, spec: EquilibriumRaySpec) -> float:
-    """Max over agents of the two-sided weighted error around ``equilibrium``."""
+def lyapunov_V(state, equilibrium, spec: EquilibriumRaySpec):
+    """Max over agents of the two-sided weighted error around ``equilibrium``;
+    an array over the leading axes for a stack of states, agents last."""
     x = np.asarray(state, dtype=float)
     e = np.asarray(equilibrium, dtype=float)
-    if x.shape != e.shape:
+    if x.shape[-1:] != e.shape:
         raise DimensionMismatchError(
             f"state shape {x.shape} != equilibrium shape {e.shape}"
         )
     eps = x - e
     left = (1.0 - spec.k_e1) * (-eps)
     right = (1.0 - spec.k_e2) * eps
-    return float(np.maximum(left, right).max())
+    value = np.maximum(left, right).max(axis=-1)
+    return float(value) if x.ndim == 1 else value
 
 
-def distance_to_box(state, box_lo: float, box_hi: float) -> float:
-    """Euclidean distance from ``state`` to the box ``[box_lo, box_hi]^n``."""
+def distance_to_box(state, box_lo: float, box_hi: float):
+    """Euclidean distance from ``state`` to the box ``[box_lo, box_hi]^n``;
+    an array over the leading axes for a stack of states, agents last."""
     if box_lo > box_hi:
         raise ValueError("box_lo must not exceed box_hi")
     x = np.asarray(state, dtype=float)
     excess = np.maximum(box_lo - x, 0.0) + np.maximum(x - box_hi, 0.0)
-    return float(math.sqrt(float((excess**2).sum())))
+    value = np.sqrt((excess**2).sum(axis=-1))
+    return float(value) if x.ndim == 1 else value

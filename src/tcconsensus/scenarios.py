@@ -80,8 +80,6 @@ class Scenario:
     ray_hints: tuple[BoxRaySpec, ...] = ()
     box_spec: BoxRaySpec | None = None
     eq_spec: EquilibriumRaySpec | None = None
-    consensus_threshold: float = 1e-3
-    decay_threshold: float = 1e-3
 
     def sample_x0(self, seed: int = 0, count: int = 1) -> NDArray[np.float64]:
         return self.x0.sample(self.system.n, seed, count)
@@ -352,24 +350,29 @@ def _bipartite() -> Scenario:
     )
 
 
+# name -> factory, in registry order; each lookup builds only its own system
+_FACTORIES = {
+    "ex1": _ex1,
+    "ex2": _ex2,
+    "ex3": _ex3,
+    "ex4": _ex4,
+    "interval": _interval,
+    "discarded": _discarded,
+    "sine": _sine,
+    "necessity-2agent": _necessity_2agent,
+    "bipartite": _bipartite,
+}
+
+
 def builtin_scenarios() -> list[Scenario]:
     """The immutable registry of built-in scenarios, in a fixed order."""
-    return [
-        _ex1(),
-        _ex2(),
-        _ex3(),
-        _ex4(),
-        _interval(),
-        _discarded(),
-        _sine(),
-        _necessity_2agent(),
-        _bipartite(),
-    ]
+    return [make() for make in _FACTORIES.values()]
 
 
 def scenario_by_name(name: str) -> Scenario:
-    for s in builtin_scenarios():
-        if s.name == name:
-            return s
-    known = ", ".join(s.name for s in builtin_scenarios())
-    raise KeyError(f"unknown scenario {name!r}; known scenarios: {known}")
+    """A freshly built scenario; ``KeyError`` lists the known names."""
+    make = _FACTORIES.get(name)
+    if make is None:
+        known = ", ".join(_FACTORIES)
+        raise KeyError(f"unknown scenario {name!r}; known scenarios: {known}")
+    return make()

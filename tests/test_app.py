@@ -471,7 +471,8 @@ class TestCli:
 
     def test_unknown_scenario_exits_two(self, capsys):
         assert main(["scenario", "ex99"]) == 2
-        assert "unknown scenario" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown scenario 'ex99'; known scenarios: ex1, ")
 
     def test_missing_config_exits_two(self, tmp_path, capsys):
         assert main(["simulate", str(tmp_path / "nope.json")]) == 2

@@ -93,8 +93,15 @@ class TestEvaluate:
             IntervalProjection(-1.0, 1.0, 1.5)
 
     def test_piecewise_linear_knots_must_increase(self):
-        with pytest.raises(ValueError):
-            PiecewiseLinear(((1.0, 0.0), (0.0, 1.0)))
+        for knots in (
+            ((1.0, 0.0), (0.0, 1.0)),
+            ((0.0, 0.0), (math.nan, 1.0), (2.0, 2.0)),
+            ((0.0, 0.0), (1.0, math.nan), (2.0, 2.0)),
+            ((0.0, 0.0), (math.inf, 1.0)),
+            ((0.0, -math.inf), (1.0, 1.0)),
+        ):
+            with pytest.raises(ValueError):
+                PiecewiseLinear(knots)
 
 
 class TestFixedPointSet:
@@ -247,12 +254,15 @@ class TestPchip:
         "xs", [(0.0, 1.0, 1.0), (0.0, 2.0, 1.0), (0.0, math.nan, 1.0)]
     )
     def test_knots_must_increase(self, xs):
-        with pytest.raises(ValueError):
-            Tabulated(xs, (0.0, 1.0, 2.0), "pchip")
+        for rule in ("linear", "pchip"):
+            with pytest.raises(ValueError):
+                Tabulated(xs, (0.0, 1.0, 2.0), rule)
 
     def test_non_finite_samples_and_unknown_rule(self):
-        with pytest.raises(ValueError):
-            Tabulated((0.0, 1.0, 2.0), (0.0, math.inf, 2.0), "pchip")
+        for rule in ("linear", "pchip"):
+            for ys in ((0.0, math.inf, 2.0), (0.0, math.nan, 2.0)):
+                with pytest.raises(ValueError):
+                    Tabulated((0.0, 1.0, 2.0), ys, rule)
         with pytest.raises(ValueError):
             Tabulated((0.0, 1.0), (0.0, 1.0), "cubic")
 

@@ -22,11 +22,19 @@ from tcconsensus import (
 )
 from tcconsensus.scenarios import builtin_scenarios
 from tcconsensus.app import system_from_dict, system_to_dict
-from tcconsensus.dynamics import rhs_batch
+from tcconsensus import dynamics
+from tcconsensus.dynamics import (
+    MONOTONE_TOL_ABS,
+    MONOTONE_TOL_REL,
+    _monotone,
+    rhs_batch,
+)
+from tcconsensus.rays import distance_to_box, lyapunov_V, lyapunov_Y
 from tcconsensus.equilibrium import _picard_map
 from tcconsensus.errors import MissingWitnessError, NonFiniteStateError
 
 from test_constraints import CATALOG
+from test_rays import oracle_dist, oracle_V, oracle_Y
 
 
 def two_agent(f_01, f_10):
@@ -352,3 +360,88 @@ class TestMonitors:
         traj = integrate(sys_, [2.0, -2.0], IntegrationSpec(1e-3, 2.0))
         report = monitor_trajectory(traj, sys_, ["lemma6"], box=BOX)
         assert not report.results["lemma6"].passed
+
+
+def monotone_oracle(series, tol_rel, tol_abs):
+    """The per-sample loop: the first sample that rises past both tolerances."""
+    prev = series[0]
+    for k in range(1, len(series)):
+        if series[k] > prev * (1.0 + tol_rel) + tol_abs and series[k] > prev + tol_abs:
+            return False, k
+        prev = series[k]
+    return True, None
+
+
+class TestChannels:
+    @pytest.mark.parametrize(
+        "series",
+        [
+            [1.0],
+            [2.0, 2.0, 2.0, 2.0],
+            [3.0, 2.0, 1.0, 1.0, 0.0],
+            [1.0, 1.0 + 0.5e-9, 1.0 + 1e-9, 1.0 + 3e-9],
+            [0.0, 1e-12, 2e-12, 2.5e-12, 5e-12],
+            [5.0, 4.0, 4.0, 4.5, 3.0, 6.0],
+            [1.0, 2.0],
+        ],
+    )
+    def test_monotone_matches_the_loop(self, series):
+        series = np.asarray(series)
+        assert _monotone(series) == monotone_oracle(
+            series, MONOTONE_TOL_REL, MONOTONE_TOL_ABS
+        )
+
+    def test_monotone_matches_the_loop_on_seeded_walks(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            steps = rng.choice([-1.0, 0.0, 1e-10, 1e-13, 1.0], size=30)
+            series = np.cumsum(steps)
+            assert _monotone(series) == monotone_oracle(
+                series, MONOTONE_TOL_REL, MONOTONE_TOL_ABS
+            )
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "necessity-2agent"])
+    def test_channels_equal_per_sample_oracle(self, name):
+        sc = scenario_by_name(name)
+        traj = integrate(sc.system, sc.sample_x0(3)[0], IntegrationSpec(1e-3, 0.5))
+        box = sc.box_spec or BoxRaySpec(-1.0, 1.0, 0.0, -1.0, -1.0)
+        eq = np.linspace(-0.5, 0.5, sc.system.n)
+        eq_spec = EquilibriumRaySpec(-0.5, -2.0)
+        ch = attach_channels(traj, box, eq, eq_spec).channels
+        for k, x in enumerate(traj.states):
+            assert ch["Y"][k] == oracle_Y(x, box)[0]
+            assert ch["dist"][k] == oracle_dist(x, box.box_lo, box.box_hi)
+            assert ch["V"][k] == oracle_V(x, eq, eq_spec)
+            assert (ch["xM"][k], ch["xm"][k]) == (x.max(), x.min())
+
+    def test_attach_replaces_channels_of_an_earlier_call(self):
+        traj = integrate(identity_pair(), [0.0, 2.0], IntegrationSpec(1e-2, 0.5))
+        attach_channels(traj, BOX, np.zeros(2), EquilibriumRaySpec(-1.0, -1.0))
+        attach_channels(traj, BoxRaySpec(0.0, 3.0, 1.0, -1.0, -1.0))
+        assert set(traj.channels) == {"xM", "xm", "Y", "dist"}
+        assert traj.channels["dist"][-1] == distance_to_box(traj.states[-1], 0.0, 3.0)
+
+    def test_monitors_attach_channels_once(self, monkeypatch):
+        calls = []
+        real = dynamics.attach_channels
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "attach_channels", counted)
+        sys_ = two_agent(Affine(-0.5, 0.0), Affine(-0.5, 0.0))
+        traj = integrate(sys_, [3.0, -2.0], IntegrationSpec(1e-2, 2.0))
+        report = monitor_trajectory(
+            traj,
+            sys_,
+            ["y_monotone", "v_monotone", "distance_decay", "lemma6", "consensus"],
+            box=BOX,
+            equilibrium=np.zeros(2),
+            eq_spec=EquilibriumRaySpec(-1.0, -1.0),
+        )
+        assert len(calls) == 1
+        assert report.results["y_monotone"].value == lyapunov_Y(traj.states[-1], BOX)[0]
+        assert report.results["v_monotone"].value == lyapunov_V(
+            traj.states[-1], np.zeros(2), EquilibriumRaySpec(-1.0, -1.0)
+        )

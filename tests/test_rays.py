@@ -14,6 +14,7 @@ from tcconsensus import (
     ray_geometry_check,
 )
 from tcconsensus.errors import DimensionMismatchError
+from tcconsensus.rays import Y_TERMS
 
 
 class TestBoxRaySpec:
@@ -189,3 +190,90 @@ class TestDistanceToBox:
         assert distance_to_box(x, -1.0, 1.0) == pytest.approx(
             float(np.linalg.norm(x - proj))
         )
+
+
+# Per-state oracles: the scalar formulas written out in plain Python, one
+# state at a time, with the box term winning ties by its position.
+def oracle_Y(state, spec):
+    x_m, x_M = float(min(state)), float(max(state))
+    terms = (
+        spec.box_hi - spec.box_lo,
+        x_M - spec.box_lo,
+        spec.box_hi - x_m,
+        (1.0 - spec.k2) * (x_M - spec.anchor),
+        (1.0 - spec.k1) * (spec.anchor - x_m),
+    )
+    best = max(range(5), key=lambda i: (terms[i], -i))
+    return terms[best], best
+
+
+def oracle_V(state, equilibrium, spec):
+    return max(
+        max((1.0 - spec.k_e1) * -(x - e), (1.0 - spec.k_e2) * (x - e))
+        for x, e in zip(state, equilibrium)
+    )
+
+
+def oracle_dist(state, lo, hi):
+    excess = np.maximum(lo - state, 0.0) + np.maximum(state - hi, 0.0)
+    return math.sqrt(float((excess**2).sum()))
+
+
+STACK_SPEC = BoxRaySpec(-1.5, 2.0, 0.5, -0.25, -3.0)
+
+
+def seeded_stack(n, seed=11, samples=40):
+    rng = np.random.default_rng(seed + n)
+    return rng.uniform(-8.0, 8.0, size=(samples, n))
+
+
+class TestStacks:
+    @pytest.mark.parametrize("n", [2, 5, 9, 17, 64])
+    def test_channels_equal_per_state_oracle(self, n):
+        X = seeded_stack(n)
+        eq = np.linspace(-1.0, 1.0, n)
+        eq_spec = EquilibriumRaySpec(-0.5, -2.0)
+        ys, names = lyapunov_Y(X, STACK_SPEC)
+        vs = lyapunov_V(X, eq, eq_spec)
+        ds = distance_to_box(X, STACK_SPEC.box_lo, STACK_SPEC.box_hi)
+        assert ys.shape == vs.shape == ds.shape == names.shape == (len(X),)
+        for k, x in enumerate(X):
+            y, best = oracle_Y(x, STACK_SPEC)
+            assert (ys[k], names[k]) == (y, Y_TERMS[best])
+            assert vs[k] == oracle_V(x, eq, eq_spec)
+            assert ds[k] == oracle_dist(x, STACK_SPEC.box_lo, STACK_SPEC.box_hi)
+
+    @pytest.mark.parametrize("n", [2, 5, 9, 17, 64])
+    def test_single_state_keeps_scalar_types(self, n):
+        x = seeded_stack(n)[0]
+        y, term = lyapunov_Y(x, STACK_SPEC)
+        v = lyapunov_V(x, np.zeros(n), EquilibriumRaySpec(-1.0, -1.0))
+        d = distance_to_box(x, -1.0, 1.0)
+        assert type(y) is float and type(term) is str
+        assert type(v) is float and type(d) is float
+        value, best = oracle_Y(x, STACK_SPEC)
+        assert (y, term) == (value, Y_TERMS[best])
+
+    def test_exact_ties_resolve_to_the_earliest_term(self):
+        # [-1, 1] filled exactly with unit slopes: all five terms equal 2;
+        # (-3, 3) with slopes +0.5: xM_minus_lo ties hi_minus_xm at 4
+        ties = BoxRaySpec(-1.0, 1.0, 0.0, -1.0, -1.0)
+        inner = BoxRaySpec(-1.0, 1.0, 0.0, 0.5, 0.5)
+        X = np.array([[-1.0, 0.0, 1.0] * 3, [-3.0, 0.0, 3.0] * 3])
+        ys, names = lyapunov_Y(X, ties)
+        assert names[0] == "box" and ys[0] == 2.0
+        _, names = lyapunov_Y(X, inner)
+        assert names[1] == "xM_minus_lo"
+        for spec in (ties, inner):
+            got = lyapunov_Y(X, spec)[1]
+            assert list(got) == [Y_TERMS[oracle_Y(x, spec)[1]] for x in X]
+
+    def test_leading_axes_are_kept(self):
+        X = seeded_stack(5).reshape(4, 10, 5)
+        ys, names = lyapunov_Y(X, STACK_SPEC)
+        assert ys.shape == names.shape == (4, 10)
+        assert ys[2, 3] == lyapunov_Y(X[2, 3], STACK_SPEC)[0]
+
+    def test_stack_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            lyapunov_V(np.zeros((3, 2)), [0.0], EquilibriumRaySpec(-1.0, -1.0))

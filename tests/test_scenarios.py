@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tcconsensus import (
+    System,
     X0Policy,
     builtin_scenarios,
     classify_system,
@@ -33,6 +34,28 @@ class TestRegistry:
     def test_unknown_name_lists_known(self):
         with pytest.raises(KeyError, match="ex1"):
             scenario_by_name("ex99")
+
+    def test_registry_order(self):
+        assert [s.name for s in builtin_scenarios()] == list(EXPECTED)
+
+    @pytest.mark.parametrize("name", list(EXPECTED) + ["ex99"])
+    def test_lookup_builds_only_the_named_system(self, name, monkeypatch):
+        built = []
+        real = System.__post_init__
+
+        def counted(system):
+            built.append(system.n)
+            real(system)
+
+        monkeypatch.setattr(System, "__post_init__", counted)
+        if name not in EXPECTED:
+            known = "known scenarios: " + ", ".join(EXPECTED)
+            with pytest.raises(KeyError, match=known):
+                scenario_by_name(name)
+            assert built == []
+        else:
+            sc = scenario_by_name(name)
+            assert sc.name == name and built == [sc.system.n]
 
     def test_declared_expected_classes(self):
         for s in builtin_scenarios():
