@@ -507,6 +507,9 @@ class Mix(ConstraintFn):
             isinstance(self.first, ConstraintFn) and isinstance(self.second, ConstraintFn)
         ):
             raise TypeError("mix members must be constraint functions")
+        if self.first.is_gate or self.second.is_gate:
+            # a gate drops the whole edge; a mixture has no edge to drop
+            raise ValueError("mix members must not be gated")
         if not (0.0 <= self.weight <= 1.0):
             raise ValueError("mix weight must lie in [0, 1]")
 

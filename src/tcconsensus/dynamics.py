@@ -6,8 +6,10 @@ the transmission from ``j`` to ``i``. Gated edges drop their whole
 contribution while the sender state is outside the accepted interval.
 
 A :class:`System` compiles its constraint map once into an edge table keyed
-by distinct function value. One kernel, :func:`_input_sums`, evaluates each
-distinct function once over all of its sender columns and scatters the
+by distinct function value, and its piecewise-linear functions into one bin
+table over the union of their knots. One kernel, :func:`_input_sums`,
+evaluates every piecewise-linear column with one lookup in the bin table,
+the other functions once each over their sender columns, and scatters the
 values to the receivers with one dense product against the table's weight
 block. It returns the constrained input sum ``num_i = sum_j a_ij f_ji(x_j)``
 and the active in-degree ``den_i = sum_j a_ij`` over the edges not gated
@@ -60,6 +62,15 @@ class System:
       whose edge from the row's sender ``j`` carries the row's function.
       Functions follow in first-edge order with gated functions last; each
       function's rows are contiguous, its senders ascending.
+    - The bin table serves every function with a piecewise-linear form.
+      Let ``G`` be the sorted union of their knots. A state in bin ``g``
+      (``G[g-1] <= x < G[g]``, bin 0 unbounded below) lies on one fixed
+      piece of each such function, the piece its own ``searchsorted``
+      picks for ``G[g-1]``. The flat slope and intercept arrays hold that
+      piece at ``r * (len(G) + 1) + g`` for the function of rank ``r``, and
+      each block row carries the base offset of its function, so one
+      ``searchsorted`` over ``G`` selects the piece of every column.
+      Functions without a piecewise-linear form hold zeros there.
     """
 
     graph: Digraph
@@ -121,7 +132,34 @@ class System:
             (fns[firsts[k]], bounds[r], bounds[r + 1])
             for r, k in enumerate(by_rank.tolist())
         )
-        gate_start = bounds[len(firsts) - int(gated.sum())]
+        plain = len(firsts) - int(gated.sum())
+        gate_start = bounds[plain]
+
+        # bin table: between two adjacent knots of the union, every
+        # piecewise-linear function stays on one piece
+        reps = [fn.pwl() for fn, _, _ in spans]
+        # a set, not np.unique: on a float array that imports numpy.ma,
+        # 15-30 ms of a fresh interpreter's start-up
+        knots = np.array(
+            sorted({x for rep in reps if rep is not None for x in rep.xs}),
+            dtype=np.float64,
+        )
+        lefts = np.concatenate(([-np.inf], knots))
+        slopes = np.zeros((len(spans), len(lefts)))
+        icpts = np.zeros((len(spans), len(lefts)))
+        for r, rep in enumerate(reps):
+            if rep is not None:
+                piece = rep._axs.searchsorted(lefts, side="right")
+                slopes[r] = rep._slopes[piece]
+                icpts[r] = rep._intercepts[piece]
+        object.__setattr__(self, "_knots", knots)
+        object.__setattr__(self, "_base", row_keys // n * len(lefts))
+        object.__setattr__(self, "_slopes", slopes.ravel())
+        object.__setattr__(self, "_icpts", icpts.ravel())
+        object.__setattr__(
+            self, "_direct", tuple(s for s, rep in zip(spans, reps) if rep is None)
+        )
+        object.__setattr__(self, "_gates", spans[plain:])
         object.__setattr__(self, "_spans", spans)
         object.__setattr__(self, "_senders", row_keys % n)
         object.__setattr__(self, "_block", block)
@@ -140,19 +178,29 @@ def _input_sums(
 
     ``X`` has shape ``(m, n)``; both results do too. A gated edge adds
     neither its value nor its weight while its sender is outside the gate.
+
+    Every piecewise-linear column is evaluated by one lookup in the bin
+    table: the same slope and intercept, and the same two operations, as
+    :meth:`PWLRep.eval_array`, so the values are bit-identical. Columns of
+    functions without a piecewise-linear form are then overwritten.
     """
     XS = X[:, system._senders]
-    V = np.empty_like(XS)
+    if system._knots.size:
+        key = system._knots.searchsorted(XS, side="right")
+        key += system._base
+        V = system._slopes[key] * XS + system._icpts[key]
+    else:  # no function has a piecewise-linear form: every column is direct
+        V = np.empty_like(XS)
+    for fn, a, b in system._direct:
+        V[:, a:b] = fn.eval_array(XS[:, a:b])
+    if not system._gates:
+        return V @ system._block, system._plain_alpha[None].repeat(len(X), axis=0)
     g = system._gate_start
     open_ = np.empty((X.shape[0], XS.shape[1] - g))
-    for fn, a, b in system._spans:
-        V[:, a:b] = fn.eval_array(XS[:, a:b])
-        if fn.is_gate:
-            open_[:, a - g : b - g] = fn.gate_mask(XS[:, a:b])
-            V[:, a:b] *= open_[:, a - g : b - g]
-    num = V @ system._block
-    den = system._plain_alpha + open_ @ system._block[g:]
-    return num, den
+    for fn, a, b in system._gates:
+        open_[:, a - g : b - g] = fn.gate_mask(XS[:, a:b])
+        V[:, a:b] *= open_[:, a - g : b - g]
+    return V @ system._block, system._plain_alpha + open_ @ system._block[g:]
 
 
 def rhs(system: System, x) -> NDArray[np.float64]:
@@ -231,10 +279,9 @@ class Trajectory:
             if name in self.channels:
                 cols.append(name)
                 data.append(self.channels[name])
+        row = ",".join(["%.17g"] * len(cols)).__mod__
         lines = [",".join(cols)]
-        arr = np.column_stack(data)
-        for row in arr:
-            lines.append(",".join(f"{v:.17g}" for v in row))
+        lines.extend(map(row, map(tuple, np.column_stack(data).tolist())))
         return "\n".join(lines) + "\n"
 
 
@@ -270,14 +317,11 @@ def integrate_batch(
     stride = spec.stride()
     dt = spec.dt
 
-    rec_times = [0.0]
-    rec_states = [X.copy()]
-
-    def partial() -> BatchTrajectory:
-        return BatchTrajectory(
-            np.array(rec_times), np.array(rec_states), dt
-        )
-
+    rec_times = np.empty(steps // stride + 1 + (steps % stride != 0))
+    rec_states = np.empty(rec_times.shape + X.shape)
+    rec_times[0] = 0.0
+    rec_states[0] = X
+    count = 1
     for k in range(1, steps + 1):
         if spec.method == "euler":
             X = X + dt * rhs_batch(system, X)
@@ -288,15 +332,19 @@ def integrate_batch(
             k4 = rhs_batch(system, X + dt * k3)
             X = X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if k % stride == 0 or k == steps:
-            if not np.all(np.isfinite(X)) or np.abs(X).max() > _DIVERGENCE_LIMIT:
+            # NaN and inf fail the comparison too; an empty batch passes
+            if not (np.abs(X).max(initial=0.0) <= _DIVERGENCE_LIMIT):
                 raise NonFiniteStateError(
                     f"divergence detected at t={k * dt:.6g}",
-                    partial=partial(),
+                    partial=BatchTrajectory(
+                        rec_times[:count], rec_states[:count], dt
+                    ),
                     time=k * dt,
                 )
-            rec_times.append(k * dt)
-            rec_states.append(X.copy())
-    return partial()
+            rec_times[count] = k * dt
+            rec_states[count] = X
+            count += 1
+    return BatchTrajectory(rec_times, rec_states, dt)
 
 
 def integrate(system: System, x0, spec: IntegrationSpec) -> Trajectory:

@@ -310,6 +310,13 @@ MALFORMED_SYSTEMS = {
     "nan-sample": lambda r: r["constraints"][0].update(
         fn={"variant": "tabulated", "xs": [-1, 0, 1], "ys": [0, float("nan"), 0]}
     ),
+    "gated-mix-member": lambda r: r["constraints"][0].update(
+        fn={
+            "variant": "mix",
+            "first": {"variant": "gated_identity", "lo": -1.0, "hi": 1.0},
+            "second": {"variant": "identity"},
+        }
+    ),
     "infinite-mix-member": lambda r: r["constraints"][0].update(
         fn={
             "variant": "mix",

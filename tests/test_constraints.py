@@ -92,6 +92,14 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             IntervalProjection(-1.0, 1.0, 1.5)
 
+    def test_mix_rejects_a_gated_member(self):
+        for pair in (
+            (GatedIdentity(-1.0, 1.0), Identity()),
+            (Identity(), GatedIdentity(-1.0, 1.0)),
+        ):
+            with pytest.raises(ValueError, match="gated"):
+                Mix(*pair, 0.5)
+
     def test_piecewise_linear_knots_must_increase(self):
         for knots in (
             ((1.0, 0.0), (0.0, 1.0)),

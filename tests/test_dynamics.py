@@ -10,6 +10,7 @@ from tcconsensus import (
     GatedIdentity,
     Identity,
     IntegrationSpec,
+    PiecewiseLinear,
     System,
     attach_channels,
     build_digraph,
@@ -95,7 +96,7 @@ def per_edge_sums(system, x):
     return num, den
 
 
-def random_catalog_system(seed):
+def random_catalog_system(seed, catalog=CATALOG):
     """Seeded random digraph whose edges draw from the whole catalog, so
     most functions serve several edges and several senders."""
     rng = np.random.default_rng(seed)
@@ -103,7 +104,7 @@ def random_catalog_system(seed):
     w = rng.uniform(0.2, 2.0, size=(n, n)) * (rng.random((n, n)) < 0.6)
     np.fill_diagonal(w, 0.0)
     g = build_digraph(w)
-    return System(g, {e: CATALOG[rng.integers(len(CATALOG))] for e in g.edges()})
+    return System(g, {e: catalog[rng.integers(len(catalog))] for e in g.edges()})
 
 
 class TestEdgeTableMatchesPerEdgeLoop:
@@ -137,6 +138,81 @@ class TestEdgeTableMatchesPerEdgeLoop:
         rt = system_from_dict(json.loads(json.dumps(system_to_dict(sys_))))
         assert rt.distinct == sys_.distinct
         assert len(rt.distinct) == len({id(fn) for fn in sys_.constraints.values()})
+
+
+def per_span_sums(system, X):
+    """The former kernel, kept as the oracle: every distinct function
+    evaluated over its own sender columns, gates applied per span."""
+    XS = X[:, system._senders]
+    V = np.empty_like(XS)
+    g = system._gate_start
+    open_ = np.empty((X.shape[0], XS.shape[1] - g))
+    for fn, a, b in system._spans:
+        V[:, a:b] = fn.eval_array(XS[:, a:b])
+        if fn.is_gate:
+            open_[:, a - g : b - g] = fn.gate_mask(XS[:, a:b])
+            V[:, a:b] *= open_[:, a - g : b - g]
+    num = V @ system._block
+    den = system._plain_alpha + open_ @ system._block[g:]
+    return num, den
+
+
+def knot_probe_rows(system, rng, extra=40):
+    """Rows that put every global knot, its two float neighbours, +-0.0 and
+    +-1e300 on every sender column, followed by random rows."""
+    G = system._knots
+    special = np.concatenate(
+        (G, np.nextafter(G, -np.inf), np.nextafter(G, np.inf), [0.0, -0.0, 1e300, -1e300])
+    )
+    rows = np.repeat(special[:, None], system.n, axis=1)
+    return np.vstack((rows, rng.uniform(-4.0, 4.0, size=(extra, system.n))))
+
+
+def irregular_pwls(rng, count=4):
+    """Piecewise-linear functions on random knots: unlike the catalog's, the
+    pieces that meet at a knot round differently there."""
+    out = []
+    for _ in range(count):
+        xs = np.cumsum(rng.uniform(0.05, 1.5, size=int(rng.integers(1, 5)))) - 2.0
+        knots = tuple(zip(xs.tolist(), rng.uniform(-2.0, 2.0, size=len(xs)).tolist()))
+        out.append(PiecewiseLinear(knots, *rng.uniform(-1.0, 1.0, size=2).tolist()))
+    return out
+
+
+def bin_table_system(seed):
+    """A random catalog system whose edges also draw from irregular PWLs."""
+    return random_catalog_system(
+        seed, CATALOG + irregular_pwls(np.random.default_rng(200 + seed))
+    )
+
+
+class TestBinTableMatchesPerSpanKernel:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("m", [1, 7, 1000])
+    def test_bit_identical(self, seed, m):
+        sys_ = bin_table_system(seed)
+        rng = np.random.default_rng(300 + seed)
+        rows = knot_probe_rows(sys_, rng)
+        pad = -len(rows) % m
+        rows = np.vstack((rows, rng.uniform(-4.0, 4.0, size=(pad, sys_.n))))
+        for X in np.split(rows, len(rows) // m):
+            num, den = dynamics._input_sums(sys_, X)
+            want_num, want_den = per_span_sums(sys_, X)
+            assert num.shape == den.shape == X.shape
+            assert num.tobytes() == want_num.tobytes()
+            assert den.tobytes() == want_den.tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_no_piecewise_linear_function(self, seed):
+        sys_ = random_catalog_system(seed, [f for f in CATALOG if f.pwl() is None])
+        assert sys_._knots.size == 0
+        X = np.random.default_rng(seed).uniform(-4.0, 4.0, size=(7, sys_.n))
+        for got, want in zip(dynamics._input_sums(sys_, X), per_span_sums(sys_, X)):
+            assert got.shape == X.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_seeds_cover_gated_and_ungated_systems(self):
+        assert {bool(bin_table_system(s)._gates) for s in range(12)} == {True, False}
 
 
 def per_edge_table(system):
@@ -274,9 +350,27 @@ class TestIntegrate:
             single = integrate(sys_, X0[r], spec)
             assert batch.single(r).states == pytest.approx(single.states)
 
+    def test_empty_batch(self):
+        sys_ = scenario_by_name("ex2").system
+        batch = integrate_batch(sys_, np.zeros((0, sys_.n)), IntegrationSpec(1e-2, 0.05))
+        assert batch.states.shape == (6, 0, sys_.n)
+        assert batch.times.tolist() == [k * 1e-2 for k in range(6)]
+
     def test_batch_shape_validation(self):
         with pytest.raises(ValueError):
             integrate_batch(identity_pair(), np.zeros((2, 3)), IntegrationSpec(1e-3, 1))
+
+    def test_csv_matches_per_value_formatting(self):
+        special = [np.nan, np.inf, -np.inf, -0.0, 1e-300, 1.2345678901234568e17, 0.1]
+        states = np.array([special, special[::-1]]).T
+        traj = dynamics.Trajectory(np.arange(len(special)) * 0.1, states, 0.1)
+        traj.channels = {"Y": np.array(special), "xm": -np.array(special)}
+        cols = ["t", "x_1", "x_2", "Y", "xm"]
+        data = [traj.times, states[:, 0], states[:, 1], traj.channels["Y"], traj.channels["xm"]]
+        lines = [",".join(cols)]
+        for row in np.column_stack(data):
+            lines.append(",".join(f"{v:.17g}" for v in row))
+        assert traj.to_csv() == "\n".join(lines) + "\n"
 
     def test_csv_header_and_shape(self):
         traj = integrate(identity_pair(), [0.0, 2.0], IntegrationSpec(1e-2, 1.0))
