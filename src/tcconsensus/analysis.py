@@ -55,7 +55,6 @@ def consensus_zone(system: System) -> IntervalSet:
 # ray search
 
 ANCHOR_COUNT = 33
-SEARCH_GRID = 5e-3
 
 
 def _contains_interval(s: IntervalSet, lo: float, hi: float) -> bool:
@@ -111,7 +110,7 @@ def _spec_admits_all(
         if not _contains_interval(phi, spec.box_lo, spec.box_hi):
             return False
     for _, fn in system.distinct:
-        report = sector_membership(fn, spec, grid=SEARCH_GRID)
+        report = sector_membership(fn, spec)
         if mode == "theorem2":
             if not (report.lower.passed and report.upper.passed):
                 return False
@@ -130,7 +129,7 @@ def _unit_product_rays(
     caps = {"lower": 0.0, "upper": 0.0}
     for _, fn in system.distinct:
         for side in caps:
-            r = ratio_range(fn, box_lo, box_hi, anchor, side, SEARCH_GRID)
+            r = ratio_range(fn, box_lo, box_hi, anchor, side)
             if r.sup > 1.0 + STRICT_MARGIN:
                 return None
             caps[side] = max(caps[side], -r.inf)

@@ -244,6 +244,11 @@ def _resolve(config: RunConfig) -> tuple[System, Scenario | None, IntegrationSpe
             raise ConfigError(err.args[0]) from err
         spec = config.integration or scn.integration
         if config.x0 is not None:
+            if len(config.x0) != scn.system.n:
+                raise ValidationError(
+                    f"x0 has {len(config.x0)} entries for the "
+                    f"{scn.system.n}-agent scenario {scn.name!r}"
+                )
             x0 = np.asarray(config.x0, dtype=np.float64)
         else:
             x0 = scn.sample_x0(config.seed)[0]

@@ -33,6 +33,8 @@ ANALYTIC_FP_TOL = 0.0
 BISECTION_FP_TOL = 1e-8
 SCAN_RESOLUTION = 1e-3  # largest step of the fixed-point sign scan
 QUOTIENT_GRID = 1e-3  # chord-slope sample step, relative to the region width
+RATIO_GRID = 5e-3  # ray-ratio sample step, relative to the window width
+BOX_SAMPLES = 2001  # samples of the box-range check
 
 
 # ---------------------------------------------------------------------------
@@ -151,18 +153,6 @@ class PWLRep:
         if exclude_identity and not any_non_identity:
             return None
         return lo, hi, lo_att, hi_att
-
-    def range_over(self, lo: float, hi: float) -> tuple[float, float]:
-        pts = [lo, hi] + [x for x in self.xs if lo < x < hi]
-        vals = [self.eval(p) if math.isfinite(p) else self._limit(p) for p in pts]
-        return min(vals), max(vals)
-
-    def _limit(self, p: float) -> float:
-        if p == math.inf:
-            s = self.right_slope
-            return self.ys[-1] if s == 0 else math.copysign(math.inf, s)
-        s = self.left_slope
-        return self.ys[0] if s == 0 else math.copysign(math.inf, -s)
 
     def bounded_range(self):
         if self.left_slope == 0.0 and self.right_slope == 0.0:
@@ -648,11 +638,13 @@ def _scan_fixed_points(f: ConstraintFn, domain: IntervalSet) -> IntervalSet:
     """Fixed points of a variant without a piecewise-linear form.
 
     ``g(x) = f(x) - x`` is sampled on a grid of step at most ``SCAN_RESOLUTION``
-    over :func:`_scan_window`. Runs of samples with ``|g| <= 1e-12`` become
-    pieces; each sign change between two neighbouring samples is refined by
-    :func:`_bisect_root`. The scan itself stays sampled: a root where ``g``
-    touches zero without changing sign between samples, or a pair of roots
-    inside one grid step, is missed.
+    (at least 16 samples) over :func:`_scan_window`, the part of ``domain``
+    inside the range of ``f``. Each maximal run of samples with
+    ``|g| <= 1e-12`` becomes a piece from its first to its last sample; each
+    sign change between two neighbouring samples off those runs is refined
+    by :func:`_bisect_root`. The scan itself stays sampled: a root where
+    ``g`` touches zero without changing sign between samples, or a pair of
+    roots inside one grid step, is missed.
     """
     lo, hi = _scan_window(f, domain)
     if hi < lo:
@@ -667,23 +659,14 @@ def _scan_fixed_points(f: ConstraintFn, domain: IntervalSet) -> IntervalSet:
     n = max(int(math.ceil((hi - lo) / SCAN_RESOLUTION)) + 1, 16)
     xs = np.linspace(lo, hi, n)
     g = f.eval_array(xs) - xs
-    pieces = []
     flat = np.abs(g) <= 1e-12
-    i = 0
-    while i < n:
-        if flat[i]:
-            j = i
-            while j + 1 < n and flat[j + 1]:
-                j += 1
-            pieces.append((xs[i], xs[j]))
-            i = j + 1
-            continue
-        if i + 1 < n and not flat[i + 1] and g[i] * g[i + 1] < 0:
-            root = _bisect_root(
-                lambda x: f.evaluate(x) - x, float(xs[i]), float(xs[i + 1])
-            )
-            pieces.append((root, root))
-        i += 1
+    # the flat runs start and end (exclusive) where the padded mask toggles
+    toggles = np.flatnonzero(np.diff(flat, prepend=False, append=False))
+    pieces = list(zip(xs[toggles[::2]], xs[toggles[1::2] - 1]))
+    crossing = ~flat[:-1] & ~flat[1:] & (g[:-1] * g[1:] < 0)
+    for i in np.flatnonzero(crossing).tolist():
+        root = _bisect_root(lambda x: f.evaluate(x) - x, *xs[i : i + 2].tolist())
+        pieces.append((root, root))
     out = IntervalSet.from_pieces(pieces, BISECTION_FP_TOL)
     return out.intersect(domain)
 
@@ -733,7 +716,6 @@ class QuotientBounds:
     lo_attained: bool
     hi_attained: bool
     exact: bool
-    grid: float | None = None
 
 
 def difference_quotient_bounds(
@@ -781,7 +763,6 @@ def difference_quotient_bounds(
             False,
             False,
             exact=b1.exact and b2.exact,
-            grid=b1.grid or b2.grid,
         )
 
     if not (math.isfinite(hull_lo) and math.isfinite(hull_hi)):
@@ -793,14 +774,9 @@ def difference_quotient_bounds(
     xs = np.linspace(hull_lo, hull_hi, n)
     vals = f.eval_array(xs)
     slopes = np.diff(vals) / np.diff(xs)
-    pad = 1e-9 + 0.0 * step
+    pad = 1e-9
     return QuotientBounds(
-        float(slopes.min()) - pad,
-        float(slopes.max()) + pad,
-        False,
-        False,
-        exact=False,
-        grid=float(xs[1] - xs[0]),
+        float(slopes.min()) - pad, float(slopes.max()) + pad, False, False, exact=False
     )
 
 
@@ -849,14 +825,8 @@ class RatioRange:
         return SectorVerdict(ok, None if ok else self.inf_at, self.exact)
 
 
-def _sample_step(box_lo: float, box_hi: float, grid: float) -> tuple[float, float]:
-    """Half-width of the window sampled around the anchor, and its step."""
-    horizon = max(10.0, 4.0 * (box_hi - box_lo))
-    return horizon, grid * 2.0 * horizon
-
-
 def ratio_range(
-    f: ConstraintFn, box_lo: float, box_hi: float, anchor: float, side: str, grid: float
+    f: ConstraintFn, box_lo: float, box_hi: float, anchor: float, side: str
 ) -> RatioRange:
     """Range of the ray ratio of ``f`` below (``side="lower"``, ``x < box_lo``)
     or above (``side="upper"``, ``x > box_hi``) the box.
@@ -870,8 +840,10 @@ def ratio_range(
     ``d = s*anchor + c - anchor``, constant (and attained) when ``d == 0`` and
     strictly monotone otherwise, so its extremes lie at the piece ends. Knots
     inside the region are attained; the box edge and the tails (limit: the
-    tail slope) are not. Other variants are sampled on ``anchor +- horizon``
-    and reported inexact.
+    tail slope) are not. Other variants are sampled, and reported inexact,
+    between the box edge and ``anchor -+ horizon`` with
+    ``horizon = max(10, 4 * box width)``, at a step of ``RATIO_GRID`` times
+    ``2 * horizon`` (at least 8 samples, the edge itself excluded).
     """
     if side not in ("lower", "upper"):
         raise ValueError(f"unknown side {side!r}")
@@ -879,7 +851,8 @@ def ratio_range(
     edge = box_lo if lower else box_hi
     rep = f.pwl()
     if rep is None:
-        horizon, step = _sample_step(box_lo, box_hi, grid)
+        horizon = max(10.0, 4.0 * (box_hi - box_lo))
+        step = RATIO_GRID * 2.0 * horizon
         far = anchor - horizon if lower else anchor + horizon
         n = max(int(math.ceil(abs(edge - far) / step)) + 1, 8)
         xs = np.linspace(far, edge, n)[:-1]
@@ -905,33 +878,44 @@ def ratio_range(
     return RatioRange(inf[0], inf[1], inf[2], sup[0], sup[2], exact=True)
 
 
-def sector_membership(
-    f: ConstraintFn, spec: BoxRaySpec, grid: float = 1e-3
-) -> SectorReport:
+def box_violation(f: ConstraintFn, box_lo: float, box_hi: float) -> float | None:
+    """The first ``x`` in ``[box_lo, box_hi]`` where ``f(x)`` leaves the box by
+    more than ``STRICT_MARGIN``, or ``None`` when ``f`` maps the box into
+    itself.
+
+    Exact for piecewise-linear-representable variants: ``f`` is evaluated at
+    the box ends and the knots inside, where its extremes over the box lie.
+    Other variants are sampled at ``BOX_SAMPLES`` evenly spaced points, so a
+    violation between two samples is missed.
+    """
+    rep = f.pwl()
+    if rep is not None:
+        inner = {x for x in rep.xs if box_lo < x < box_hi}
+        xs = np.array(sorted({box_lo, box_hi} | inner))
+    else:
+        xs = np.linspace(box_lo, box_hi, BOX_SAMPLES)
+    vals = f.eval_array(xs)
+    bad = xs[(vals < box_lo - STRICT_MARGIN) | (vals > box_hi + STRICT_MARGIN)]
+    return float(bad[0]) if bad.size else None
+
+
+def sector_membership(f: ConstraintFn, spec: BoxRaySpec) -> SectorReport:
     """Check the three sector conditions of the box-and-ray geometry.
 
     Lower region ``x < box_lo``: ``x <= f(x) < L1(x)``.
     Box ``[box_lo, box_hi]``: ``box_lo <= f(x) <= box_hi``.
     Upper region ``x > box_hi``: ``L2(x) < f(x) <= x``.
 
-    The ray conditions are decided on :func:`ratio_range`. Exact on the whole
-    line for piecewise-linear-representable variants (the box condition at
-    the knots and box edges); grid-sampled on ``anchor +- horizon``
-    otherwise. Violations are data (reported with a witness point, or the
-    limit it is approached at), never errors.
+    The box condition is :func:`box_violation` and the ray conditions are
+    decided on :func:`ratio_range`; both are exact on the whole line for
+    piecewise-linear-representable variants and sampled otherwise, the
+    sampling chosen there. Violations are data (reported with a witness
+    point, or the limit it is approached at), never errors.
     """
     lo, hi = spec.box_lo, spec.box_hi
-    rep = f.pwl()
-    if rep is not None:
-        xs = np.array(sorted({lo, hi} | {x for x in rep.xs if lo < x < hi}))
-    else:
-        step = _sample_step(lo, hi, grid)[1]
-        xs = np.linspace(lo, hi, max(int(math.ceil((hi - lo) / step)) + 1, 8))
-    vals = f.eval_array(xs)
-    bad = xs[(vals < lo - STRICT_MARGIN) | (vals > hi + STRICT_MARGIN)]
-    box = SectorVerdict(not bad.size, bad[0] if bad.size else None, rep is not None)
+    bad = box_violation(f, lo, hi)
     return SectorReport(
-        lower=ratio_range(f, lo, hi, spec.anchor, "lower", grid).verdict(spec.k1),
-        box=box,
-        upper=ratio_range(f, lo, hi, spec.anchor, "upper", grid).verdict(spec.k2),
+        lower=ratio_range(f, lo, hi, spec.anchor, "lower").verdict(spec.k1),
+        box=SectorVerdict(bad is None, bad, f.pwl() is not None),
+        upper=ratio_range(f, lo, hi, spec.anchor, "upper").verdict(spec.k2),
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import difference_quotient_bounds, fixed_point_set
+from .constraints import box_violation, difference_quotient_bounds, fixed_point_set
 from .dynamics import IntegrationSpec, System, _input_sums, default_dt, integrate, rhs
 from .errors import (
     EmptyFixedPointSetError,
@@ -25,8 +25,6 @@ from .errors import (
 )
 from .graph import row_stats
 from .intervals import IntervalSet
-
-BOX_SAMPLES = 2001  # samples per non-PWL edge in the self-mapped box check
 
 
 def residual(system: System, point) -> float:
@@ -175,15 +173,14 @@ def uniqueness_probe(
     box: tuple[float, float],
     n_starts: int,
     tol: float = 1e-8,
-    cluster_radius: float | None = None,
     seed: int = 0,
 ) -> UniquenessReport:
     """Solve from ``n_starts`` deterministic seeds in ``box`` and cluster the
-    solutions by max-norm distance."""
+    solutions by max-norm distance, within ``1e3 * tol`` of a cluster's
+    first member."""
     if n_starts < 2:
         raise ValueError("n_starts must be at least 2")
-    if cluster_radius is None:
-        cluster_radius = 1e3 * tol
+    cluster_radius = 1e3 * tol
     lo, hi = box
     seeds = seed_stream(seed, n_starts, system.n, lo, hi)
     outcomes = []
@@ -264,20 +261,6 @@ def invariant_box(system: System) -> tuple[float, float] | None:
 
     # slope floor in [0, 1): the ray construction degenerates; fall back to
     # the hull itself and validate the range condition by direct evaluation
-    if _box_self_mapped(system, x_m, x_M):
+    if all(box_violation(fn, x_m, x_M) is None for _, fn in system.distinct):
         return x_m, x_M
     return None
-
-
-def _box_self_mapped(system: System, lo: float, hi: float) -> bool:
-    for _, fn in system.distinct:
-        rep = fn.pwl()
-        if rep is not None:
-            f_lo, f_hi = rep.range_over(lo, hi)
-        else:
-            xs = np.linspace(lo, hi, BOX_SAMPLES)
-            vals = fn.eval_array(xs)
-            f_lo, f_hi = float(vals.min()), float(vals.max())
-        if f_lo < lo - 1e-12 or f_hi > hi + 1e-12:
-            return False
-    return True

@@ -50,6 +50,12 @@ class X0Policy:
         if self.kind == "uniform":
             return seed_stream(seed, count, n, self.lo, self.hi)
         if self.kind == "blocks":
+            agents = sorted(i for idx, _, _ in self.blocks for i in idx)
+            if agents != list(range(n)):
+                raise ValueError(
+                    f"blocks must cover each of the {n} agents exactly once, "
+                    f"got {agents}"
+                )
             unit = seed_stream(seed, count, n, 0.0, 1.0)
             out = np.empty((count, n))
             for idx, lo, hi in self.blocks:

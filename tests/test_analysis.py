@@ -19,6 +19,7 @@ from tcconsensus import (
     Saturation,
     ScaledSine,
     System,
+    Tabulated,
     build_digraph,
     classify_system,
     consensus_zone,
@@ -62,6 +63,17 @@ def ring_plus_random(n=12, extra=3, seed=0):
     edges = sorted(g.edges())
     shapes = {e: WIDE_SHAPES[k % len(WIDE_SHAPES)] for k, e in enumerate(edges)}
     return System(g, shapes)
+
+
+def pchip_dip_ring():
+    """ROADMAP direction 1's reproduction: a 2-agent ring with
+    clip(x/2, -1, 1), dipped to -5 at x = -3.05, as a pchip on both edges.
+    The lower-region condition x <= f(x) fails on about (-3.0549, -3.0451),
+    and (c, c) with c = -3.0549 is an equilibrium away from the origin."""
+    xs = (-6, -5, -4, -3.2, -3.06, -3.05, -3.04, -2.9, -2, -1, 0, 1, 2, 3, 4, 5, 6)
+    ys = [-5.0 if x == -3.05 else min(max(0.5 * x, -1.0), 1.0) for x in xs]
+    f = Tabulated(xs, tuple(ys), "pchip")
+    return two_agent(f, f)
 
 
 def diverging_pair():
@@ -132,7 +144,7 @@ class TestFindAdmissibleRays:
         sc = scenario_by_name("ex2")
         spec = find_admissible_rays(sc.system, hints=sc.ray_hints)
         for _, fn in sc.system.constraints.items():
-            report = sector_membership(fn, spec, grid=5e-3)
+            report = sector_membership(fn, spec)
             assert report.lower.passed and report.upper.passed
 
     def test_all_identity_finds_spec(self):
@@ -168,6 +180,27 @@ class TestFindAdmissibleRays:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             find_admissible_rays(all_identity(), mode="theorem7")
+
+    def test_pchip_dip_box_is_a_box_violation(self):
+        # the theorem-1 spec the search used to return for the dip ring: its
+        # box [-3.0549, 2e-8] holds the dip, where f falls to about -5
+        system = pchip_dip_ring()
+        (_, f), = system.distinct
+        lo = -3.0549084956516124
+        spec = BoxRaySpec(lo, 2e-8, lo, -16.87570549977402, -0.059256781887631504)
+        box = sector_membership(f, spec).box
+        assert not box.passed and -3.0549 < box.first_violation < -3.0451
+        found = find_admissible_rays(system, mode="theorem1")
+        assert found is None or found.box_lo > -3.0451
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP direction 1: the ray conditions of non-PWL edges are "
+        "sampled on a 0.1-spaced grid that steps over the dip",
+    )
+    def test_pchip_dip_ring_does_not_pass_admissible_rays(self):
+        verdict = classify_system(pchip_dip_ring())
+        assert verdict.conditions["admissible_rays"].status != "pass"
 
     def test_bad_hint_is_ignored(self):
         sc = scenario_by_name("ex2")

@@ -505,3 +505,13 @@ class TestCli:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"scenario": "ex3"}), encoding="utf-8")
         assert main(["analyze", str(path)]) == 0
+
+    @pytest.mark.parametrize("mode", ["simulate", "analyze", "equilibrium"])
+    @pytest.mark.parametrize("x0", [[1.0, 2.0], [0.5] * 6])
+    def test_scenario_x0_of_wrong_length_exits_two(self, tmp_path, capsys, mode, x0):
+        # ex2 has five agents
+        path = write_config(tmp_path, {"scenario": "ex2", "x0": x0})
+        assert main([mode, str(path), "--out", str(tmp_path / "out")]) == 2
+        want = f"error: x0 has {len(x0)} entries for the 5-agent scenario 'ex2'\n"
+        assert capsys.readouterr().err == want
+        assert not (tmp_path / "out").exists()

@@ -217,6 +217,111 @@ class TestFixedPointSet:
         with pytest.raises(UnresolvableEnclosureError):
             constraints._bisect_root(lambda x: math.nan, -1.0, 1.0)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_scan_matches_the_loop_oracle(self, seed):
+        cases = _scan_cases(seed)
+        runs = 0
+        for f, domain in cases:
+            want = _outcome(_loop_scan, f, domain)
+            assert _outcome(constraints._scan_fixed_points, f, domain) == want, f
+            if isinstance(want, IntervalSet):
+                # wider than a padded root: a run of flat samples
+                runs += any(b - a > 1e-6 for a, b in want.pieces)
+        assert runs  # the cases include flat runs, not only isolated roots
+
+    def test_scan_flat_run_ends_at_its_last_sample(self):
+        # identity on [-1, 1], flat at -2 and 2 beyond +-2: g vanishes on the
+        # run and changes sign nowhere else
+        f = Tabulated((-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0),
+                      (-2.0, -2.0, -2.0, -1.0, 0.0, 1.0, 2.0, 2.0, 2.0), "pchip")
+        theta = fixed_point_set(f, IntervalSet.closed(-3.0, 3.0))
+        tol = theta.tolerance
+        left, (lo, hi), right = theta.pieces
+        assert left[0] < -2.0 < left[1] and right[0] < 2.0 < right[1]
+        # the run's first and last samples, less the enclosure padding, are
+        # flat; the samples a scan step beyond them are not
+        for x in (lo + tol, hi - tol):
+            assert abs(f.evaluate(x) - x) <= 1e-12
+        for x in (lo + tol - 1e-3, hi - tol + 1e-3):
+            assert abs(f.evaluate(x) - x) > 1e-12
+
+
+def _loop_scan(f, domain):
+    """The fixed-point scan as a per-sample loop, kept as the oracle for the
+    vectorised run and sign-change detection of ``_scan_fixed_points``."""
+    lo, hi = constraints._scan_window(f, domain)
+    if hi < lo:
+        return IntervalSet.empty()
+    if hi == lo:
+        g = f.evaluate(lo) - lo
+        if abs(g) <= constraints.BISECTION_FP_TOL:
+            return IntervalSet.point(lo, constraints.BISECTION_FP_TOL)
+        return IntervalSet.empty()
+    n = max(int(math.ceil((hi - lo) / constraints.SCAN_RESOLUTION)) + 1, 16)
+    xs = np.linspace(lo, hi, n)
+    g = f.eval_array(xs) - xs
+    pieces = []
+    flat = np.abs(g) <= 1e-12
+    i = 0
+    while i < n:
+        if flat[i]:
+            j = i
+            while j + 1 < n and flat[j + 1]:
+                j += 1
+            pieces.append((xs[i], xs[j]))
+            i = j + 1
+            continue
+        if i + 1 < n and not flat[i + 1] and g[i] * g[i + 1] < 0:
+            root = constraints._bisect_root(
+                lambda x: f.evaluate(x) - x, float(xs[i]), float(xs[i + 1])
+            )
+            pieces.append((root, root))
+        i += 1
+    out = IntervalSet.from_pieces(pieces, constraints.BISECTION_FP_TOL)
+    return out.intersect(domain)
+
+
+def _outcome(scan, f, domain):
+    try:
+        return scan(f, domain)
+    except UnresolvableEnclosureError as err:
+        return type(err)
+
+
+def _scan_cases(seed):
+    """Seeded non-PWL functions with the domains to scan them on: random
+    pchip tables (some with an identity stretch, some with a flat stretch
+    on the diagonal), random sines and sine-affine mixtures, on the whole
+    line, a bounded interval and a two-piece set."""
+    rng = np.random.default_rng(seed)
+    domains = (
+        IntervalSet.reals(),
+        IntervalSet.closed(-2.5, 1.75),
+        IntervalSet.from_pieces([(-3.0, -0.5), (0.25, 2.0)]),
+    )
+    cases = []
+    for k in range(40):
+        n = int(rng.integers(3, 12))
+        xs = np.cumsum(rng.uniform(0.05, 1.5, n)) - 3.0
+        ys = rng.normal(scale=2.0, size=n)
+        if k % 3 == 0 and n >= 5:
+            m = int(rng.integers(0, n - 3))
+            ys[m : m + 4] = xs[m : m + 4]
+        elif k % 3 == 1 and n >= 4:
+            m = int(rng.integers(0, n - 2))
+            ys[m : m + 3] = xs[m + 1]
+        f = Tabulated(tuple(xs), tuple(ys), "pchip")
+        cases.append((f, domains[k % 3]))
+    for k in range(40):
+        amp = rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])
+        f = ScaledSine(float(amp), float(rng.uniform(-math.pi, math.pi)))
+        if k % 4 == 3:
+            f = Mix(f, Affine(float(rng.uniform(-0.9, 0.9))), float(rng.uniform()))
+            cases.append((f, domains[1 + k % 2]))
+        else:
+            cases.append((f, domains[k % 3]))
+    return cases
+
 
 def _pchip_tables():
     rng = np.random.default_rng(7)
@@ -315,7 +420,7 @@ class TestDifferenceQuotientBounds:
         with pytest.raises(UnboundedRegionError):
             difference_quotient_bounds(f, IntervalSet.reals())
         qb = difference_quotient_bounds(f, IntervalSet.closed(-2, 2))
-        assert not qb.exact and qb.grid is not None
+        assert not qb.exact
 
     def test_empty_region_is_none(self):
         assert difference_quotient_bounds(Affine(0.5), IntervalSet.empty()) is None
@@ -396,17 +501,17 @@ class TestSectorMembership:
 
     def test_ratio_range_limits_and_attainment(self):
         f = PiecewiseLinear(((-1.0, -1.0), (1.0, 1.0)), -1.1, 0.5)
-        lo = ratio_range(f, -1.0, 1.0, -0.5, "lower", 1e-3)
+        lo = ratio_range(f, -1.0, 1.0, -0.5, "lower")
         assert (lo.inf, lo.inf_attained, lo.inf_at) == (-1.1, False, -math.inf)
         assert lo.sup == pytest.approx(1.0) and lo.exact
         # the piece through (anchor, anchor) has a constant, attained ratio
-        up = ratio_range(f, 1.0, 1.0, 1.0, "upper", 1e-3)
+        up = ratio_range(f, 1.0, 1.0, 1.0, "upper")
         assert (up.inf, up.inf_attained, up.sup) == (0.5, True, 0.5)
         # the edge is the anchor and f(anchor) > anchor: r -> -inf from below
         g = Affine(1.0, 0.5)
-        assert ratio_range(g, 0.0, 0.0, 0.0, "lower", 1e-3).inf == -math.inf
+        assert ratio_range(g, 0.0, 0.0, 0.0, "lower").inf == -math.inf
         with pytest.raises(ValueError):
-            ratio_range(g, 0.0, 0.0, 0.0, "left", 1e-3)
+            ratio_range(g, 0.0, 0.0, 0.0, "left")
 
     @given(
         xs=st.lists(st.integers(-300, 300), min_size=2, max_size=5, unique=True),
@@ -437,6 +542,82 @@ class TestSectorMembership:
             fx = f.eval_array(x)
             assert np.all(fx - x <= 1e-9)
             assert np.all(spec.k2 * (x - anchor) + anchor - fx < 1e-9)
+
+
+def _old_box_self_mapped(f, lo, hi):
+    """The box-range check as it stood before ``box_violation``: the range of
+    a piecewise-linear form from scalar evaluation at the box ends and the
+    knots inside (the ``range_over`` of that form, on a finite box), else
+    the range of ``BOX_SAMPLES`` samples. Kept as the oracle for the
+    decision of ``box_violation``."""
+    rep = f.pwl()
+    if rep is not None:
+        pts = [lo, hi] + [x for x in rep.xs if lo < x < hi]
+        vals = [rep.eval(p) for p in pts]
+        f_lo, f_hi = min(vals), max(vals)
+    else:
+        xs = np.linspace(lo, hi, constraints.BOX_SAMPLES)
+        vals = f.eval_array(xs)
+        f_lo, f_hi = float(vals.min()), float(vals.max())
+    return not (f_lo < lo - 1e-12 or f_hi > hi + 1e-12)
+
+
+def _first_outside(f, lo, hi):
+    """The smallest candidate point of the box check (box ends and inner
+    knots, or the samples) whose scalar value leaves the box."""
+    rep = f.pwl()
+    if rep is not None:
+        pts = sorted({lo, hi} | {x for x in rep.xs if lo < x < hi})
+    else:
+        pts = np.linspace(lo, hi, constraints.BOX_SAMPLES).tolist()
+    m = constraints.STRICT_MARGIN
+    return next((x for x in pts if not lo - m <= f.evaluate(x) <= hi + m), None)
+
+
+# the ROADMAP's pchip reproduction: clip(x/2, -1, 1) with a dip to -5 at
+# x = -3.05, so x <= f(x) fails on about (-3.0549, -3.0451)
+DIP = Tabulated(
+    (-6, -5, -4, -3.2, -3.06, -3.05, -3.04, -2.9, -2, -1, 0, 1, 2, 3, 4, 5, 6),
+    (-1, -1, -1, -1, -1, -5, -1, -1, -1, -0.5, 0, 0.5, 1, 1, 1, 1, 1),
+    "pchip",
+)
+
+
+class TestBoxViolation:
+    def test_matches_the_old_check_on_every_knot_box(self):
+        from tcconsensus.scenarios import builtin_scenarios
+
+        fns = {*CATALOG, DIP, PiecewiseLinear(((-1.0, -1.0), (1.0, 1.0)), 0.0, -1.5)}
+        fns |= {f for sc in builtin_scenarios() for _, f in sc.system.distinct}
+        pts = {-3.0549084956516124, -3.05, -2e-8, 2e-8, math.pi, -math.e, 0.25}
+        for f in fns:
+            rep = f.pwl()
+            pts |= set(rep.xs if rep is not None else getattr(f, "xs", ()))
+        pts = sorted(pts)
+        pairs = failed = 0
+        for f in sorted(fns, key=repr):
+            for i, lo in enumerate(pts):
+                for hi in pts[i:]:
+                    got = constraints.box_violation(f, lo, hi)
+                    assert (got is None) == _old_box_self_mapped(f, lo, hi), (f, lo, hi)
+                    assert got == _first_outside(f, lo, hi), (f, lo, hi)
+                    pairs += 1
+                    failed += got is not None
+        assert pairs > 5000 and 0 < failed < pairs
+
+    def test_sampled_witness_is_the_first_sample_outside(self):
+        # 2 sin(x) leaves [0, 1.2] on the whole of (asin(0.6), 1.2]
+        got = constraints.box_violation(ScaledSine(2.0), 0.0, 1.2)
+        xs = np.linspace(0.0, 1.2, constraints.BOX_SAMPLES)
+        assert got == xs[xs > math.asin(0.6)][0]
+        # -sin(x) maps [-0.5, 0.5] and {0} into themselves
+        assert constraints.box_violation(ScaledSine(1.0, math.pi), -0.5, 0.5) is None
+        assert constraints.box_violation(ScaledSine(1.0, math.pi), 0.0, 0.0) is None
+
+    def test_pwl_box_check_is_exact_between_samples(self):
+        # a spike 1e-6 wide above the box, between any two of 2001 samples
+        f = PiecewiseLinear(((0.1, 0.0), (0.1000005, 2.0), (0.100001, 0.0)))
+        assert constraints.box_violation(f, -1.0, 1.0) == 0.1000005
 
 
 class TestSerialization:

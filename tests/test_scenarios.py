@@ -109,6 +109,18 @@ class TestX0Policy:
         with pytest.raises(ValueError):
             X0Policy("gaussian").sample(3)
 
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            (((0, 1), 2.0, 3.0),),  # agents 2 and 3 in no block
+            (((0, 1, 2), 2.0, 3.0), ((2, 3), -3.0, -2.0)),  # agent 2 twice
+            (((0, 1, 2, 3, 4), 2.0, 3.0),),  # agent 4 does not exist
+        ],
+    )
+    def test_blocks_must_cover_each_agent_once(self, blocks):
+        with pytest.raises(ValueError, match="exactly once"):
+            X0Policy("blocks", blocks=blocks).sample(4)
+
     def test_scenario_sample_matches_system_width(self):
         for s in builtin_scenarios():
             x = s.sample_x0(seed=0, count=2)
