@@ -2,6 +2,11 @@
 execute simulate/analyze/equilibrium pipelines, and emit deterministic CSV
 trajectories and JSON reports.
 
+A custom system is read as a dense weight matrix or as a columnar edge
+table (:func:`system_from_dict`). Reports echo their config with the system
+always in the columnar form (:func:`system_to_dict`), whose size grows with
+the edge count, not with ``n**2``; an echoed config reproduces its report.
+
 Exit code convention: 0 when every expectation attached to the run is met
 (or there are none), 1 when an expectation fails, 2 on configuration or
 runtime errors.
@@ -39,16 +44,23 @@ _TOP_LEVEL_KEYS = {
     "analysis",
     "output_dir",
 }
-_ANALYSIS_KEYS = {"classify", "equilibrium", "monitors"}
+_ANALYSIS_DEFAULTS = (("classify", True), ("equilibrium", False), ("monitors", True))
+_ANALYSIS_KEYS = {key for key, _ in _ANALYSIS_DEFAULTS}
 _INTEGRATION_KEYS = {"dt", "t_final", "method", "record_stride"}
-_SYSTEM_KEYS = {"weights", "constraints"}
+_DENSE_KEYS = {"weights", "constraints"}
+_COLUMNAR_KEYS = {"agents", "functions", "edges"}
+_EDGE_COLUMNS = ("sender", "receiver", "weight", "function")
 _CONSTRAINT_KEYS = {"sender", "receiver", "fn"}
+_INTEGER = (int, np.integer)
+# (accepted types, dtype, description) of an edge column's values
+_INDEX = (_INTEGER, np.int64, "an integer")
+_WEIGHT = ((int, float, np.integer, np.floating), np.float64, "a number")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """A validated run request: exactly one of a built-in scenario name or a
-    custom system (matrix + per-edge constraint records)."""
+    custom system (see :func:`system_from_dict` for its two record forms)."""
 
     scenario: str | None = None
     system: System | None = None
@@ -100,16 +112,30 @@ class RunConfig:
 
 
 def system_to_dict(system: System) -> dict:
-    """The system as a JSON-ready record. Each distinct function object is
-    serialized once; every edge that carries it shares that ``fn`` record."""
-    objects = {id(fn): fn for fn in system.constraints.values()}
-    records = {key: fn.to_dict() for key, fn in objects.items()}
+    """The system as a columnar JSON record: ``agents``, a ``functions``
+    table and four parallel ``edges`` columns in sorted ``(sender,
+    receiver)`` order. Each distinct function object is serialized once, in
+    first-edge order, and each edge's ``function`` is its index in that
+    table, so the record is O(E), not n x n. The record is built from
+    arrays: the edges are the nonzero entries of the transposed weight
+    matrix, which come out sorted by sender and then receiver."""
+    weights_t = system.graph.weights.T
+    senders, receivers = np.nonzero(weights_t)
+    fns = [system.constraints[key] for key in zip(senders.tolist(), receivers.tolist())]
+    ids = np.fromiter(map(id, fns), dtype=np.uint64, count=len(fns))
+    _, first, obj_of_edge = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
     return {
-        "weights": system.graph.weights.tolist(),
-        "constraints": [
-            {"sender": j, "receiver": i, "fn": records[id(fn)]}
-            for (j, i), fn in sorted(system.constraints.items())
-        ],
+        "agents": system.n,
+        "functions": [fns[e].to_dict() for e in first[order].tolist()],
+        "edges": {
+            "sender": senders.tolist(),
+            "receiver": receivers.tolist(),
+            "weight": weights_t[senders, receivers].tolist(),
+            "function": rank[obj_of_edge].tolist(),
+        },
     }
 
 
@@ -122,43 +148,129 @@ def _check_keys(record, allowed: set[str], what: str) -> None:
 
 
 def _agent_index(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, _INTEGER):
         raise ValidationError(f"agent index must be an integer, got {value!r}")
     return int(value)
 
 
-def system_from_dict(record: dict) -> System:
-    """Validate a system record (``weights`` plus per-edge ``constraints``)
-    and compile it into a :class:`System`.
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"'{what}' must be a list")
+    return value
 
-    Equal ``fn`` records load as one shared, immutable function object:
-    records are memoized on ``repr()`` of the parsed record, which is exact
-    (a float's ``repr`` round-trips) and keeps types apart (``1``, ``1.0``
-    and ``True`` differ), so parsing and validation run once per distinct
-    record, and records that are equal as values but differ in type stay
-    separate objects and echo back unchanged. Unknown keys, a repeated
-    ``(sender, receiver)`` pair and agent indices that are not integers are
-    rejected.
+
+def _column(edges: dict, name: str, spec: tuple) -> np.ndarray:
+    # np.asarray would read True as 1 and 0.0 as 0: check each type first
+    kinds, dtype, what = spec
+    values = edges[name]
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ValidationError(f"{name} must be {what}, got {value!r}")
+    return np.array(values, dtype=dtype)
+
+
+def _load_fn(record, loaded: dict) -> _constraints.ConstraintFn:
+    """Load an ``fn`` record, sharing one object among records equal as
+    written (memoized on ``repr()``)."""
+    memo = repr(record)
+    fn = loaded.get(memo)
+    if fn is None:
+        fn = loaded[memo] = _constraints.from_dict(record)
+    return fn
+
+
+def _dense_system(record: dict) -> System:
+    graph = build_digraph(record["weights"])
+    loaded: dict[str, _constraints.ConstraintFn] = {}
+    cmap = {}
+    for entry in _list(record["constraints"], "constraints"):
+        _check_keys(entry, _CONSTRAINT_KEYS, "constraint")
+        key = (_agent_index(entry["sender"]), _agent_index(entry["receiver"]))
+        if key in cmap:
+            raise ValidationError(f"repeated constraint record for edge {key}")
+        cmap[key] = _load_fn(entry["fn"], loaded)
+    return System(graph, cmap)
+
+
+def _columnar_system(record: dict) -> System:
+    n = record["agents"]
+    if isinstance(n, bool) or not isinstance(n, _INTEGER) or n < 0:
+        raise ValidationError(f"'agents' must be a non-negative integer, got {n!r}")
+    loaded: dict[str, _constraints.ConstraintFn] = {}
+    fns = [_load_fn(rec, loaded) for rec in _list(record["functions"], "functions")]
+    edges = record["edges"]
+    _check_keys(edges, set(_EDGE_COLUMNS), "edges")
+    lengths = {name: len(_list(edges[name], name)) for name in _EDGE_COLUMNS}
+    if len(set(lengths.values())) > 1:
+        raise ValidationError(f"edge columns must have equal lengths, got {lengths}")
+    senders, receivers, index = (
+        _column(edges, name, _INDEX) for name in ("sender", "receiver", "function")
+    )
+    weights = _column(edges, "weight", _WEIGHT)
+    for name, column, bound in (
+        ("sender", senders, n),
+        ("receiver", receivers, n),
+        ("function", index, len(fns)),
+    ):
+        bad = column[(column < 0) | (column >= bound)]
+        if bad.size:
+            raise ValidationError(f"{name} {bad[0]} is out of range [0, {bound})")
+    loops = senders[senders == receivers]
+    if loops.size:
+        raise ValidationError(f"self-loop on agent {loops[0]}")
+    pairs = np.sort(senders * n + receivers)
+    repeated = pairs[1:][pairs[1:] == pairs[:-1]]
+    if repeated.size:
+        raise ValidationError(f"repeated edge {divmod(int(repeated[0]), n)}")
+    if not (np.isfinite(weights).all() and (weights > 0).all()):
+        raise ValidationError("edge weights must be finite and positive")
+    unused = np.flatnonzero(np.bincount(index, minlength=len(fns)) == 0)
+    if unused.size:
+        raise ValidationError(f"function {unused[0]} is used by no edge")
+    w = np.zeros((n, n))
+    w[receivers, senders] = weights
+    keys = zip(senders.tolist(), receivers.tolist())
+    cmap = dict(zip(keys, map(fns.__getitem__, index.tolist())))
+    return System(build_digraph(w), cmap)
+
+
+def system_from_dict(record: dict) -> System:
+    """Validate a system record and compile it into a :class:`System`.
+
+    The record is either dense, ``weights`` (an n x n matrix) plus one
+    ``{"sender", "receiver", "fn"}`` entry per edge in ``constraints``, or
+    columnar, as :func:`system_to_dict` writes it: ``agents``, a
+    ``functions`` table of ``fn`` records and four parallel ``edges``
+    columns ``sender``, ``receiver``, ``weight`` and ``function`` (an index
+    into the table). Never both. The two forms compile to the same weight
+    matrix, constraint map and object sharing.
+
+    ``fn`` records equal as written load as one shared, immutable object:
+    they are memoized on ``repr()`` of the parsed record, which is exact (a
+    float's ``repr`` round-trips) and keeps types apart (``1``, ``1.0`` and
+    ``True`` differ), so each distinct record is parsed and validated once
+    and echoes back as written.
+
+    Rejected: unknown keys, a repeated ``(sender, receiver)`` pair, agent
+    indices that are not integers; in the columnar form also unequal
+    columns, out-of-range indices, self-loops, weights that are not finite
+    and positive, and table entries no edge uses. Apart from the type of
+    each value, the columnar checks run on whole columns.
     """
-    _check_keys(record, _SYSTEM_KEYS, "system")
+    if not isinstance(record, dict):
+        raise ValidationError("'system' must be an object")
+    columnar = not _COLUMNAR_KEYS.isdisjoint(record)
+    if columnar and not _DENSE_KEYS.isdisjoint(record):
+        raise ValidationError(
+            "a system record is either dense ('weights', 'constraints') or "
+            "columnar ('agents', 'functions', 'edges'), not both"
+        )
+    _check_keys(record, _COLUMNAR_KEYS if columnar else _DENSE_KEYS, "system")
     try:
-        graph = build_digraph(record["weights"])
-        loaded: dict[str, _constraints.ConstraintFn] = {}
-        cmap = {}
-        for entry in record["constraints"]:
-            _check_keys(entry, _CONSTRAINT_KEYS, "constraint")
-            key = (_agent_index(entry["sender"]), _agent_index(entry["receiver"]))
-            if key in cmap:
-                raise ValidationError(f"repeated constraint record for edge {key}")
-            memo = repr(entry["fn"])
-            fn = loaded.get(memo)
-            if fn is None:
-                fn = loaded[memo] = _constraints.from_dict(entry["fn"])
-            cmap[key] = fn
-        return System(graph, cmap)
+        return _columnar_system(record) if columnar else _dense_system(record)
     except KeyError as err:
         raise ValidationError(f"system record missing field {err}") from err
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ValidationError(str(err)) from err
 
 
@@ -181,16 +293,22 @@ def config_from_dict(data: dict) -> RunConfig:
             raise ValidationError("'integration' requires 'dt' and 't_final'")
         try:
             integration = IntegrationSpec(
-                dt=float(rec["dt"]),
-                t_final=float(rec["t_final"]),
+                dt=_number(rec, "dt"),
+                t_final=_number(rec, "t_final"),
                 method=rec.get("method", "rk4"),
                 record_stride=rec.get("record_stride"),
             )
-        except ValueError as err:
+        except (ValueError, OverflowError) as err:
             raise ValidationError(str(err)) from err
 
     analysis = data.get("analysis", {})
     _check_keys(analysis, _ANALYSIS_KEYS, "analysis")
+    flags = {key: analysis.get(key, default) for key, default in _ANALYSIS_DEFAULTS}
+    for key, value in flags.items():
+        if not isinstance(value, bool):
+            raise ValidationError(
+                f"analysis {key} must be true or false, got {value!r}"
+            )
 
     x0 = data.get("x0")
     if x0 is not None:
@@ -205,17 +323,26 @@ def config_from_dict(data: dict) -> RunConfig:
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ValidationError("seed must be an integer")
 
+    output_dir = data.get("output_dir")
+    if output_dir is not None and not isinstance(output_dir, str):
+        raise ValidationError(f"output_dir must be a string, got {output_dir!r}")
+
     return RunConfig(
         scenario=data.get("scenario"),
         system=system,
         x0=x0,
         integration=integration,
         seed=seed,
-        classify=bool(analysis.get("classify", True)),
-        equilibrium=bool(analysis.get("equilibrium", False)),
-        monitors=bool(analysis.get("monitors", True)),
-        output_dir=data.get("output_dir"),
+        output_dir=output_dir,
+        **flags,
     )
+
+
+def _number(record: dict, key: str) -> float:
+    value = record[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"integration {key} must be a number, got {value!r}")
+    return float(value)
 
 
 def load_config(path) -> RunConfig:
@@ -384,8 +511,9 @@ def render_report(report: dict) -> str:
     """Render a report as JSON with sorted keys.
 
     Containers down to depth 3 (the report itself is depth 0) are indented
-    by two spaces per level; each deeper container goes on one line, so a
-    weight row, a constraint record or a condition witness is one line.
+    by two spaces per level; each deeper container goes on one line, so an
+    edge column or a function record of the echoed system, or a condition
+    witness, is one line.
     Numpy arrays and scalars render as lists and numbers, frozensets as
     sorted lists.
     """

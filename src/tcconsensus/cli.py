@@ -15,7 +15,7 @@ import sys
 
 from .app import RunConfig, list_scenarios, load_config, run
 from .dynamics import IntegrationSpec
-from .errors import TCConsensusError
+from .errors import TCConsensusError, ValidationError
 from .scenarios import scenario_by_name
 
 
@@ -65,12 +65,15 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
             raise TCConsensusError(
                 "--dt/--t-final need an integration section to override"
             )
-        updates["integration"] = IntegrationSpec(
-            dt=args.dt if args.dt is not None else base.dt,
-            t_final=args.t_final if args.t_final is not None else base.t_final,
-            method=base.method,
-            record_stride=base.record_stride,
-        )
+        try:
+            updates["integration"] = IntegrationSpec(
+                dt=args.dt if args.dt is not None else base.dt,
+                t_final=args.t_final if args.t_final is not None else base.t_final,
+                method=base.method,
+                record_stride=base.record_stride,
+            )
+        except ValueError as err:
+            raise ValidationError(str(err)) from err
     if args.out is not None:
         updates["output_dir"] = args.out
     return dataclasses.replace(config, **updates) if updates else config

@@ -24,6 +24,7 @@ there is no event detection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -234,14 +235,21 @@ class IntegrationSpec:
     record_stride: int | None = None  # None: auto, about 1000 samples
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_final < 0:
-            raise ValueError("t_final must be non-negative")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        if not (math.isfinite(self.t_final) and self.t_final >= 0):
+            raise ValueError(
+                f"t_final must be non-negative and finite, got {self.t_final!r}"
+            )
         if self.method not in ("rk4", "euler"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.record_stride is not None and self.record_stride < 1:
-            raise ValueError("record_stride must be at least 1")
+        stride = self.record_stride
+        if stride is not None and (
+            isinstance(stride, bool)
+            or not isinstance(stride, (int, np.integer))
+            or stride < 1
+        ):
+            raise ValueError(f"record_stride must be an integer >= 1, got {stride!r}")
 
     def steps(self) -> int:
         """Number of fixed steps: ``t_final / dt`` rounded to the nearest

@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from tcconsensus.app import (
 from tcconsensus.cli import main
 from tcconsensus.errors import ParseError, ValidationError
 from tcconsensus.scenarios import builtin_scenarios
+from test_dynamics import random_catalog_system
 
 CUSTOM_SYSTEM = {
     "weights": [[0.0, 1.0], [1.0, 0.0]],
@@ -252,13 +255,16 @@ class TestSystemLoading:
         assert len(objects) == 2
         assert len(set(objects.values())) == 1  # one value
         echo = system_to_dict(sys_)
-        for rec in echo["constraints"]:
-            own = sys_.constraints[(rec["sender"], rec["receiver"])].to_dict()
-            assert json.dumps(rec["fn"]) == json.dumps(own)
-        assert {json.dumps(rec["fn"]) for rec in echo["constraints"]} == {
-            json.dumps({"variant": "saturation", "lo": -1, "hi": 1}),
-            json.dumps({"variant": "saturation", "lo": -1.0, "hi": 1.0}),
-        }
+        edges = echo["edges"]
+        for j, i, k in zip(edges["sender"], edges["receiver"], edges["function"]):
+            own = sys_.constraints[(j, i)].to_dict()
+            assert json.dumps(echo["functions"][k]) == json.dumps(own)
+        assert sorted(json.dumps(rec) for rec in echo["functions"]) == sorted(
+            [
+                json.dumps({"variant": "saturation", "lo": -1, "hi": 1}),
+                json.dumps({"variant": "saturation", "lo": -1.0, "hi": 1.0}),
+            ]
+        )
 
     def test_numpy_integer_indices_accepted(self):
         record = json.loads(json.dumps(CUSTOM_SYSTEM))
@@ -273,6 +279,34 @@ def edited(edit):
     record = json.loads(json.dumps(CUSTOM_SYSTEM))
     edit(record)
     return record
+
+
+# CUSTOM_SYSTEM in the columnar form; its two equal records are one object
+COLUMNAR_SYSTEM = {
+    "agents": 2,
+    "functions": [{"variant": "affine", "k": -0.5, "m": 0.0}],
+    "edges": {
+        "sender": [0, 1],
+        "receiver": [1, 0],
+        "weight": [1.0, 1.0],
+        "function": [0, 0],
+    },
+}
+
+
+def columnar(edit):
+    """An edit of COLUMNAR_SYSTEM, applied in place of the dense record."""
+
+    def apply(record):
+        record.clear()
+        record.update(json.loads(json.dumps(COLUMNAR_SYSTEM)))
+        edit(record)
+
+    return apply
+
+
+def set_column(name, position, value):
+    return columnar(lambda r: r["edges"][name].__setitem__(position, value))
 
 
 MALFORMED_SYSTEMS = {
@@ -324,6 +358,47 @@ MALFORMED_SYSTEMS = {
             "second": {"variant": "affine", "k": -0.5, "m": -math.inf},
         }
     ),
+    "columnar-system-key": columnar(lambda r: r.update(bogus=3)),
+    "both-forms": columnar(lambda r: r.update(weights=[[0.0, 1.0], [1.0, 0.0]])),
+    "both-forms-partial": columnar(lambda r: r.update(constraints=[])),
+    "edges-key": columnar(lambda r: r["edges"].update(bogus=[])),
+    "missing-column": columnar(lambda r: r["edges"].pop("weight")),
+    "missing-functions": columnar(lambda r: r.pop("functions")),
+    "column-not-a-list": columnar(lambda r: r["edges"].update(sender="01")),
+    "functions-not-a-list": columnar(
+        lambda r: r.update(functions={"variant": "identity"})
+    ),
+    "unequal-columns": columnar(lambda r: r["edges"]["weight"].append(1.0)),
+    "bool-agents": columnar(lambda r: r.update(agents=True)),
+    "float-agents": columnar(lambda r: r.update(agents=2.0)),
+    "negative-agents": columnar(lambda r: r.update(agents=-1)),
+    # np.asarray([True, 1]) is an int array: the type check runs first
+    "bool-sender": set_column("sender", 1, True),
+    "float-receiver": set_column("receiver", 0, 1.0),
+    "string-sender": set_column("sender", 0, "0"),
+    "bool-function-index": set_column("function", 0, False),
+    "float-function-index": set_column("function", 1, 0.0),
+    "sender-out-of-range": set_column("sender", 1, 2),
+    "negative-receiver": set_column("receiver", 0, -1),
+    "function-out-of-range": set_column("function", 0, 1),
+    "negative-function-index": set_column("function", 0, -1),
+    "self-loop": set_column("receiver", 0, 0),
+    "repeated-pair": columnar(
+        lambda r: r["edges"].update(sender=[0, 0], receiver=[1, 1])
+    ),
+    "zero-weight": set_column("weight", 0, 0.0),
+    "negative-weight": set_column("weight", 1, -1.0),
+    "nan-weight": set_column("weight", 0, float("nan")),
+    "infinite-weight": set_column("weight", 1, math.inf),
+    "bool-weight": set_column("weight", 0, True),
+    "string-weight": set_column("weight", 0, "1.0"),
+    "unused-function": columnar(
+        lambda r: r["functions"].append({"variant": "identity"})
+    ),
+    "columnar-nan-parameter": columnar(
+        lambda r: r["functions"][0].update(k=float("nan"))
+    ),
+    "columnar-fn-key": columnar(lambda r: r["functions"][0].update(bogus=1)),
 }
 
 
@@ -335,6 +410,212 @@ class TestSystemValidation:
             system_from_dict(record)
         with pytest.raises(ValidationError):
             config_from_dict({"system": record, "x0": [0.0, 0.0]})
+
+
+def dense_record(system):
+    """The former echo, a weight matrix plus one record per edge: the
+    oracle for the dense form."""
+    return {
+        "weights": system.graph.weights.tolist(),
+        "constraints": [
+            {"sender": j, "receiver": i, "fn": fn.to_dict()}
+            for (j, i), fn in sorted(system.constraints.items())
+        ],
+    }
+
+
+def sharing(system):
+    """Which edges share a function object: each edge maps to the first
+    edge, in sorted order, that carries the same object."""
+    first = {}
+    return {
+        key: first.setdefault(id(fn), key)
+        for key, fn in sorted(system.constraints.items())
+    }
+
+
+def netgen_config(n=200):
+    """The benchmark's seeded ring-plus-random network, as a config."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "netgen.py"
+    spec = importlib.util.spec_from_file_location("netgen", path)
+    netgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(netgen)
+    return {
+        "system": netgen.wide_network(1, n),
+        "x0": [3.0 * ((7 * i) % n) / n - 1.5 for i in range(n)],
+        "integration": {"dt": 0.01, "t_final": 0.2},
+        "seed": 1,
+    }
+
+
+README_CONFIG = {
+    "system": {
+        "weights": [[0.0, 1.0], [1.0, 0.0]],
+        "constraints": [
+            {
+                "sender": 0,
+                "receiver": 1,
+                "fn": {"variant": "saturation", "lo": -1.0, "hi": 1.0},
+            },
+            {
+                "sender": 1,
+                "receiver": 0,
+                "fn": {"variant": "affine", "k": -0.5, "m": 0.0},
+            },
+        ],
+    },
+    "x0": [3.0, -2.0],
+    "integration": {"dt": 0.001, "t_final": 2.0, "method": "rk4"},
+    "seed": 0,
+    "analysis": {"classify": True, "equilibrium": False, "monitors": True},
+    "output_dir": "results",
+}
+
+
+def dense_config(make):
+    """A config maker's config as JSON data with a dense system record."""
+    config = make()
+    data = json.loads(json.dumps(config.to_dict()))
+    data["system"] = dense_record(config.system)
+    return data
+
+
+ECHO_CONFIGS = {
+    "readme": lambda: json.loads(json.dumps(README_CONFIG)),
+    "int-and-float": lambda: dense_config(int_and_float_ring),
+    "ring-plus-random": lambda: dense_config(ring_plus_random),
+    "netgen-200": netgen_config,
+}
+
+ECHO_SYSTEMS = {
+    **{
+        f"catalog-{seed}": (lambda seed=seed: random_catalog_system(seed))
+        for seed in range(12)
+    },
+    **{
+        name: (lambda make=make: system_from_dict(make()["system"]))
+        for name, make in ECHO_CONFIGS.items()
+    },
+}
+
+
+class TestColumnarEcho:
+    @pytest.mark.parametrize("name", sorted(ECHO_SYSTEMS))
+    def test_both_forms_compile_alike(self, name):
+        original = ECHO_SYSTEMS[name]()
+        echo = system_to_dict(original)
+        loaded = system_from_dict(json.loads(json.dumps(echo)))
+        dense = system_from_dict(json.loads(json.dumps(dense_record(original))))
+        for sys_ in (loaded, dense):
+            assert sys_.graph.weights.tobytes() == original.graph.weights.tobytes()
+            assert sys_.constraints == original.constraints
+            assert sharing(sys_) == sharing(original)
+        assert system_to_dict(loaded) == echo == system_to_dict(dense)
+
+    def test_echo_layout(self):
+        sys_ = random_catalog_system(3)
+        echo = system_to_dict(sys_)
+        edges = echo["edges"]
+        keys = list(zip(edges["sender"], edges["receiver"]))
+        assert echo["agents"] == sys_.n and keys == sorted(sys_.constraints)
+        assert edges["weight"] == [sys_.graph.weights[i, j] for j, i in keys]
+        # one entry per object, numbered in first-edge order
+        assert sorted(set(edges["function"])) == list(range(len(echo["functions"])))
+        firsts = [edges["function"].index(k) for k in range(len(echo["functions"]))]
+        assert firsts == sorted(firsts)
+        for key, k in zip(keys, edges["function"]):
+            assert echo["functions"][k] == sys_.constraints[key].to_dict()
+
+    def test_equal_records_in_the_table_share_one_object(self):
+        record = json.loads(json.dumps(COLUMNAR_SYSTEM))
+        record["functions"].append(dict(record["functions"][0]))
+        record["edges"]["function"] = [0, 1]
+        sys_ = system_from_dict(record)
+        assert len({id(fn) for fn in sys_.constraints.values()}) == 1
+        assert system_to_dict(sys_) == COLUMNAR_SYSTEM
+
+    def test_numpy_integer_indices_accepted(self):
+        record = json.loads(json.dumps(COLUMNAR_SYSTEM))
+        record["agents"] = np.int64(2)
+        record["edges"]["sender"] = [np.int32(0), np.int64(1)]
+        record["edges"]["function"] = [np.uint8(0), 0]
+        record["edges"]["weight"] = [np.float64(1.0), 1]
+        got = system_from_dict(record)
+        want = system_from_dict(CUSTOM_SYSTEM)
+        assert got.constraints == want.constraints
+        assert got.graph.weights.tobytes() == want.graph.weights.tobytes()
+
+    def test_edgeless_system(self):
+        record = {
+            "agents": 3,
+            "functions": [],
+            "edges": {"sender": [], "receiver": [], "weight": [], "function": []},
+        }
+        sys_ = system_from_dict(record)
+        assert sys_.n == 3 and not sys_.constraints
+        assert system_to_dict(sys_) == record
+
+    @pytest.mark.parametrize("mode", ["analyze", "equilibrium", "simulate"])
+    @pytest.mark.parametrize("name", sorted(ECHO_CONFIGS))
+    def test_echoed_config_reproduces_the_report(self, name, mode):
+        data = ECHO_CONFIGS[name]()
+        assert "weights" in data["system"]
+        report, traj, _ = build_report(config_from_dict(data), mode=mode)
+        text = render_report(report)
+        echoed = json.loads(text)["config"]
+        assert set(echoed["system"]) == {"agents", "functions", "edges"}
+        again, traj_again, _ = build_report(config_from_dict(echoed), mode=mode)
+        assert render_report(again) == text
+        if mode == "simulate":
+            assert traj_again.to_csv() == traj.to_csv()
+
+
+BAD_FIELDS = {
+    "string-record-stride": {"integration": {"record_stride": "5"}},
+    "fractional-record-stride": {"integration": {"record_stride": 2.5}},
+    "bool-record-stride": {"integration": {"record_stride": True}},
+    "nan-dt": {"integration": {"dt": float("nan")}},
+    "infinite-dt": {"integration": {"dt": math.inf}},
+    "infinite-t-final": {"integration": {"t_final": math.inf}},
+    "string-dt": {"integration": {"dt": "0.01"}},
+    "string-analysis-flag": {"analysis": {"equilibrium": "false"}},
+    "integer-analysis-flag": {"analysis": {"classify": 1}},
+    "null-analysis-flag": {"analysis": {"monitors": None}},
+    "numeric-output-dir": {"output_dir": 5},
+}
+
+
+class TestConfigFields:
+    @pytest.mark.parametrize("case", sorted(BAD_FIELDS))
+    def test_bad_field_exits_two(self, tmp_path, capsys, case):
+        data = {"scenario": "ex1", "integration": {"dt": 0.01, "t_final": 0.1}}
+        for key, value in BAD_FIELDS[case].items():
+            data[key] = {**data[key], **value} if key == "integration" else value
+        path = write_config(tmp_path, data)
+        with pytest.raises(ValidationError):
+            load_config(path)
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--dt", "nan"), ("--t-final", "inf")])
+    def test_bad_override_exits_two(self, capsys, flag, value):
+        assert main(["scenario", "ex1", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_integer_fields_accepted(self):
+        config = config_from_dict(
+            {
+                "scenario": "ex1",
+                "integration": {"dt": 1, "t_final": 2, "record_stride": 5},
+                "analysis": {"equilibrium": True},
+                "output_dir": "out",
+            }
+        )
+        assert config.integration.dt == 1.0 and config.integration.record_stride == 5
+        assert config.equilibrium is True and config.output_dir == "out"
 
 
 SCENARIO_NAMES = [s.name for s in builtin_scenarios()]
@@ -384,12 +665,20 @@ class TestRenderReport:
             '{"flag": true, "deep": {"a": {"b": {"c": [false]}}}}'
         )
 
-    def test_weight_row_on_one_line(self):
+    def test_edge_column_on_one_line(self):
         config = ring_plus_random()
         report, _, _ = build_report(config, mode="analyze")
-        row = config.system.graph.weights[5].tolist()
-        # depth 4: report > config > system > weights > row
-        assert " " * 8 + json.dumps(row) + "," in render_report(report).splitlines()
+        lines = render_report(report).splitlines()
+        echo = system_to_dict(config.system)
+        # depth 4: report > config > system > edges > column
+        for name in ("function", "receiver", "sender"):
+            column = json.dumps(echo["edges"][name])
+            assert " " * 8 + f'"{name}": {column},' in lines
+        weights = " " * 8 + '"weight": ' + json.dumps(echo["edges"]["weight"])
+        assert weights in lines
+        # and report > config > system > functions > record
+        fn = json.dumps(echo["functions"][1], sort_keys=True)
+        assert " " * 8 + fn + "," in lines
 
     def test_rendering_is_deterministic(self):
         report, _, _ = build_report(ring_plus_random(), mode="analyze")
