@@ -52,9 +52,9 @@ _COLUMNAR_KEYS = {"agents", "functions", "edges"}
 _EDGE_COLUMNS = ("sender", "receiver", "weight", "function")
 _CONSTRAINT_KEYS = {"sender", "receiver", "fn"}
 _INTEGER = (int, np.integer)
-# (accepted types, dtype, description) of an edge column's values
+# (accepted types, dtype, description) of a column's values
 _INDEX = (_INTEGER, np.int64, "an integer")
-_WEIGHT = ((int, float, np.integer, np.floating), np.float64, "a number")
+_NUMBER = ((int, float, np.integer, np.floating), np.float64, "a number")
 
 
 @dataclass(frozen=True)
@@ -159,14 +159,16 @@ def _list(value, what: str) -> list:
     return value
 
 
-def _column(edges: dict, name: str, spec: tuple) -> np.ndarray:
+def _column(values: list, name: str, spec: tuple) -> np.ndarray:
     # np.asarray would read True as 1 and 0.0 as 0: check each type first
     kinds, dtype, what = spec
-    values = edges[name]
     for value in values:
         if isinstance(value, bool) or not isinstance(value, kinds):
             raise ValidationError(f"{name} must be {what}, got {value!r}")
-    return np.array(values, dtype=dtype)
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError as err:  # an integer beyond the dtype's range
+        raise ValidationError(f"{name} out of range: {err}") from err
 
 
 def _load_fn(record, loaded: dict) -> _constraints.ConstraintFn:
@@ -204,9 +206,10 @@ def _columnar_system(record: dict) -> System:
     if len(set(lengths.values())) > 1:
         raise ValidationError(f"edge columns must have equal lengths, got {lengths}")
     senders, receivers, index = (
-        _column(edges, name, _INDEX) for name in ("sender", "receiver", "function")
+        _column(edges[name], name, _INDEX)
+        for name in ("sender", "receiver", "function")
     )
-    weights = _column(edges, "weight", _WEIGHT)
+    weights = _column(edges["weight"], "weight", _NUMBER)
     for name, column, bound in (
         ("sender", senders, n),
         ("receiver", receivers, n),
@@ -310,12 +313,13 @@ def config_from_dict(data: dict) -> RunConfig:
                 f"analysis {key} must be true or false, got {value!r}"
             )
 
+    scenario = data.get("scenario")
+    if scenario is not None and not isinstance(scenario, str):
+        raise ValidationError(f"scenario must be a string, got {scenario!r}")
+
     x0 = data.get("x0")
     if x0 is not None:
-        try:
-            x0 = tuple(float(v) for v in x0)
-        except (TypeError, ValueError) as err:
-            raise ValidationError(f"x0 must be a list of numbers: {err}") from err
+        x0 = tuple(_column(_list(x0, "x0"), "x0 entry", _NUMBER).tolist())
         if not all(math.isfinite(v) for v in x0):
             raise ValidationError("x0 must be finite")
 
@@ -328,7 +332,7 @@ def config_from_dict(data: dict) -> RunConfig:
         raise ValidationError(f"output_dir must be a string, got {output_dir!r}")
 
     return RunConfig(
-        scenario=data.get("scenario"),
+        scenario=scenario,
         system=system,
         x0=x0,
         integration=integration,

@@ -3,20 +3,26 @@ invariant box construction.
 
 An equilibrium is a state where every agent's constrained input sum
 vanishes. The solver ladder runs plain fixed-point (Picard) iteration on the
-degree-normalized update map, falls back to damped iteration, and finally to
-long-horizon integration; each rung's failure is recorded in the method
-note.
+degree-normalized update map, then damped (Krasnosel'skii-Mann) iteration,
+and finally long-horizon integration. A start leaves a rung when it
+diverges, exhausts its budget or stalls (its residual stops halving every 64
+iterations while the state circles rather than drifts), and its method note
+records why; see :func:`solve_equilibrium`.
+All starts climb the ladder in lockstep: one kernel call per iteration
+serves every start, whatever its rung, and the same input sums give the
+residual of each start due for a check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constraints import box_violation, difference_quotient_bounds, fixed_point_set
-from .dynamics import IntegrationSpec, System, _input_sums, default_dt, integrate, rhs
+from .dynamics import _DIVERGENCE_LIMIT, IntegrationSpec, System, _input_sums
+from .dynamics import default_dt, integrate, rhs
 from .errors import (
     EmptyFixedPointSetError,
     NoInEdgeAgentError,
@@ -40,83 +46,188 @@ class Equilibrium:
     iterations: int
 
 
+def _map_step(E, num, den):
+    """Degree-normalized update of the rows of ``E`` from their input sums:
+    each agent moves to the weighted mean of its constrained in-neighbor
+    transmissions. Gated edges drop out of both the numerator and the
+    effective degree while closed; an agent with no open in-edge keeps its
+    state."""
+    return np.divide(num, den, out=E.copy(), where=den > 0)
+
+
 def _picard_map(system: System, e: np.ndarray) -> np.ndarray:
-    """Degree-normalized update: each agent moves to the weighted mean of its
-    constrained in-neighbor transmissions. Gated edges drop out of both the
-    numerator and the effective degree while closed; an agent with no open
-    in-edge keeps its state."""
-    num, den = _input_sums(system, e[None, :])
-    out = e.copy()
-    active = den[0] > 0
-    out[active] = num[0, active] / den[0, active]
-    return out
+    """The update map at one state."""
+    return _map_step(e[None, :], *_input_sums(system, e[None, :]))[0]
+
+
+_BUDGET = 20000
+_RUNGS = ((1.0, "picard"), (0.5, "damped-0.5"), (0.25, "damped-0.25"))
+
+
+@dataclass
+class _Start:
+    """One start on the ladder: its rung, the tick at which the rung began
+    from the seed, the rung's residuals and states at its checks so far, the
+    best point seen and one note per rung left."""
+
+    seed: np.ndarray
+    rung: int = 0
+    begun: int = 0
+    history: list = field(default_factory=list)
+    best: np.ndarray | None = None
+    best_res: float = math.inf
+    notes: list = field(default_factory=list)
+
+    def leave(self, why: str, tick: int) -> bool:
+        """Restart from the seed on the next rung at the next tick; whether
+        one remains."""
+        self.notes.append(f"{_RUNGS[self.rung][1]}: {why}")
+        self.rung, self.begun, self.history = self.rung + 1, tick + 1, []
+        return self.rung < len(_RUNGS)
+
+
+def _ladder(system: System, seeds, tol: float, budget: int) -> list:
+    """Climb the ladder from every row of ``seeds`` in lockstep; one
+    ``Equilibrium`` or ``UnconvergedError`` per row."""
+    alpha, _ = row_stats(system.graph)
+    if np.any(alpha <= 0):
+        raise NoInEdgeAgentError(
+            f"agents without in-edges: {np.flatnonzero(alpha <= 0).tolist()}"
+        )
+    seeds = np.asarray(seeds, dtype=np.float64)
+    if not np.all(np.isfinite(seeds)):
+        raise NonFiniteStateError("state vector has non-finite entries")
+    m = len(seeds)
+    starts = [_Start(s) for s in seeds]
+    outcomes: list = [None] * m
+    tail: list[int] = []
+
+    # the active rows, their states, their rung's relaxation d and the tick
+    # of their next check; a row at tick t has made t - begun iterations on
+    # its rung and is checked every 8
+    rows, E, due = np.arange(m), seeds.copy(), np.zeros(m, dtype=np.int64)
+    damping = np.ones((m, 1))
+    tick = wake = 0
+    while rows.size:
+        num, den = _input_sums(system, E)
+        T = _map_step(E, num, den)
+        fresh, gone = [], []  # rows restarting from the seed, rows leaving
+        if tick == wake:
+            hit = np.flatnonzero(due == tick)
+            res = np.abs(num[hit] - E[hit] * den[hit]).max(axis=1)
+            for i, r in zip(hit.tolist(), res.tolist()):
+                st = starts[rows[i]]
+                it = tick - st.begun
+                if r < st.best_res:
+                    st.best, st.best_res = E[i].copy(), r
+                # stalled: the residual failed to halve over 64 iterations,
+                # at that rate it would not reach tol within the budget, and
+                # the state went round rather than along: it moved less than
+                # half as far as 64 of its current steps would carry it
+                past, then = st.history[-8] if len(st.history) >= 8 else (math.inf, 0)
+                ratio = r / past if past > 0 else math.inf
+                stalled = (
+                    ratio > 0.5
+                    and (ratio >= 1.0 or r * ratio ** ((budget - it) / 64) > tol)
+                    and np.abs(E[i] - then).max()
+                    < 32 * damping[i, 0] * np.abs(T[i] - E[i]).max()
+                )
+                if r <= tol and it > 0:
+                    method = ";".join(st.notes + [_RUNGS[st.rung][1]])
+                    outcomes[rows[i]] = Equilibrium(E[i].copy(), r, method, it)
+                    gone.append(i)
+                elif it == budget or stalled:
+                    why = (
+                        "budget exhausted"
+                        if it == budget
+                        else f"stalled at {it} (residual ratio {ratio:.2f})"
+                    )
+                    (fresh if st.leave(why, tick) else gone).append(i)
+                else:
+                    st.history.append((r, E[i].copy()))
+                    due[i] = st.begun + min(it + 8, budget)
+        E = (1.0 - damping) * E + damping * T
+        if not np.abs(E).max() <= _DIVERGENCE_LIMIT:  # NaN fails it too
+            big = ~(np.abs(E).max(axis=1) <= _DIVERGENCE_LIMIT)
+            for i in np.flatnonzero(big).tolist():
+                if i not in fresh and i not in gone:
+                    st = starts[rows[i]]
+                    (fresh if st.leave("diverged", tick) else gone).append(i)
+        for i in fresh:
+            st = starts[rows[i]]
+            E[i], damping[i], due[i] = st.seed, _RUNGS[st.rung][0], st.begun
+        tail += [int(rows[i]) for i in gone if outcomes[rows[i]] is None]
+        if gone:
+            stay = np.ones(rows.size, dtype=bool)
+            stay[gone] = False
+            rows, E, due, damping = (a[stay] for a in (rows, E, due, damping))
+        if tick == wake or fresh or gone:
+            wake = int(due.min()) if rows.size else -1
+        tick += 1
+
+    # integration tail for each start that left every rung: ride the
+    # dynamics from the seed until the residual settles
+    spec = IntegrationSpec(dt=default_dt(system), t_final=10.0, record_stride=10**9)
+    for k in tail:
+        st, e, steps = starts[k], seeds[k], 0
+        for _ in range(min(60, max(2, budget // 1000))):
+            try:
+                e = integrate(system, e, spec).final_state()
+            except NonFiniteStateError:
+                break
+            steps += spec.steps()
+            r = residual(system, e)
+            if r < st.best_res:
+                st.best, st.best_res = e.copy(), r
+            if r <= tol:
+                method = ";".join(st.notes + ["integration-tail"])
+                outcomes[k] = Equilibrium(e, r, method, steps)
+                break
+    return [
+        UnconvergedError(
+            f"no equilibrium within tol {tol:g}; best residual {st.best_res:g}",
+            best=st.best,
+            residual=st.best_res,
+        )
+        if out is None
+        else out
+        for out, st in zip(outcomes, starts)
+    ]
 
 
 def solve_equilibrium(
     system: System,
     seed,
     tol: float = 1e-10,
-    budget: int = 20000,
+    budget: int = _BUDGET,
 ) -> Equilibrium:
     """Solve for an equilibrium starting from ``seed``.
 
     Ladder: Picard iteration, damped iteration (relaxation 0.5 then 0.25),
-    then integration from the seed. Raises ``UnconvergedError`` with the
-    best point found when every rung exhausts the budget.
+    then integration. Each rung starts from the seed, whose residual is the
+    check at iteration 0; the residual is checked again every 8 iterations
+    and at the budget, and the rung converges at a later check within
+    ``tol``. A rung is left when the state diverges, when ``budget``
+    iterations pass, or when it stalls: the residual at a check exceeds half
+    the residual 8 checks (64 iterations) earlier, that ratio, kept up over
+    the rest of the budget, would not bring it within ``tol``, and the state
+    moved less over those 64 iterations than 32 of its current steps span.
+    A cycle or an oscillation stalls; a steady drift with a flat residual
+    keeps its rung. Raises ``UnconvergedError`` with the best point found
+    when every rung and the integration tail fail.
+
+    The method note is one ``<rung>: <why>`` entry per rung left, then the
+    converging rung (``picard``, ``damped-0.5``, ``damped-0.25`` or
+    ``integration-tail``), joined by ``;``. ``<why>`` is ``diverged``,
+    ``budget exhausted`` or ``stalled at <iteration> (residual ratio
+    <ratio>)``, as in ``picard: stalled at 64 (residual ratio
+    1.00);damped-0.5``. ``iterations`` counts the converging rung's
+    iterations, or the integration tail's steps.
     """
-    alpha, a_bar = row_stats(system.graph)
-    if np.any(alpha <= 0):
-        raise NoInEdgeAgentError(
-            f"agents without in-edges: {np.flatnonzero(alpha <= 0).tolist()}"
-        )
-    seed = np.asarray(seed, dtype=np.float64)
-    notes = []
-    best = seed
-    best_res = residual(system, seed)
-
-    for damping, label in ((1.0, "picard"), (0.5, "damped-0.5"), (0.25, "damped-0.25")):
-        e = seed.copy()
-        for it in range(1, budget + 1):
-            nxt = _picard_map(system, e)
-            e = (1.0 - damping) * e + damping * nxt
-            if not np.all(np.isfinite(e)) or np.abs(e).max() > 1e12:
-                notes.append(f"{label}: diverged")
-                break
-            if it % 8 == 0 or it == budget:
-                res = residual(system, e)
-                if res < best_res:
-                    best, best_res = e.copy(), res
-                if res <= tol:
-                    method = label if not notes else ";".join(notes) + f";{label}"
-                    return Equilibrium(e, res, method, it)
-        else:
-            notes.append(f"{label}: budget exhausted")
-            continue
-
-    # integration tail: ride the dynamics until the residual settles
-    dt = default_dt(system)
-    e = seed.copy()
-    total_steps = 0
-    chunks = min(60, max(2, budget // 1000))
-    for chunk in range(chunks):
-        spec = IntegrationSpec(dt=dt, t_final=10.0, record_stride=10**9)
-        try:
-            traj = integrate(system, e, spec)
-        except NonFiniteStateError:
-            break
-        e = traj.final_state()
-        total_steps += spec.steps()
-        res = residual(system, e)
-        if res < best_res:
-            best, best_res = e.copy(), res
-        if res <= tol:
-            notes.append("integration-tail")
-            return Equilibrium(e, res, ";".join(notes), total_steps)
-    raise UnconvergedError(
-        f"no equilibrium within tol {tol:g}; best residual {best_res:g}",
-        best=best,
-        residual=best_res,
-    )
+    out = _ladder(system, np.asarray(seed, dtype=np.float64)[None, :], tol, budget)[0]
+    if isinstance(out, UnconvergedError):
+        raise out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -125,22 +236,17 @@ def solve_equilibrium(
 _MASK = (1 << 64) - 1
 
 
-def _splitmix64(index: int) -> float:
-    z = (index * 0x9E3779B97F4A7C15) & _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    z = z ^ (z >> 31)
-    return (z >> 11) / float(1 << 53)
-
-
 def seed_stream(seed: int, count: int, n: int, lo: float, hi: float) -> np.ndarray:
-    """``count`` deterministic pseudo-random points in ``[lo, hi]^n``."""
-    base = (seed * 0x2545F4914F6CDD1D + 0x632BE59BD9B4E019) & _MASK
-    out = np.empty((count, n))
-    for c in range(count):
-        for k in range(n):
-            out[c, k] = lo + (hi - lo) * _splitmix64((base + c * n + k) & _MASK)
-    return out
+    """``count`` deterministic pseudo-random points in ``[lo, hi]^n``: the
+    splitmix64 finalizer of the counters ``base + c * n + k``, wrapping
+    modulo 2**64, scaled from its top 53 bits."""
+    base = np.uint64((seed * 0x2545F4914F6CDD1D + 0x632BE59BD9B4E019) & _MASK)
+    z = (base + np.arange(count * n, dtype=np.uint64)) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    u = (z >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+    return (lo + (hi - lo) * u).reshape(count, n)
 
 
 @dataclass(frozen=True)
@@ -177,21 +283,29 @@ def uniqueness_probe(
 ) -> UniquenessReport:
     """Solve from ``n_starts`` deterministic seeds in ``box`` and cluster the
     solutions by max-norm distance, within ``1e3 * tol`` of a cluster's
-    first member."""
+    first member.
+
+    The starts climb :func:`solve_equilibrium`'s ladder together, in
+    lockstep, with one kernel call per iteration for all of them. Each
+    outcome matches the start's own ``solve_equilibrium``: the same method
+    and iterations, and a point equal up to the rounding of the batched
+    matrix product."""
     if n_starts < 2:
         raise ValueError("n_starts must be at least 2")
     cluster_radius = 1e3 * tol
     lo, hi = box
     seeds = seed_stream(seed, n_starts, system.n, lo, hi)
-    outcomes = []
-    points = []
-    for s in seeds:
-        try:
-            eq = solve_equilibrium(system, s, tol=tol)
-            outcomes.append(StartOutcome(s, eq))
-            points.append(eq.point)
-        except (UnconvergedError, NoInEdgeAgentError) as err:
-            outcomes.append(StartOutcome(s, None, error=str(err)))
+    try:
+        solved = _ladder(system, seeds, tol, _BUDGET)
+    except NoInEdgeAgentError as err:
+        solved = [err] * n_starts
+    outcomes = tuple(
+        StartOutcome(s, eq)
+        if isinstance(eq, Equilibrium)
+        else StartOutcome(s, None, error=str(eq))
+        for s, eq in zip(seeds, solved)
+    )
+    points = [o.equilibrium.point for o in outcomes if o.equilibrium is not None]
     clusters: list[tuple[np.ndarray, int]] = []
     for p in points:
         for idx, (rep, count) in enumerate(clusters):
@@ -202,7 +316,7 @@ def uniqueness_probe(
             clusters.append((p, 1))
     return UniquenessReport(
         clusters=tuple(clusters),
-        outcomes=tuple(outcomes),
+        outcomes=outcomes,
         cluster_radius=cluster_radius,
     )
 

@@ -582,6 +582,11 @@ BAD_FIELDS = {
     "integer-analysis-flag": {"analysis": {"classify": 1}},
     "null-analysis-flag": {"analysis": {"monitors": None}},
     "numeric-output-dir": {"output_dir": 5},
+    "list-scenario": {"scenario": ["ex1"]},
+    "string-and-bool-x0-entries": {"x0": ["1.5", True, 0, 0, 0]},
+    "bool-x0-entry": {"x0": [1.5, True, 0.0, 0.0, 0.0]},
+    "string-x0": {"x0": "12345"},
+    "huge-integer-x0-entry": {"x0": [10**400, 0, 0, 0, 0]},
 }
 
 
@@ -616,6 +621,12 @@ class TestConfigFields:
         )
         assert config.integration.dt == 1.0 and config.integration.record_stride == 5
         assert config.equilibrium is True and config.output_dir == "out"
+
+    def test_x0_accepts_integers_and_numpy_numbers(self):
+        x0 = [1, 2.5, np.float32(0.5), np.int64(-3), np.float64(0.25)]
+        config = config_from_dict({"scenario": "ex1", "x0": x0})
+        assert config.x0 == (1.0, 2.5, 0.5, -3.0, 0.25)
+        assert all(type(v) is float for v in config.x0)
 
 
 SCENARIO_NAMES = [s.name for s in builtin_scenarios()]

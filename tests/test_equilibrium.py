@@ -18,6 +18,7 @@ from tcconsensus import (
     theta_hull,
     uniqueness_probe,
 )
+from tcconsensus.equilibrium import _ladder
 from tcconsensus.errors import (
     EmptyFixedPointSetError,
     NoInEdgeAgentError,
@@ -107,7 +108,134 @@ class TestSolveEquilibrium:
         assert exc.value.residual > 0
 
 
+# iterations of solve_equilibrium from each scenario's sampled x0 at seeds 0
+# and 7; every one of these converges on the undamped rung
+PINNED_SOLVES = {
+    "interval": (184, 192),
+    "ex3": (16, 24),
+    "ex1": (32, 32),
+    "ex2": (24, 24),
+    "ex4": (24, 24),
+    "discarded": (24, 24),
+    "bipartite": (24, 24),
+    "necessity-2agent": (8, 8),
+}
+
+
+class TestLadder:
+    @pytest.mark.parametrize("name", sorted(PINNED_SOLVES))
+    def test_pinned_rung_and_iterations(self, name):
+        sc = scenario_by_name(name)
+        for seed, iterations in zip((0, 7), PINNED_SOLVES[name]):
+            eq = solve_equilibrium(sc.system, sc.sample_x0(seed)[0])
+            assert (eq.method, eq.iterations) == ("picard", iterations)
+
+    @pytest.mark.parametrize(
+        "name, seed_point, stall, iterations",
+        [
+            ("sine", None, "stalled at 456 (residual ratio 0.93)", 56),
+            ("necessity-2agent", [0.5, 2.5], "stalled at 64 (residual ratio 1.00)", 8),
+        ],
+    )
+    def test_nonexpansive_map_stalls_onto_the_damped_rung(
+        self, name, seed_point, stall, iterations
+    ):
+        # sine's map has an eigenvalue -1 at the origin; the 2-agent pair's
+        # map swaps the agents, so its undamped residual never moves
+        sc = scenario_by_name(name)
+        x0 = sc.sample_x0(0)[0] if seed_point is None else np.array(seed_point)
+        eq = solve_equilibrium(sc.system, x0)
+        assert eq.method == f"picard: {stall};damped-0.5"
+        assert eq.iterations == iterations
+        assert eq.residual <= 1e-10
+
+    def test_steady_drift_keeps_its_rung(self):
+        # f(y) = y + 1 below 0, then 1: from (-1000, -1000) the undamped map
+        # moves both agents up by 1 per iteration with a flat residual; the
+        # rung is moving, not stalled, and reaches (1, 1)
+        f = PiecewiseLinear(knots=((0, 1), (1, 1)), left_slope=1)
+        eq = solve_equilibrium(two_agent(f, f), [-1000.0, -1000.0])
+        assert (eq.method, eq.iterations) == ("picard", 1008)
+        assert eq.point.tolist() == [1.0, 1.0]
+
+    def test_slow_steady_contraction_keeps_its_rung(self):
+        # slope 0.995 on both edges: the residual falls by 0.995 per
+        # iteration, 0.73 per 64, so it fails to halve at every check but
+        # reaches tol well inside the budget
+        sys_ = two_agent(Affine(0.995, 0.0), Affine(0.995, 0.0))
+        eq = solve_equilibrium(sys_, [1.0, -0.5])
+        assert (eq.method, eq.iterations) == ("picard", 4680)
+
+    @pytest.mark.parametrize("name", ["ex3", "ex4", "interval", "sine", "bipartite"])
+    def test_probe_outcomes_match_their_own_solves(self, name):
+        sys_ = scenario_by_name(name).system
+        report = uniqueness_probe(sys_, (-3.0, 3.0), 6, tol=1e-8, seed=5)
+        for outcome in report.outcomes:
+            alone = solve_equilibrium(sys_, outcome.seed_point, tol=1e-8)
+            eq = outcome.equilibrium
+            assert (eq.method, eq.iterations) == (alone.method, alone.iterations)
+            assert np.abs(eq.point - alone.point).max() <= 1e-12
+
+    def test_diverging_rows_leave_the_batch(self):
+        # slope -8 on both edges: the map's consensus mode has eigenvalue -8,
+        # which every rung diverges or stalls on, while the dynamics contract
+        # it; the other mode (eigenvalue 8) diverges under the dynamics too
+        sys_ = two_agent(Affine(-8.0, 0.0), Affine(-8.0, 0.0))
+        tail, lost = _ladder(sys_, np.array([[1.0, 1.0], [1.0, -0.5]]), 1e-10, 20000)
+        rungs = [note.split(":")[0] for note in tail.method.split(";")]
+        assert rungs == ["picard", "damped-0.5", "damped-0.25", "integration-tail"]
+        assert tail.method.startswith("picard: diverged;damped-0.5: diverged;")
+        assert np.abs(tail.point).max() <= 1e-10
+        assert isinstance(lost, UnconvergedError)
+        assert lost.best.tolist() == [1.0, -0.5] and lost.residual == 7.5
+        alone = solve_equilibrium(sys_, [1.0, 1.0])
+        assert (alone.method, alone.iterations) == (tail.method, tail.iterations)
+        assert np.abs(alone.point - tail.point).max() <= 1e-12
+
+    def test_seed_at_an_equilibrium_still_iterates_to_the_first_check(self):
+        eq = solve_equilibrium(AFFINE_PAIR, [-2.0, 2.0])
+        assert (eq.method, eq.iterations) == ("picard", 8)
+
+
+_MASK = (1 << 64) - 1
+
+
+def _splitmix64(index: int) -> float:
+    z = (index * 0x9E3779B97F4A7C15) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z = z ^ (z >> 31)
+    return (z >> 11) / float(1 << 53)
+
+
+def scalar_seed_stream(seed, count, n, lo, hi):
+    """The per-element splitmix counter stream in Python integers."""
+    base = (seed * 0x2545F4914F6CDD1D + 0x632BE59BD9B4E019) & _MASK
+    out = np.empty((count, n))
+    for c in range(count):
+        for k in range(n):
+            out[c, k] = lo + (hi - lo) * _splitmix64((base + c * n + k) & _MASK)
+    return out
+
+
 class TestSeedStream:
+    @pytest.mark.parametrize(
+        "seed, count, n, lo, hi",
+        [
+            (0, 3, 200, -1.0, 1.0),
+            (7, 50, 5, -5.0, 5.0),
+            (-1, 4, 3, 2.0, 5.0),
+            (-123456789, 7, 11, -3.0, 3.0),
+            (2**70 + 3, 2, 9, 0.0, 1.0),
+            (42, 1, 1, -5, 5),
+            (5, 0, 4, -1.0, 1.0),
+        ],
+    )
+    def test_matches_the_scalar_stream_bit_for_bit(self, seed, count, n, lo, hi):
+        got = seed_stream(seed, count, n, lo, hi)
+        assert got.shape == (count, n) and got.dtype == np.float64
+        assert got.tobytes() == scalar_seed_stream(seed, count, n, lo, hi).tobytes()
+
     def test_deterministic(self):
         a = seed_stream(42, 5, 3, -1.0, 1.0)
         b = seed_stream(42, 5, 3, -1.0, 1.0)
