@@ -63,11 +63,9 @@ from .intervals import IntervalSet
 from .rays import (
     BoxRaySpec,
     EquilibriumRaySpec,
-    GeometryReport,
     distance_to_box,
     lyapunov_V,
     lyapunov_Y,
-    ray_geometry_check,
 )
 from .scenarios import Scenario, X0Policy, builtin_scenarios, scenario_by_name
 
@@ -83,7 +81,6 @@ __all__ = [
     "Equilibrium",
     "EquilibriumRaySpec",
     "GatedIdentity",
-    "GeometryReport",
     "Identity",
     "IntegrationSpec",
     "IntervalProjection",
@@ -124,7 +121,6 @@ __all__ = [
     "lyapunov_V",
     "lyapunov_Y",
     "monitor_trajectory",
-    "ray_geometry_check",
     "residual",
     "rhs",
     "rhs_batch",

@@ -38,13 +38,15 @@ QUOTIENT_EDGE_TOL = 1e-12
 def consensus_zone(system: System) -> IntervalSet:
     """Intersection of the fixed-point sets over all edges.
 
-    Each distinct function enters once, so the enclosure padding does not
-    grow with the edge count. Enclosures (the functions without an exact
-    piecewise-linear form) go first: exact sets carry no padding of their
-    own, so intersecting them last clips the padding the enclosures add.
+    Each set is exact or an outer set padded once by ``BISECTION_FP_TOL``,
+    so the plain intersection is an outer set of the zone, and each
+    distinct function enters once. The exact sets (the functions with a
+    piecewise-linear form) go first: if they already miss each other the
+    zone is empty whatever the enclosures are, so it is returned before an
+    enclosure that cannot be computed raises.
     """
     zone = IntervalSet.reals()
-    for _, fn in sorted(system.distinct, key=lambda item: item[1].pwl() is not None):
+    for _, fn in sorted(system.distinct, key=lambda item: item[1].pwl() is None):
         zone = zone.intersect(fixed_point_set(fn))
         if zone.is_empty:
             return zone

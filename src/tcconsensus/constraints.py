@@ -6,8 +6,8 @@ exists, fixed-point sets, difference-quotient bounds, and sector-membership
 checks against a :class:`~tcconsensus.rays.BoxRaySpec`.
 
 Arbitrary user closures are deliberately unsupported: every variant here
-serializes to a tagged record and admits either exact or certified-enclosure
-fixed-point computation.
+serializes to a tagged record and has either an exact fixed-point set or an
+outer set of it.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from .intervals import IntervalSet
 from .rays import BoxRaySpec
 
 STRICT_MARGIN = 1e-12
-ANALYTIC_FP_TOL = 0.0
-BISECTION_FP_TOL = 1e-8
+BISECTION_FP_TOL = 1e-8  # outer radius of each scanned fixed-point piece
 SCAN_RESOLUTION = 1e-3  # largest step of the fixed-point sign scan
 QUOTIENT_GRID = 1e-3  # chord-slope sample step, relative to the region width
 RATIO_GRID = 5e-3  # ray-ratio sample step, relative to the window width
@@ -119,7 +118,7 @@ class PWLRep:
             if a - 1e-15 <= root <= b + 1e-15:
                 root = min(max(root, a), b)
                 found.append((root, root))
-        return IntervalSet.from_pieces(found, ANALYTIC_FP_TOL)
+        return IntervalSet.from_pieces(found)
 
     def slope_range(
         self, hull_lo: float, hull_hi: float, exclude_identity: bool = False
@@ -600,9 +599,10 @@ def fixed_point_set(f: ConstraintFn, domain: IntervalSet | None = None) -> Inter
     """Fixed points of ``f`` restricted to ``domain`` (whole line by default).
 
     Exact for piecewise-linear-representable variants and for gates (whose
-    fixed set is the accepted interval); otherwise a scan-plus-bisection
-    enclosure with its tolerance recorded on the result. The whole-line set
-    is computed once per function object and cached.
+    fixed set is the accepted interval); otherwise an outer set, padded once
+    by ``BISECTION_FP_TOL`` (:func:`_scan_fixed_points`). Either way the
+    result is a plain set that callers intersect as it is. The whole-line
+    set is computed once per function object and cached.
     """
     if domain is None:
         return f._fixed_points
@@ -635,39 +635,41 @@ def _scan_window(f: ConstraintFn, domain: IntervalSet) -> tuple[float, float]:
 
 
 def _scan_fixed_points(f: ConstraintFn, domain: IntervalSet) -> IntervalSet:
-    """Fixed points of a variant without a piecewise-linear form.
+    """Fixed points of a variant without a piecewise-linear form, as an
+    outer set padded once by ``BISECTION_FP_TOL``.
 
     ``g(x) = f(x) - x`` is sampled on a grid of step at most ``SCAN_RESOLUTION``
     (at least 16 samples) over :func:`_scan_window`, the part of ``domain``
     inside the range of ``f``. Each maximal run of samples with
     ``|g| <= 1e-12`` becomes a piece from its first to its last sample; each
     sign change between two neighbouring samples off those runs is refined
-    by :func:`_bisect_root`. The scan itself stays sampled: a root where
-    ``g`` touches zero without changing sign between samples, or a pair of
-    roots inside one grid step, is missed.
+    by :func:`_bisect_root`. Every piece is widened by ``BISECTION_FP_TOL``
+    on both sides and the result clipped to ``domain``. The pad is needed:
+    a bisected root is where float evaluation finds ``g`` zero or changing
+    sign, which need not be the true root (for ``0.8*sin(x + pi)`` it is
+    9.797e-17, not 0). The scan itself stays sampled: a root where ``g``
+    touches zero without changing sign between samples, or a pair of roots
+    inside one grid step, is missed.
     """
     lo, hi = _scan_window(f, domain)
     if hi < lo:
         return IntervalSet.empty()
     if hi == lo:
-        g = f.evaluate(lo) - lo
-        return (
-            IntervalSet.point(lo, BISECTION_FP_TOL)
-            if abs(g) <= BISECTION_FP_TOL
-            else IntervalSet.empty()
-        )
-    n = max(int(math.ceil((hi - lo) / SCAN_RESOLUTION)) + 1, 16)
-    xs = np.linspace(lo, hi, n)
-    g = f.eval_array(xs) - xs
-    flat = np.abs(g) <= 1e-12
-    # the flat runs start and end (exclusive) where the padded mask toggles
-    toggles = np.flatnonzero(np.diff(flat, prepend=False, append=False))
-    pieces = list(zip(xs[toggles[::2]], xs[toggles[1::2] - 1]))
-    crossing = ~flat[:-1] & ~flat[1:] & (g[:-1] * g[1:] < 0)
-    for i in np.flatnonzero(crossing).tolist():
-        root = _bisect_root(lambda x: f.evaluate(x) - x, *xs[i : i + 2].tolist())
-        pieces.append((root, root))
-    out = IntervalSet.from_pieces(pieces, BISECTION_FP_TOL)
+        pieces = [(lo, lo)] if abs(f.evaluate(lo) - lo) <= BISECTION_FP_TOL else []
+    else:
+        n = max(int(math.ceil((hi - lo) / SCAN_RESOLUTION)) + 1, 16)
+        xs = np.linspace(lo, hi, n)
+        g = f.eval_array(xs) - xs
+        flat = np.abs(g) <= 1e-12
+        # the flat runs start and end (exclusive) where the padded mask toggles
+        toggles = np.flatnonzero(np.diff(flat, prepend=False, append=False))
+        pieces = list(zip(xs[toggles[::2]], xs[toggles[1::2] - 1]))
+        crossing = ~flat[:-1] & ~flat[1:] & (g[:-1] * g[1:] < 0)
+        for i in np.flatnonzero(crossing).tolist():
+            root = _bisect_root(lambda x: f.evaluate(x) - x, *xs[i : i + 2].tolist())
+            pieces.append((root, root))
+    tol = BISECTION_FP_TOL
+    out = IntervalSet.from_pieces((a - tol, b + tol) for a, b in pieces)
     return out.intersect(domain)
 
 

@@ -16,6 +16,7 @@ residual of each start due for a check.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,13 +68,13 @@ _RUNGS = ((1.0, "picard"), (0.5, "damped-0.5"), (0.25, "damped-0.25"))
 @dataclass
 class _Start:
     """One start on the ladder: its rung, the tick at which the rung began
-    from the seed, the rung's residuals and states at its checks so far, the
+    from the seed, the rung's residuals and states at its last 8 checks, the
     best point seen and one note per rung left."""
 
     seed: np.ndarray
     rung: int = 0
     begun: int = 0
-    history: list = field(default_factory=list)
+    history: deque = field(default_factory=lambda: deque(maxlen=8))
     best: np.ndarray | None = None
     best_res: float = math.inf
     notes: list = field(default_factory=list)
@@ -82,7 +83,8 @@ class _Start:
         """Restart from the seed on the next rung at the next tick; whether
         one remains."""
         self.notes.append(f"{_RUNGS[self.rung][1]}: {why}")
-        self.rung, self.begun, self.history = self.rung + 1, tick + 1, []
+        self.rung, self.begun = self.rung + 1, tick + 1
+        self.history.clear()
         return self.rung < len(_RUNGS)
 
 
@@ -124,7 +126,8 @@ def _ladder(system: System, seeds, tol: float, budget: int) -> list:
                 # at that rate it would not reach tol within the budget, and
                 # the state went round rather than along: it moved less than
                 # half as far as 64 of its current steps would carry it
-                past, then = st.history[-8] if len(st.history) >= 8 else (math.inf, 0)
+                full = len(st.history) == st.history.maxlen
+                past, then = st.history[0] if full else (math.inf, 0)
                 ratio = r / past if past > 0 else math.inf
                 stalled = (
                     ratio > 0.5

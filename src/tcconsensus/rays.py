@@ -68,38 +68,6 @@ class EquilibriumRaySpec:
             raise ValueError("equilibrium ray slope product must be 1")
 
 
-@dataclass(frozen=True)
-class GeometryReport:
-    """Box diameter against the two ray-projection quantities."""
-
-    diameter: float
-    min_branch: float
-    max_branch: float
-
-    @property
-    def meets_min(self) -> bool:
-        return self.diameter >= self.min_branch - 1e-12
-
-    @property
-    def meets_max(self) -> bool:
-        return self.diameter >= self.max_branch - 1e-12
-
-
-def ray_geometry_check(spec: BoxRaySpec) -> GeometryReport:
-    """Compare the box diameter with min/max of the two ray projections.
-
-    The minimum branch is always a guaranteed floor when the slope product
-    is one; the maximum branch is the hypothesis of the monotone-Y lemma.
-    """
-    a = (1.0 - spec.k2) * (spec.box_hi - spec.anchor)
-    b = (1.0 - spec.k1) * (spec.anchor - spec.box_lo)
-    return GeometryReport(
-        diameter=spec.box_hi - spec.box_lo,
-        min_branch=min(a, b),
-        max_branch=max(a, b),
-    )
-
-
 Y_TERMS = ("box", "xM_minus_lo", "hi_minus_xm", "right_ray", "left_ray")
 
 

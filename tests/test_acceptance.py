@@ -29,6 +29,7 @@ from tcconsensus import (
     uniqueness_probe,
 )
 from tcconsensus.app import config_from_dict, run
+from tcconsensus.constraints import BISECTION_FP_TOL
 from tcconsensus.intervals import IntervalSet
 from tcconsensus.scenarios import (
     F_A,
@@ -276,13 +277,14 @@ def test_criterion_9_oracle_equivalences():
         xs = np.arange(-20.0, 20.0, 1e-4)
         g = f.eval_array(xs) - xs
         crossings = np.flatnonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)
-        slack = max(theta.tolerance, 1e-3)
+        pad = 0.0 if f.pwl() is not None else BISECTION_FP_TOL
+        slack = max(pad, 1e-3)
         for idx in crossings:
             if not theta.contains(float(xs[idx]), slack=slack):
                 scan_ok = False
         for lo, hi in theta.pieces:
             mid = 0.5 * (lo + hi)
-            if abs(f.evaluate(mid) - mid) > max(theta.tolerance * 2, 1e-8):
+            if abs(f.evaluate(mid) - mid) > max(pad * 2, 1e-8):
                 scan_ok = False
 
     ok = lap_ok and lin_ok and scan_ok

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcconsensus import (
     Affine,
@@ -15,6 +17,7 @@ from tcconsensus import (
     Identity,
     IntervalProjection,
     IntervalSet,
+    Mix,
     PiecewiseLinear,
     Saturation,
     ScaledSine,
@@ -24,12 +27,15 @@ from tcconsensus import (
     classify_system,
     consensus_zone,
     find_admissible_rays,
+    fixed_point_set,
     scenario_by_name,
     sector_membership,
     system_from_dict,
     system_to_dict,
 )
+from tcconsensus.constraints import BISECTION_FP_TOL
 from tcconsensus.scenarios import builtin_scenarios
+from test_dynamics import random_catalog_system
 
 
 def two_agent(f_01, f_10):
@@ -76,6 +82,36 @@ def pchip_dip_ring():
     return two_agent(f, f)
 
 
+def ring(fns):
+    """Directed ring ``i -> i+1`` whose edge out of agent ``i`` is ``fns[i]``."""
+    n = len(fns)
+    w = np.zeros((n, n))
+    for i in range(n):
+        w[(i + 1) % n, i] = 1.0
+    return System(build_digraph(w), {(i, (i + 1) % n): f for i, f in enumerate(fns)})
+
+
+def mixed_ring():
+    """Exact fixed sets {2} and {-2} beside a sine-affine mix whose scan
+    window is unbounded; every chord slope lies in [0.1, 0.5]."""
+    return ring([Affine(0.5, 1.0), Affine(0.5, -1.0), Mix(Affine(0.5), ScaledSine(0.3))])
+
+
+# bounded fixed sets, exact and enclosed, several of them through the origin
+ZONE_POOL = (
+    Identity(),
+    Saturation(-1.0, 1.0),
+    IntervalProjection(-1.0, 1.0, 0.5),
+    GatedIdentity(-0.5, 2.0),
+    Affine(-0.5, 0.0),
+    Affine(0.5, 1.0),
+    ScaledSine(1.0, math.pi),
+    ScaledSine(0.5, 0.0),
+    ScaledSine(2.5, 0.0),
+    Tabulated((-2.0, -1.0, 1.0, 2.0), (-1.5, -1.0, 1.0, 1.5), "pchip"),
+)
+
+
 def diverging_pair():
     # tails of slope -1.1 cross any unit-product rays far from the box
     f = PiecewiseLinear(((-1.0, -1.0), (1.0, 1.0)), -1.1, -1.1)
@@ -97,17 +133,13 @@ class TestConsensusZone:
         assert consensus_zone(sys_).is_empty
 
     def test_zone_subset_of_every_edge_set(self):
-        from tcconsensus import fixed_point_set
-
-        for name in ("ex1", "ex2", "interval", "discarded"):
+        for name in ("ex1", "ex2", "interval", "discarded", "sine"):
             sys_ = scenario_by_name(name).system
             zone = consensus_zone(sys_)
-            slack = zone.tolerance + 1e-9
             for _, fn in sys_.constraints.items():
                 theta = fixed_point_set(fn)
                 for lo, hi in zone.pieces:
-                    assert theta.contains(lo, slack=slack + theta.tolerance)
-                    assert theta.contains(hi, slack=slack + theta.tolerance)
+                    assert theta.contains(lo) and theta.contains(hi)
 
     def test_zone_does_not_grow_with_edge_count(self):
         fn = ScaledSine(1.0, math.pi)
@@ -116,7 +148,25 @@ class TestConsensusZone:
             g = build_digraph(np.ones((n, n)) - np.eye(n))
             zones.append(consensus_zone(System(g, {e: fn for e in g.edges()})))
         assert zones[0].pieces == zones[1].pieces
-        assert zones[0].tolerance == zones[1].tolerance
+
+    @pytest.mark.parametrize("k", [2, 8, 32])
+    def test_distinct_enclosures_are_padded_once(self, k):
+        # k distinct functions, each fixing only the origin: each enclosure
+        # is padded once where it is made, and intersecting them adds nothing
+        sys_ = ring([ScaledSine(a, math.pi) for a in np.linspace(0.2, 0.9, k)])
+        assert len(sys_.distinct) == k
+        lo, hi = consensus_zone(sys_).hull()
+        assert lo <= 0.0 <= hi
+        assert hi - lo <= 2 * BISECTION_FP_TOL
+
+    @given(st.lists(st.sampled_from(ZONE_POOL), min_size=2, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_zone_is_the_plain_intersection_in_any_order(self, fns):
+        sys_ = ring(fns)
+        want = IntervalSet.reals()
+        for _, fn in reversed(sys_.distinct):
+            want = want.intersect(fixed_point_set(fn))
+        assert consensus_zone(sys_) == want
 
     def test_ex1_zone_is_origin(self):
         zone = consensus_zone(scenario_by_name("ex1").system)
@@ -215,6 +265,17 @@ class TestClassify:
         assert verdict.classification == "UniqueEquilibrium"
         assert verdict.conditions["consensus_zone_nonempty"].status == "fail"
         assert verdict.conditions["strict_quotient_off_fixed_set"].status == "pass"
+
+    def test_unique_equilibrium_beside_an_unbounded_enclosure(self):
+        # the exact sets prove the zone empty and every chord slope lies in
+        # [0.1, 0.5], so the Picard map contracts
+        verdict = classify_system(mixed_ring())
+        assert verdict.conditions["consensus_zone_nonempty"].status == "fail"
+        assert verdict.classification == "UniqueEquilibrium"
+
+    def test_catalog_system_with_disjoint_exact_sets_fails_the_zone(self):
+        verdict = classify_system(random_catalog_system(0))
+        assert verdict.conditions["consensus_zone_nonempty"].status == "fail"
 
     def test_consensus_case(self):
         sc = scenario_by_name("ex2")

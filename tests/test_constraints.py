@@ -166,7 +166,7 @@ class TestFixedPointSet:
             g = f.eval_array(xs) - xs
         theta = fixed_point_set(f, IntervalSet.closed(-20.0, 20.0))
         near_zero = np.abs(g) <= 2e-4
-        tol = max(theta.tolerance, 1e-3)
+        tol = max(constraints.BISECTION_FP_TOL, 1e-3)
         for x, flag in zip(xs[::50], near_zero[::50]):
             if flag and abs(g[int(round((x + 20.0) / 1e-4))]) <= 1e-9:
                 assert theta.contains(float(x), slack=tol)
@@ -180,7 +180,7 @@ class TestFixedPointSet:
             if isinstance(f, GatedIdentity):
                 continue
             theta = fixed_point_set(f, IntervalSet.closed(-50.0, 50.0))
-            tol = theta.tolerance
+            tol = 0.0 if f.pwl() is not None else constraints.BISECTION_FP_TOL
             for lo, hi in theta.pieces:
                 for x in (lo, hi, 0.5 * (lo + hi)):
                     assert abs(f.evaluate(x) - x) <= max(tol * 2, 1e-9)
@@ -235,7 +235,7 @@ class TestFixedPointSet:
         f = Tabulated((-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0),
                       (-2.0, -2.0, -2.0, -1.0, 0.0, 1.0, 2.0, 2.0, 2.0), "pchip")
         theta = fixed_point_set(f, IntervalSet.closed(-3.0, 3.0))
-        tol = theta.tolerance
+        tol = constraints.BISECTION_FP_TOL
         left, (lo, hi), right = theta.pieces
         assert left[0] < -2.0 < left[1] and right[0] < 2.0 < right[1]
         # the run's first and last samples, less the enclosure padding, are
@@ -252,10 +252,10 @@ def _loop_scan(f, domain):
     lo, hi = constraints._scan_window(f, domain)
     if hi < lo:
         return IntervalSet.empty()
+    tol = constraints.BISECTION_FP_TOL
     if hi == lo:
-        g = f.evaluate(lo) - lo
-        if abs(g) <= constraints.BISECTION_FP_TOL:
-            return IntervalSet.point(lo, constraints.BISECTION_FP_TOL)
+        if abs(f.evaluate(lo) - lo) <= tol:
+            return IntervalSet.closed(lo - tol, lo + tol).intersect(domain)
         return IntervalSet.empty()
     n = max(int(math.ceil((hi - lo) / constraints.SCAN_RESOLUTION)) + 1, 16)
     xs = np.linspace(lo, hi, n)
@@ -277,7 +277,7 @@ def _loop_scan(f, domain):
             )
             pieces.append((root, root))
         i += 1
-    out = IntervalSet.from_pieces(pieces, constraints.BISECTION_FP_TOL)
+    out = IntervalSet.from_pieces([(a - tol, b + tol) for a, b in pieces])
     return out.intersect(domain)
 
 

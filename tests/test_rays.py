@@ -11,7 +11,6 @@ from tcconsensus import (
     distance_to_box,
     lyapunov_V,
     lyapunov_Y,
-    ray_geometry_check,
 )
 from tcconsensus.errors import DimensionMismatchError
 from tcconsensus.rays import Y_TERMS
@@ -47,36 +46,6 @@ class TestEquilibriumRaySpec:
     def test_product_must_be_one(self):
         with pytest.raises(ValueError):
             EquilibriumRaySpec(-0.5, -0.5)
-
-
-class TestRayGeometry:
-    def test_asymmetric_slopes(self):
-        report = ray_geometry_check(BoxRaySpec(-1.0, 1.0, 0.0, -0.5, -2.0))
-        assert report.diameter == 2.0
-        assert report.min_branch == pytest.approx(1.5)
-        assert report.max_branch == pytest.approx(3.0)
-        assert report.meets_min and not report.meets_max
-
-    def test_degenerate_box(self):
-        report = ray_geometry_check(BoxRaySpec(0.0, 0.0, 0.0, -1.0, -1.0))
-        assert report.diameter == report.min_branch == report.max_branch == 0.0
-        assert report.meets_min and report.meets_max
-
-    def test_symmetric_boundary_equality(self):
-        report = ray_geometry_check(BoxRaySpec(-1.0, 1.0, 0.0, -1.0, -1.0))
-        assert report.min_branch == report.max_branch == report.diameter == 2.0
-        assert report.meets_min and report.meets_max
-
-    @given(
-        st.floats(-3, 0),
-        st.floats(0, 3),
-        st.floats(0.05, 1),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_unit_product_guarantees_min_branch(self, lo, hi, k_abs):
-        anchor = 0.5 * (lo + hi)
-        spec = BoxRaySpec(lo, hi, anchor, -k_abs, -1.0 / k_abs)
-        assert ray_geometry_check(spec).meets_min
 
 
 class TestLyapunovY:
