@@ -15,8 +15,11 @@ runtime errors.
 from __future__ import annotations
 
 import json
+import marshal
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -147,50 +150,107 @@ def _check_keys(record, allowed: set[str], what: str) -> None:
         raise ValidationError(f"unknown {what} keys: {sorted(unknown)}")
 
 
-def _agent_index(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, _INTEGER):
-        raise ValidationError(f"agent index must be an integer, got {value!r}")
-    return int(value)
-
-
 def _list(value, what: str) -> list:
     if not isinstance(value, list):
         raise ValidationError(f"'{what}' must be a list")
     return value
 
 
+def _typed(rows, name: str, spec: tuple) -> set[type]:
+    """Check that every value in ``rows`` (a list of lists) has one of
+    ``spec``'s types, never ``bool``, and return the set of their types.
+    One C-level pass collects the types; only when one of them is wrong are
+    the values walked again to name the first bad one."""
+    kinds, _, what = spec
+    found = set(map(type, chain.from_iterable(rows)))
+    if not all(k is not bool and issubclass(k, kinds) for k in found):
+        for value in chain.from_iterable(rows):
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValidationError(f"{name} must be {what}, got {value!r}")
+    return found
+
+
 def _column(values: list, name: str, spec: tuple) -> np.ndarray:
-    # np.asarray would read True as 1 and 0.0 as 0: check each type first
-    kinds, dtype, what = spec
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            raise ValidationError(f"{name} must be {what}, got {value!r}")
+    # np.asarray would read True as 1 and 0.0 as 0: check the types first
+    _typed((values,), name, spec)
     try:
-        return np.array(values, dtype=dtype)
+        return np.array(values, dtype=spec[1])
     except OverflowError as err:  # an integer beyond the dtype's range
         raise ValidationError(f"{name} out of range: {err}") from err
 
 
-def _load_fn(record, loaded: dict) -> _constraints.ConstraintFn:
-    """Load an ``fn`` record, sharing one object among records equal as
-    written (memoized on ``repr()``)."""
-    memo = repr(record)
-    fn = loaded.get(memo)
-    if fn is None:
-        fn = loaded[memo] = _constraints.from_dict(record)
-    return fn
+def _load_fns(records: list) -> list[_constraints.ConstraintFn]:
+    """Load ``fn`` records, one shared object per distinct record as
+    written, each parsed once, in first-use order. Two records share an
+    object if and only if their ``repr()`` strings are equal.
+
+    The memo key is the record's marshal (format 2) bytes, three times
+    cheaper than ``repr``. For the types JSON produces, equal bytes mean
+    equal ``repr``: marshal writes each type under its own code (``1``,
+    ``1.0`` and ``True`` differ), a float by its bits (``0.0`` and ``-0.0``
+    differ), a dict in key order, and a string by its characters, interned
+    or not (format 3 and later mark interned strings). Other types either
+    cannot be marshalled or, with the buffer protocol, are written as their
+    raw bytes, so ``np.int64(1)`` and ``np.float64(5e-324)`` collide; a key
+    whose record does not load back equal from it exposes such a
+    type, and then every record is keyed by ``repr`` instead. Records
+    with one key are equal as written, so any of them may stand for all."""
+    try:
+        keys = list(map(marshal.dumps, records, repeat(2)))
+        # distinct keys in first-use order, each with its last record
+        distinct = dict(zip(keys, records))
+        exact = all(map(_loads_back, distinct.keys(), distinct.values()))
+    except ValueError:  # a type marshal cannot write
+        exact = False
+    if not exact:
+        keys = list(map(repr, records))
+        distinct = dict(zip(keys, records))
+    loaded = {key: _constraints.from_dict(rec) for key, rec in distinct.items()}
+    return list(map(loaded.__getitem__, keys))
+
+
+def _loads_back(key: bytes, record) -> bool:
+    try:
+        return bool(marshal.loads(key) == record)
+    except ValueError:  # an array compared elementwise
+        return False
+
+
+def _agent_indices(values: list) -> list[int]:
+    if _typed((values,), "agent index", _INDEX) <= {int}:
+        return values
+    return list(map(int, values))
 
 
 def _dense_system(record: dict) -> System:
-    graph = build_digraph(record["weights"])
-    loaded: dict[str, _constraints.ConstraintFn] = {}
-    cmap = {}
-    for entry in _list(record["constraints"], "constraints"):
-        _check_keys(entry, _CONSTRAINT_KEYS, "constraint")
-        key = (_agent_index(entry["sender"]), _agent_index(entry["receiver"]))
-        if key in cmap:
-            raise ValidationError(f"repeated constraint record for edge {key}")
-        cmap[key] = _load_fn(entry["fn"], loaded)
+    """Compile the dense form column by column: the types, keys and indices
+    of the ``constraints`` entries are checked over whole columns, and only
+    when a check fails are the entries walked again to report the first
+    bad one, with the message the per-entry check gives."""
+    rows = _list(record["weights"], "weights")
+    if not all(map(isinstance, rows, repeat(list))):
+        for row in rows:
+            _list(row, "weights row")
+    _typed(rows, "weight", _NUMBER)
+    graph = build_digraph(rows)
+    entries = _list(record["constraints"], "constraints")
+    if not (
+        all(map(isinstance, entries, repeat(dict)))
+        and all(map(_CONSTRAINT_KEYS.issuperset, entries))
+    ):
+        for entry in entries:
+            _check_keys(entry, _CONSTRAINT_KEYS, "constraint")
+    senders, receivers, fns = (
+        list(map(itemgetter(name), entries)) for name in ("sender", "receiver", "fn")
+    )
+    keys = list(zip(_agent_indices(senders), _agent_indices(receivers)))
+    cmap = dict(zip(keys, _load_fns(fns)))
+    if len(cmap) < len(keys):
+        seen = set()
+        for key in keys:
+            if key in seen:
+                raise ValidationError(f"repeated constraint record for edge {key}")
+            seen.add(key)
     return System(graph, cmap)
 
 
@@ -198,8 +258,7 @@ def _columnar_system(record: dict) -> System:
     n = record["agents"]
     if isinstance(n, bool) or not isinstance(n, _INTEGER) or n < 0:
         raise ValidationError(f"'agents' must be a non-negative integer, got {n!r}")
-    loaded: dict[str, _constraints.ConstraintFn] = {}
-    fns = [_load_fn(rec, loaded) for rec in _list(record["functions"], "functions")]
+    fns = _load_fns(_list(record["functions"], "functions"))
     edges = record["edges"]
     _check_keys(edges, set(_EDGE_COLUMNS), "edges")
     lengths = {name: len(_list(edges[name], name)) for name in _EDGE_COLUMNS}
@@ -249,16 +308,18 @@ def system_from_dict(record: dict) -> System:
     matrix, constraint map and object sharing.
 
     ``fn`` records equal as written load as one shared, immutable object:
-    they are memoized on ``repr()`` of the parsed record, which is exact (a
-    float's ``repr`` round-trips) and keeps types apart (``1``, ``1.0`` and
-    ``True`` differ), so each distinct record is parsed and validated once
-    and echoes back as written.
+    two records share one exactly when their ``repr()`` strings are equal,
+    which is exact (a float's ``repr`` round-trips) and keeps types apart
+    (``1``, ``1.0`` and ``True`` differ), so each distinct record is parsed
+    and validated once and echoes back as written (:func:`_load_fns`).
 
     Rejected: unknown keys, a repeated ``(sender, receiver)`` pair, agent
-    indices that are not integers; in the columnar form also unequal
-    columns, out-of-range indices, self-loops, weights that are not finite
-    and positive, and table entries no edge uses. Apart from the type of
-    each value, the columnar checks run on whole columns.
+    indices that are not integers, weights that are not numbers (``bool``
+    included); in the columnar form also unequal columns, out-of-range
+    indices, self-loops, weights that are not finite and positive, and
+    table entries no edge uses. Both forms check whole columns, with no
+    Python statement per edge; only a failed check walks a column again to
+    name its first bad value.
     """
     if not isinstance(record, dict):
         raise ValidationError("'system' must be an object")

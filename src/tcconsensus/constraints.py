@@ -158,6 +158,15 @@ class PWLRep:
             return min(self.ys), max(self.ys)
         return None
 
+    def envelope(self):
+        """``(s, c)`` with ``|f(x) - s*x| <= c`` for every ``x`` when both
+        tails have slope ``s`` (``f(x) - s*x`` is then constant on each
+        tail, so ``c`` is its largest magnitude at a knot); else ``None``."""
+        s = self.left_slope
+        if s != self.right_slope:
+            return None
+        return s, max(abs(y - s * x) for x, y in zip(self.xs, self.ys))
+
 
 # ---------------------------------------------------------------------------
 # variants
@@ -203,6 +212,15 @@ class ConstraintFn:
     def bounded_range(self):
         p = self.pwl()
         return p.bounded_range() if p is not None else None
+
+    def envelope(self):
+        """A linear envelope ``(s, c)``: ``|f(x) - s*x| <= c`` for every
+        ``x``, or ``None``. A range ``[lo, hi]`` gives ``s = 0``."""
+        p = self.pwl()
+        if p is not None:
+            return p.envelope()
+        rng = self.bounded_range()
+        return None if rng is None else (0.0, max(-rng[0], rng[1]))
 
     def to_dict(self) -> dict:
         out = {"variant": self.variant}
@@ -536,6 +554,14 @@ class Mix(ConstraintFn):
             w * r1[1] + (1.0 - w) * r2[1],
         )
 
+    def envelope(self):
+        e1 = self.first.envelope()
+        e2 = self.second.envelope()
+        if e1 is None or e2 is None:
+            return None
+        w = self.weight
+        return w * e1[0] + (1.0 - w) * e2[0], w * e1[1] + (1.0 - w) * e2[1]
+
 
 # ---------------------------------------------------------------------------
 # serialization
@@ -627,6 +653,12 @@ def _scan_window(f: ConstraintFn, domain: IntervalSet) -> tuple[float, float]:
         # fixed points satisfy x = f(x), so they lie inside the range of f
         lo = max(lo, rng[0] - 1e-9)
         hi = min(hi, rng[1] + 1e-9)
+    elif (env := f.envelope()) is not None and env[0] != 1.0:
+        # |f(x) - x| >= |1 - s|*|x| - c, so fixed points have |x| <= c/|1 - s|
+        s, c = env
+        r = c / abs(1.0 - s) * (1.0 + 1e-9) + 1e-9
+        lo = max(lo, -r)
+        hi = min(hi, r)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise UnresolvableEnclosureError(
             "cannot bound the fixed-point search window for this variant"
@@ -640,7 +672,9 @@ def _scan_fixed_points(f: ConstraintFn, domain: IntervalSet) -> IntervalSet:
 
     ``g(x) = f(x) - x`` is sampled on a grid of step at most ``SCAN_RESOLUTION``
     (at least 16 samples) over :func:`_scan_window`, the part of ``domain``
-    inside the range of ``f``. Each maximal run of samples with
+    inside the range of ``f`` or, for an unbounded range, inside the bound
+    that the linear envelope (:meth:`ConstraintFn.envelope`) puts on fixed
+    points. Each maximal run of samples with
     ``|g| <= 1e-12`` becomes a piece from its first to its last sample; each
     sign change between two neighbouring samples off those runs is refined
     by :func:`_bisect_root`. Every piece is widened by ``BISECTION_FP_TOL``

@@ -81,23 +81,25 @@ class System:
     )
 
     def __post_init__(self):
-        edges = set(self.graph.edges())
-        covered = set(self.constraints)
-        if covered != edges:
-            missing = edges - covered
-            extra = covered - edges
-            raise ValueError(
-                f"constraint map must cover the edge set exactly; "
-                f"missing {sorted(missing)}, extra {sorted(extra)}"
-            )
         n, count = self.n, len(self.constraints)
         keys = list(self.constraints)
         fns = list(self.constraints.values())
-        senders, receivers = (
-            np.fromiter(chain.from_iterable(keys), dtype=np.intp, count=2 * count)
-            .reshape(count, 2)
-            .T
-        )
+        ends = list(chain.from_iterable(keys))
+        weights = self.graph.weights
+        # as many distinct keys as edges, each a pair of int indices in range
+        # that is an edge: the keys are the edge set. Else the sets are built
+        # to name the difference, or to accept keys of other equal types.
+        if not (
+            count == np.count_nonzero(weights)
+            and len(ends) == 2 * count
+            and set(map(type, ends)) <= {int}
+            and (not ends or (min(ends) >= 0 and max(ends) < n))
+        ):
+            self._check_cover()
+        senders, receivers = np.array(ends, dtype=np.intp).reshape(count, 2).T
+        edge_weights = weights[receivers, senders]
+        if not (edge_weights > 0).all():
+            self._check_cover()
         ids = np.fromiter(map(id, fns), dtype=np.uint64, count=count)
         _, obj_first, obj_of_edge = np.unique(
             ids, return_index=True, return_inverse=True
@@ -125,7 +127,7 @@ class System:
             rank[group] * n + senders, return_inverse=True
         )
         block = np.zeros((len(row_keys), n))
-        block[row_of_edge, receivers] = self.graph.weights[receivers, senders]
+        block[row_of_edge, receivers] = edge_weights
         bounds = np.searchsorted(
             row_keys // n, np.arange(len(firsts) + 1)
         ).tolist()
@@ -166,6 +168,17 @@ class System:
         object.__setattr__(self, "_block", block)
         object.__setattr__(self, "_gate_start", gate_start)
         object.__setattr__(self, "_plain_alpha", block[:gate_start].sum(axis=0))
+
+    def _check_cover(self) -> None:
+        """Compare the keys with the edge set as sets of pairs, naming the
+        missing and extra pairs when they differ."""
+        edges = set(self.graph.edges())
+        covered = set(self.constraints)
+        if covered != edges:
+            raise ValueError(
+                f"constraint map must cover the edge set exactly; "
+                f"missing {sorted(edges - covered)}, extra {sorted(covered - edges)}"
+            )
 
     @property
     def n(self) -> int:

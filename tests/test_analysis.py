@@ -92,8 +92,8 @@ def ring(fns):
 
 
 def mixed_ring():
-    """Exact fixed sets {2} and {-2} beside a sine-affine mix whose scan
-    window is unbounded; every chord slope lies in [0.1, 0.5]."""
+    """Exact fixed sets {2} and {-2} beside a sine-affine mix whose range is
+    unbounded; every chord slope lies in [0.1, 0.5]."""
     return ring([Affine(0.5, 1.0), Affine(0.5, -1.0), Mix(Affine(0.5), ScaledSine(0.3))])
 
 
@@ -259,6 +259,31 @@ class TestFindAdmissibleRays:
         assert spec is not None and spec != bad
 
 
+LEDGER_CONDITIONS = (
+    "strongly_connected",
+    "consensus_zone_nonempty",
+    "quotient_in_unit_sector",
+    "strict_quotient_off_fixed_set",
+    "admissible_rays",
+    "self_mapped_box",
+    "inconclusive_because",
+)
+P, F, I = "pass", "fail", "inconclusive"
+# every built-in scenario's classification and ledger statuses, in the order
+# of LEDGER_CONDITIONS (inconclusive_because only on Inconclusive verdicts)
+SCENARIO_LEDGERS = {
+    "ex1": ("Consensus", (P, P, P, P, P, P)),
+    "ex2": ("Consensus", (P, P, P, P, P, P)),
+    "ex3": ("UniqueEquilibrium", (P, F, P, P, I, P)),
+    "ex4": ("EquilibriumExists", (P, F, P, F, I, P)),
+    "interval": ("Consensus", (P, P, P, P, I, P)),
+    "discarded": ("Consensus", (P, P, P, P, I, P)),
+    "sine": ("Consensus", (P, P, P, P, I, I)),
+    "necessity-2agent": ("Inconclusive", (P, F, P, F, I, I, I)),
+    "bipartite": ("Inconclusive", (P, P, F, F, I, I, I)),
+}
+
+
 class TestClassify:
     def test_unique_equilibrium_case(self):
         verdict = classify_system(scenario_by_name("ex3").system)
@@ -276,6 +301,24 @@ class TestClassify:
     def test_catalog_system_with_disjoint_exact_sets_fails_the_zone(self):
         verdict = classify_system(random_catalog_system(0))
         assert verdict.conditions["consensus_zone_nonempty"].status == "fail"
+
+    def test_catalog_sine_affine_mix_fails_the_zone(self):
+        # Mix(ScaledSine(0.8, pi), Affine(-0.5)) has the linear envelope
+        # |f(x) + 0.25x| <= 0.4, so its fixed points lie in |x| <= 0.32: the
+        # scan finds only 0, which the other function's exact {2/3} misses
+        verdict = classify_system(random_catalog_system(11))
+        assert verdict.conditions["consensus_zone_nonempty"].status == "fail"
+        assert verdict.classification == "UniqueEquilibrium"
+
+    @pytest.mark.parametrize("name", sorted(SCENARIO_LEDGERS))
+    def test_scenario_ledgers(self, name):
+        sc = scenario_by_name(name)
+        verdict = classify_system(sc.system, hints=sc.ray_hints)
+        classification, statuses = SCENARIO_LEDGERS[name]
+        assert verdict.classification == classification
+        assert {k: c.status for k, c in verdict.conditions.items()} == dict(
+            zip(LEDGER_CONDITIONS, statuses)
+        )
 
     def test_consensus_case(self):
         sc = scenario_by_name("ex2")

@@ -243,6 +243,74 @@ def int_and_float_ring(n=6):
     )
 
 
+_IDENTITY = {"variant": "identity"}
+_MIX = {
+    "variant": "mix",
+    "first": {"variant": "scaled_sine", "amplitude": 0.8, "phase": 0.0},
+    "second": {"variant": "affine", "k": -0.5, "m": 0.0},
+    "weight": 0.25,
+}
+# fn records, pairwise equal or not as written: the loader must share one
+# object between two of them exactly when their repr() strings are equal
+SHARING_RECORDS = (
+    {"variant": "saturation", "lo": -1, "hi": 1},
+    {"variant": "saturation", "lo": -1.0, "hi": 1.0},
+    {"variant": "saturation", "lo": -1, "hi": True},
+    {"variant": "affine", "k": 0.5, "m": 0.0},
+    {"variant": "affine", "k": 0.5, "m": -0.0},
+    {"variant": "affine", "k": 0.5, "m": 0.0},
+    {"variant": "affine", "m": 0.0, "k": 0.5},
+    json.loads(json.dumps(_MIX)),
+    json.loads(json.dumps(_MIX)),
+    {**_MIX, "weight": 0.75},
+    {"variant": "identity"},
+    # built at run time, so not interned: equal to the literal above
+    {"".join(["vari", "ant"]): "".join(["iden", "tity"])},
+    # marshal writes numpy scalars as their raw bytes, and these two have
+    # the same eight bytes
+    {"variant": "affine", "k": np.int64(1)},
+    {"variant": "affine", "k": np.float64(5e-324)},
+    {"variant": "affine", "k": 1},
+)
+
+# one fault in the dense form, and the message it raises; an index out of
+# range must not wrap around, and the repeated edge named is the one the
+# list repeats first
+DENSE_FAULTS = {
+    "negative-sender": (
+        lambda r: r["constraints"][0].update(sender=-1),
+        "constraint map must cover the edge set exactly; "
+        "missing [(0, 1)], extra [(-1, 1)]",
+    ),
+    "sender-equals-n": (
+        lambda r: r["constraints"][0].update(sender=2),
+        "constraint map must cover the edge set exactly; "
+        "missing [(0, 1)], extra [(2, 1)]",
+    ),
+    "entry-not-an-object": (
+        lambda r: r["constraints"].__setitem__(1, 3),
+        "'constraint' must be an object",
+    ),
+    "entry-missing-fn": (
+        lambda r: r["constraints"][1].pop("fn"),
+        "system record missing field 'fn'",
+    ),
+    "integral-float-index": (
+        lambda r: r["constraints"][1].update(receiver=0.0),
+        "agent index must be an integer, got 0.0",
+    ),
+    "repeated-pair": (
+        lambda r: r.update(
+            constraints=[
+                {"sender": j, "receiver": i, "fn": _IDENTITY}
+                for j, i in ((1, 0), (0, 1), (1, 0), (0, 1))
+            ]
+        ),
+        "repeated constraint record for edge (1, 0)",
+    ),
+}
+
+
 class TestSystemLoading:
     def test_equal_records_load_as_one_object(self):
         fns = ring_plus_random().system.constraints.values()
@@ -273,6 +341,47 @@ class TestSystemLoading:
         assert system_from_dict(record).constraints == system_from_dict(
             CUSTOM_SYSTEM
         ).constraints
+
+    @pytest.mark.parametrize("form", ["dense", "columnar"])
+    def test_records_share_an_object_iff_their_reprs_are_equal(self, form):
+        records = SHARING_RECORDS
+        n = len(records)
+        edges = [(j, (j + 1) % n) for j in range(n)]
+        if form == "dense":
+            weights = [[0.0] * n for _ in range(n)]
+            for j, i in edges:
+                weights[i][j] = 1.0
+            record = {
+                "weights": weights,
+                "constraints": [
+                    {"sender": j, "receiver": i, "fn": fn}
+                    for (j, i), fn in zip(edges, records)
+                ],
+            }
+        else:
+            record = {
+                "agents": n,
+                "functions": list(records),
+                "edges": {
+                    "sender": [j for j, _ in edges],
+                    "receiver": [i for _, i in edges],
+                    "weight": [1.0] * n,
+                    "function": list(range(n)),
+                },
+            }
+        system = system_from_dict(record)
+        fns = [system.constraints[edge] for edge in edges]
+        for a in range(n):
+            for b in range(n):
+                same = repr(records[a]) == repr(records[b])
+                assert (fns[a] is fns[b]) == same, (records[a], records[b])
+
+    @pytest.mark.parametrize("case", sorted(DENSE_FAULTS))
+    def test_dense_fault_messages(self, case):
+        edit, message = DENSE_FAULTS[case]
+        with pytest.raises(ValidationError) as err:
+            system_from_dict(edited(edit))
+        assert str(err.value) == message
 
 
 def edited(edit):
@@ -351,6 +460,9 @@ MALFORMED_SYSTEMS = {
             "second": {"variant": "identity"},
         }
     ),
+    "dense-bool-weight": lambda r: r.update(weights=[[0, True], [True, 0]]),
+    "dense-string-weight": lambda r: r.update(weights=[["0", "1.5"], ["1", 0]]),
+    "row-not-a-list": lambda r: r.update(weights=[[0.0, 1.0], 3]),
     "infinite-mix-member": lambda r: r["constraints"][0].update(
         fn={
             "variant": "mix",

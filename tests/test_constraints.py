@@ -112,6 +112,54 @@ class TestEvaluate:
                 PiecewiseLinear(knots)
 
 
+class TestLinearEnvelope:
+    @pytest.mark.parametrize(
+        "f, envelope",
+        [
+            (Affine(-0.5, 1.0), (-0.5, 1.0)),
+            (Affine(0.5, -2.0), (0.5, 2.0)),
+            (ScaledSine(0.8, math.pi), (0.0, 0.8)),
+            (Saturation(-1.0, 2.0), (0.0, 2.0)),
+            (Tabulated((-2.0, 0.0, 2.0), (-3.0, 0.0, 1.0), "pchip"), (0.0, 3.0)),
+            (IntervalProjection(-1.0, 1.0, 0.5), (0.5, 0.5)),
+            (Mix(ScaledSine(0.8, math.pi), Affine(-0.5, 0.0)), (-0.25, 0.4)),
+            (PiecewiseLinear(((0.0, 0.0),), -0.9, -0.7), None),
+            (Mix(ScaledSine(0.5), PiecewiseLinear(((0.0, 0.0),), -0.9, -0.7)), None),
+        ],
+    )
+    def test_envelope(self, f, envelope):
+        assert f.envelope() == envelope
+
+    @pytest.mark.parametrize("f", CATALOG, ids=repr)
+    def test_envelope_bounds_the_function(self, f):
+        envelope = f.envelope()
+        if envelope is None:
+            return
+        s, c = envelope
+        xs = np.linspace(-50.0, 50.0, 20001)
+        gap = np.abs(f.eval_array(xs) - s * xs)
+        assert (gap <= c + 1e-12 * (1.0 + np.abs(xs))).all()
+
+    def test_sine_affine_mix_has_enclosed_fixed_points(self):
+        # |f(x) - x| >= 1.25|x| - 0.4: fixed points lie in |x| <= 0.32
+        theta = fixed_point_set(Mix(ScaledSine(0.8, math.pi), Affine(-0.5, 0.0)))
+        (lo, hi), = theta.pieces
+        tol = constraints.BISECTION_FP_TOL
+        assert -2 * tol <= lo <= 0.0 <= hi <= 2 * tol
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            # slope one: f(x) - x stays bounded, so no window follows
+            Mix(ScaledSine(0.5), Affine(1.0, 0.0), 0.0),
+            Mix(ScaledSine(0.5), PiecewiseLinear(((0.0, 0.0),), -0.9, -0.7)),
+        ],
+    )
+    def test_no_envelope_bound_still_refuses(self, f):
+        with pytest.raises(UnresolvableEnclosureError):
+            fixed_point_set(f)
+
+
 class TestFixedPointSet:
     def test_saturation(self):
         assert fixed_point_set(Saturation(-1.0, 1.0)).pieces == ((-1.0, 1.0),)

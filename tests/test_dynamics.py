@@ -80,6 +80,33 @@ class TestRhs:
         with pytest.raises(ValueError):
             System(g, {(1, 0): Identity()})
 
+    @pytest.mark.parametrize(
+        "keys, missing, extra",
+        [
+            # -2 would index agent 1 from the end, the sender of edge (1, 0)
+            ([(0, 1), (-2, 0)], [(1, 0)], [(-2, 0)]),
+            ([(0, 1), (3, 0)], [(1, 0)], [(3, 0)]),
+            ([(0, 1), (2, 0)], [(1, 0)], [(2, 0)]),
+            ([(0, 1), (1, 0), (0, 2)], [], [(0, 2)]),
+            ([(0, 1), (1, 0, 0)], [(1, 0)], [(1, 0, 0)]),
+            ([(0, 1), (10**30, 0)], [(1, 0)], [(10**30, 0)]),
+        ],
+    )
+    def test_cover_check_names_the_difference(self, keys, missing, extra):
+        # agent 2 has no edges
+        g = build_digraph([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError) as err:
+            System(g, dict.fromkeys(keys, Identity()))
+        assert str(err.value) == (
+            "constraint map must cover the edge set exactly; "
+            f"missing {missing}, extra {extra}"
+        )
+
+    def test_keys_of_other_integer_types_cover_edges(self):
+        g = build_digraph([[0.0, 1.0], [1.0, 0.0]])
+        sys_ = System(g, {(np.int64(0), 1): Identity(), (1, np.int32(0)): Affine(0.5)})
+        assert rhs(sys_, [1.0, 2.0]) == pytest.approx([0.5 * 2.0 - 1.0, 1.0 - 2.0])
+
 
 def per_edge_sums(system, x):
     """The model formula edge by edge: ``num_i = sum_j a_ij f_ji(x_j)`` and
