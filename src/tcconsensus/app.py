@@ -18,7 +18,7 @@ import json
 import marshal
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -156,15 +156,15 @@ def _list(value, what: str) -> list:
     return value
 
 
-def _typed(rows, name: str, spec: tuple) -> set[type]:
-    """Check that every value in ``rows`` (a list of lists) has one of
-    ``spec``'s types, never ``bool``, and return the set of their types.
-    One C-level pass collects the types; only when one of them is wrong are
-    the values walked again to name the first bad one."""
+def _typed(values: list, name: str, spec: tuple) -> set[type]:
+    """Check that every entry of ``values`` has one of ``spec``'s types,
+    never ``bool``, and return the set of their types. One C-level pass
+    collects the types; only when one of them is wrong are the values
+    walked again to name the first bad one."""
     kinds, _, what = spec
-    found = set(map(type, chain.from_iterable(rows)))
+    found = set(map(type, values))
     if not all(k is not bool and issubclass(k, kinds) for k in found):
-        for value in chain.from_iterable(rows):
+        for value in values:
             if isinstance(value, bool) or not isinstance(value, kinds):
                 raise ValidationError(f"{name} must be {what}, got {value!r}")
     return found
@@ -172,7 +172,7 @@ def _typed(rows, name: str, spec: tuple) -> set[type]:
 
 def _column(values: list, name: str, spec: tuple) -> np.ndarray:
     # np.asarray would read True as 1 and 0.0 as 0: check the types first
-    _typed((values,), name, spec)
+    _typed(values, name, spec)
     try:
         return np.array(values, dtype=spec[1])
     except OverflowError as err:  # an integer beyond the dtype's range
@@ -217,7 +217,7 @@ def _loads_back(key: bytes, record) -> bool:
 
 
 def _agent_indices(values: list) -> list[int]:
-    if _typed((values,), "agent index", _INDEX) <= {int}:
+    if _typed(values, "agent index", _INDEX) <= {int}:
         return values
     return list(map(int, values))
 
@@ -231,7 +231,6 @@ def _dense_system(record: dict) -> System:
     if not all(map(isinstance, rows, repeat(list))):
         for row in rows:
             _list(row, "weights row")
-    _typed(rows, "weight", _NUMBER)
     graph = build_digraph(rows)
     entries = _list(record["constraints"], "constraints")
     if not (

@@ -32,7 +32,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .constraints import ConstraintFn
-from .errors import MissingWitnessError, NonFiniteStateError
+from .errors import DimensionMismatchError, MissingWitnessError, NonFiniteStateError
 from .graph import Digraph, row_stats
 from .rays import (
     BoxRaySpec,
@@ -217,9 +217,19 @@ def _input_sums(
     return V @ system._block, system._plain_alpha + open_ @ system._block[g:]
 
 
-def rhs(system: System, x) -> NDArray[np.float64]:
-    """Right-hand side at a single state vector."""
+def _state_vector(system: System, x) -> NDArray[np.float64]:
+    """``x`` as one float state of shape ``(n,)``."""
     x = np.asarray(x, dtype=np.float64)
+    if x.shape != (system.n,):
+        raise DimensionMismatchError(
+            f"state must have shape ({system.n},), got {x.shape}"
+        )
+    return x
+
+
+def rhs(system: System, x) -> NDArray[np.float64]:
+    """Right-hand side at a single state vector of shape ``(n,)``."""
+    x = _state_vector(system, x)
     if not np.all(np.isfinite(x)):
         raise NonFiniteStateError("state vector has non-finite entries")
     return rhs_batch(system, x[None, :])[0]

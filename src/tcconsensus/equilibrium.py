@@ -8,22 +8,22 @@ and finally long-horizon integration. A start leaves a rung when it
 diverges, exhausts its budget or stalls (its residual stops halving every 64
 iterations while the state circles rather than drifts), and its method note
 records why; see :func:`solve_equilibrium`.
-All starts climb the ladder in lockstep: one kernel call per iteration
-serves every start, whatever its rung, and the same input sums give the
-residual of each start due for a check.
+The starts climb the ladder rung by rung, the starts on a rung in lockstep:
+one kernel call per iteration serves every start on the rung, and the same
+input sums give their residuals at each check.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constraints import box_violation, difference_quotient_bounds, fixed_point_set
 from .dynamics import _DIVERGENCE_LIMIT, IntegrationSpec, System, _input_sums
-from .dynamics import default_dt, integrate, rhs
+from .dynamics import _state_vector, default_dt, integrate, rhs
 from .errors import (
     EmptyFixedPointSetError,
     NoInEdgeAgentError,
@@ -65,32 +65,15 @@ _BUDGET = 20000
 _RUNGS = ((1.0, "picard"), (0.5, "damped-0.5"), (0.25, "damped-0.25"))
 
 
-@dataclass
-class _Start:
-    """One start on the ladder: its rung, the tick at which the rung began
-    from the seed, the rung's residuals and states at its last 8 checks, the
-    best point seen and one note per rung left."""
-
-    seed: np.ndarray
-    rung: int = 0
-    begun: int = 0
-    history: deque = field(default_factory=lambda: deque(maxlen=8))
-    best: np.ndarray | None = None
-    best_res: float = math.inf
-    notes: list = field(default_factory=list)
-
-    def leave(self, why: str, tick: int) -> bool:
-        """Restart from the seed on the next rung at the next tick; whether
-        one remains."""
-        self.notes.append(f"{_RUNGS[self.rung][1]}: {why}")
-        self.rung, self.begun = self.rung + 1, tick + 1
-        self.history.clear()
-        return self.rung < len(_RUNGS)
-
-
 def _ladder(system: System, seeds, tol: float, budget: int) -> list:
-    """Climb the ladder from every row of ``seeds`` in lockstep; one
-    ``Equilibrium`` or ``UnconvergedError`` per row."""
+    """Climb the ladder from every row of ``seeds``, rung by rung, the
+    starts on a rung in lockstep; one ``Equilibrium`` or
+    ``UnconvergedError`` per row."""
+    integer = isinstance(budget, (int, np.integer)) and not isinstance(budget, bool)
+    if not (integer and budget >= 1):
+        raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     alpha, _ = row_stats(system.graph)
     if np.any(alpha <= 0):
         raise NoInEdgeAgentError(
@@ -100,79 +83,69 @@ def _ladder(system: System, seeds, tol: float, budget: int) -> list:
     if not np.all(np.isfinite(seeds)):
         raise NonFiniteStateError("state vector has non-finite entries")
     m = len(seeds)
-    starts = [_Start(s) for s in seeds]
     outcomes: list = [None] * m
-    tail: list[int] = []
+    notes: list = [[] for _ in range(m)]
+    best, best_res = seeds.copy(), np.full(m, math.inf)
+    climbing = np.arange(m)  # the starts still on the ladder
 
-    # the active rows, their states, their rung's relaxation d and the tick
-    # of their next check; a row at tick t has made t - begun iterations on
-    # its rung and is checked every 8
-    rows, E, due = np.arange(m), seeds.copy(), np.zeros(m, dtype=np.int64)
-    damping = np.ones((m, 1))
-    tick = wake = 0
-    while rows.size:
-        num, den = _input_sums(system, E)
-        T = _map_step(E, num, den)
-        fresh, gone = [], []  # rows restarting from the seed, rows leaving
-        if tick == wake:
-            hit = np.flatnonzero(due == tick)
-            res = np.abs(num[hit] - E[hit] * den[hit]).max(axis=1)
-            for i, r in zip(hit.tolist(), res.tolist()):
-                st = starts[rows[i]]
-                it = tick - st.begun
-                if r < st.best_res:
-                    st.best, st.best_res = E[i].copy(), r
+    for d, name in _RUNGS:
+        # the rows on this rung, their states after ``it`` iterations from
+        # their seeds, and their residuals and states at the last 8 checks
+        rows, E, it = climbing, seeds[climbing], 0
+        history: deque = deque(maxlen=8)
+        while rows.size:
+            num, den = _input_sums(system, E)
+            T = _map_step(E, num, den)
+            gone = np.zeros(rows.size, dtype=bool)
+            if it % 8 == 0 or it == budget:
+                r = np.abs(num - E * den).max(axis=1)
+                better = r < best_res[rows]
+                best[rows[better]], best_res[rows[better]] = E[better], r[better]
                 # stalled: the residual failed to halve over 64 iterations,
                 # at that rate it would not reach tol within the budget, and
                 # the state went round rather than along: it moved less than
                 # half as far as 64 of its current steps would carry it
-                full = len(st.history) == st.history.maxlen
-                past, then = st.history[0] if full else (math.inf, 0)
-                ratio = r / past if past > 0 else math.inf
-                stalled = (
-                    ratio > 0.5
-                    and (ratio >= 1.0 or r * ratio ** ((budget - it) / 64) > tol)
-                    and np.abs(E[i] - then).max()
-                    < 32 * damping[i, 0] * np.abs(T[i] - E[i]).max()
-                )
-                if r <= tol and it > 0:
-                    method = ";".join(st.notes + [_RUNGS[st.rung][1]])
-                    outcomes[rows[i]] = Equilibrium(E[i].copy(), r, method, it)
-                    gone.append(i)
-                elif it == budget or stalled:
+                stalled = False
+                if len(history) == history.maxlen:
+                    past, then = history[0]
+                    with np.errstate(all="ignore"):
+                        ratio = np.where(past > 0, r / past, math.inf)
+                        slow = r * ratio ** ((budget - it) / 64) > tol
+                    moved = np.abs(E - then).max(axis=1)
+                    span = 32 * d * np.abs(T - E).max(axis=1)
+                    stalled = (ratio > 0.5) & ((ratio >= 1.0) | slow) & (moved < span)
+                done = (r <= tol) & (it > 0)
+                gone = done | stalled | (it == budget)
+                for i in np.flatnonzero(done).tolist():
+                    method = ";".join(notes[rows[i]] + [name])
+                    eq = Equilibrium(E[i].copy(), float(r[i]), method, it)
+                    outcomes[rows[i]] = eq
+                for i in np.flatnonzero(gone & ~done).tolist():
                     why = (
                         "budget exhausted"
                         if it == budget
-                        else f"stalled at {it} (residual ratio {ratio:.2f})"
+                        else f"stalled at {it} (residual ratio {ratio[i]:.2f})"
                     )
-                    (fresh if st.leave(why, tick) else gone).append(i)
-                else:
-                    st.history.append((r, E[i].copy()))
-                    due[i] = st.begun + min(it + 8, budget)
-        E = (1.0 - damping) * E + damping * T
-        if not np.abs(E).max() <= _DIVERGENCE_LIMIT:  # NaN fails it too
-            big = ~(np.abs(E).max(axis=1) <= _DIVERGENCE_LIMIT)
-            for i in np.flatnonzero(big).tolist():
-                if i not in fresh and i not in gone:
-                    st = starts[rows[i]]
-                    (fresh if st.leave("diverged", tick) else gone).append(i)
-        for i in fresh:
-            st = starts[rows[i]]
-            E[i], damping[i], due[i] = st.seed, _RUNGS[st.rung][0], st.begun
-        tail += [int(rows[i]) for i in gone if outcomes[rows[i]] is None]
-        if gone:
-            stay = np.ones(rows.size, dtype=bool)
-            stay[gone] = False
-            rows, E, due, damping = (a[stay] for a in (rows, E, due, damping))
-        if tick == wake or fresh or gone:
-            wake = int(due.min()) if rows.size else -1
-        tick += 1
+                    notes[rows[i]].append(f"{name}: {why}")
+                history.append((r, E))
+            E = (1.0 - d) * E + d * T
+            if not np.abs(E).max() <= _DIVERGENCE_LIMIT:  # NaN fails it too
+                big = ~(np.abs(E).max(axis=1) <= _DIVERGENCE_LIMIT) & ~gone
+                for k in rows[big].tolist():
+                    notes[k].append(f"{name}: diverged")
+                gone |= big
+            if gone.any():
+                keep = ~gone
+                rows, E = rows[keep], E[keep]
+                history = deque(((h[keep], s[keep]) for h, s in history), maxlen=8)
+            it += 1
+        climbing = climbing[[outcomes[k] is None for k in climbing.tolist()]]
 
     # integration tail for each start that left every rung: ride the
     # dynamics from the seed until the residual settles
     spec = IntegrationSpec(dt=default_dt(system), t_final=10.0, record_stride=10**9)
-    for k in tail:
-        st, e, steps = starts[k], seeds[k], 0
+    for k in climbing.tolist():
+        e, steps = seeds[k], 0
         for _ in range(min(60, max(2, budget // 1000))):
             try:
                 e = integrate(system, e, spec).final_state()
@@ -180,21 +153,21 @@ def _ladder(system: System, seeds, tol: float, budget: int) -> list:
                 break
             steps += spec.steps()
             r = residual(system, e)
-            if r < st.best_res:
-                st.best, st.best_res = e.copy(), r
+            if r < best_res[k]:
+                best[k], best_res[k] = e, r
             if r <= tol:
-                method = ";".join(st.notes + ["integration-tail"])
+                method = ";".join(notes[k] + ["integration-tail"])
                 outcomes[k] = Equilibrium(e, r, method, steps)
                 break
     return [
         UnconvergedError(
-            f"no equilibrium within tol {tol:g}; best residual {st.best_res:g}",
-            best=st.best,
-            residual=st.best_res,
+            f"no equilibrium within tol {tol:g}; best residual {res:g}",
+            best=b if res < math.inf else None,
+            residual=res,
         )
         if out is None
         else out
-        for out, st in zip(outcomes, starts)
+        for out, b, res in zip(outcomes, best, best_res.tolist())
     ]
 
 
@@ -204,7 +177,8 @@ def solve_equilibrium(
     tol: float = 1e-10,
     budget: int = _BUDGET,
 ) -> Equilibrium:
-    """Solve for an equilibrium starting from ``seed``.
+    """Solve for an equilibrium starting from ``seed``, a state of shape
+    ``(n,)``.
 
     Ladder: Picard iteration, damped iteration (relaxation 0.5 then 0.25),
     then integration. Each rung starts from the seed, whose residual is the
@@ -217,7 +191,9 @@ def solve_equilibrium(
     moved less over those 64 iterations than 32 of its current steps span.
     A cycle or an oscillation stalls; a steady drift with a flat residual
     keeps its rung. Raises ``UnconvergedError`` with the best point found
-    when every rung and the integration tail fail.
+    when every rung and the integration tail fail, ``ValueError`` unless
+    ``budget`` is an integer of at least 1 and ``tol`` is finite and
+    positive, and ``DimensionMismatchError`` for a seed of another shape.
 
     The method note is one ``<rung>: <why>`` entry per rung left, then the
     converging rung (``picard``, ``damped-0.5``, ``damped-0.25`` or
@@ -227,7 +203,7 @@ def solve_equilibrium(
     1.00);damped-0.5``. ``iterations`` counts the converging rung's
     iterations, or the integration tail's steps.
     """
-    out = _ladder(system, np.asarray(seed, dtype=np.float64)[None, :], tol, budget)[0]
+    out = _ladder(system, _state_vector(system, seed)[None, :], tol, budget)[0]
     if isinstance(out, UnconvergedError):
         raise out
     return out
@@ -288,11 +264,11 @@ def uniqueness_probe(
     solutions by max-norm distance, within ``1e3 * tol`` of a cluster's
     first member.
 
-    The starts climb :func:`solve_equilibrium`'s ladder together, in
-    lockstep, with one kernel call per iteration for all of them. Each
-    outcome matches the start's own ``solve_equilibrium``: the same method
-    and iterations, and a point equal up to the rounding of the batched
-    matrix product."""
+    The starts climb :func:`solve_equilibrium`'s ladder rung by rung, the
+    starts on a rung in lockstep, with one kernel call per iteration for
+    all of them. Each outcome matches the start's own
+    ``solve_equilibrium``: the same method and iterations, and a point
+    equal up to the rounding of the batched matrix product."""
     if n_starts < 2:
         raise ValueError("n_starts must be at least 2")
     cluster_radius = 1e3 * tol

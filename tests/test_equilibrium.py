@@ -18,8 +18,11 @@ from tcconsensus import (
     theta_hull,
     uniqueness_probe,
 )
+from tcconsensus import equilibrium
+from tcconsensus.dynamics import rhs
 from tcconsensus.equilibrium import _ladder
 from tcconsensus.errors import (
+    DimensionMismatchError,
     EmptyFixedPointSetError,
     NoInEdgeAgentError,
     UnconvergedError,
@@ -107,6 +110,44 @@ class TestSolveEquilibrium:
         assert np.all(np.isfinite(exc.value.best))
         assert exc.value.residual > 0
 
+    @pytest.mark.parametrize(
+        "limits",
+        [
+            {"budget": -5},
+            {"budget": 0},
+            {"budget": True},
+            {"tol": float("nan")},
+            {"tol": -1.0},
+        ],
+    )
+    def test_bad_budget_or_tol_raises_before_iterating(self, limits, monkeypatch):
+        # a negative budget used to put every check behind the iteration
+        # counter, so the solve never ended; no kernel call may be made
+        def kernel(*args):
+            raise AssertionError("the ladder iterated")
+
+        monkeypatch.setattr(equilibrium, "_input_sums", kernel)
+        pair = two_agent(Affine(0.5), Affine(0.5))
+        with pytest.raises(ValueError, match="budget|tol"):
+            solve_equilibrium(pair, [0.0, 0.0], **limits)
+        if "tol" in limits:
+            with pytest.raises(ValueError, match="tol"):
+                uniqueness_probe(pair, (-1.0, 1.0), 2, **limits)
+
+    @pytest.mark.parametrize(
+        "call, state",
+        [
+            (solve_equilibrium, [0.0]),
+            (solve_equilibrium, [0.0, 0.0, 0.0]),
+            (solve_equilibrium, [[0.0, 0.0]]),
+            (residual, [0.0]),
+            (rhs, [0.0]),
+        ],
+    )
+    def test_wrong_shape_state_names_the_expected_shape(self, call, state):
+        with pytest.raises(DimensionMismatchError, match=r"shape \(2,\)"):
+            call(AFFINE_PAIR, state)
+
 
 # iterations of solve_equilibrium from each scenario's sampled x0 at seeds 0
 # and 7; every one of these converges on the undamped rung
@@ -191,6 +232,23 @@ class TestLadder:
         alone = solve_equilibrium(sys_, [1.0, 1.0])
         assert (alone.method, alone.iterations) == (tail.method, tail.iterations)
         assert np.abs(alone.point - tail.point).max() <= 1e-12
+
+    def test_rows_leaving_mid_rung_keep_the_others_stall_test(self):
+        # the origin converges on the undamped rung at its first check after
+        # 0, while the sampled start stalls there at 456 and converges on the
+        # damped rung: dropping the origin's row from the batch and from the
+        # check history must not move the other row's stall test
+        sc = scenario_by_name("sine")
+        seeds = np.array([np.zeros(sc.system.n), sc.sample_x0(0)[0]])
+        origin, sampled = _ladder(sc.system, seeds, 1e-10, 20000)
+        assert (origin.method, origin.iterations) == ("picard", 8)
+        stall = "picard: stalled at 456 (residual ratio 0.93)"
+        assert sampled.method == f"{stall};damped-0.5"
+        assert sampled.iterations == 56
+        for eq, seed in zip((origin, sampled), seeds):
+            alone = solve_equilibrium(sc.system, seed)
+            assert (eq.method, eq.iterations) == (alone.method, alone.iterations)
+            assert np.abs(eq.point - alone.point).max() <= 1e-12
 
     def test_seed_at_an_equilibrium_still_iterates_to_the_first_check(self):
         eq = solve_equilibrium(AFFINE_PAIR, [-2.0, 2.0])

@@ -61,6 +61,51 @@ class TestBuildDigraph:
         assert list(g.neighbors(1)) == []
 
 
+class TestWeightsAreNumbers:
+    # np.array would read True as 1.0, '1.5' as 1.5 and None as NaN
+    @pytest.mark.parametrize(
+        "weights, bad",
+        [
+            ([[0, True], ["1.5", 0]], "True"),
+            ([[0, 1.0], ["1.5", 0]], "'1.5'"),
+            ([[0, None], [1.0, 0]], "None"),
+            ([(0, 1.0), (np.True_, 0)], "np.True_|True"),
+        ],
+    )
+    def test_list_entries_must_be_numbers(self, weights, bad):
+        with pytest.raises(TypeError, match=f"weight must be a number, got ({bad})$"):
+            build_digraph(weights)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            np.array([[False, True], [True, False]]),
+            np.array([["0", "1.5"], ["1", "0"]]),
+            np.array([[0, 1.0], [1.0, 0]], dtype=object),
+        ],
+    )
+    def test_array_dtype_must_be_integer_or_float(self, weights):
+        with pytest.raises(TypeError, match="weight must be a number, got dtype"):
+            build_digraph(weights)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [[0, 2], [3.0, 0]],
+            [[0, np.int64(2)], [np.float32(3.0), 0]],
+            [np.array([0, 2]), np.array([3.0, 0])],
+            np.array([[0, 2], [3, 0]], dtype=np.uint8),
+            np.array([[0, 2], [3.0, 0]], dtype=np.float32),
+        ],
+    )
+    def test_numbers_of_every_kind_are_read(self, weights):
+        assert build_digraph(weights).weights.tolist() == [[0.0, 2.0], [3.0, 0.0]]
+
+    def test_a_flat_list_is_still_a_shape_error(self):
+        with pytest.raises(NonSquareError):
+            build_digraph([0.0, 1.0])
+
+
 class TestRowStats:
     def test_irregular_row_sum(self):
         alpha, a_bar = row_stats(build_digraph(IRREGULAR_5))
