@@ -35,7 +35,7 @@ from .errors import (
     TCConsensusError,
     ValidationError,
 )
-from .graph import build_digraph
+from .graph import INTEGER, NUMBER, build_digraph, check_numbers
 from .scenarios import Scenario, builtin_scenarios, scenario_by_name
 
 _TOP_LEVEL_KEYS = {
@@ -54,10 +54,6 @@ _DENSE_KEYS = {"weights", "constraints"}
 _COLUMNAR_KEYS = {"agents", "functions", "edges"}
 _EDGE_COLUMNS = ("sender", "receiver", "weight", "function")
 _CONSTRAINT_KEYS = {"sender", "receiver", "fn"}
-_INTEGER = (int, np.integer)
-# (accepted types, dtype, description) of a column's values
-_INDEX = (_INTEGER, np.int64, "an integer")
-_NUMBER = ((int, float, np.integer, np.floating), np.float64, "a number")
 
 
 @dataclass(frozen=True)
@@ -156,25 +152,11 @@ def _list(value, what: str) -> list:
     return value
 
 
-def _typed(values: list, name: str, spec: tuple) -> set[type]:
-    """Check that every entry of ``values`` has one of ``spec``'s types,
-    never ``bool``, and return the set of their types. One C-level pass
-    collects the types; only when one of them is wrong are the values
-    walked again to name the first bad one."""
-    kinds, _, what = spec
-    found = set(map(type, values))
-    if not all(k is not bool and issubclass(k, kinds) for k in found):
-        for value in values:
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise ValidationError(f"{name} must be {what}, got {value!r}")
-    return found
-
-
-def _column(values: list, name: str, spec: tuple) -> np.ndarray:
+def _column(values: list, name: str, kinds: tuple) -> np.ndarray:
     # np.asarray would read True as 1 and 0.0 as 0: check the types first
-    _typed(values, name, spec)
+    check_numbers(values, name, kinds, ValidationError)
     try:
-        return np.array(values, dtype=spec[1])
+        return np.array(values, dtype=np.int64 if kinds is INTEGER else np.float64)
     except OverflowError as err:  # an integer beyond the dtype's range
         raise ValidationError(f"{name} out of range: {err}") from err
 
@@ -217,7 +199,7 @@ def _loads_back(key: bytes, record) -> bool:
 
 
 def _agent_indices(values: list) -> list[int]:
-    if _typed(values, "agent index", _INDEX) <= {int}:
+    if check_numbers(values, "agent index", INTEGER, ValidationError) <= {int}:
         return values
     return list(map(int, values))
 
@@ -255,7 +237,8 @@ def _dense_system(record: dict) -> System:
 
 def _columnar_system(record: dict) -> System:
     n = record["agents"]
-    if isinstance(n, bool) or not isinstance(n, _INTEGER) or n < 0:
+    check_numbers([n], "'agents'", INTEGER, ValidationError)
+    if n < 0:
         raise ValidationError(f"'agents' must be a non-negative integer, got {n!r}")
     fns = _load_fns(_list(record["functions"], "functions"))
     edges = record["edges"]
@@ -264,10 +247,10 @@ def _columnar_system(record: dict) -> System:
     if len(set(lengths.values())) > 1:
         raise ValidationError(f"edge columns must have equal lengths, got {lengths}")
     senders, receivers, index = (
-        _column(edges[name], name, _INDEX)
+        _column(edges[name], name, INTEGER)
         for name in ("sender", "receiver", "function")
     )
-    weights = _column(edges["weight"], "weight", _NUMBER)
+    weights = _column(edges["weight"], "weight", NUMBER)
     for name, column, bound in (
         ("sender", senders, n),
         ("receiver", receivers, n),
@@ -309,16 +292,18 @@ def system_from_dict(record: dict) -> System:
     ``fn`` records equal as written load as one shared, immutable object:
     two records share one exactly when their ``repr()`` strings are equal,
     which is exact (a float's ``repr`` round-trips) and keeps types apart
-    (``1``, ``1.0`` and ``True`` differ), so each distinct record is parsed
+    (``1`` and ``1.0`` differ), so each distinct record is parsed
     and validated once and echoes back as written (:func:`_load_fns`).
 
     Rejected: unknown keys, a repeated ``(sender, receiver)`` pair, agent
-    indices that are not integers, weights that are not numbers (``bool``
-    included); in the columnar form also unequal columns, out-of-range
-    indices, self-loops, weights that are not finite and positive, and
-    table entries no edge uses. Both forms check whole columns, with no
-    Python statement per edge; only a failed check walks a column again to
-    name its first bad value.
+    indices that are not integers, weights that are not numbers, function
+    parameters that are not finite numbers (``bool`` is neither an integer
+    nor a number: :func:`~tcconsensus.graph.check_numbers`); in the
+    columnar form also unequal columns, out-of-range indices, self-loops,
+    weights that are not finite and positive, and table entries no edge
+    uses. Both forms check whole columns, with no Python statement per
+    edge; only a failed check walks a column again to name its first bad
+    value.
     """
     if not isinstance(record, dict):
         raise ValidationError("'system' must be an object")
@@ -355,12 +340,7 @@ def config_from_dict(data: dict) -> RunConfig:
         if "dt" not in rec or "t_final" not in rec:
             raise ValidationError("'integration' requires 'dt' and 't_final'")
         try:
-            integration = IntegrationSpec(
-                dt=_number(rec, "dt"),
-                t_final=_number(rec, "t_final"),
-                method=rec.get("method", "rk4"),
-                record_stride=rec.get("record_stride"),
-            )
+            integration = IntegrationSpec(**rec)
         except (ValueError, OverflowError) as err:
             raise ValidationError(str(err)) from err
 
@@ -379,13 +359,12 @@ def config_from_dict(data: dict) -> RunConfig:
 
     x0 = data.get("x0")
     if x0 is not None:
-        x0 = tuple(_column(_list(x0, "x0"), "x0 entry", _NUMBER).tolist())
+        x0 = tuple(_column(_list(x0, "x0"), "x0 entry", NUMBER).tolist())
         if not all(math.isfinite(v) for v in x0):
             raise ValidationError("x0 must be finite")
 
     seed = data.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValidationError("seed must be an integer")
+    check_numbers([seed], "seed", INTEGER, ValidationError)
 
     output_dir = data.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
@@ -396,17 +375,10 @@ def config_from_dict(data: dict) -> RunConfig:
         system=system,
         x0=x0,
         integration=integration,
-        seed=seed,
+        seed=int(seed),
         output_dir=output_dir,
         **flags,
     )
-
-
-def _number(record: dict, key: str) -> float:
-    value = record[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"integration {key} must be a number, got {value!r}")
-    return float(value)
 
 
 def load_config(path) -> RunConfig:

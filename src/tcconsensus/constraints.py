@@ -16,6 +16,7 @@ import bisect
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .errors import (
     UnresolvableEnclosureError,
     ValidationError,
 )
+from .graph import NUMBER, check_numbers
 from .intervals import IntervalSet
 from .rays import BoxRaySpec
 
@@ -585,32 +587,35 @@ _VARIANTS = {
 def from_dict(record: dict) -> ConstraintFn:
     """Build a variant from its ``to_dict`` record; nested ``mix`` members
     are records too. Keys other than ``variant`` and the variant's fields
-    are rejected, and so are non-finite numbers (JSON's ``NaN`` and
-    ``Infinity``), also inside knot pairs and sample lists."""
+    are rejected. Each parameter that is not a string or a member record
+    must be a finite number, also inside knot pairs and sample lists
+    (:func:`~tcconsensus.graph.check_numbers`): ``true``, ``"0.5"``,
+    ``null`` and ``NaN`` raise ``ValidationError``."""
     rec = dict(record)
     name = rec.pop("variant", None)
     cls = _VARIANTS.get(name)
     if cls is None:
         raise UnknownConstraintVariantError(f"unknown constraint variant {name!r}")
-    unknown = set(rec) - {f.name for f in fields(cls)}
+    kinds = {f.name: f.type for f in fields(cls)}  # annotations, as strings
+    unknown = set(rec) - set(kinds)
     if unknown:
         raise ValidationError(f"unknown {name} keys: {sorted(unknown)}")
     kwargs = {}
     for key, v in rec.items():
-        if isinstance(v, dict) and "variant" in v:
+        if kinds[key] == "ConstraintFn" and isinstance(v, dict):
             v = from_dict(v)
-        elif not _all_finite(v):
-            raise ValidationError(f"{name} {key} must be finite, got {v!r}")
-        elif isinstance(v, list):
-            v = tuple(tuple(k) if isinstance(k, list) else k for k in v)
+        elif kinds[key] != "str":
+            numbers = [v] if kinds[key] == "float" else _numbers(v)
+            check_numbers(numbers, f"{name} {key}", NUMBER, ValidationError)
+            if not all(map(math.isfinite, numbers)):
+                raise ValidationError(f"{name} {key} must be finite, got {v!r}")
         kwargs[key] = v
     return cls(**kwargs)
 
 
-def _all_finite(v) -> bool:
-    if isinstance(v, list):
-        return all(_all_finite(k) for k in v)
-    return not isinstance(v, float) or math.isfinite(v)
+def _numbers(v) -> list:
+    """The entries of a sample list or of its knot pairs."""
+    return list(chain.from_iterable(map(_numbers, v))) if isinstance(v, list) else [v]
 
 
 # ---------------------------------------------------------------------------

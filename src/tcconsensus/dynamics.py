@@ -33,7 +33,7 @@ from numpy.typing import NDArray
 
 from .constraints import ConstraintFn
 from .errors import DimensionMismatchError, MissingWitnessError, NonFiniteStateError
-from .graph import Digraph, row_stats
+from .graph import INTEGER, NUMBER, Digraph, check_numbers, row_stats
 from .rays import (
     BoxRaySpec,
     EquilibriumRaySpec,
@@ -252,12 +252,19 @@ def default_dt(system: System) -> float:
 
 @dataclass(frozen=True)
 class IntegrationSpec:
+    """``dt`` and ``t_final`` are numbers, stored as floats, and
+    ``record_stride`` an integer (never ``bool``); ``ValueError`` if not."""
+
     dt: float
     t_final: float
     method: str = "rk4"
     record_stride: int | None = None  # None: auto, about 1000 samples
 
     def __post_init__(self):
+        for name in ("dt", "t_final"):
+            value = getattr(self, name)
+            check_numbers([value], name, NUMBER, ValueError)
+            object.__setattr__(self, name, float(value))
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if not (math.isfinite(self.t_final) and self.t_final >= 0):
@@ -267,12 +274,10 @@ class IntegrationSpec:
         if self.method not in ("rk4", "euler"):
             raise ValueError(f"unknown method {self.method!r}")
         stride = self.record_stride
-        if stride is not None and (
-            isinstance(stride, bool)
-            or not isinstance(stride, (int, np.integer))
-            or stride < 1
-        ):
-            raise ValueError(f"record_stride must be an integer >= 1, got {stride!r}")
+        if stride is not None:
+            check_numbers([stride], "record_stride", INTEGER, ValueError)
+            if stride < 1:
+                raise ValueError(f"record_stride must be >= 1, got {stride!r}")
 
     def steps(self) -> int:
         """Number of fixed steps: ``t_final / dt`` rounded to the nearest
@@ -379,7 +384,8 @@ def integrate_batch(
 
 
 def integrate(system: System, x0, spec: IntegrationSpec) -> Trajectory:
-    x0 = np.asarray(x0, dtype=np.float64)
+    """Integrate from one state; see :func:`_state_vector` for its shape."""
+    x0 = _state_vector(system, x0)
     try:
         batch = integrate_batch(system, x0[None, :], spec)
     except NonFiniteStateError as err:

@@ -30,7 +30,7 @@ from .errors import (
     NonFiniteStateError,
     UnconvergedError,
 )
-from .graph import row_stats
+from .graph import INTEGER, NUMBER, check_numbers, row_stats
 from .intervals import IntervalSet
 
 
@@ -56,11 +56,6 @@ def _map_step(E, num, den):
     return np.divide(num, den, out=E.copy(), where=den > 0)
 
 
-def _picard_map(system: System, e: np.ndarray) -> np.ndarray:
-    """The update map at one state."""
-    return _map_step(e[None, :], *_input_sums(system, e[None, :]))[0]
-
-
 _BUDGET = 20000
 _RUNGS = ((1.0, "picard"), (0.5, "damped-0.5"), (0.25, "damped-0.25"))
 
@@ -69,9 +64,10 @@ def _ladder(system: System, seeds, tol: float, budget: int) -> list:
     """Climb the ladder from every row of ``seeds``, rung by rung, the
     starts on a rung in lockstep; one ``Equilibrium`` or
     ``UnconvergedError`` per row."""
-    integer = isinstance(budget, (int, np.integer)) and not isinstance(budget, bool)
-    if not (integer and budget >= 1):
-        raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
+    check_numbers([budget], "budget", INTEGER, ValueError)
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget!r}")
+    check_numbers([tol], "tol", NUMBER, ValueError)
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     alpha, _ = row_stats(system.graph)
@@ -192,8 +188,9 @@ def solve_equilibrium(
     A cycle or an oscillation stalls; a steady drift with a flat residual
     keeps its rung. Raises ``UnconvergedError`` with the best point found
     when every rung and the integration tail fail, ``ValueError`` unless
-    ``budget`` is an integer of at least 1 and ``tol`` is finite and
-    positive, and ``DimensionMismatchError`` for a seed of another shape.
+    ``budget`` is an integer of at least 1 and ``tol`` a finite positive
+    number (neither a ``bool``), and ``DimensionMismatchError`` for a seed
+    of another shape.
 
     The method note is one ``<rung>: <why>`` entry per rung left, then the
     converging rung (``picard``, ``damped-0.5``, ``damped-0.25`` or

@@ -6,7 +6,7 @@ Edge convention: ``weights[i, j] > 0`` means agent ``j`` transmits to agent
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -48,38 +48,42 @@ class Digraph:
         return np.diag(alpha) - self.weights
 
 
-_NUMBER = (int, float, np.integer, np.floating)
+INTEGER = (int, np.integer)
+NUMBER = (int, float, np.integer, np.floating)
 
 
-def _check_numbers(weights) -> None:
-    """Raise ``TypeError`` unless every weight is a number, ``bool`` not
-    included: ``np.array`` would read ``True`` as 1.0, ``'1.5'`` as 1.5 and
-    ``None`` as NaN. An array must have an integer or float dtype; the
-    entries of a list of rows are checked in one C-level pass over their
-    types, and walked again only to name the first bad one."""
-    if isinstance(weights, np.ndarray):
-        if weights.dtype.kind not in "iuf":
-            raise TypeError(f"weight must be a number, got dtype {weights.dtype}")
-        return
-    try:
-        found = set(map(type, chain.from_iterable(weights)))
-    except TypeError:  # not a list of rows: the shape check reports it
-        return
-    if not all(k is not bool and issubclass(k, _NUMBER) for k in found):
-        for value in chain.from_iterable(weights):
-            if isinstance(value, bool) or not isinstance(value, _NUMBER):
-                raise TypeError(f"weight must be a number, got {value!r}")
+def check_numbers(values, what: str, kinds=NUMBER, error=TypeError) -> set[type]:
+    """The type rule for numbers read from outside: raise ``error`` unless
+    every entry of ``values`` is an instance of ``kinds``, never ``bool``
+    (``np.array`` and ``float`` read ``True`` as 1.0, ``'1.5'`` as 1.5), and
+    return the set of their types. One C-level pass collects the types; only
+    a wrong one walks the values again, to name the first bad value."""
+    found = set(map(type, values))
+    if not all(k is not bool and issubclass(k, kinds) for k in found):
+        kind = "an integer" if kinds is INTEGER else "a number"
+        for value in values:
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise error(f"{what} must be {kind}, got {value!r}")
+    return found
 
 
 def build_digraph(weights) -> Digraph:
     """Validate a weight matrix and wrap it in a :class:`Digraph`.
 
-    Raises ``TypeError`` on a weight that is not a number (see
-    :func:`_check_numbers`), and on a non-square matrix, negative or
-    non-finite entries, or a nonzero diagonal (self-loops are an error,
-    not silently repaired).
+    Raises ``TypeError`` on a weight that is not a number (an array needs
+    an integer or float dtype; see :func:`check_numbers`), and on a
+    non-square matrix, negative or non-finite entries, or a nonzero
+    diagonal (self-loops are an error, not silently repaired).
     """
-    _check_numbers(weights)
+    if isinstance(weights, np.ndarray):
+        if weights.dtype.kind not in "iuf":
+            raise TypeError(f"weight must be a number, got dtype {weights.dtype}")
+    else:
+        try:
+            entries = list(chain.from_iterable(weights))
+        except TypeError:  # not a list of rows: the shape check reports it
+            entries = []
+        check_numbers(entries, "weight")
     w = np.array(weights, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise NonSquareError(f"weight matrix must be square, got shape {w.shape}")

@@ -255,7 +255,7 @@ _MIX = {
 SHARING_RECORDS = (
     {"variant": "saturation", "lo": -1, "hi": 1},
     {"variant": "saturation", "lo": -1.0, "hi": 1.0},
-    {"variant": "saturation", "lo": -1, "hi": True},
+    {"variant": "saturation", "lo": -1, "hi": np.float64(1.0)},
     {"variant": "affine", "k": 0.5, "m": 0.0},
     {"variant": "affine", "k": 0.5, "m": -0.0},
     {"variant": "affine", "k": 0.5, "m": 0.0},
@@ -453,6 +453,34 @@ MALFORMED_SYSTEMS = {
     "nan-sample": lambda r: r["constraints"][0].update(
         fn={"variant": "tabulated", "xs": [-1, 0, 1], "ys": [0, float("nan"), 0]}
     ),
+    # a function parameter is a number, never a bool, string or null
+    "bool-parameter": lambda r: r["constraints"][0].update(
+        fn={"variant": "affine", "k": True}
+    ),
+    "bool-bounds": lambda r: r["constraints"][1].update(
+        fn={"variant": "saturation", "lo": False, "hi": True}
+    ),
+    "bool-sample": lambda r: r["constraints"][0].update(
+        fn={"variant": "tabulated", "xs": [0, 1], "ys": [0, True]}
+    ),
+    "string-knot": lambda r: r["constraints"][0].update(
+        fn={"variant": "piecewise_linear", "knots": [[0, 0], [1, "1"]]}
+    ),
+    "string-parameter": lambda r: r["constraints"][0].update(
+        fn={"variant": "affine", "k": "0.5"}
+    ),
+    "null-parameter": lambda r: r["constraints"][1].update(
+        fn={"variant": "affine", "k": None}
+    ),
+    "list-parameter": lambda r: r["constraints"][1].update(
+        fn={"variant": "affine", "k": [0.5, 0.5]}
+    ),
+    "float32-nan-parameter": lambda r: r["constraints"][0].update(
+        fn={"variant": "affine", "k": np.float32("nan")}
+    ),
+    "bool-mix-weight": lambda r: r["constraints"][0].update(
+        fn={**_MIX, "weight": True}
+    ),
     "gated-mix-member": lambda r: r["constraints"][0].update(
         fn={
             "variant": "mix",
@@ -511,6 +539,9 @@ MALFORMED_SYSTEMS = {
         lambda r: r["functions"][0].update(k=float("nan"))
     ),
     "columnar-fn-key": columnar(lambda r: r["functions"][0].update(bogus=1)),
+    "columnar-bool-parameter": columnar(
+        lambda r: r["functions"][0].update(m=False)
+    ),
 }
 
 
@@ -686,6 +717,10 @@ BAD_FIELDS = {
     "string-record-stride": {"integration": {"record_stride": "5"}},
     "fractional-record-stride": {"integration": {"record_stride": 2.5}},
     "bool-record-stride": {"integration": {"record_stride": True}},
+    "bool-dt": {"integration": {"dt": True}},
+    "bool-t-final": {"integration": {"t_final": False}},
+    "bool-seed": {"seed": True},
+    "float-seed": {"seed": 3.0},
     "nan-dt": {"integration": {"dt": float("nan")}},
     "infinite-dt": {"integration": {"dt": math.inf}},
     "infinite-t-final": {"integration": {"t_final": math.inf}},
@@ -739,6 +774,17 @@ class TestConfigFields:
         config = config_from_dict({"scenario": "ex1", "x0": x0})
         assert config.x0 == (1.0, 2.5, 0.5, -3.0, 0.25)
         assert all(type(v) is float for v in config.x0)
+        # the seed and the integration horizon follow the same rule
+        data = {
+            "scenario": "ex1",
+            "seed": np.int64(3),
+            "integration": {"dt": np.int64(1), "t_final": np.float32(2.5)},
+        }
+        config = config_from_dict(data)
+        assert config.seed == 3 and type(config.seed) is int
+        spec = config.integration
+        assert (spec.dt, spec.t_final) == (1.0, 2.5)
+        assert type(spec.dt) is float and type(spec.t_final) is float
 
 
 SCENARIO_NAMES = [s.name for s in builtin_scenarios()]

@@ -31,11 +31,16 @@ from tcconsensus.dynamics import (
     rhs_batch,
 )
 from tcconsensus.rays import distance_to_box, lyapunov_V, lyapunov_Y
-from tcconsensus.equilibrium import _picard_map
+from tcconsensus.equilibrium import _map_step
 from tcconsensus.errors import MissingWitnessError, NonFiniteStateError
 
 from test_constraints import CATALOG
 from test_rays import oracle_dist, oracle_V, oracle_Y
+
+
+def picard_map(system, e):
+    """The equilibrium solver's update map at one state."""
+    return _map_step(e[None, :], *dynamics._input_sums(system, e[None, :]))[0]
 
 
 def two_agent(f_01, f_10):
@@ -149,7 +154,7 @@ class TestEdgeTableMatchesPerEdgeLoop:
             ref = num - x * den
             assert np.abs(row - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
             ref = np.where(den > 0, num / np.where(den > 0, den, 1.0), x)
-            picard = _picard_map(sys_, x)
+            picard = picard_map(sys_, x)
             assert np.abs(picard - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
 
     def test_closed_gates_drop_out(self):
@@ -158,7 +163,7 @@ class TestEdgeTableMatchesPerEdgeLoop:
         # agent 0 is outside the gate on its edge to agent 1
         x = np.array([3.0, 0.5])
         assert rhs(sys_, x) == pytest.approx([0.25 - 3.0, 0.0])
-        assert _picard_map(sys_, x) == pytest.approx([0.25, 0.5])
+        assert picard_map(sys_, x) == pytest.approx([0.25, 0.5])
 
     def test_equal_copies_share_one_entry(self):
         sys_ = random_catalog_system(7)

@@ -19,7 +19,7 @@ from tcconsensus import (
     uniqueness_probe,
 )
 from tcconsensus import equilibrium
-from tcconsensus.dynamics import rhs
+from tcconsensus.dynamics import integrate, rhs
 from tcconsensus.equilibrium import _ladder
 from tcconsensus.errors import (
     DimensionMismatchError,
@@ -40,6 +40,10 @@ def complete_identity(n):
 
 
 AFFINE_PAIR = two_agent(Affine(-0.5, 1.0), Affine(-0.5, -1.0))
+
+
+def integrate_briefly(system, state):
+    return integrate(system, state, IntegrationSpec(dt=0.01, t_final=0.1))
 
 
 class TestResidual:
@@ -118,6 +122,7 @@ class TestSolveEquilibrium:
             {"budget": True},
             {"tol": float("nan")},
             {"tol": -1.0},
+            {"tol": True},
         ],
     )
     def test_bad_budget_or_tol_raises_before_iterating(self, limits, monkeypatch):
@@ -142,6 +147,8 @@ class TestSolveEquilibrium:
             (solve_equilibrium, [[0.0, 0.0]]),
             (residual, [0.0]),
             (rhs, [0.0]),
+            (integrate_briefly, [0.0]),
+            (integrate_briefly, [[0.0, 0.0]]),
         ],
     )
     def test_wrong_shape_state_names_the_expected_shape(self, call, state):
