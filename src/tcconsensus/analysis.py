@@ -23,11 +23,7 @@ from .constraints import (
     sector_membership,
 )
 from .dynamics import System
-from .errors import (
-    EmptyFixedPointSetError,
-    UnboundedRegionError,
-    UnresolvableEnclosureError,
-)
+from .errors import EmptyFixedPointSetError, UnresolvableEnclosureError
 from .graph import is_strongly_connected
 from .intervals import IntervalSet
 from .rays import BoxRaySpec
@@ -233,14 +229,7 @@ def _quotient_condition(system: System, strict: bool) -> ConditionResult:
     """
     worst = (math.inf, -math.inf)
     for edge, fn in system.distinct:
-        try:
-            qb = difference_quotient_bounds(
-                fn, IntervalSet.reals(), exclude_fixed=strict
-            )
-        except UnboundedRegionError:
-            return ConditionResult(
-                "inconclusive", note=f"edge {edge}: unbounded region for sampling"
-            )
+        qb = difference_quotient_bounds(fn, IntervalSet.reals(), exclude_fixed=strict)
         if qb is None:
             continue
         lo_ok = qb.lo > -1.0 + QUOTIENT_EDGE_TOL or (

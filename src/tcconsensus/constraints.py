@@ -21,7 +21,6 @@ from itertools import chain
 import numpy as np
 
 from .errors import (
-    UnboundedRegionError,
     UnknownConstraintVariantError,
     UnresolvableEnclosureError,
     ValidationError,
@@ -33,7 +32,6 @@ from .rays import BoxRaySpec
 STRICT_MARGIN = 1e-12
 BISECTION_FP_TOL = 1e-8  # outer radius of each scanned fixed-point piece
 SCAN_RESOLUTION = 1e-3  # largest step of the fixed-point sign scan
-QUOTIENT_GRID = 1e-3  # chord-slope sample step, relative to the region width
 RATIO_GRID = 5e-3  # ray-ratio sample step, relative to the window width
 BOX_SAMPLES = 2001  # samples of the box-range check
 
@@ -313,6 +311,7 @@ class ScaledSine(ConstraintFn):
     """``amplitude * sin(x + phase)``."""
 
     variant = "scaled_sine"
+    derivative_bounds_attained = False  # no chord attains an isolated extreme
     amplitude: float
     phase: float = 0.0
 
@@ -450,12 +449,13 @@ class Tabulated(ConstraintFn):
     ``linear`` interpolation is exactly piecewise linear. ``pchip`` is the
     shape-preserving piecewise cubic of :func:`_pchip_coefficients`,
     evaluated per piece as ``((c3 + c2*s) + c1*s**2) + c0*(s**2*s)``, the
-    operation order of scipy's ``PPoly``. Its fixed points, chord slopes and
-    sector conditions are still sampled (see :func:`_scan_fixed_points`),
-    not decided on the cubic pieces.
+    operation order of scipy's ``PPoly``. Its chord slopes come from
+    :meth:`derivative_range`; its fixed points and sector conditions are
+    still sampled (see :func:`_scan_fixed_points`).
     """
 
     variant = "tabulated"
+    derivative_bounds_attained = True  # a pchip piece may be linear
     xs: tuple[float, ...]
     ys: tuple[float, ...]
     interpolation: str = "linear"
@@ -500,6 +500,24 @@ class Tabulated(ConstraintFn):
 
     def bounded_range(self):
         return min(self.ys), max(self.ys)
+
+    def derivative_range(self, lo: float, hi: float) -> tuple[float, float]:
+        """Range of the pchip derivative ``3*c0*s**2 + 2*c1*s + c2`` on
+        ``[lo, hi]`` (ends may be infinite or equal): its values at the ends
+        of each overlapped piece and at the vertex ``-c1/(3*c0)`` clipped
+        into it, plus ``0`` for a clamped tail the region reaches. These are
+        float evaluations with no rounding pad, as :func:`_cos_range` is."""
+        xs = self._axs
+        a, b = np.maximum(xs[:-1], lo), np.minimum(xs[1:], hi)
+        on = a <= b
+        c0, c1, c2, _ = self._coef[:, on]
+        s_lo, s_hi = (a - xs[:-1])[on], (b - xs[:-1])[on]
+        vertex = np.divide(-c1, 3.0 * c0, out=s_lo.copy(), where=c0 != 0.0)
+        s = np.stack((s_lo, s_hi, np.clip(vertex, s_lo, s_hi)))
+        vals = (c2 + 2.0 * c1 * s + 3.0 * c0 * (s * s)).ravel().tolist()
+        if lo < xs[0] or hi > xs[-1]:
+            vals.append(0.0)
+        return min(vals), max(vals)
 
 
 @dataclass(frozen=True)
@@ -587,10 +605,10 @@ _VARIANTS = {
 def from_dict(record: dict) -> ConstraintFn:
     """Build a variant from its ``to_dict`` record; nested ``mix`` members
     are records too. Keys other than ``variant`` and the variant's fields
-    are rejected. Each parameter that is not a string or a member record
-    must be a finite number, also inside knot pairs and sample lists
-    (:func:`~tcconsensus.graph.check_numbers`): ``true``, ``"0.5"``,
-    ``null`` and ``NaN`` raise ``ValidationError``."""
+    are rejected. Each parameter must have its field's shape, and each
+    number in it must be finite (:func:`~tcconsensus.graph.check_numbers`):
+    ``true``, ``"0.5"``, ``null``, ``NaN``, ``10**400`` and misshapen lists
+    raise ``ValidationError`` naming the field."""
     rec = dict(record)
     name = rec.pop("variant", None)
     cls = _VARIANTS.get(name)
@@ -602,20 +620,36 @@ def from_dict(record: dict) -> ConstraintFn:
         raise ValidationError(f"unknown {name} keys: {sorted(unknown)}")
     kwargs = {}
     for key, v in rec.items():
-        if kinds[key] == "ConstraintFn" and isinstance(v, dict):
+        what = f"{name} {key}"
+        if kinds[key] == "ConstraintFn":
+            if not isinstance(v, dict):
+                raise ValidationError(f"{what} must be a constraint record, got {v!r}")
             v = from_dict(v)
         elif kinds[key] != "str":
-            numbers = [v] if kinds[key] == "float" else _numbers(v)
-            check_numbers(numbers, f"{name} {key}", NUMBER, ValidationError)
-            if not all(map(math.isfinite, numbers)):
-                raise ValidationError(f"{name} {key} must be finite, got {v!r}")
+            numbers = _numbers(v, kinds[key], what)
+            check_numbers(numbers, what, NUMBER, ValidationError)
+            try:
+                finite = all(map(math.isfinite, numbers))
+            except OverflowError as err:  # an integer beyond the float range
+                raise ValidationError(f"{what} out of range: {err}") from err
+            if not finite:
+                raise ValidationError(f"{what} must be finite, got {v!r}")
         kwargs[key] = v
     return cls(**kwargs)
 
 
-def _numbers(v) -> list:
-    """The entries of a sample list or of its knot pairs."""
-    return list(chain.from_iterable(map(_numbers, v))) if isinstance(v, list) else [v]
+def _numbers(v, kind: str, what: str) -> list:
+    """The entries of a parameter annotated ``kind``, once its list shape
+    is checked: samples are a list, knots a list of pairs."""
+    if kind == "float":
+        return [v]
+    if not isinstance(v, list):
+        raise ValidationError(f"{what} must be a list, got {v!r}")
+    if kind == "tuple[float, ...]":
+        return v
+    if not all(isinstance(p, list) and len(p) == 2 for p in v):
+        raise ValidationError(f"{what} must be a list of [x, y] pairs, got {v!r}")
+    return list(chain.from_iterable(v))
 
 
 # ---------------------------------------------------------------------------
@@ -748,15 +782,14 @@ def _bisect_root(g, a: float, b: float) -> float:
 class QuotientBounds:
     """Bounds on the difference quotient ``(f(x+w)-f(x))/w`` over a region.
 
-    ``lo_attained``/``hi_attained`` say whether an actual chord attains the
-    bound (piece slopes do; smooth-function derivative extremes do not).
+    ``lo_attained``/``hi_attained`` say whether a chord may attain the
+    bound; ``True`` is conservative, as it can only cost a certificate.
     """
 
     lo: float
     hi: float
     lo_attained: bool
     hi_attained: bool
-    exact: bool
 
 
 def difference_quotient_bounds(
@@ -766,13 +799,13 @@ def difference_quotient_bounds(
 ) -> QuotientBounds | None:
     """Chord-slope bounds for ``f`` with both endpoints in ``region``.
 
-    Exact for piecewise-linear-representable variants (piece slopes over the
-    region hull) and for the sine variant (analytic derivative range);
-    otherwise a sampled estimate with a step of ``QUOTIENT_GRID`` times the
-    region width. ``exclude_fixed`` restricts the attainment flags to chords
-    anchored off the fixed-point set, the form needed by the strict
-    equilibrium-uniqueness hypothesis; it returns ``None`` when the whole
-    region is fixed (the condition is vacuous).
+    Piece slopes over the region hull for piecewise-linear forms; the
+    weighted members' bounds for a non-PWL ``Mix``, attained only where
+    both members' are; ``f.derivative_range`` over the hull (mean value
+    theorem) for the rest. ``exclude_fixed`` restricts a piecewise-linear
+    form's attainment flags to chords anchored off the fixed-point set (the
+    strict uniqueness hypothesis) and gives ``None`` when the whole region
+    is fixed (vacuous); other forms keep their conservative flags.
     """
     if region is None:
         region = IntervalSet.reals()
@@ -783,42 +816,22 @@ def difference_quotient_bounds(
     rep = f.pwl()
     if rep is not None:
         r = rep.slope_range(hull_lo, hull_hi, exclude_identity=exclude_fixed)
-        if r is None:
-            return None
-        lo, hi, lo_att, hi_att = r
-        return QuotientBounds(lo, hi, lo_att, hi_att, exact=True)
-
-    if isinstance(f, ScaledSine):
-        lo, hi = f.derivative_range(hull_lo, hull_hi)
-        return QuotientBounds(lo, hi, False, False, exact=True)
+        return None if r is None else QuotientBounds(*r)
 
     if isinstance(f, Mix):
-        b1 = difference_quotient_bounds(f.first, region, exclude_fixed)
-        b2 = difference_quotient_bounds(f.second, region, exclude_fixed)
-        if b1 is None or b2 is None:
-            return b1 or b2
+        b1 = difference_quotient_bounds(f.first, region)
+        b2 = difference_quotient_bounds(f.second, region)
         w = f.weight
         return QuotientBounds(
             w * b1.lo + (1.0 - w) * b2.lo,
             w * b1.hi + (1.0 - w) * b2.hi,
-            False,
-            False,
-            exact=b1.exact and b2.exact,
+            (w == 0.0 or b1.lo_attained) and (w == 1.0 or b2.lo_attained),
+            (w == 0.0 or b1.hi_attained) and (w == 1.0 or b2.hi_attained),
         )
 
-    if not (math.isfinite(hull_lo) and math.isfinite(hull_hi)):
-        raise UnboundedRegionError(
-            f"{f.variant} has no affine tails; bound the region"
-        )
-    step = QUOTIENT_GRID * max(hull_hi - hull_lo, 1.0)
-    n = max(int(math.ceil((hull_hi - hull_lo) / step)) + 1, 16)
-    xs = np.linspace(hull_lo, hull_hi, n)
-    vals = f.eval_array(xs)
-    slopes = np.diff(vals) / np.diff(xs)
-    pad = 1e-9
-    return QuotientBounds(
-        float(slopes.min()) - pad, float(slopes.max()) + pad, False, False, exact=False
-    )
+    lo, hi = f.derivative_range(hull_lo, hull_hi)
+    att = f.derivative_bounds_attained
+    return QuotientBounds(lo, hi, att, att)
 
 
 # ---------------------------------------------------------------------------

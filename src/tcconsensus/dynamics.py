@@ -415,10 +415,6 @@ class CheckResult:
 class MonitorReport:
     results: dict[str, CheckResult]
 
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.results.values())
-
 
 def attach_channels(
     traj: Trajectory,

@@ -245,10 +245,6 @@ class UniquenessReport:
         "probe, not a proof"
     )
 
-    @property
-    def cluster_count(self) -> int:
-        return len(self.clusters)
-
 
 def uniqueness_probe(
     system: System,
@@ -265,12 +261,21 @@ def uniqueness_probe(
     starts on a rung in lockstep, with one kernel call per iteration for
     all of them. Each outcome matches the start's own
     ``solve_equilibrium``: the same method and iterations, and a point
-    equal up to the rounding of the batched matrix product."""
+    equal up to the rounding of the batched matrix product. ``n_starts``
+    must be an integer >= 2, ``seed`` an integer and ``box`` a pair of
+    finite numbers with ``lo <= hi``, else ``ValueError``."""
+    check_numbers([n_starts], "n_starts", INTEGER, ValueError)
     if n_starts < 2:
         raise ValueError("n_starts must be at least 2")
-    cluster_radius = 1e3 * tol
+    check_numbers([seed], "seed", INTEGER, ValueError)
+    if not (isinstance(box, (tuple, list)) and len(box) == 2):
+        raise ValueError(f"box must be a pair (lo, hi), got {box!r}")
+    check_numbers(box, "box", NUMBER, ValueError)
     lo, hi = box
-    seeds = seed_stream(seed, n_starts, system.n, lo, hi)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"box must be finite with lo <= hi, got {box!r}")
+    cluster_radius = 1e3 * tol
+    seeds = seed_stream(int(seed), n_starts, system.n, lo, hi)
     try:
         solved = _ladder(system, seeds, tol, _BUDGET)
     except NoInEdgeAgentError as err:

@@ -38,11 +38,6 @@ class UnresolvableEnclosureError(TCConsensusError):
     """Bisection could not certify a fixed-point enclosure within budget."""
 
 
-class UnboundedRegionError(TCConsensusError):
-    """Difference-quotient bounds requested on an unbounded region for a
-    function without affine tails."""
-
-
 class DimensionMismatchError(TCConsensusError):
     pass
 

@@ -296,9 +296,6 @@ def _sine() -> Scenario:
     )
 
 
-NECESSITY_OMEGA = 0.5
-
-
 def _necessity_2agent() -> Scenario:
     weights = [[0.0, 1.0], [1.0, 0.0]]
     constraints: dict[tuple[int, int], ConstraintFn] = {

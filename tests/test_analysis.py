@@ -291,6 +291,28 @@ class TestClassify:
         assert verdict.conditions["consensus_zone_nonempty"].status == "fail"
         assert verdict.conditions["strict_quotient_off_fixed_set"].status == "pass"
 
+    def test_pwl_pchip_mix_with_a_unit_slope_chord_fails_the_strict_bound(self):
+        # x + 0.5 on [-1, 1] in both members: a chord of slope 1 anchored off
+        # the fixed point x = 2, so the strict hypothesis fails
+        ts = (-2.0, -1.0, 0.0, 1.0, 2.0)
+        pchip = Tabulated(ts, tuple(t + 0.5 for t in ts), "pchip")
+        f = Mix(PiecewiseLinear(((-1.0, -0.5), (1.0, 1.5))), pchip, 0.5)
+        verdict = classify_system(two_agent(f, f))
+        strict = verdict.conditions["strict_quotient_off_fixed_set"]
+        assert strict.status == "fail" and strict.witness == (0.0, 1.0)
+
+    def test_monotone_pchip_ring_passes_on_chord_slopes(self):
+        f = Tabulated(
+            (-2.0, -1.0, 0.0, 1.0, 2.0), (-1.0, -0.8, 0.0, 0.8, 1.0), "pchip"
+        )
+        verdict = classify_system(ring([f, f, f]))
+        assert verdict.conditions["quotient_in_unit_sector"].status == "pass"
+        assert verdict.conditions["strict_quotient_off_fixed_set"].status == "pass"
+        assert verdict.classification == "Consensus"
+        rays = verdict.conditions["admissible_rays"]
+        assert rays.status == "inconclusive" and rays.note.startswith("not searched")
+        assert verdict.rays is None
+
     def test_unique_equilibrium_beside_an_unbounded_enclosure(self):
         # the exact sets prove the zone empty and every chord slope lies in
         # [0.1, 0.5], so the Picard map contracts

@@ -478,6 +478,19 @@ MALFORMED_SYSTEMS = {
     "float32-nan-parameter": lambda r: r["constraints"][0].update(
         fn={"variant": "affine", "k": np.float32("nan")}
     ),
+    # list parameters are checked for shape before the variant is built
+    "scalar-samples": lambda r: r["constraints"][0].update(
+        fn={"variant": "tabulated", "xs": 3, "ys": [0, 1]}
+    ),
+    "flat-knots": lambda r: r["constraints"][0].update(
+        fn={"variant": "piecewise_linear", "knots": [1, 2]}
+    ),
+    "nested-samples": lambda r: r["constraints"][0].update(
+        fn={"variant": "tabulated", "xs": [0, 1], "ys": [[0], [1]]}
+    ),
+    "three-entry-knot": lambda r: r["constraints"][0].update(
+        fn={"variant": "piecewise_linear", "knots": [[0, 1, 2]]}
+    ),
     "bool-mix-weight": lambda r: r["constraints"][0].update(
         fn={**_MIX, "weight": True}
     ),

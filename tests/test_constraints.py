@@ -28,9 +28,9 @@ from tcconsensus import (
 from tcconsensus import constraints
 from tcconsensus.constraints import evaluate, ratio_range
 from tcconsensus.errors import (
-    UnboundedRegionError,
     UnknownConstraintVariantError,
     UnresolvableEnclosureError,
+    ValidationError,
 )
 
 CATALOG = [
@@ -392,6 +392,24 @@ def _pchip_tables():
 
 PCHIP_TABLES = _pchip_tables()
 
+# regions for a pchip derivative range, from the end samples ``(a, b)``
+_DERIVATIVE_REGIONS = {
+    "whole line": lambda a, b: (-math.inf, math.inf),
+    "bounded": lambda a, b: (a + 0.2 * (b - a), a + 0.7 * (b - a)),
+    "one point": lambda a, b: (a + 0.37 * (b - a),) * 2,
+    "past the samples": lambda a, b: (b + 1.0, b + 5.0),
+    "across an end": lambda a, b: (b - 0.25 * (b - a), b + (b - a)),
+}
+
+
+def _pchip_derivative_samples(f, lo, hi):
+    """scipy's pchip derivative at 20001 points of ``[lo, hi]`` inside the
+    samples, plus the flat tails' 0 when the region reaches past them."""
+    a, b = max(lo, f.xs[0]), min(hi, f.xs[-1])
+    d = PchipInterpolator(np.array(f.xs), np.array(f.ys)).derivative()
+    vals = d(np.linspace(a, b, 20001)) if a <= b else np.empty(0)
+    return np.append(vals, 0.0) if lo < f.xs[0] or hi > f.xs[-1] else vals
+
 
 class TestPchip:
     @pytest.mark.parametrize("table", sorted(PCHIP_TABLES))
@@ -410,6 +428,30 @@ class TestPchip:
         assert scalar.tobytes() == want.tobytes()
         k = len(grid) // 7 * 7  # a 2-D slab, as the dynamics kernel passes
         assert f.eval_array(grid[:k].reshape(-1, 7)).tobytes() == want[:k].tobytes()
+
+    @pytest.mark.parametrize("region", sorted(_DERIVATIVE_REGIONS))
+    @pytest.mark.parametrize("table", sorted(PCHIP_TABLES))
+    def test_derivative_range_contains_scipy_derivative(self, table, region):
+        xs, ys = PCHIP_TABLES[table]
+        f = Tabulated(tuple(xs), tuple(ys), "pchip")
+        lo, hi = _DERIVATIVE_REGIONS[region](f.xs[0], f.xs[-1])
+        d_lo, d_hi = f.derivative_range(lo, hi)
+        vals = _pchip_derivative_samples(f, lo, hi)
+        assert d_lo <= vals.min() and vals.max() <= d_hi
+        if region == "past the samples":
+            assert (d_lo, d_hi) == (0.0, 0.0)
+        elif region == "one point":
+            assert d_lo == d_hi == vals[0]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_derivative_range_on_the_seeded_scan_tables(self, seed):
+        tables = [f for f, _ in _scan_cases(seed) if isinstance(f, Tabulated)]
+        assert tables
+        for f in tables:
+            for lo, hi in ((-math.inf, math.inf), (-2.5, 1.75), (-1.0, -1.0)):
+                d_lo, d_hi = f.derivative_range(lo, hi)
+                vals = _pchip_derivative_samples(f, lo, hi)
+                assert d_lo <= vals.min() and vals.max() <= d_hi, (f, lo, hi)
 
     @pytest.mark.parametrize(
         "xs", [(0.0, 1.0, 1.0), (0.0, 2.0, 1.0), (0.0, math.nan, 1.0)]
@@ -432,7 +474,7 @@ class TestDifferenceQuotientBounds:
     def test_affine_constant_slope(self):
         qb = difference_quotient_bounds(Affine(-0.5, 0.0))
         assert (qb.lo, qb.hi) == (-0.5, -0.5)
-        assert qb.exact and qb.lo_attained and qb.hi_attained
+        assert qb.lo_attained and qb.hi_attained
 
     def test_saturation_chords(self):
         qb = difference_quotient_bounds(Saturation(-1.0, 1.0))
@@ -463,12 +505,38 @@ class TestDifferenceQuotientBounds:
         qb = difference_quotient_bounds(f, exclude_fixed=True)
         assert qb.hi == 1.0 and qb.hi_attained
 
-    def test_pchip_needs_bounded_region(self):
+    def test_pchip_on_the_whole_line(self):
         f = Tabulated((-2.0, -1.0, 1.0, 2.0), (-1.5, -1.0, 1.0, 1.5), "pchip")
-        with pytest.raises(UnboundedRegionError):
-            difference_quotient_bounds(f, IntervalSet.reals())
-        qb = difference_quotient_bounds(f, IntervalSet.closed(-2, 2))
-        assert not qb.exact
+        qb = difference_quotient_bounds(f, IntervalSet.reals())
+        inner = difference_quotient_bounds(f, IntervalSet.closed(-1.5, 1.5))
+        # the flat tails add slope 0; a pchip piece may be linear, so the
+        # bounds count as attained
+        assert qb.lo == 0.0 and qb.hi == inner.hi and inner.lo > 0.0
+        assert qb.lo_attained and qb.hi_attained
+        xs = np.linspace(-4.0, 4.0, 80001)
+        chords = np.diff(f.eval_array(xs)) / np.diff(xs)
+        assert qb.lo <= chords.min() and chords.max() <= qb.hi
+
+    def test_mix_attains_only_where_both_members_attain(self):
+        # x + 0.5 on [-1, 1], as PWL and as pchip: a chord there has slope 1
+        ts = (-2.0, -1.0, 0.0, 1.0, 2.0)
+        pchip = Tabulated(ts, tuple(t + 0.5 for t in ts), "pchip")
+        f = Mix(PiecewiseLinear(((-1.0, -0.5), (1.0, 1.5))), pchip, 0.5)
+        qb = difference_quotient_bounds(f, exclude_fixed=True)
+        assert (qb.lo, qb.hi) == (0.0, 1.0)
+        assert qb.lo_attained and qb.hi_attained
+        g = Mix(PiecewiseLinear(((-1.0, -0.5), (1.0, 1.5))), ScaledSine(1.0), 0.5)
+        qb = difference_quotient_bounds(g)
+        assert (qb.lo, qb.hi) == (-0.5, 1.0)
+        assert not qb.lo_attained and not qb.hi_attained
+        # a zero weight drops its member from the flags too
+        qb = difference_quotient_bounds(Mix(ScaledSine(1.0), pchip, 0.0))
+        assert qb.hi == 1.0 and qb.hi_attained
+
+    def test_mix_keeps_an_identity_member_off_the_fixed_set(self):
+        f = Mix(Identity(), ScaledSine(0.5), 0.5)
+        qb = difference_quotient_bounds(f, exclude_fixed=True)
+        assert (qb.lo, qb.hi) == (0.25, 0.75)
 
     def test_empty_region_is_none(self):
         assert difference_quotient_bounds(Affine(0.5), IntervalSet.empty()) is None
@@ -683,3 +751,20 @@ class TestSerialization:
     def test_nested_mix(self):
         f = Mix(Mix(Affine(0.5), Identity()), Saturation(-1, 1), 0.3)
         assert from_dict(f.to_dict()) == f
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"variant": "tabulated", "xs": 3, "ys": [0, 1]}, "tabulated xs must be a list"),
+            ({"variant": "piecewise_linear", "knots": [1, 2]}, "knots must be a list of"),
+            ({"variant": "tabulated", "xs": [0, 1], "ys": [[0], [1]]}, "tabulated ys"),
+            ({"variant": "piecewise_linear", "knots": [[0, 1, 2]]}, "knots must be a list of"),
+            ({"variant": "affine", "k": [0.5]}, "affine k must be a number"),
+            ({"variant": "mix", "first": 3, "second": {"variant": "identity"}}, "mix first"),
+            ({"variant": "affine", "k": 10**400}, "affine k out of range"),
+            ({"variant": "tabulated", "xs": [0, 1], "ys": [0, -(10**400)]}, "tabulated ys out"),
+        ],
+    )
+    def test_malformed_parameters_name_the_field(self, record, message):
+        with pytest.raises(ValidationError, match=message):
+            from_dict(record)

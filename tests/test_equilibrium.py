@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -326,17 +328,52 @@ class TestUniquenessProbe:
         with pytest.raises(ValueError):
             uniqueness_probe(AFFINE_PAIR, (-5, 5), 1)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            {"n_starts": 2.5},
+            {"n_starts": 3.0},
+            {"n_starts": True},
+            {"seed": 2.5},
+            {"seed": "1"},
+            {"box": (True, 2)},
+            {"box": (2, -1)},
+            {"box": ("a", 1)},
+            {"box": (0.0, math.inf)},
+            {"box": (math.nan, 1.0)},
+            {"box": (0.0, 1.0, 2.0)},
+            {"box": 1.0},
+        ],
+    )
+    def test_bad_arguments_raise_before_any_start(self, args, monkeypatch):
+        def kernel(*a):
+            raise AssertionError("the ladder iterated")
+
+        monkeypatch.setattr(equilibrium, "_input_sums", kernel)
+        call = {"box": (-5.0, 5.0), "n_starts": 3, "seed": 0, **args}
+        with pytest.raises(ValueError, match="n_starts|seed|box"):
+            uniqueness_probe(AFFINE_PAIR, call.pop("box"), **call)
+
+    def test_numpy_integers_and_a_point_box(self):
+        a = uniqueness_probe(AFFINE_PAIR, (-5, 5), np.int64(3), seed=np.int64(3))
+        b = uniqueness_probe(AFFINE_PAIR, (-5, 5), 3, seed=3)
+        assert [o.seed_point.tolist() for o in a.outcomes] == [
+            o.seed_point.tolist() for o in b.outcomes
+        ]
+        point = uniqueness_probe(AFFINE_PAIR, (np.float64(1.0), 1), 2)
+        assert all(o.seed_point.tolist() == [1.0, 1.0] for o in point.outcomes)
+
     def test_unique_equilibrium_single_cluster(self):
         sys_ = scenario_by_name("ex3").system
         report = uniqueness_probe(sys_, (-5.0, 5.0), 10, tol=1e-8)
-        assert report.cluster_count == 1
+        assert len(report.clusters) == 1
         rep, members = report.clusters[0]
         assert members == 10
         assert residual(sys_, rep) <= 1e-8
 
     def test_identity_continuum_many_clusters(self):
         report = uniqueness_probe(complete_identity(3), (-5.0, 5.0), 6)
-        assert report.cluster_count >= 2
+        assert len(report.clusters) >= 2
         # every solution is a consensus point
         for rep, _ in report.clusters:
             assert np.ptp(rep) < 1e-6
@@ -348,7 +385,7 @@ class TestUniquenessProbe:
     def test_deterministic(self):
         a = uniqueness_probe(AFFINE_PAIR, (-5, 5), 4, seed=3)
         b = uniqueness_probe(AFFINE_PAIR, (-5, 5), 4, seed=3)
-        assert a.cluster_count == b.cluster_count
+        assert len(a.clusters) == len(b.clusters)
         assert a.clusters[0][0] == pytest.approx(b.clusters[0][0])
 
 
