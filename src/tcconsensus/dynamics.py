@@ -7,14 +7,20 @@ contribution while the sender state is outside the accepted interval.
 
 A :class:`System` compiles its constraint map once into an edge table keyed
 by distinct function value, and its piecewise-linear functions into one bin
-table over the union of their knots. One kernel, :func:`_input_sums`,
-evaluates every piecewise-linear column with one lookup in the bin table,
-the other functions once each over their sender columns, and scatters the
-values to the receivers with one dense product against the table's weight
-block. It returns the constrained input sum ``num_i = sum_j a_ij f_ji(x_j)``
-and the active in-degree ``den_i = sum_j a_ij`` over the edges not gated
-shut. The right-hand side is ``num - x * den``; the equilibrium module's
-Picard map is ``num / den``.
+table over the union of their knots. A mixture without a piecewise-linear
+form is not a function of the table: each of its members gets block rows of
+its own, weighted ``a * w`` and ``a * (1 - w)``. One kernel,
+:func:`_input_sums`, evaluates every piecewise-linear column with one lookup
+in the bin table, the other functions once each over their sender columns,
+and scatters the values to the receivers with one dense product against the
+table's weight block. When the block's rows are the agents in order, the
+kernel reads the states themselves instead of gathering sender columns. It
+returns the constrained input sum ``num_i = sum_j a_ij f_ji(x_j)`` and the
+active in-degree ``den_i = sum_j a_ij`` over the edges not gated shut,
+summed from the edges, not from the member rows. An ungated system's ``den``
+is its in-degree vector of shape ``(n,)``, which broadcasts over the batch.
+The right-hand side is ``num - x * den``; the equilibrium module's Picard
+map is ``num / den``.
 
 Integration is deterministic fixed-step forward integration (RK4 by
 default): identical inputs produce bit-identical trajectories. For
@@ -31,9 +37,9 @@ from itertools import chain
 import numpy as np
 from numpy.typing import NDArray
 
-from .constraints import ConstraintFn
+from .constraints import ConstraintFn, Mix
 from .errors import DimensionMismatchError, MissingWitnessError, NonFiniteStateError
-from .graph import INTEGER, NUMBER, Digraph, check_numbers, row_stats
+from .graph import INTEGER, NUMBER, Digraph, as_float, check_numbers, row_stats
 from .rays import (
     BoxRaySpec,
     EquilibriumRaySpec,
@@ -57,21 +63,33 @@ class System:
 
     - ``distinct`` pairs each distinct function with its first edge in
       sorted order. The ledger loops iterate it instead of every edge, and
-      still name the edge the per-edge loop would have stopped at.
-    - The weight block has one row per distinct (function, sender) pair and
-      one column per agent: row ``k`` holds ``a_ij`` for every receiver ``i``
-      whose edge from the row's sender ``j`` carries the row's function.
-      Functions follow in first-edge order with gated functions last; each
-      function's rows are contiguous, its senders ascending.
-    - The bin table serves every function with a piecewise-linear form.
-      Let ``G`` be the sorted union of their knots. A state in bin ``g``
-      (``G[g-1] <= x < G[g]``, bin 0 unbounded below) lies on one fixed
-      piece of each such function, the piece its own ``searchsorted``
-      picks for ``G[g-1]``. The flat slope and intercept arrays hold that
-      piece at ``r * (len(G) + 1) + g`` for the function of rank ``r``, and
-      each block row carries the base offset of its function, so one
-      ``searchsorted`` over ``G`` selects the piece of every column.
-      Functions without a piecewise-linear form hold zeros there.
+      still name the edge the per-edge loop would have stopped at. A
+      ``Mix`` is listed as itself, as the report's echo writes it.
+    - The weight block has one row per distinct (member, sender) pair and
+      one column per agent. An edge's members are its function, except for
+      a ``Mix`` without a piecewise-linear form, whose members are those of
+      its two functions with factors ``w`` and ``1 - w`` (see
+      :func:`_members`): row ``k`` holds ``a_ij * factor`` for every
+      receiver ``i`` whose edge from the row's sender ``j`` has the row's
+      function as a member. A member equal to another edge's function
+      shares its rows. Members follow in the first-edge order of their
+      functions, gated functions last; each member's rows (its span) are
+      contiguous, its senders ascending. ``_senders`` lists the row senders;
+      when they are ``0..n-1`` in order, ``_identity`` tells the kernel to
+      skip the gather.
+    - The ungated in-degree ``_plain_alpha`` sums ``a_ij`` over the edges,
+      not the member rows (``a*w + a*(1 - w)`` need not round to ``a``), in
+      the order of the block a table without member rows would have.
+    - The bin table serves every member with a piecewise-linear form,
+      including a ``Mix`` that has one. Let ``G`` be the sorted union of
+      their knots. A state in bin ``g`` (``G[g-1] <= x < G[g]``, bin 0
+      unbounded below) lies on one fixed piece of each such member, the
+      piece its own ``searchsorted`` picks for ``G[g-1]``. The flat slope
+      and intercept arrays hold that piece at ``r * (len(G) + 1) + g`` for
+      the member of rank ``r``, and each block row carries the base offset
+      of its member, so one ``searchsorted`` over ``G`` selects the piece
+      of every column. Members without a piecewise-linear form hold zeros
+      there.
     """
 
     graph: Digraph
@@ -123,20 +141,46 @@ class System:
         by_rank = np.argsort(gated, kind="stable")
         rank = np.empty(len(firsts), dtype=np.intp)
         rank[group[firsts][by_rank]] = np.arange(len(firsts))
-        row_keys, row_of_edge = np.unique(
-            rank[group] * n + senders, return_inverse=True
+        edge_rank = rank[group]
+
+        # the members of each distinct function, in rank order, take span
+        # ranks in order of first sight; row r of ``table`` holds the span
+        # ranks of function r's members, padded with -1
+        parts = [_members(fns[firsts[k]]) for k in by_rank.tolist()]
+        members: dict[ConstraintFn, int] = {}
+        table = np.full((len(parts), max(map(len, parts), default=0)), -1, np.intp)
+        factors = np.zeros(table.shape)
+        for r, part in enumerate(parts):
+            for c, (fn, factor) in enumerate(part.items()):
+                table[r, c] = members.setdefault(fn, len(members))
+                factors[r, c] = factor
+        # one block entry per edge and member, edge by edge
+        entry_edge, col = np.nonzero(table[edge_rank] >= 0)
+        entry_rank = edge_rank[entry_edge]
+        row_keys, row_of_entry = np.unique(
+            table[entry_rank, col] * n + senders[entry_edge], return_inverse=True
         )
         block = np.zeros((len(row_keys), n))
-        block[row_of_edge, receivers] = edge_weights
-        bounds = np.searchsorted(
-            row_keys // n, np.arange(len(firsts) + 1)
-        ).tolist()
-        spans = tuple(
-            (fns[firsts[k]], bounds[r], bounds[r + 1])
-            for r, k in enumerate(by_rank.tolist())
+        block[row_of_entry, receivers[entry_edge]] = (
+            edge_weights[entry_edge] * factors[entry_rank, col]
         )
-        plain = len(firsts) - int(gated.sum())
+        bounds = np.searchsorted(row_keys // n, np.arange(len(members) + 1)).tolist()
+        spans = tuple(
+            (fn, bounds[r], bounds[r + 1]) for r, fn in enumerate(members)
+        )
+        gates = int(gated.sum())
+        plain = len(spans) - gates
         gate_start = bounds[plain]
+
+        # the in-degree of the edges themselves, as a*w + a*(1 - w) need not
+        # round to a: np.add.at adds repeated indices in order, here the
+        # (function rank, sender) order of a block without member rows, so
+        # the sum is that block's column sum, bit for bit
+        unexpanded = edge_rank * n + senders
+        plain_edges = np.flatnonzero(edge_rank < len(firsts) - gates)
+        plain_edges = plain_edges[np.argsort(unexpanded[plain_edges], kind="stable")]
+        plain_alpha = np.zeros(n)
+        np.add.at(plain_alpha, receivers[plain_edges], edge_weights[plain_edges])
 
         # bin table: between two adjacent knots of the union, every
         # piecewise-linear function stays on one piece
@@ -155,6 +199,7 @@ class System:
                 piece = rep._axs.searchsorted(lefts, side="right")
                 slopes[r] = rep._slopes[piece]
                 icpts[r] = rep._intercepts[piece]
+        row_senders = row_keys % n
         object.__setattr__(self, "_knots", knots)
         object.__setattr__(self, "_base", row_keys // n * len(lefts))
         object.__setattr__(self, "_slopes", slopes.ravel())
@@ -164,10 +209,15 @@ class System:
         )
         object.__setattr__(self, "_gates", spans[plain:])
         object.__setattr__(self, "_spans", spans)
-        object.__setattr__(self, "_senders", row_keys % n)
+        object.__setattr__(self, "_senders", row_senders)
+        object.__setattr__(
+            self,
+            "_identity",
+            len(row_senders) == n and bool((row_senders == np.arange(n)).all()),
+        )
         object.__setattr__(self, "_block", block)
         object.__setattr__(self, "_gate_start", gate_start)
-        object.__setattr__(self, "_plain_alpha", block[:gate_start].sum(axis=0))
+        object.__setattr__(self, "_plain_alpha", plain_alpha)
 
     def _check_cover(self) -> None:
         """Compare the keys with the edge set as sets of pairs, naming the
@@ -185,20 +235,45 @@ class System:
         return self.graph.n
 
 
+def _members(fn: ConstraintFn) -> dict[ConstraintFn, float]:
+    """The block rows of an edge carrying ``fn``, as ``{member: factor}``:
+    a ``Mix`` without a piecewise-linear form splits into its members with
+    factors ``w`` and ``1 - w``, nested mixes multiplying theirs outer to
+    inner. Equal members merge by summing their factors in member order, and
+    a member of factor 0 drops out. Any other function is its own member,
+    factor 1."""
+    out: dict[ConstraintFn, float] = {}
+    stack = [(fn, 1.0)]
+    while stack:
+        f, scale = stack.pop()
+        if isinstance(f, Mix) and f.pwl() is None:
+            stack += [(f.second, scale * (1.0 - f.weight)), (f.first, scale * f.weight)]
+        else:
+            out[f] = out.get(f, 0.0) + scale
+    return {f: factor for f, factor in out.items() if factor}
+
+
 def _input_sums(
     system: System, X: NDArray[np.float64]
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Constrained input sums and active in-degrees for a batch of states.
 
-    ``X`` has shape ``(m, n)``; both results do too. A gated edge adds
-    neither its value nor its weight while its sender is outside the gate.
+    ``X`` has shape ``(m, n)``, and so has ``num``. ``den`` has shape
+    ``(m, n)`` when the system has a gate and is the in-degree vector of
+    shape ``(n,)`` otherwise; either broadcasts against ``X``. A gated edge
+    adds neither its value nor its weight while its sender is outside the
+    gate.
 
-    Every piecewise-linear column is evaluated by one lookup in the bin
-    table: the same slope and intercept, and the same two operations, as
-    :meth:`PWLRep.eval_array`, so the values are bit-identical. Columns of
-    functions without a piecewise-linear form are then overwritten.
+    The columns are the block's rows, one per (member, sender) pair, so a
+    ``Mix`` without a piecewise-linear form is evaluated member by member.
+    They are the columns of ``X`` itself when the rows' senders are the
+    agents in order. Every piecewise-linear column is evaluated by one
+    lookup in the bin table: the same slope and intercept, and the same two
+    operations, as :meth:`PWLRep.eval_array`, so the values are
+    bit-identical. Columns of functions without a piecewise-linear form are
+    then overwritten.
     """
-    XS = X[:, system._senders]
+    XS = X if system._identity else X[:, system._senders]
     if system._knots.size:
         key = system._knots.searchsorted(XS, side="right")
         key += system._base
@@ -208,7 +283,7 @@ def _input_sums(
     for fn, a, b in system._direct:
         V[:, a:b] = fn.eval_array(XS[:, a:b])
     if not system._gates:
-        return V @ system._block, system._plain_alpha[None].repeat(len(X), axis=0)
+        return V @ system._block, system._plain_alpha
     g = system._gate_start
     open_ = np.empty((X.shape[0], XS.shape[1] - g))
     for fn, a, b in system._gates:
@@ -252,8 +327,9 @@ def default_dt(system: System) -> float:
 
 @dataclass(frozen=True)
 class IntegrationSpec:
-    """``dt`` and ``t_final`` are numbers, stored as floats, and
-    ``record_stride`` an integer (never ``bool``); ``ValueError`` if not."""
+    """``dt`` and ``t_final`` are finite numbers, stored as floats, and
+    ``record_stride`` an integer (never ``bool``); ``ValueError`` if not,
+    also for an integer beyond the float range."""
 
     dt: float
     t_final: float
@@ -264,7 +340,7 @@ class IntegrationSpec:
         for name in ("dt", "t_final"):
             value = getattr(self, name)
             check_numbers([value], name, NUMBER, ValueError)
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, as_float(value))
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if not (math.isfinite(self.t_final) and self.t_final >= 0):

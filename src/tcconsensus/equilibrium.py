@@ -30,7 +30,7 @@ from .errors import (
     NonFiniteStateError,
     UnconvergedError,
 )
-from .graph import INTEGER, NUMBER, check_numbers, row_stats
+from .graph import INTEGER, NUMBER, as_float, check_numbers, row_stats
 from .intervals import IntervalSet
 
 
@@ -68,6 +68,7 @@ def _ladder(system: System, seeds, tol: float, budget: int) -> list:
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget!r}")
     check_numbers([tol], "tol", NUMBER, ValueError)
+    tol = as_float(tol)
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     alpha, _ = row_stats(system.graph)
@@ -271,15 +272,15 @@ def uniqueness_probe(
     if not (isinstance(box, (tuple, list)) and len(box) == 2):
         raise ValueError(f"box must be a pair (lo, hi), got {box!r}")
     check_numbers(box, "box", NUMBER, ValueError)
-    lo, hi = box
+    lo, hi = map(as_float, box)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise ValueError(f"box must be finite with lo <= hi, got {box!r}")
-    cluster_radius = 1e3 * tol
+        raise ValueError(f"box must be finite with lo <= hi, got {(lo, hi)!r}")
     seeds = seed_stream(int(seed), n_starts, system.n, lo, hi)
     try:
         solved = _ladder(system, seeds, tol, _BUDGET)
     except NoInEdgeAgentError as err:
         solved = [err] * n_starts
+    cluster_radius = 1e3 * tol
     outcomes = tuple(
         StartOutcome(s, eq)
         if isinstance(eq, Equilibrium)

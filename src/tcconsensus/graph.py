@@ -6,6 +6,7 @@ Edge convention: ``weights[i, j] > 0`` means agent ``j`` transmits to agent
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -65,6 +66,17 @@ def check_numbers(values, what: str, kinds=NUMBER, error=TypeError) -> set[type]
             if isinstance(value, bool) or not isinstance(value, kinds):
                 raise error(f"{what} must be {kind}, got {value!r}")
     return found
+
+
+def as_float(value) -> float:
+    """``float(value)`` for a number that passed :func:`check_numbers`; an
+    integer beyond the float range reads as the infinity of its sign, so a
+    finiteness check rejects it, naming the parameter, instead of letting
+    ``OverflowError`` out."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def build_digraph(weights) -> Digraph:

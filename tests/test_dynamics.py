@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,8 +11,12 @@ from tcconsensus import (
     GatedIdentity,
     Identity,
     IntegrationSpec,
+    Mix,
     PiecewiseLinear,
+    Saturation,
+    ScaledSine,
     System,
+    Tabulated,
     attach_channels,
     build_digraph,
     from_dict,
@@ -21,7 +26,7 @@ from tcconsensus import (
     rhs,
     scenario_by_name,
 )
-from tcconsensus.scenarios import builtin_scenarios
+from tcconsensus.scenarios import F_A, builtin_scenarios
 from tcconsensus.app import system_from_dict, system_to_dict
 from tcconsensus import dynamics
 from tcconsensus.dynamics import (
@@ -36,6 +41,9 @@ from tcconsensus.errors import MissingWitnessError, NonFiniteStateError
 
 from test_constraints import CATALOG
 from test_rays import oracle_dist, oracle_V, oracle_Y
+
+SINE = ScaledSine(0.8, math.pi)
+PCHIP = Tabulated((-2.0, -1.0, 1.0, 2.0), (-1.5, -1.0, 1.0, 1.5), "pchip")
 
 
 def picard_map(system, e):
@@ -189,6 +197,17 @@ def per_span_sums(system, X):
     return num, den
 
 
+def assert_sums_match(got, want, X):
+    """``num`` has the shape of ``X``; ``den`` broadcasts to it (an ungated
+    system returns the ``(n,)`` in-degree itself); both equal ``want`` byte
+    for byte."""
+    (num, den), (want_num, want_den) = got, want
+    assert num.shape == X.shape
+    assert np.broadcast_shapes(den.shape, X.shape) == X.shape
+    assert num.tobytes() == want_num.tobytes()
+    assert np.broadcast_to(den, X.shape).tobytes() == want_den.tobytes()
+
+
 def knot_probe_rows(system, rng, extra=40):
     """Rows that put every global knot, its two float neighbours, +-0.0 and
     +-1e300 on every sender column, followed by random rows."""
@@ -228,47 +247,84 @@ class TestBinTableMatchesPerSpanKernel:
         pad = -len(rows) % m
         rows = np.vstack((rows, rng.uniform(-4.0, 4.0, size=(pad, sys_.n))))
         for X in np.split(rows, len(rows) // m):
-            num, den = dynamics._input_sums(sys_, X)
-            want_num, want_den = per_span_sums(sys_, X)
-            assert num.shape == den.shape == X.shape
-            assert num.tobytes() == want_num.tobytes()
-            assert den.tobytes() == want_den.tobytes()
+            assert_sums_match(dynamics._input_sums(sys_, X), per_span_sums(sys_, X), X)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_no_piecewise_linear_function(self, seed):
-        sys_ = random_catalog_system(seed, [f for f in CATALOG if f.pwl() is None])
+        # the catalog's sine-affine mix would put its affine member in the
+        # bin table; a sine-pchip mix has no piecewise-linear member
+        direct = [f for f in CATALOG if f.pwl() is None and not isinstance(f, Mix)]
+        sys_ = random_catalog_system(seed, direct + [Mix(SINE, PCHIP, 0.3)])
         assert sys_._knots.size == 0
         X = np.random.default_rng(seed).uniform(-4.0, 4.0, size=(7, sys_.n))
-        for got, want in zip(dynamics._input_sums(sys_, X), per_span_sums(sys_, X)):
-            assert got.shape == X.shape
-            assert got.tobytes() == want.tobytes()
+        assert_sums_match(dynamics._input_sums(sys_, X), per_span_sums(sys_, X), X)
 
     def test_seeds_cover_gated_and_ungated_systems(self):
         assert {bool(bin_table_system(s)._gates) for s in range(12)} == {True, False}
 
 
+def member_terms(fn, factor=1.0):
+    """``(member, factor)`` pairs of an edge carrying ``fn``, in member
+    order: a mix without a piecewise-linear form recurses into its two
+    members with factors ``factor * w`` and ``factor * (1 - w)``."""
+    if isinstance(fn, Mix) and fn.pwl() is None:
+        return member_terms(fn.first, factor * fn.weight) + member_terms(
+            fn.second, factor * (1.0 - fn.weight)
+        )
+    return [(fn, factor)]
+
+
+def edge_members(fn):
+    """The block rows of an edge carrying ``fn``, as ``{member: factor}``:
+    equal members merge, summing their factors, and factor 0 drops out."""
+    out = {}
+    for member, factor in member_terms(fn):
+        out[member] = out.get(member, 0.0) + factor
+    return {member: factor for member, factor in out.items() if factor}
+
+
 def per_edge_table(system):
-    """The former per-edge table build, kept as the oracle: returns
-    ``distinct``, ``_spans``, ``_senders``, ``_block``, ``_gate_start`` and
-    ``_plain_alpha`` as the compiled table must hold them."""
+    """The per-edge table build, kept as the oracle: returns ``distinct``,
+    ``_spans``, ``_senders``, ``_block``, ``_gate_start`` and
+    ``_plain_alpha`` as the compiled table must hold them.
+
+    Rows are keyed by member function: a mix without a piecewise-linear form
+    fills one row per member (see :func:`edge_members`) with weight
+    ``a * factor``, in the span of the equal-valued function if there is
+    one. The in-degree sums the rows of the unexpanded table, one row per
+    distinct (function, sender) pair, in order."""
     first = {}
-    receivers = {}
     for (j, i), fn in sorted(system.constraints.items()):
         first.setdefault(fn, (j, i))
-        receivers.setdefault(fn, {}).setdefault(j, []).append(i)
     distinct = tuple((edge, fn) for fn, edge in first.items())
-    spans = []
-    rows = []
-    for fn in sorted(receivers, key=lambda fn: fn.is_gate):
-        start = len(rows)
-        rows.extend(receivers[fn].items())
-        spans.append((fn, start, len(rows)))
-    block = np.zeros((len(rows), system.n))
-    for k, (j, recv) in enumerate(rows):
-        block[k, recv] = system.graph.weights[recv, j]
-    gate_start = next((a for fn, a, _ in spans if fn.is_gate), len(rows))
-    senders = np.array([j for j, _ in rows], dtype=np.intp)
-    return distinct, tuple(spans), senders, block, gate_start, block[:gate_start].sum(axis=0)
+    ordered = sorted(first, key=lambda fn: fn.is_gate)
+    members = {}
+    for fn in ordered:
+        for member in edge_members(fn):
+            members.setdefault(member, {})
+    unexpanded = {fn: {} for fn in ordered}
+    for (j, i), fn in sorted(system.constraints.items()):
+        a = system.graph.weights[i, j]
+        unexpanded[fn].setdefault(j, {})[i] = a
+        for member, factor in edge_members(fn).items():
+            members[member].setdefault(j, {})[i] = a * factor
+
+    def table(cells):
+        spans, rows = [], []
+        for fn, by_sender in cells.items():
+            start = len(rows)
+            rows.extend(sorted(by_sender.items()))
+            spans.append((fn, start, len(rows)))
+        block = np.zeros((len(rows), system.n))
+        for k, (_, recv) in enumerate(rows):
+            block[k, list(recv)] = list(recv.values())
+        gate_start = next((a for fn, a, _ in spans if fn.is_gate), len(rows))
+        senders = np.array([j for j, _ in rows], dtype=np.intp)
+        return tuple(spans), senders, block, gate_start
+
+    spans, senders, block, gate_start = table(members)
+    _, _, flat, flat_gate_start = table(unexpanded)
+    return distinct, spans, senders, block, gate_start, flat[:flat_gate_start].sum(axis=0)
 
 
 def assert_table_matches_oracle(system):
@@ -284,6 +340,7 @@ def assert_table_matches_oracle(system):
     ):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+    assert system._identity is (senders.tolist() == list(range(system.n)))
 
 
 class TestEdgeTableMatchesPerEdgeBuild:
@@ -312,6 +369,102 @@ class TestEdgeTableMatchesPerEdgeBuild:
         assert rhs_batch(sys_, np.ones((2, n))).tolist() == np.zeros((2, n)).tolist()
 
 
+MIX_CASES = {
+    "nested": [
+        Mix(Mix(ScaledSine(0.5), Affine(0.5), 0.25), PCHIP, 0.6),
+        Mix(Mix(Affine(0.5), Saturation(-1.0, 1.0)), SINE, 0.7),
+        Affine(0.5),
+    ],
+    "weights 0, 1 and 0.3": [Mix(SINE, Affine(-0.5), w) for w in (0.0, 1.0, 0.3)],
+    "equal members": [Mix(SINE, SINE, 0.3), Mix(PCHIP, Mix(PCHIP, SINE, 0.5), 0.3)],
+    "member of another edge": [Mix(SINE, Affine(-0.5), 0.3), SINE, Affine(-0.5)],
+    "gated": [Mix(PCHIP, Identity(), 0.3), GatedIdentity(-1.0, 1.0), Identity()],
+    "all piecewise-linear": [
+        Mix(Affine(0.5), Saturation(-1.0, 1.0), 0.3),
+        Mix(Mix(Affine(0.5), Identity(), 0.25), Saturation(-1.0, 1.0), 0.6),
+        Saturation(-1.0, 1.0),
+    ],
+}
+
+
+def mix_system(fns, seed=0):
+    """Complete 5-agent digraph with seeded weights whose edges, in sorted
+    order, take ``fns`` in turn, so each function serves several senders."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.2, 2.0, size=(5, 5))
+    np.fill_diagonal(w, 0.0)
+    g = build_digraph(w)
+    return System(g, {e: fns[k % len(fns)] for k, e in enumerate(sorted(g.edges()))})
+
+
+class TestMixExpansion:
+    @pytest.mark.parametrize("case", MIX_CASES)
+    def test_table_matches_oracle(self, case):
+        sys_ = mix_system(MIX_CASES[case])
+        assert_table_matches_oracle(sys_)
+        # the ledger and the echo still see each mix as one function
+        assert [fn for _, fn in sys_.distinct] == MIX_CASES[case]
+        assert system_from_dict(system_to_dict(sys_)).constraints == sys_.constraints
+
+    def test_members(self):
+        sine, affine = SINE, Affine(-0.5)
+        assert edge_members(Mix(sine, affine, 0.0)) == {affine: 1.0}
+        assert edge_members(Mix(sine, affine, 1.0)) == {sine: 1.0}
+        assert edge_members(Mix(sine, sine, 0.3)) == {sine: 0.3 + (1.0 - 0.3)}
+        nested = Mix(Mix(sine, PCHIP, 0.25), affine, 0.6)
+        assert edge_members(nested) == {
+            sine: 0.6 * 0.25, PCHIP: 0.6 * (1.0 - 0.25), affine: 1.0 - 0.6
+        }
+        for case in MIX_CASES.values():
+            for fn in case:
+                assert dynamics._members(fn) == edge_members(fn)
+
+    def test_spans(self):
+        # the sine member joins the span of the sine edges: one direct span
+        sys_ = mix_system(MIX_CASES["member of another edge"])
+        assert [fn for fn, _, _ in sys_._direct] == [SINE]
+        # a mix with a piecewise-linear form stays one bin-table column
+        pwl = mix_system(MIX_CASES["all piecewise-linear"])
+        assert [fn for fn, _, _ in pwl._spans] == MIX_CASES["all piecewise-linear"]
+        assert not pwl._direct
+        assert scenario_by_name("ex1").system._direct == ((F_A, 1, 4),)
+
+    @pytest.mark.parametrize("case", MIX_CASES)
+    @pytest.mark.parametrize("m", [1, 7])
+    def test_sums(self, case, m):
+        """``num`` is within ``(T_i + 4) * eps * S_i + 4 * T_i * eta`` of the
+        per-edge scalar sum ``sum_j a_ij f_ji(x_j)``. ``T_i`` counts the
+        member terms into agent ``i``, ``S_i`` sums their magnitudes
+        ``|a_ij * factor * member(x_j)|`` and ``eta`` is the smallest
+        subnormal. Each side sums at most ``T_i`` terms, an error of at most
+        ``(T_i - 1) / 2 * eps * S_i``, and rounds each term, its factor and
+        each mix level within about ``2 * eps`` of the term, or within
+        ``eta / 2`` per rounding below the normal range. ``den`` is the
+        unexpanded in-degree, byte for byte."""
+        sys_ = mix_system(MIX_CASES[case])
+        rng = np.random.default_rng(400)
+        rows = knot_probe_rows(sys_, rng)[:-2]  # no +-1e300: sin loses all digits
+        rows = np.vstack((rows, rng.uniform(-4.0, 4.0, size=(-len(rows) % m, sys_.n))))
+        eps, eta = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+        for X in np.split(rows, len(rows) // m):
+            num, den = dynamics._input_sums(sys_, X)
+            assert_sums_match((num, den), per_span_sums(sys_, X), X)
+            for x, got in zip(X, num):
+                want, _ = per_edge_sums(sys_, x)
+                terms, scale = np.zeros(sys_.n), np.zeros(sys_.n)
+                for (j, i), fn in sys_.constraints.items():
+                    if fn.is_gate and not fn.lo <= x[j] <= fn.hi:
+                        continue
+                    a = sys_.graph.weights[i, j]
+                    for member, factor in edge_members(fn).items():
+                        terms[i] += 1
+                        scale[i] += abs(a * factor * member.evaluate(float(x[j])))
+                bound = (terms + 4) * eps * scale + 4 * terms * eta
+                assert (np.abs(got - want) <= bound).all()
+        if not sys_._gates:
+            assert den.tobytes() == per_edge_table(sys_)[5].tobytes()
+
+
 class TestIntegrationSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -322,6 +475,11 @@ class TestIntegrationSpec:
             IntegrationSpec(dt=1e-3, t_final=1.0, method="leapfrog")
         with pytest.raises(ValueError):
             IntegrationSpec(dt=1e-3, t_final=1.0, record_stride=0)
+        # integers beyond the float range
+        with pytest.raises(ValueError, match="dt"):
+            IntegrationSpec(dt=10**400, t_final=1)
+        with pytest.raises(ValueError, match="t_final"):
+            IntegrationSpec(dt=1e-3, t_final=10**400)
 
     def test_steps_and_stride(self):
         spec = IntegrationSpec(dt=1e-3, t_final=2.0)

@@ -23,6 +23,7 @@ from tcconsensus import (
 from tcconsensus import equilibrium
 from tcconsensus.dynamics import integrate, rhs
 from tcconsensus.equilibrium import _ladder
+from tcconsensus.scenarios import builtin_scenarios
 from tcconsensus.errors import (
     DimensionMismatchError,
     EmptyFixedPointSetError,
@@ -125,6 +126,7 @@ class TestSolveEquilibrium:
             {"tol": float("nan")},
             {"tol": -1.0},
             {"tol": True},
+            {"tol": 10**400},  # beyond the float range
         ],
     )
     def test_bad_budget_or_tol_raises_before_iterating(self, limits, monkeypatch):
@@ -259,6 +261,32 @@ class TestLadder:
             assert (eq.method, eq.iterations) == (alone.method, alone.iterations)
             assert np.abs(eq.point - alone.point).max() <= 1e-12
 
+    @pytest.mark.parametrize("name", [s.name for s in builtin_scenarios()])
+    def test_points_do_not_depend_on_the_in_degree_shape(self, name, monkeypatch):
+        # an ungated system's kernel returns its in-degree with shape (n,);
+        # broadcast to the batch's shape, as the kernel returned it before,
+        # it must give the same outcomes bit for bit
+        sc = scenario_by_name(name)
+        seeds = np.vstack((sc.sample_x0(0, count=2), np.zeros((1, sc.system.n))))
+
+        def outcomes():
+            return [
+                (eq.method, eq.iterations, eq.point.tobytes(), eq.residual)
+                if isinstance(eq, equilibrium.Equilibrium)
+                else (str(eq), eq.best.tobytes(), eq.residual)
+                for eq in _ladder(sc.system, seeds, 1e-10, 20000)
+            ]
+
+        broadcast = outcomes()
+        kernel = equilibrium._input_sums
+
+        def full_shape(system, E):
+            num, den = kernel(system, E)
+            return num, np.broadcast_to(den, E.shape).copy()
+
+        monkeypatch.setattr(equilibrium, "_input_sums", full_shape)
+        assert outcomes() == broadcast
+
     def test_seed_at_an_equilibrium_still_iterates_to_the_first_check(self):
         eq = solve_equilibrium(AFFINE_PAIR, [-2.0, 2.0])
         assert (eq.method, eq.iterations) == ("picard", 8)
@@ -341,6 +369,8 @@ class TestUniquenessProbe:
             {"box": ("a", 1)},
             {"box": (0.0, math.inf)},
             {"box": (math.nan, 1.0)},
+            {"box": (0, 10**400)},  # beyond the float range
+            {"box": (-(10**400), 0)},
             {"box": (0.0, 1.0, 2.0)},
             {"box": 1.0},
         ],
