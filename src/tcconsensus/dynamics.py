@@ -8,17 +8,20 @@ contribution while the sender state is outside the accepted interval.
 A :class:`System` compiles its constraint map once into an edge table keyed
 by distinct function value, and its piecewise-linear functions into one bin
 table over the union of their knots. A mixture without a piecewise-linear
-form is not a function of the table: each of its members gets block rows of
+form is not a function of the table: each of its members gets table rows of
 its own, weighted ``a * w`` and ``a * (1 - w)``. One kernel,
 :func:`_input_sums`, evaluates every piecewise-linear column with one lookup
 in the bin table, the other functions once each over their sender columns,
-and scatters the values to the receivers with one dense product against the
-table's weight block. When the block's rows are the agents in order, the
-kernel reads the states themselves instead of gathering sender columns. It
-returns the constrained input sum ``num_i = sum_j a_ij f_ji(x_j)`` and the
-active in-degree ``den_i = sum_j a_ij`` over the edges not gated shut,
-summed from the edges, not from the member rows. An ungated system's ``den``
-is its in-degree vector of shape ``(n,)``, which broadcasts over the batch.
+and scatters the values to the receivers. The table's shape fixes the
+scatter when it is compiled: a narrow table takes one dense product with its
+weight block, a wide one a gather-sum over receiver slots, which costs
+``O(E)`` per state instead of ``O(rows * n)`` (see :func:`_gather_sum`). When
+the table's rows are the agents in order, the kernel reads the states
+themselves instead of gathering sender columns. It returns the constrained
+input sum ``num_i = sum_j a_ij f_ji(x_j)`` and the active in-degree
+``den_i = sum_j a_ij`` over the edges not gated shut, summed from the
+edges, not from the member rows. An ungated system's ``den`` is its
+in-degree vector of shape ``(n,)``, which broadcasts over the batch.
 The right-hand side is ``num - x * den``; the equilibrium module's Picard
 map is ``num / den``.
 
@@ -65,28 +68,42 @@ class System:
       sorted order. The ledger loops iterate it instead of every edge, and
       still name the edge the per-edge loop would have stopped at. A
       ``Mix`` is listed as itself, as the report's echo writes it.
-    - The weight block has one row per distinct (member, sender) pair and
-      one column per agent. An edge's members are its function, except for
-      a ``Mix`` without a piecewise-linear form, whose members are those of
-      its two functions with factors ``w`` and ``1 - w`` (see
-      :func:`_members`): row ``k`` holds ``a_ij * factor`` for every
-      receiver ``i`` whose edge from the row's sender ``j`` has the row's
-      function as a member. A member equal to another edge's function
-      shares its rows. Members follow in the first-edge order of their
-      functions, gated functions last; each member's rows (its span) are
-      contiguous, its senders ascending. ``_senders`` lists the row senders;
-      when they are ``0..n-1`` in order, ``_identity`` tells the kernel to
-      skip the gather.
+    - The table has one row per distinct (member, sender) pair and one
+      entry ``(row, receiver, weight)`` per edge and member. An edge's
+      members are its function, except for a ``Mix`` without a
+      piecewise-linear form, whose members are those of its two functions
+      with factors ``w`` and ``1 - w`` (see :func:`_members`): row ``k``
+      holds the weight ``a_ij * factor`` for every receiver ``i`` whose edge
+      from the row's sender ``j`` has the row's function as a member. A
+      member equal to another edge's function shares its rows. Members
+      follow in the first-edge order of their functions, gated functions
+      last; each member's rows (its span) are contiguous, its senders
+      ascending. ``_senders`` lists the row senders; when they are
+      ``0..n-1`` in order, ``_identity`` tells the kernel to skip the
+      gather.
+    - One of two scatters holds the entries, chosen by the table's shape.
+      Let ``R`` be its rows and ``K`` the most entries into one agent. A
+      table with ``R <= 32 * K`` keeps the dense weight block ``_block``
+      (``R`` by ``n``, ``block[row, receiver] = weight``). A wider table
+      keeps no block but receiver slots ``_by_receiver`` (see
+      :func:`_receiver_slots`), once for all its rows and once for its gate
+      rows. A dense product costs ``R * n`` multiply-adds per state and a
+      gather-sum ``K * n`` gathers and multiply-adds, several times dearer
+      each. On the benchmark's networks (``K = 10``, ``R`` about
+      ``4.4 * n``) the two broke even between ``R / K = 31`` (n=70) and
+      ``39`` (n=90), for 1 to 1000 states. ``R`` never exceeds ``n * K``,
+      so every system of 32 agents or fewer, the built-in scenarios among
+      them, keeps its block.
     - The ungated in-degree ``_plain_alpha`` sums ``a_ij`` over the edges,
       not the member rows (``a*w + a*(1 - w)`` need not round to ``a``), in
-      the order of the block a table without member rows would have.
+      the row order a table without member rows would have.
     - The bin table serves every member with a piecewise-linear form,
       including a ``Mix`` that has one. Let ``G`` be the sorted union of
       their knots. A state in bin ``g`` (``G[g-1] <= x < G[g]``, bin 0
       unbounded below) lies on one fixed piece of each such member, the
       piece its own ``searchsorted`` picks for ``G[g-1]``. The flat slope
       and intercept arrays hold that piece at ``r * (len(G) + 1) + g`` for
-      the member of rank ``r``, and each block row carries the base offset
+      the member of rank ``r``, and each table row carries the base offset
       of its member, so one ``searchsorted`` over ``G`` selects the piece
       of every column. Members without a piecewise-linear form hold zeros
       there.
@@ -129,8 +146,9 @@ class System:
         )
         group = value_of_obj[obj_of_edge]
 
-        # each value's first edge in sorted (sender, receiver) order
-        order = np.lexsort((receivers, senders))
+        # each value's first edge in sorted (sender, receiver) order; the
+        # pairs are distinct, so one argsort of their keys sorts them
+        order = np.argsort(senders * n + receivers)
         _, first_sorted = np.unique(group[order], return_index=True)
         firsts = order[np.sort(first_sorted)].tolist()
         object.__setattr__(
@@ -154,16 +172,14 @@ class System:
             for c, (fn, factor) in enumerate(part.items()):
                 table[r, c] = members.setdefault(fn, len(members))
                 factors[r, c] = factor
-        # one block entry per edge and member, edge by edge
+        # one table entry per edge and member, edge by edge
         entry_edge, col = np.nonzero(table[edge_rank] >= 0)
         entry_rank = edge_rank[entry_edge]
         row_keys, row_of_entry = np.unique(
             table[entry_rank, col] * n + senders[entry_edge], return_inverse=True
         )
-        block = np.zeros((len(row_keys), n))
-        block[row_of_entry, receivers[entry_edge]] = (
-            edge_weights[entry_edge] * factors[entry_rank, col]
-        )
+        entry_receivers = receivers[entry_edge]
+        entry_weights = edge_weights[entry_edge] * factors[entry_rank, col]
         bounds = np.searchsorted(row_keys // n, np.arange(len(members) + 1)).tolist()
         spans = tuple(
             (fn, bounds[r], bounds[r + 1]) for r, fn in enumerate(members)
@@ -171,6 +187,26 @@ class System:
         gates = int(gated.sum())
         plain = len(spans) - gates
         gate_start = bounds[plain]
+
+        # the scatter: receiver slots for a table of more than 32 rows per
+        # entry into its busiest agent (rows <= n * most_in, so only for
+        # n > 32), else the dense block
+        most_in = np.bincount(entry_receivers, minlength=n).max(initial=0)
+        if len(row_keys) > 32 * most_in:
+            block = None
+            order = np.argsort(entry_receivers * len(row_keys) + row_of_entry)
+            rows, to, weight = (
+                a[order] for a in (row_of_entry, entry_receivers, entry_weights)
+            )
+            gate = rows >= gate_start
+            by_receiver = (
+                _receiver_slots(rows, to, weight, n),
+                _receiver_slots(rows[gate] - gate_start, to[gate], weight[gate], n),
+            )
+        else:
+            block = np.zeros((len(row_keys), n))
+            block[row_of_entry, entry_receivers] = entry_weights
+            by_receiver = None
 
         # the in-degree of the edges themselves, as a*w + a*(1 - w) need not
         # round to a: np.add.at adds repeated indices in order, here the
@@ -216,6 +252,7 @@ class System:
             len(row_senders) == n and bool((row_senders == np.arange(n)).all()),
         )
         object.__setattr__(self, "_block", block)
+        object.__setattr__(self, "_by_receiver", by_receiver)
         object.__setattr__(self, "_gate_start", gate_start)
         object.__setattr__(self, "_plain_alpha", plain_alpha)
 
@@ -236,7 +273,7 @@ class System:
 
 
 def _members(fn: ConstraintFn) -> dict[ConstraintFn, float]:
-    """The block rows of an edge carrying ``fn``, as ``{member: factor}``:
+    """The table rows of an edge carrying ``fn``, as ``{member: factor}``:
     a ``Mix`` without a piecewise-linear form splits into its members with
     factors ``w`` and ``1 - w``, nested mixes multiplying theirs outer to
     inner. Equal members merge by summing their factors in member order, and
@@ -253,6 +290,40 @@ def _members(fn: ConstraintFn) -> dict[ConstraintFn, float]:
     return {f: factor for f, factor in out.items() if factor}
 
 
+def _receiver_slots(rows, receivers, weights, n: int):
+    """The entries ``(row, receiver, weight)``, sorted by receiver and then
+    row, as receiver slots: arrays ``rows`` and ``weights`` of shape
+    ``(K, n)``, ``K`` the largest number of entries into one agent, whose
+    column ``i`` lists the entries into agent ``i`` in row order, padded
+    with row 0 and weight 0."""
+    counts = np.bincount(receivers, minlength=n)
+    slot = np.arange(len(rows)) - (np.cumsum(counts) - counts)[receivers]
+    slot_rows = np.zeros((counts.max(initial=0), n), dtype=np.intp)
+    slot_weights = np.zeros(slot_rows.shape)
+    slot_rows[slot, receivers] = rows
+    slot_weights[slot, receivers] = weights
+    return slot_rows, slot_weights
+
+
+def _gather_sum(V, rows, weights) -> NDArray[np.float64]:
+    """``sum_k V[:, rows[k, i]] * weights[k, i]`` for every state and
+    receiver ``i``: the scatter of a wide table through its receiver slots
+    (see :func:`_receiver_slots`).
+
+    ``V`` is gathered into the slots, shape ``(m, K, n)``, and ``einsum``
+    adds each receiver's products to a zero in slot order, that is in row
+    order, in any batch; a padding slot adds a zero. A batch is gathered in
+    blocks of at most ``2**15`` values: one gather of 1000 states at n=200
+    is 16 MB of fresh memory on every call, which made the kernel slower
+    than the dense product.
+    """
+    step = max(1, 2**15 // rows.size)
+    if len(V) > step:
+        blocks = [V[i : i + step] for i in range(0, len(V), step)]
+        return np.concatenate([_gather_sum(b, rows, weights) for b in blocks])
+    return np.einsum("mkn,kn->mn", V.take(rows, axis=1), weights)
+
+
 def _input_sums(
     system: System, X: NDArray[np.float64]
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -264,16 +335,26 @@ def _input_sums(
     adds neither its value nor its weight while its sender is outside the
     gate.
 
-    The columns are the block's rows, one per (member, sender) pair, so a
+    The columns are the table's rows, one per (member, sender) pair, so a
     ``Mix`` without a piecewise-linear form is evaluated member by member.
     They are the columns of ``X`` itself when the rows' senders are the
     agents in order. Every piecewise-linear column is evaluated by one
     lookup in the bin table: the same slope and intercept, and the same two
     operations, as :meth:`PWLRep.eval_array`, so the values are
     bit-identical. Columns of functions without a piecewise-linear form are
-    then overwritten.
+    then overwritten. The table's scatter sums the columns into the
+    receivers, and the gate columns, open or shut, into ``den``: the dense
+    product with a narrow table's block, :func:`_gather_sum` over a wide
+    table's receiver slots. A wide table gathers the sender columns with
+    ``take``, the faster gather at small batches.
     """
-    XS = X if system._identity else X[:, system._senders]
+    slots = system._by_receiver
+    if system._identity:
+        XS = X
+    elif slots is None:
+        XS = X[:, system._senders]
+    else:
+        XS = X.take(system._senders, axis=1)
     if system._knots.size:
         key = system._knots.searchsorted(XS, side="right")
         key += system._base
@@ -283,13 +364,17 @@ def _input_sums(
     for fn, a, b in system._direct:
         V[:, a:b] = fn.eval_array(XS[:, a:b])
     if not system._gates:
-        return V @ system._block, system._plain_alpha
+        num = V @ system._block if slots is None else _gather_sum(V, *slots[0])
+        return num, system._plain_alpha
     g = system._gate_start
     open_ = np.empty((X.shape[0], XS.shape[1] - g))
     for fn, a, b in system._gates:
         open_[:, a - g : b - g] = fn.gate_mask(XS[:, a:b])
         V[:, a:b] *= open_[:, a - g : b - g]
-    return V @ system._block, system._plain_alpha + open_ @ system._block[g:]
+    if slots is None:
+        return V @ system._block, system._plain_alpha + open_ @ system._block[g:]
+    num = _gather_sum(V, *slots[0])
+    return num, system._plain_alpha + _gather_sum(open_, *slots[1])
 
 
 def _state_vector(system: System, x) -> NDArray[np.float64]:
@@ -327,9 +412,10 @@ def default_dt(system: System) -> float:
 
 @dataclass(frozen=True)
 class IntegrationSpec:
-    """``dt`` and ``t_final`` are finite numbers, stored as floats, and
-    ``record_stride`` an integer (never ``bool``); ``ValueError`` if not,
-    also for an integer beyond the float range."""
+    """``dt`` and ``t_final`` are finite numbers, stored as floats, whose
+    quotient ``t_final / dt`` is finite, and ``record_stride`` an integer
+    (never ``bool``); ``ValueError`` if not, also for an integer beyond the
+    float range."""
 
     dt: float
     t_final: float
@@ -346,6 +432,10 @@ class IntegrationSpec:
         if not (math.isfinite(self.t_final) and self.t_final >= 0):
             raise ValueError(
                 f"t_final must be non-negative and finite, got {self.t_final!r}"
+            )
+        if not math.isfinite(self.t_final / self.dt):
+            raise ValueError(
+                f"t_final / dt overflows: dt={self.dt!r}, t_final={self.t_final!r}"
             )
         if self.method not in ("rk4", "euler"):
             raise ValueError(f"unknown method {self.method!r}")

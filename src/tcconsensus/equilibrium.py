@@ -262,7 +262,8 @@ def uniqueness_probe(
     starts on a rung in lockstep, with one kernel call per iteration for
     all of them. Each outcome matches the start's own
     ``solve_equilibrium``: the same method and iterations, and a point
-    equal up to the rounding of the batched matrix product. ``n_starts``
+    equal up to the rounding of the batched dense product (the gather-sum
+    of a wide table sums each state alike in any batch). ``n_starts``
     must be an integer >= 2, ``seed`` an integer and ``box`` a pair of
     finite numbers with ``lo <= hi``, else ``ValueError``."""
     check_numbers([n_starts], "n_starts", INTEGER, ValueError)

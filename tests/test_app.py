@@ -1,8 +1,6 @@
-import importlib.util
 import json
 import math
 import random
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +20,7 @@ from tcconsensus.app import (
 from tcconsensus.cli import main
 from tcconsensus.errors import ParseError, ValidationError
 from tcconsensus.scenarios import builtin_scenarios
-from test_dynamics import random_catalog_system
+from test_dynamics import load_netgen, random_catalog_system
 
 CUSTOM_SYSTEM = {
     "weights": [[0.0, 1.0], [1.0, 0.0]],
@@ -592,12 +590,8 @@ def sharing(system):
 
 def netgen_config(n=200):
     """The benchmark's seeded ring-plus-random network, as a config."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "netgen.py"
-    spec = importlib.util.spec_from_file_location("netgen", path)
-    netgen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(netgen)
     return {
-        "system": netgen.wide_network(1, n),
+        "system": load_netgen().wide_network(1, n),
         "x0": [3.0 * ((7 * i) % n) / n - 1.5 for i in range(n)],
         "integration": {"dt": 0.01, "t_final": 0.2},
         "seed": 1,
@@ -939,6 +933,31 @@ class TestRun:
         listed = list_scenarios()
         assert [s["name"] for s in listed][:2] == ["ex1", "ex2"]
         assert all({"name", "agents", "expected_class"} <= set(s) for s in listed)
+
+
+class TestWideNetwork:
+    """The benchmark's n=200 network scatters by receiver slots, not by the
+    dense block, and keeps the outcomes it had on the block."""
+
+    def test_outcomes(self):
+        config = config_from_dict(netgen_config())
+        assert config.system._block is None
+        verdict = build_report(config, mode="analyze")[0]["verdict"]
+        assert verdict["classification"] == "Consensus"
+        assert verdict["conditions"]["admissible_rays"]["status"] == "pass"
+        eq = build_report(config, mode="equilibrium")[0]["equilibrium"]
+        assert (eq["method"], eq["iterations"]) == ("picard", 24)
+
+    @pytest.mark.parametrize("mode", ["analyze", "equilibrium", "simulate"])
+    def test_reruns_are_byte_identical(self, tmp_path, mode):
+        config = config_from_dict(netgen_config())
+        for tag in ("a", "b"):
+            assert run(config, mode=mode, out_dir=tmp_path / tag) < 2
+        names = ["report.json"] + ["trajectory.csv"] * (mode == "simulate")
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (
+                tmp_path / "b" / name
+            ).read_bytes()
 
 
 class TestCli:

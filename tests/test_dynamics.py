@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,9 +182,36 @@ class TestEdgeTableMatchesPerEdgeLoop:
         assert len(rt.distinct) == len({id(fn) for fn in sys_.constraints.values()})
 
 
+def slots_of(block):
+    """Receiver slots of a weight block, the oracle for the compiled ones:
+    column ``i`` lists the rows with a nonzero weight into agent ``i`` in
+    order, padded with row 0 and weight 0."""
+    cols = [np.flatnonzero(block[:, i]) for i in range(block.shape[1])]
+    rows = np.zeros((max(map(len, cols), default=0), block.shape[1]), dtype=np.intp)
+    weights = np.zeros(rows.shape)
+    for i, col in enumerate(cols):
+        rows[: len(col), i] = col
+        weights[: len(col), i] = block[col, i]
+    return rows, weights
+
+
+def dense_block(system):
+    """The table's weight block: the compiled one, or the dense
+    materialisation of a wide table's receiver slots."""
+    if system._by_receiver is None:
+        return system._block
+    (rows, weights), _ = system._by_receiver
+    block = np.zeros((len(system._senders), system.n))
+    k, i = np.nonzero(weights)
+    block[rows[k, i], i] = weights[k, i]
+    return block
+
+
 def per_span_sums(system, X):
     """The former kernel, kept as the oracle: every distinct function
-    evaluated over its own sender columns, gates applied per span."""
+    evaluated over its own sender columns, gates applied per span, and a
+    dense product with the weight block (materialised for a wide table)."""
+    block = dense_block(system)
     XS = X[:, system._senders]
     V = np.empty_like(XS)
     g = system._gate_start
@@ -192,8 +221,8 @@ def per_span_sums(system, X):
         if fn.is_gate:
             open_[:, a - g : b - g] = fn.gate_mask(XS[:, a:b])
             V[:, a:b] *= open_[:, a - g : b - g]
-    num = V @ system._block
-    den = system._plain_alpha + open_ @ system._block[g:]
+    num = V @ block
+    den = system._plain_alpha + open_ @ block[g:]
     return num, den
 
 
@@ -328,16 +357,26 @@ def per_edge_table(system):
 
 
 def assert_table_matches_oracle(system):
+    """The compiled table against :func:`per_edge_table`. A table with more
+    than 32 rows per receiver slot scatters by receiver slots and keeps no
+    block: its slots, and those of its gate rows, must be the oracle
+    block's, and its dense materialisation the oracle block."""
     distinct, spans, senders, block, gate_start, plain_alpha = per_edge_table(system)
     assert system.distinct == distinct
     assert system._spans == spans
     assert [type(v) for s in system._spans for v in s[1:]] == [int] * 2 * len(spans)
     assert system._gate_start == gate_start and type(system._gate_start) is int
-    for got, want in (
+    pairs = [
         (system._senders, senders),
-        (system._block, block),
+        (dense_block(system), block),
         (system._plain_alpha, plain_alpha),
-    ):
+    ]
+    wide = len(senders) > 32 * len(slots_of(block)[0])
+    assert (system._block is None) is wide is (system._by_receiver is not None)
+    if wide:
+        for got, part in zip(system._by_receiver, (block, block[gate_start:])):
+            pairs += zip(got, slots_of(part))
+    for got, want in pairs:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     assert system._identity is (senders.tolist() == list(range(system.n)))
@@ -362,7 +401,7 @@ class TestEdgeTableMatchesPerEdgeBuild:
     def test_scenarios(self, name):
         assert_table_matches_oracle(scenario_by_name(name).system)
 
-    @pytest.mark.parametrize("n", [0, 1, 3])
+    @pytest.mark.parametrize("n", [0, 1, 3, 100])
     def test_edgeless_system(self, n):
         sys_ = System(build_digraph(np.zeros((n, n))), {})
         assert_table_matches_oracle(sys_)
@@ -465,6 +504,134 @@ class TestMixExpansion:
             assert den.tobytes() == per_edge_table(sys_)[5].tobytes()
 
 
+def per_edge_batch(system, X):
+    """:func:`per_edge_sums` over a batch of states, edge by edge on whole
+    columns, plus what a rounding bound needs: ``T``, the member terms into
+    each agent (a mix without a piecewise-linear form counts its members, as
+    the table splits it), and ``S``, the sum of their magnitudes
+    ``|a_ij * factor * member(x_j)|``, over the edges not gated shut.
+    Returns ``num``, ``den``, ``T`` and ``S``, each of the shape of ``X``."""
+    num, den, T, S = (np.zeros(X.shape) for _ in range(4))
+    for (j, i), fn in system.constraints.items():
+        x = X[:, j]
+        open_ = (fn.lo <= x) & (x <= fn.hi) if fn.is_gate else np.ones(len(x), bool)
+        a = system.graph.weights[i, j]
+        num[:, i] += np.where(open_, a * fn.eval_array(x), 0.0)
+        den[:, i] += np.where(open_, a, 0.0)
+        for member, factor in edge_members(fn).items():
+            T[:, i] += open_
+            S[:, i] += np.where(open_, np.abs(a * factor * member.eval_array(x)), 0.0)
+    return num, den, T, S
+
+
+def assert_within_rounding(system, X, num, den):
+    """The kernel's ``num`` for the batch ``X`` is within the bound of
+    :meth:`TestMixExpansion.test_sums`, ``(T + 4) * eps * S + 4 * T * eta``,
+    of the per-edge sum ``sum_j a_ij f_ji(x_j)`` (see
+    :func:`per_edge_batch`), and ``den`` within ``(T + 4) * eps * den`` of
+    the per-edge ``sum_j a_ij``: each side sums at most ``T`` terms, in any
+    order."""
+    eps, eta = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    want_num, want_den, T, S = per_edge_batch(system, X)
+    assert num.shape == X.shape
+    assert (np.abs(num - want_num) <= (T + 4) * eps * S + 4 * T * eta).all()
+    assert (np.abs(den - want_den) <= (T + 4) * eps * want_den).all()
+
+
+def load_netgen():
+    """The benchmark's network generator, ``perfbench/netgen.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "netgen.py"
+    spec = importlib.util.spec_from_file_location("netgen", path)
+    netgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(netgen)
+    return netgen
+
+
+WIDE_FNS = [
+    Mix(SINE, PCHIP, 0.3),
+    Mix(Mix(SINE, Affine(0.5), 0.25), PCHIP, 0.6),
+    SINE,
+    PCHIP,
+    GatedIdentity(-1.0, 1.0),
+    Saturation(-1.0, 1.0),
+    *irregular_pwls(np.random.default_rng(500)),
+]
+
+
+def wide_system(n=150, extra=5, silent=(), seed=0):
+    """Directed ring plus ``extra`` random in-edges per agent, except the
+    agents in ``silent``, which have none; the edges, in sorted order, draw
+    from ``WIDE_FNS``: non-piecewise-linear mixes, sine, pchip, a gate and
+    piecewise-linear functions."""
+    rng = np.random.default_rng(seed)
+    w = np.zeros((n, n))
+    for i in sorted(set(range(n)) - set(silent)):
+        ring = (i - 1) % n
+        others = [j for j in range(n) if j not in (i, ring)]
+        others = rng.choice(others, extra, replace=False)
+        w[i, [ring, *others]] = rng.uniform(0.5, 1.5, size=extra + 1)
+    g = build_digraph(w)
+    fns = rng.integers(len(WIDE_FNS), size=len(g.edges()))
+    return System(g, {e: WIDE_FNS[k] for e, k in zip(sorted(g.edges()), fns.tolist())})
+
+
+SILENT = range(0, 150, 7)
+WIDE_SYSTEMS = {
+    "netgen-200": lambda: system_from_dict(load_netgen().wide_network(1, 200)),
+    "mixed": wide_system,
+    "silent agents": lambda: wide_system(silent=SILENT),
+}
+
+
+class TestReceiverSlots:
+    def test_small_systems_keep_the_dense_block(self):
+        # a table has at most n slots' worth of rows, so n <= 32 is dense
+        systems = [sc.system for sc in builtin_scenarios()]
+        systems += [random_catalog_system(seed) for seed in range(12)]
+        systems += [bin_table_system(seed) for seed in range(12)]
+        systems.append(system_from_dict(load_netgen().wide_network(1, 50)))
+        for sys_ in systems:
+            assert sys_._by_receiver is None and sys_._block is not None
+
+    @pytest.mark.parametrize("name", WIDE_SYSTEMS)
+    def test_table_matches_oracle(self, name):
+        sys_ = WIDE_SYSTEMS[name]()
+        assert sys_._block is None and sys_._gates
+        assert bool(sys_._direct) is (name != "netgen-200")
+        assert_table_matches_oracle(sys_)
+
+    @pytest.mark.parametrize("name", WIDE_SYSTEMS)
+    @pytest.mark.parametrize("m", [1, 3, 8, 1000])
+    def test_sums(self, name, m):
+        sys_ = WIDE_SYSTEMS[name]()
+        rng = np.random.default_rng(700 + m)
+        rows = knot_probe_rows(sys_, rng)
+        rows = np.vstack((rows, rng.uniform(-4.0, 4.0, size=(-len(rows) % m, sys_.n))))
+        parts = [dynamics._input_sums(sys_, X) for X in np.split(rows, len(rows) // m)]
+        num = np.vstack([p[0] for p in parts])
+        den = np.vstack([np.broadcast_to(p[1], p[0].shape) for p in parts])
+        assert_within_rounding(sys_, rows, num, den)
+
+    @pytest.mark.parametrize("gates", [False, True])
+    @pytest.mark.parametrize("m", [1, 8, 1000])
+    def test_slots_are_summed_in_row_order(self, m, gates):
+        sys_ = wide_system()
+        rows, weights = sys_._by_receiver[gates]
+        width = len(sys_._senders) - sys_._gate_start * gates
+        V = np.random.default_rng(m).uniform(-4.0, 4.0, size=(m, width))
+        want = np.zeros((m, sys_.n))
+        for k in range(len(rows)):
+            want += V[:, rows[k]] * weights[k]
+        assert dynamics._gather_sum(V, rows, weights).tobytes() == want.tobytes()
+
+    def test_zero_in_degree_agents_get_zero_sums(self):
+        sys_ = wide_system(silent=SILENT)
+        X = np.random.default_rng(800).uniform(-4.0, 4.0, size=(5, sys_.n))
+        num, den = dynamics._input_sums(sys_, X)
+        assert (num[:, SILENT] == 0.0).all() and (den[:, SILENT] == 0.0).all()
+        assert (rhs_batch(sys_, X)[:, SILENT] == 0.0).all()
+
+
 class TestIntegrationSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -480,6 +647,9 @@ class TestIntegrationSpec:
             IntegrationSpec(dt=10**400, t_final=1)
         with pytest.raises(ValueError, match="t_final"):
             IntegrationSpec(dt=1e-3, t_final=10**400)
+        # finite values whose step count overflows
+        with pytest.raises(ValueError, match=r"dt=1e-300, t_final=10000000000\.0"):
+            IntegrationSpec(dt=1e-300, t_final=1e10)
 
     def test_steps_and_stride(self):
         spec = IntegrationSpec(dt=1e-3, t_final=2.0)

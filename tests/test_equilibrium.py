@@ -23,6 +23,7 @@ from tcconsensus import (
 from tcconsensus import equilibrium
 from tcconsensus.dynamics import integrate, rhs
 from tcconsensus.equilibrium import _ladder
+from tcconsensus.app import system_from_dict
 from tcconsensus.scenarios import builtin_scenarios
 from tcconsensus.errors import (
     DimensionMismatchError,
@@ -30,6 +31,7 @@ from tcconsensus.errors import (
     NoInEdgeAgentError,
     UnconvergedError,
 )
+from test_dynamics import load_netgen
 
 
 def two_agent(f_01, f_10):
@@ -227,6 +229,18 @@ class TestLadder:
             eq = outcome.equilibrium
             assert (eq.method, eq.iterations) == (alone.method, alone.iterations)
             assert np.abs(eq.point - alone.point).max() <= 1e-12
+
+    def test_wide_probe_outcomes_match_their_own_solves_bit_for_bit(self):
+        # a wide table's gather-sum gives each state the same bits in any
+        # batch, where the dense product may round them differently
+        sys_ = system_from_dict(load_netgen().wide_network(1, 200))
+        assert sys_._block is None
+        report = uniqueness_probe(sys_, (-3.0, 3.0), 3, tol=1e-8, seed=5)
+        for outcome in report.outcomes:
+            alone = solve_equilibrium(sys_, outcome.seed_point, tol=1e-8)
+            eq = outcome.equilibrium
+            assert (eq.method, eq.iterations) == (alone.method, alone.iterations)
+            assert eq.point.tobytes() == alone.point.tobytes()
 
     def test_diverging_rows_leave_the_batch(self):
         # slope -8 on both edges: the map's consensus mode has eigenvalue -8,
