@@ -15,8 +15,10 @@ in the bin table, the other functions once each over their sender columns,
 and scatters the values to the receivers. The table's shape fixes the
 scatter when it is compiled: a narrow table takes one dense product with its
 weight block, a wide one a gather-sum over receiver slots, which costs
-``O(E)`` per state instead of ``O(rows * n)`` (see :func:`_gather_sum`). When
-the table's rows are the agents in order, the kernel reads the states
+``O(E)`` per state instead of ``O(rows * n)`` (see :func:`_gather_sum`). A
+wide table also bins each agent's state once and gathers the bins to its
+rows, which saves ``rows - n`` searches for one integer gather. When the
+table's rows are the agents in order, the kernel reads the states
 themselves instead of gathering sender columns. It returns the constrained
 input sum ``num_i = sum_j a_ij f_ji(x_j)`` and the active in-degree
 ``den_i = sum_j a_ij`` over the edges not gated shut, summed from the
@@ -106,7 +108,11 @@ class System:
       the member of rank ``r``, and each table row carries the base offset
       of its member, so one ``searchsorted`` over ``G`` selects the piece
       of every column. Members without a piecewise-linear form hold zeros
-      there.
+      there. A row's bin depends only on its sender, so a wide table
+      searches the ``n`` agents and gathers their bins to its ``R`` rows,
+      ``R - n`` searches fewer for one integer gather. A narrow table
+      searches its rows: there the gather costs more than the searches it
+      saves.
     """
 
     graph: Digraph
@@ -341,12 +347,15 @@ def _input_sums(
     agents in order. Every piecewise-linear column is evaluated by one
     lookup in the bin table: the same slope and intercept, and the same two
     operations, as :meth:`PWLRep.eval_array`, so the values are
-    bit-identical. Columns of functions without a piecewise-linear form are
-    then overwritten. The table's scatter sums the columns into the
-    receivers, and the gate columns, open or shut, into ``den``: the dense
-    product with a narrow table's block, :func:`_gather_sum` over a wide
-    table's receiver slots. A wide table gathers the sender columns with
-    ``take``, the faster gather at small batches.
+    bit-identical. A wide table bins each agent once and gathers the bins
+    to its rows, ``R - n`` searches fewer for one integer gather; the keys
+    are the same integers as a search per row. Columns of functions without
+    a piecewise-linear form are then overwritten. The table's scatter sums
+    the columns into the receivers, and the gate columns, open or shut, into
+    ``den``: the dense product with a narrow table's block,
+    :func:`_gather_sum` over a wide table's receiver slots. A wide table
+    gathers the sender columns with ``take``, the faster gather at small
+    batches.
     """
     slots = system._by_receiver
     if system._identity:
@@ -356,7 +365,11 @@ def _input_sums(
     else:
         XS = X.take(system._senders, axis=1)
     if system._knots.size:
-        key = system._knots.searchsorted(XS, side="right")
+        if slots is None or system._identity:
+            key = system._knots.searchsorted(XS, side="right")
+        else:  # a wide table bins each agent once, then gathers the bins
+            key = system._knots.searchsorted(X, side="right")
+            key = key.take(system._senders, axis=1)
         key += system._base
         V = system._slopes[key] * XS + system._icpts[key]
     else:  # no function has a piecewise-linear form: every column is direct

@@ -361,6 +361,25 @@ class TestClassify:
         q = verdict.conditions["quotient_in_unit_sector"]
         assert q.status == "fail" and q.witness[0] == pytest.approx(-1.0)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP direction 9: the unit-sector test accepts chord slopes "
+        "up to 1 + QUOTIENT_EDGE_TOL",
+    )
+    def test_affine_ring_just_above_unit_slope_is_inconclusive(self):
+        # the linearisation has eigenvalue k - 1 = 5e-13 > 0 along (1, 1), so
+        # a start off the origin never reaches the zone {0}
+        f = Affine(1.0000000000005, 0.0)
+        verdict = classify_system(two_agent(f, f))
+        assert verdict.conditions["quotient_in_unit_sector"].status != "pass"
+        assert verdict.classification == "Inconclusive"
+
+    def test_affine_ring_above_the_margin_fails_the_unit_sector(self):
+        f = Affine(1 + 2e-12, 0.0)
+        verdict = classify_system(two_agent(f, f))
+        assert verdict.conditions["quotient_in_unit_sector"].status == "fail"
+        assert verdict.classification == "Inconclusive"
+
     def test_not_strongly_connected_is_inconclusive(self):
         g = build_digraph([[0.0, 1.0], [0.0, 0.0]])
         sys_ = System(g, {(1, 0): Identity()})
