@@ -225,7 +225,9 @@ def _quotient_condition(system: System, strict: bool) -> ConditionResult:
 
     Non-strict form: every edge quotient in (-1, 1], everywhere. Strict
     form: quotient in (-1, 1) for chords anchored off the edge's fixed-point
-    set (vacuous for edges fixed everywhere).
+    set (vacuous for edges fixed everywhere). The witness is the hull of
+    the bounds of every function that constrains the condition, and
+    ``None`` when none does.
     """
     worst = (math.inf, -math.inf)
     for edge, fn in system.distinct:
@@ -248,6 +250,10 @@ def _quotient_condition(system: System, strict: bool) -> ConditionResult:
                 note=f"edge {edge} quotient bounds outside the admissible range",
             )
         worst = (min(worst[0], qb.lo), max(worst[1], qb.hi))
+    if worst[0] > worst[1]:  # no function constrained it: the hull is empty
+        return ConditionResult(
+            "pass", note="vacuous: no edge function constrains the chord slopes"
+        )
     return ConditionResult("pass", witness=worst)
 
 

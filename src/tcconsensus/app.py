@@ -3,9 +3,11 @@ execute simulate/analyze/equilibrium pipelines, and emit deterministic CSV
 trajectories and JSON reports.
 
 A custom system is read as a dense weight matrix or as a columnar edge
-table (:func:`system_from_dict`). Reports echo their config with the system
-always in the columnar form (:func:`system_to_dict`), whose size grows with
-the edge count, not with ``n**2``; an echoed config reproduces its report.
+table (:func:`system_from_dict`); either way the loader hands its validated
+columns to the :class:`System` as its edge table. Reports echo their config
+with the system always in the columnar form (:func:`system_to_dict`), the
+stored edge table written back, whose size grows with the edge count, not
+with ``n**2``; an echoed config reproduces its report.
 
 Exit code convention: 0 when every expectation attached to the run is met
 (or there are none), 1 when an expectation fails, 2 on configuration or
@@ -115,25 +117,17 @@ def system_to_dict(system: System) -> dict:
     table and four parallel ``edges`` columns in sorted ``(sender,
     receiver)`` order. Each distinct function object is serialized once, in
     first-edge order, and each edge's ``function`` is its index in that
-    table, so the record is O(E), not n x n. The record is built from
-    arrays: the edges are the nonzero entries of the transposed weight
-    matrix, which come out sorted by sender and then receiver."""
-    weights_t = system.graph.weights.T
-    senders, receivers = np.nonzero(weights_t)
-    fns = [system.constraints[key] for key in zip(senders.tolist(), receivers.tolist())]
-    ids = np.fromiter(map(id, fns), dtype=np.uint64, count=len(fns))
-    _, first, obj_of_edge = np.unique(ids, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
+    table, so the record is O(E), not n x n. The record is the system's
+    compiled edge table, read back as it is stored (see :class:`System`)."""
+    senders, receivers, weights, function, fns = system._edges
     return {
         "agents": system.n,
-        "functions": [fns[e].to_dict() for e in first[order].tolist()],
+        "functions": [fn.to_dict() for fn in fns],
         "edges": {
             "sender": senders.tolist(),
             "receiver": receivers.tolist(),
-            "weight": weights_t[senders, receivers].tolist(),
-            "function": rank[obj_of_edge].tolist(),
+            "weight": weights.tolist(),
+            "function": function.tolist(),
         },
     }
 
@@ -161,10 +155,11 @@ def _column(values: list, name: str, kinds: tuple) -> np.ndarray:
         raise ValidationError(f"{name} out of range: {err}") from err
 
 
-def _load_fns(records: list) -> list[_constraints.ConstraintFn]:
-    """Load ``fn`` records, one shared object per distinct record as
-    written, each parsed once, in first-use order. Two records share an
-    object if and only if their ``repr()`` strings are equal.
+def _load_fns(records: list) -> tuple[list[_constraints.ConstraintFn], list[int]]:
+    """Load ``fn`` records as a list of objects, one per distinct record as
+    written, each parsed once, in first-use order, and the index of each
+    record's object in that list. Two records share an object if and only
+    if their ``repr()`` strings are equal.
 
     The memo key is the record's marshal (format 2) bytes, three times
     cheaper than ``repr``. For the types JSON produces, equal bytes mean
@@ -187,8 +182,9 @@ def _load_fns(records: list) -> list[_constraints.ConstraintFn]:
     if not exact:
         keys = list(map(repr, records))
         distinct = dict(zip(keys, records))
-    loaded = {key: _constraints.from_dict(rec) for key, rec in distinct.items()}
-    return list(map(loaded.__getitem__, keys))
+    objects = list(map(_constraints.from_dict, distinct.values()))
+    position = dict(zip(distinct, range(len(distinct))))
+    return objects, list(map(position.__getitem__, keys))
 
 
 def _loads_back(key: bytes, record) -> bool:
@@ -208,7 +204,10 @@ def _dense_system(record: dict) -> System:
     """Compile the dense form column by column: the types, keys and indices
     of the ``constraints`` entries are checked over whole columns, and only
     when a check fails are the entries walked again to report the first
-    bad one, with the message the per-entry check gives."""
+    bad one, with the message the per-entry check gives. The ``sender``,
+    ``receiver`` and function index columns are the edge table the
+    :class:`System` compiles, which names an index out of range, or a
+    missing or extra pair, as the constraint map's cover check does."""
     rows = _list(record["weights"], "weights")
     if not all(map(isinstance, rows, repeat(list))):
         for row in rows:
@@ -224,23 +223,28 @@ def _dense_system(record: dict) -> System:
     senders, receivers, fns = (
         list(map(itemgetter(name), entries)) for name in ("sender", "receiver", "fn")
     )
-    keys = list(zip(_agent_indices(senders), _agent_indices(receivers)))
-    cmap = dict(zip(keys, _load_fns(fns)))
+    senders, receivers = _agent_indices(senders), _agent_indices(receivers)
+    keys = list(zip(senders, receivers))
+    objects, index = _load_fns(fns)
+    cmap = dict(zip(keys, map(objects.__getitem__, index)))
     if len(cmap) < len(keys):
         seen = set()
         for key in keys:
             if key in seen:
                 raise ValidationError(f"repeated constraint record for edge {key}")
             seen.add(key)
-    return System(graph, cmap)
+    return System._from_table(graph, cmap, senders, receivers, index, objects)
 
 
 def _columnar_system(record: dict) -> System:
+    """Compile the columnar form: the ``edges`` columns, checked as whole
+    arrays, with each ``function`` index mapped to its loaded object, are
+    the edge table the :class:`System` compiles."""
     n = record["agents"]
     check_numbers([n], "'agents'", INTEGER, ValidationError)
     if n < 0:
         raise ValidationError(f"'agents' must be a non-negative integer, got {n!r}")
-    fns = _load_fns(_list(record["functions"], "functions"))
+    objects, fn_index = _load_fns(_list(record["functions"], "functions"))
     edges = record["edges"]
     _check_keys(edges, set(_EDGE_COLUMNS), "edges")
     lengths = {name: len(_list(edges[name], name)) for name in _EDGE_COLUMNS}
@@ -254,7 +258,7 @@ def _columnar_system(record: dict) -> System:
     for name, column, bound in (
         ("sender", senders, n),
         ("receiver", receivers, n),
-        ("function", index, len(fns)),
+        ("function", index, len(fn_index)),
     ):
         bad = column[(column < 0) | (column >= bound)]
         if bad.size:
@@ -268,14 +272,15 @@ def _columnar_system(record: dict) -> System:
         raise ValidationError(f"repeated edge {divmod(int(repeated[0]), n)}")
     if not (np.isfinite(weights).all() and (weights > 0).all()):
         raise ValidationError("edge weights must be finite and positive")
-    unused = np.flatnonzero(np.bincount(index, minlength=len(fns)) == 0)
+    unused = np.flatnonzero(np.bincount(index, minlength=len(fn_index)) == 0)
     if unused.size:
         raise ValidationError(f"function {unused[0]} is used by no edge")
     w = np.zeros((n, n))
     w[receivers, senders] = weights
+    index = np.array(fn_index, dtype=np.intp)[index]
     keys = zip(senders.tolist(), receivers.tolist())
-    cmap = dict(zip(keys, map(fns.__getitem__, index.tolist())))
-    return System(build_digraph(w), cmap)
+    cmap = dict(zip(keys, map(objects.__getitem__, index.tolist())))
+    return System._from_table(build_digraph(w), cmap, senders, receivers, index, objects)
 
 
 def system_from_dict(record: dict) -> System:
@@ -523,19 +528,36 @@ def _encode_default(obj):
 # sends every node through the pure-Python encoder.
 _ENCODER = json.JSONEncoder(sort_keys=True, default=_encode_default)
 _INDENTED_DEPTH = 3
+# a list of scalars at depth d is one call of the encoder whose item
+# separator starts a line indented for depth d + 1, still on the C path
+_LIST_ENCODERS = [
+    json.JSONEncoder(
+        sort_keys=True,
+        default=_encode_default,
+        separators=(",\n" + "  " * (depth + 1), ": "),
+    )
+    for depth in range(_INDENTED_DEPTH + 1)
+]
+# types the encoders write as one token: an array or a frozenset element
+# becomes a list, whose items would take the line separator
+_SCALARS = (str, int, float, type(None), np.number, np.bool_)
 
 
 def _render(obj, depth: int, out: list[str]) -> None:
     if depth > _INDENTED_DEPTH or not isinstance(obj, (dict, list, tuple)) or not obj:
         out.append(_ENCODER.encode(obj))
         return
+    pad = "\n" + "  " * (depth + 1)
     if isinstance(obj, dict):
         items = [(_ENCODER.encode(str(k)) + ": ", obj[k]) for k in sorted(obj)]
         brackets = "{}"
+    elif all(issubclass(t, _SCALARS) for t in set(map(type, obj))):
+        text = _LIST_ENCODERS[depth].encode(obj)
+        out.append("[" + pad + text[1:-1] + "\n" + "  " * depth + "]")
+        return
     else:
         items = [("", v) for v in obj]
         brackets = "[]"
-    pad = "\n" + "  " * (depth + 1)
     out.append(brackets[0])
     for i, (prefix, value) in enumerate(items):
         out.append(("," if i else "") + pad + prefix)
@@ -549,7 +571,10 @@ def render_report(report: dict) -> str:
     Containers down to depth 3 (the report itself is depth 0) are indented
     by two spaces per level; each deeper container goes on one line, so an
     edge column or a function record of the echoed system, or a condition
-    witness, is one line.
+    witness, is one line. An indented list of scalars, such as ``x0`` or
+    an equilibrium point, is written by one encoder call whose item
+    separator is the line break and indent, the same bytes as one call per
+    element.
     Numpy arrays and scalars render as lists and numbers, frozensets as
     sorted lists.
     """

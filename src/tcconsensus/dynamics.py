@@ -5,7 +5,9 @@ The state of agent ``i`` evolves as the weighted sum over in-edges of
 the transmission from ``j`` to ``i``. Gated edges drop their whole
 contribution while the sender state is outside the accepted interval.
 
-A :class:`System` compiles its constraint map once into an edge table keyed
+A :class:`System` compiles one edge table, ``(sender, receiver, weight,
+function)`` plus the distinct function objects, derived from its constraint
+map or taken from a loader's validated columns, into a table of rows keyed
 by distinct function value, and its piecewise-linear functions into one bin
 table over the union of their knots. A mixture without a piecewise-linear
 form is not a function of the table: each of its members gets table rows of
@@ -58,13 +60,18 @@ from .rays import (
 class System:
     """A digraph plus one constraint per edge, keyed ``(sender, receiver)``.
 
-    Construction compiles the constraint map into an edge table keyed by
-    function value: variants are frozen dataclasses, so equal-valued copies
-    share one entry. The edges are grouped by object identity first (in
-    numpy, over the objects' ``id``), then the distinct objects are merged
-    by value, so a map that reuses a few objects on many edges costs one
-    value hash per object, not per edge. The table itself is built with
-    array operations.
+    The system compiles one edge table: edge ``e`` runs from ``sender[e]``
+    to ``receiver[e]`` with weight ``weight[e]`` and carries the distinct
+    function object ``function[e]``. Construction derives the table from
+    the map, grouping the edges by object identity in numpy (over the
+    objects' ``id``); the loaders pass the columns they have validated to
+    :meth:`_from_table` instead. The table is kept as ``_edges``, sorted by
+    ``(sender, receiver)`` with the objects in the order of their first
+    edges, which is the report's echo (``app.system_to_dict``). The objects
+    are then merged by value: variants are frozen dataclasses, so
+    equal-valued copies share one entry, and a map that reuses a few
+    objects on many edges costs one value hash per object, not per edge.
+    The kernel's table is built with array operations.
 
     - ``distinct`` pairs each distinct function with its first edge in
       sorted order. The ledger loops iterate it instead of every edge, and
@@ -126,51 +133,98 @@ class System:
         keys = list(self.constraints)
         fns = list(self.constraints.values())
         ends = list(chain.from_iterable(keys))
-        weights = self.graph.weights
-        # as many distinct keys as edges, each a pair of int indices in range
-        # that is an edge: the keys are the edge set. Else the sets are built
-        # to name the difference, or to accept keys of other equal types.
+        # pairs of int indices in range; else the sets are built to name the
+        # difference, or to accept keys of other equal types
         if not (
-            count == np.count_nonzero(weights)
-            and len(ends) == 2 * count
+            len(ends) == 2 * count
             and set(map(type, ends)) <= {int}
             and (not ends or (min(ends) >= 0 and max(ends) < n))
         ):
             self._check_cover()
         senders, receivers = np.array(ends, dtype=np.intp).reshape(count, 2).T
-        edge_weights = weights[receivers, senders]
-        if not (edge_weights > 0).all():
-            self._check_cover()
         ids = np.fromiter(map(id, fns), dtype=np.uint64, count=count)
-        _, obj_first, obj_of_edge = np.unique(
-            ids, return_index=True, return_inverse=True
-        )
-        by_value: dict[ConstraintFn, int] = {}
-        value_of_obj = np.array(
-            [by_value.setdefault(fns[e], len(by_value)) for e in obj_first.tolist()],
-            dtype=np.intp,
-        )
-        group = value_of_obj[obj_of_edge]
+        _, obj_first, index = np.unique(ids, return_index=True, return_inverse=True)
+        self._compile(senders, receivers, index, [fns[e] for e in obj_first.tolist()])
 
-        # each value's first edge in sorted (sender, receiver) order; the
-        # pairs are distinct, so one argsort of their keys sorts them
+    @classmethod
+    def _from_table(
+        cls, graph: Digraph, constraints, senders, receivers, index, objects
+    ) -> System:
+        """The system whose edge ``e`` runs from ``senders[e]`` to
+        ``receivers[e]`` and carries ``objects[index[e]]``, compiled from
+        these columns instead of from ``constraints``, which must hold the
+        same map: the loaders have the columns already. The pairs must be
+        distinct and each object on some edge; a pair out of range, missing
+        or extra is named as :meth:`_check_cover` names it."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "constraints", constraints)
+        try:
+            ends = np.array((senders, receivers), dtype=np.intp)
+            in_range = ends.min(initial=0) >= 0 and ends.max(initial=-1) < self.n
+        except OverflowError:  # an index beyond the dtype is no edge
+            in_range = False
+        if not in_range:
+            self._check_cover()
+        self._compile(*ends, np.asarray(index, dtype=np.intp), objects)
+        return self
+
+    def _compile(self, senders, receivers, index, objects) -> None:
+        """Compile the edge table: edge ``e`` from ``senders[e]`` to
+        ``receivers[e]`` carries ``objects[index[e]]``. The pairs are
+        distinct and in range, the objects distinct by identity, and each
+        object is on some edge."""
+        n = self.n
+        weights = self.graph.weights
+        # as many pairs as edges, each an edge: the pairs are the edge set.
+        # Else the sets are built to name the difference.
+        if len(senders) != np.count_nonzero(weights):
+            self._check_cover()
+        edge_weights = weights[receivers, senders]
+        if not edge_weights.min(initial=np.inf) > 0:
+            self._check_cover()
+
+        # the table in sorted (sender, receiver) order, and the objects in
+        # the order of their first edges; the pairs are distinct, so one
+        # argsort of their keys sorts them
         order = np.argsort(senders * n + receivers)
-        _, first_sorted = np.unique(group[order], return_index=True)
-        firsts = order[np.sort(first_sorted)].tolist()
+        senders, receivers, edge_weights, index = (
+            a[order] for a in (senders, receivers, edge_weights, index)
+        )
+        first = np.full(len(objects), len(index))
+        np.minimum.at(first, index, np.arange(len(index)))
+        used = np.argsort(first)
+        first = first[used]
+        fn_rank = np.empty_like(used)
+        fn_rank[used] = np.arange(len(used))
+        function = fn_rank[index]
+        fns = [objects[k] for k in used.tolist()]
         object.__setattr__(
-            self, "distinct", tuple((keys[e], fns[e]) for e in firsts)
+            self, "_edges", (senders, receivers, edge_weights, function, tuple(fns))
         )
 
-        gated = np.array([fns[e].is_gate for e in firsts], dtype=bool)
+        # the objects merged by value, so a map that reuses a few objects on
+        # many edges costs one value hash per object, not per edge; a value
+        # is known by its first object, and the first objects follow in the
+        # order of their first edges
+        first_of_value: dict[ConstraintFn, int] = {}
+        value_of_fn = [first_of_value.setdefault(fn, k) for k, fn in enumerate(fns)]
+        heads = list(first_of_value.values())
+        values = [fns[k] for k in heads]
+        head_edges = first[heads]
+        keys = zip(senders[head_edges].tolist(), receivers[head_edges].tolist())
+        object.__setattr__(self, "distinct", tuple(zip(keys, values)))
+
+        gated = np.array([fn.is_gate for fn in values], dtype=bool)
         by_rank = np.argsort(gated, kind="stable")
-        rank = np.empty(len(firsts), dtype=np.intp)
-        rank[group[firsts][by_rank]] = np.arange(len(firsts))
-        edge_rank = rank[group]
+        rank = np.empty(len(fns), dtype=np.intp)
+        rank[np.array(heads, dtype=np.intp)[by_rank]] = np.arange(len(values))
+        edge_rank = rank[value_of_fn][function]
 
         # the members of each distinct function, in rank order, take span
         # ranks in order of first sight; row r of ``table`` holds the span
         # ranks of function r's members, padded with -1
-        parts = [_members(fns[firsts[k]]) for k in by_rank.tolist()]
+        parts = [_members(values[k]) for k in by_rank.tolist()]
         members: dict[ConstraintFn, int] = {}
         table = np.full((len(parts), max(map(len, parts), default=0)), -1, np.intp)
         factors = np.zeros(table.shape)
@@ -219,7 +273,7 @@ class System:
         # (function rank, sender) order of a block without member rows, so
         # the sum is that block's column sum, bit for bit
         unexpanded = edge_rank * n + senders
-        plain_edges = np.flatnonzero(edge_rank < len(firsts) - gates)
+        plain_edges = np.flatnonzero(edge_rank < len(values) - gates)
         plain_edges = plain_edges[np.argsort(unexpanded[plain_edges], kind="stable")]
         plain_alpha = np.zeros(n)
         np.add.at(plain_alpha, receivers[plain_edges], edge_weights[plain_edges])

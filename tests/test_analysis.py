@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -33,6 +34,7 @@ from tcconsensus import (
     system_from_dict,
     system_to_dict,
 )
+from tcconsensus.analysis import _spec_admits_all
 from tcconsensus.constraints import BISECTION_FP_TOL
 from tcconsensus.scenarios import builtin_scenarios
 from test_dynamics import random_catalog_system
@@ -379,6 +381,37 @@ class TestClassify:
         verdict = classify_system(two_agent(f, f))
         assert verdict.conditions["quotient_in_unit_sector"].status == "fail"
         assert verdict.classification == "Inconclusive"
+
+    @staticmethod
+    def ex2_spec_with_slope_product(product):
+        scenario = scenario_by_name("ex2")
+        hint = scenario.ray_hints[0]
+        spec = dataclasses.replace(hint, k2=product / hint.k1)
+        assert spec.slope_product == product
+        return scenario.system, spec
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP direction 9: theorem 2 accepts slope products up to "
+        "1 + 1e-9",
+    )
+    def test_theorem2_spec_just_above_unit_product_is_refused(self):
+        system, spec = self.ex2_spec_with_slope_product(1.0000000005)
+        zone = consensus_zone(system)
+        assert not _spec_admits_all(system, spec, "theorem2", zone)
+
+    def test_theorem2_spec_above_the_margin_is_refused(self):
+        system, spec = self.ex2_spec_with_slope_product(1.000000002)
+        zone = consensus_zone(system)
+        assert not _spec_admits_all(system, spec, "theorem2", zone)
+
+    def test_vacuous_strict_chord_slope_condition_has_no_witness(self):
+        verdict = classify_system(all_identity())
+        strict = verdict.conditions["strict_quotient_off_fixed_set"]
+        assert strict.status == "pass" and strict.witness is None
+        assert strict.note.startswith("vacuous")
+        plain = verdict.conditions["quotient_in_unit_sector"]
+        assert plain.witness == (1.0, 1.0)
 
     def test_not_strongly_connected_is_inconclusive(self):
         g = build_digraph([[0.0, 1.0], [0.0, 0.0]])

@@ -7,6 +7,7 @@ import pytest
 
 from tcconsensus import Affine, Identity, build_digraph, System
 from tcconsensus.app import (
+    _encode_default,
     RunConfig,
     build_report,
     config_from_dict,
@@ -284,6 +285,23 @@ DENSE_FAULTS = {
         lambda r: r["constraints"][0].update(sender=2),
         "constraint map must cover the edge set exactly; "
         "missing [(0, 1)], extra [(2, 1)]",
+    ),
+    "index-beyond-int64": (
+        lambda r: r["constraints"][0].update(sender=2**70),
+        "constraint map must cover the edge set exactly; "
+        "missing [(0, 1)], extra [(1180591620717411303424, 1)]",
+    ),
+    "missing-edge": (
+        lambda r: r["constraints"].pop(1),
+        "constraint map must cover the edge set exactly; missing [(1, 0)], extra []",
+    ),
+    "extra-edge": (
+        lambda r: r["constraints"].append({"sender": 1, "receiver": 1, "fn": _IDENTITY}),
+        "constraint map must cover the edge set exactly; missing [], extra [(1, 1)]",
+    ),
+    "bool-index": (
+        lambda r: r["constraints"][0].update(sender=True),
+        "agent index must be an integer, got True",
     ),
     "entry-not-an-object": (
         lambda r: r["constraints"].__setitem__(1, 3),
@@ -859,6 +877,185 @@ class TestRenderReport:
     def test_rendering_is_deterministic(self):
         report, _, _ = build_report(ring_plus_random(), mode="analyze")
         assert render_report(report).encode() == render_report(report).encode()
+
+
+def former_echo(system):
+    """The echo as it was built from the weight matrix, the oracle for the
+    stored table: the edges are the nonzero entries of the transposed
+    matrix, and the functions are grouped by object identity."""
+    weights_t = system.graph.weights.T
+    senders, receivers = np.nonzero(weights_t)
+    fns = [system.constraints[key] for key in zip(senders.tolist(), receivers.tolist())]
+    ids = np.fromiter(map(id, fns), dtype=np.uint64, count=len(fns))
+    _, first, obj_of_edge = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return {
+        "agents": system.n,
+        "functions": [fns[e].to_dict() for e in first[order].tolist()],
+        "edges": {
+            "sender": senders.tolist(),
+            "receiver": receivers.tolist(),
+            "weight": weights_t[senders, receivers].tolist(),
+            "function": rank[obj_of_edge].tolist(),
+        },
+    }
+
+
+def complete_system(n, fns):
+    """A complete digraph whose edges, in sorted ``(sender, receiver)``
+    order, take the functions of ``fns`` in turn; the map lists them in
+    reverse."""
+    w = 1.0 + np.add.outer(np.arange(n), 0.5 * np.arange(n)) / n
+    np.fill_diagonal(w, 0.0)
+    g = build_digraph(w)
+    keys = sorted(g.edges())
+    return System(g, {key: fns[k % len(fns)] for k, key in reversed(list(enumerate(keys)))})
+
+
+class TestEchoReadsTheTable:
+    @pytest.mark.parametrize("name", sorted(ECHO_SYSTEMS) + ["netgen-50"])
+    def test_matches_the_former_echo(self, name):
+        make = ECHO_SYSTEMS.get(name) or (
+            lambda: system_from_dict(netgen_config(50)["system"])
+        )
+        assert_former_echo(make())
+
+    def test_scenarios_match_the_former_echo(self):
+        for scenario in builtin_scenarios():
+            assert_former_echo(scenario.system)
+
+    def test_one_object_on_many_edges(self):
+        fn = Affine(-0.5)
+        echo = assert_former_echo(complete_system(6, [fn]))
+        assert echo["functions"] == [fn.to_dict()]
+        assert echo["edges"]["function"] == [0] * 30
+
+    def test_identity_not_value_decides_the_functions(self):
+        a, b, c = Affine(0.5), Affine(0.5), Affine(0.5)
+        assert a == b == c and a is not b
+        sys_ = complete_system(5, [c, b, a, b])
+        echo = assert_former_echo(sys_)
+        assert len(echo["functions"]) == 3
+        assert echo["edges"]["function"][:5] == [0, 1, 2, 1, 0]
+        assert [id(fn) for fn in sys_._edges[4]] == [id(c), id(b), id(a)]
+
+
+def assert_former_echo(system):
+    got, want = system_to_dict(system), former_echo(system)
+    assert got == want and json.dumps(got) == json.dumps(want)
+    return got
+
+
+def per_scalar_render(report):
+    """The renderer as it was, one encoder call per scalar of an indented
+    list: the oracle for the bytes of :func:`render_report`."""
+    encoder = json.JSONEncoder(sort_keys=True, default=_encode_default)
+
+    def render(obj, depth, out):
+        if depth > 3 or not isinstance(obj, (dict, list, tuple)) or not obj:
+            out.append(encoder.encode(obj))
+            return
+        if isinstance(obj, dict):
+            items = [(encoder.encode(str(k)) + ": ", obj[k]) for k in sorted(obj)]
+            brackets = "{}"
+        else:
+            items = [("", v) for v in obj]
+            brackets = "[]"
+        pad = "\n" + "  " * (depth + 1)
+        out.append(brackets[0])
+        for i, (prefix, value) in enumerate(items):
+            out.append(("," if i else "") + pad + prefix)
+            render(value, depth + 1, out)
+        out.append("\n" + "  " * depth + brackets[1])
+
+    out = []
+    render(report, 0, out)
+    return "".join(out) + "\n"
+
+
+SCALARS = [
+    1, -0.0, 2.5, 1e300, math.inf, -math.inf, math.nan, True, None, "a\u00e9\"\n",
+    np.int64(3), np.int32(-7), np.uint8(200), np.float64(0.1), np.float32(0.5),
+    np.bool_(False), 2**70,
+]
+SYNTHETIC_REPORTS = {
+    "scalars": {"x": SCALARS, "deep": {"a": {"b": SCALARS}}},
+    "depth-3-and-4": {
+        "a": {"b": {"c": [1.5, 2, None], "d": [[1, 2], [3.5]]}},
+        "e": [[[1, 2], [3]], [[4.0]]],
+    },
+    "empty": {"a": [], "b": {"c": [], "d": {"e": [], "f": [[]]}}, "g": [[], [1]]},
+    "tuples": {"a": (1, 2.0), "b": [(1, 2), (3,)]},
+    "arrays": {
+        "a": [np.arange(3), np.arange(2.0)],
+        "b": np.array([[1.0, 2.5], [np.inf, -0.0]]),
+        "c": [1, np.array(2.0), 3],
+        "d": {"e": [np.float64(1.0), np.zeros(0)]},
+    },
+    "sets": {"a": [frozenset({3, 1}), frozenset()], "b": [1, frozenset({2})]},
+    "mixed": {"a": [1, [2, 3], {"k": [4]}, "s"], "b": [{"x": 1.0}, 2]},
+}
+
+
+class TestRenderBytes:
+    """An indented list of scalars takes one encoder call; the bytes are
+    those of one call per scalar."""
+
+    @pytest.mark.parametrize("mode", ["analyze", "equilibrium", "simulate"])
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_scenario_reports(self, name, mode):
+        config = config_from_dict(
+            {"scenario": name, "integration": {"dt": 1e-3, "t_final": 0.25}}
+        )
+        report, _, _ = build_report(config, mode=mode)
+        assert render_report(report) == per_scalar_render(report)
+
+    @pytest.mark.parametrize("mode", ["analyze", "equilibrium", "simulate"])
+    @pytest.mark.parametrize("n", [50, 200])
+    def test_netgen_reports(self, n, mode):
+        report, _, _ = build_report(config_from_dict(netgen_config(n)), mode=mode)
+        assert render_report(report) == per_scalar_render(report)
+
+    @pytest.mark.parametrize("name", sorted(SYNTHETIC_REPORTS))
+    def test_synthetic_reports(self, name):
+        report = SYNTHETIC_REPORTS[name]
+        assert render_report(report) == per_scalar_render(report)
+
+    def test_arrays_and_sets_in_a_list_stay_one_line_each(self):
+        text = render_report({"a": [np.arange(3), frozenset({2, 1})]})
+        assert text == '{\n  "a": [\n    [0, 1, 2],\n    [1, 2]\n  ]\n}\n'
+
+
+def strict_loads(text):
+    """``json.loads`` that refuses NaN and the infinities, as RFC 8259 does."""
+
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestReportsAreStrictJson:
+    @pytest.mark.parametrize("mode", ["analyze", "simulate"])
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_scenario_reports(self, name, mode):
+        config = config_from_dict(
+            {"scenario": name, "integration": {"dt": 1e-3, "t_final": 0.05}}
+        )
+        report, _, _ = build_report(config, mode=mode)
+        strict_loads(render_report(report))
+
+    def test_vacuous_chord_slope_condition_has_no_witness(self):
+        report, _, _ = build_report(
+            config_from_dict({"scenario": "discarded"}), mode="analyze"
+        )
+        entry = strict_loads(render_report(report))["verdict"]["conditions"][
+            "strict_quotient_off_fixed_set"
+        ]
+        assert entry["status"] == "pass" and entry["witness"] is None
+        assert entry["note"].startswith("vacuous")
 
 
 class TestRun:

@@ -737,6 +737,106 @@ class TestAgentBins:
             assert binned_shapes(sys_, X) == [(m, len(sys_._senders))]
 
 
+def compiled(system, fn_key=id):
+    """Everything the compile leaves on ``system``: arrays as dtype, shape
+    and bytes, functions by ``fn_key``."""
+
+    def raw(a):
+        return None if a is None else (a.dtype.str, a.shape, a.tobytes())
+
+    def spans(entries):
+        return [(fn_key(fn), a, b) for fn, a, b in entries]
+
+    slots = system._by_receiver
+    *columns, fns = system._edges
+    return {
+        "knots": raw(system._knots),
+        "base": raw(system._base),
+        "slopes": raw(system._slopes),
+        "icpts": raw(system._icpts),
+        "senders": raw(system._senders),
+        "identity": system._identity,
+        "block": raw(system._block),
+        "by_receiver": slots and [raw(a) for pair in slots for a in pair],
+        "gate_start": system._gate_start,
+        "plain_alpha": raw(system._plain_alpha),
+        "spans": spans(system._spans),
+        "direct": spans(system._direct),
+        "gates": spans(system._gates),
+        "distinct": [(key, fn_key(fn)) for key, fn in system.distinct],
+        "edges": [raw(a) for a in columns] + [list(map(fn_key, fns))],
+    }
+
+
+def dense_form(system):
+    """A system as a dense JSON record, one entry per edge."""
+    return {
+        "weights": system.graph.weights.tolist(),
+        "constraints": [
+            {"sender": j, "receiver": i, "fn": fn.to_dict()}
+            for (j, i), fn in system.constraints.items()
+        ],
+    }
+
+
+def loaded_forms(name):
+    """The dense and the columnar load of a netgen network or of a
+    ``random_catalog_system``, each through JSON text."""
+    kind, arg = name.rsplit("-", 1)
+    if kind == "netgen":
+        dense = load_netgen().wide_network(1, int(arg))
+    else:
+        dense = dense_form(random_catalog_system(int(arg)))
+    dense = system_from_dict(json.loads(json.dumps(dense)))
+    return {
+        "dense": dense,
+        "columnar": system_from_dict(json.loads(json.dumps(system_to_dict(dense)))),
+    }
+
+
+TABLE_SYSTEMS = [f"netgen-{n}" for n in (50, 200, 1000)] + [
+    f"catalog-{seed}" for seed in range(12)
+]
+
+
+class TestCompileFromTable:
+    """The loaders pass their validated columns to the compile; a System
+    built from the same graph and constraint map compiles the same."""
+
+    @pytest.mark.parametrize("name", TABLE_SYSTEMS)
+    def test_loaders_table_compiles_as_the_dict(self, name):
+        for form, sys_ in loaded_forms(name).items():
+            from_dict = System(sys_.graph, sys_.constraints)
+            assert compiled(sys_) == compiled(from_dict), form
+
+    def test_both_wide_and_narrow_scatters_are_covered(self):
+        assert loaded_forms("netgen-50")["dense"]._block is not None
+        assert loaded_forms("netgen-200")["dense"]._by_receiver is not None
+
+    @pytest.mark.parametrize("name", ["netgen-50", "netgen-200", "catalog-3"])
+    def test_edge_order_does_not_matter(self, name):
+        dense = loaded_forms(name)["dense"]
+        record = dense_form(dense)
+        random_order = np.random.default_rng(5).permutation(len(record["constraints"]))
+        record["constraints"] = [record["constraints"][k] for k in random_order]
+        shuffled = system_from_dict(record)
+        assert list(shuffled.constraints) != list(dense.constraints)
+        assert compiled(shuffled, repr) == compiled(dense, repr)
+
+    def test_table_is_sorted_with_functions_in_first_edge_order(self):
+        a, b = Affine(0.5), Affine(0.5)  # equal values, two objects
+        w = np.ones((4, 4)) - np.eye(4)
+        keys = [(j, i) for i in range(4) for j in range(4) if i != j]
+        sys_ = System(build_digraph(w), {key: (b, a)[k % 2] for k, key in enumerate(keys)})
+        senders, receivers, weights, function, fns = sys_._edges
+        assert list(zip(senders.tolist(), receivers.tolist())) == sorted(keys)
+        assert weights.tolist() == [w[i, j] for j, i in sorted(keys)]
+        assert fns[0] is sys_.constraints[(0, 1)] and len(fns) == 2
+        for k, key in zip(function.tolist(), sorted(keys)):
+            assert fns[k] is sys_.constraints[key]
+        assert len(sys_.distinct) == 1 and sys_.distinct[0] == ((0, 1), fns[0])
+
+
 class TestIntegrationSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
