@@ -96,23 +96,16 @@ def _candidate_boxes(system: System, phi: IntervalSet) -> list[tuple[float, floa
     return out
 
 
-def _spec_admits_all(
-    system: System, spec: BoxRaySpec, mode: str, phi: IntervalSet
-) -> bool:
-    if mode == "theorem1" and not spec.check_unit_product(1e-9):
+def _spec_admits_all(system: System, spec: BoxRaySpec, phi: IntervalSet) -> bool:
+    """Theorem 2's conditions: slope product at most one, identity on the
+    box (the box sits in the zone), and every edge in both outer sectors."""
+    if spec.slope_product > 1.0 + 1e-9:
         return False
-    if mode == "theorem2":
-        if spec.slope_product > 1.0 + 1e-9:
-            return False
-        # middle condition: identity on the box, i.e. the box sits in the zone
-        if not _contains_interval(phi, spec.box_lo, spec.box_hi):
-            return False
+    if not _contains_interval(phi, spec.box_lo, spec.box_hi):
+        return False
     for _, fn in system.distinct:
         report = sector_membership(fn, spec)
-        if mode == "theorem2":
-            if not (report.lower.passed and report.upper.passed):
-                return False
-        elif not report.passed:
+        if not (report.lower.passed and report.upper.passed):
             return False
     return True
 
@@ -139,32 +132,26 @@ def _unit_product_rays(
 
 
 def find_admissible_rays(
-    system: System,
-    mode: str = "theorem2",
-    hints: tuple[BoxRaySpec, ...] = (),
+    system: System, hints: tuple[BoxRaySpec, ...] = ()
 ) -> BoxRaySpec | None:
-    """Search for a box-and-ray spec admitting every edge under ``mode``.
-
-    ``theorem1`` enforces negative slopes with product one and the box-range
-    condition; ``theorem2`` enforces slope product at most one and identity
-    on the box. Hint specs are verified first. Then the box and anchor are a
-    bounded search, and for each the slopes come in closed form (product one,
-    serving both modes), certified by :func:`sector_membership`. Returns
-    ``None`` when no candidate admits rays; absence is not a proof.
+    """Search for a box-and-ray spec admitting every edge under theorem 2:
+    slope product at most one and identity on the box. Hint specs are
+    verified first. Then the box and anchor are a bounded search, and for
+    each the slopes come in closed form (product one), certified by
+    :func:`sector_membership`. Returns ``None`` when no candidate admits
+    rays; absence is not a proof.
     """
-    if mode not in ("theorem1", "theorem2"):
-        raise ValueError(f"unknown mode {mode!r}")
     phi = consensus_zone(system)
     for hint in hints:
-        if _spec_admits_all(system, hint, mode, phi):
+        if _spec_admits_all(system, hint, phi):
             return hint
     for box_lo, box_hi in _candidate_boxes(system, phi):
-        if mode == "theorem2" and not _contains_interval(phi, box_lo, box_hi):
+        if not _contains_interval(phi, box_lo, box_hi):
             continue
         n = 1 if box_hi == box_lo else ANCHOR_COUNT
         for anchor in np.linspace(box_lo, box_hi, n):
             spec = _unit_product_rays(system, box_lo, box_hi, float(anchor))
-            if spec is not None and _spec_admits_all(system, spec, mode, phi):
+            if spec is not None and _spec_admits_all(system, spec, phi):
                 return spec
     return None
 
@@ -190,7 +177,7 @@ class TheoremVerdict:
     def to_dict(self) -> dict:
         def _coerce(v):
             if isinstance(v, IntervalSet):
-                return [list(p) for p in v.pieces]
+                return _coerce(v.pieces)
             if isinstance(v, BoxRaySpec):
                 return {
                     "box_lo": v.box_lo,
@@ -201,7 +188,10 @@ class TheoremVerdict:
                 }
             if isinstance(v, (tuple, list)):
                 return [_coerce(x) for x in v]
-            if isinstance(v, (np.floating, np.integer)):
+            if isinstance(v, (float, np.floating)):
+                # an unbounded end is null: strict JSON has no infinity
+                return None if math.isinf(v) else float(v)
+            if isinstance(v, np.integer):
                 return float(v)
             return v
 
@@ -288,7 +278,7 @@ def classify_system(
     rays = None
     if sc and not zone.is_empty:
         if hints or conditions["quotient_in_unit_sector"].status != "pass":
-            rays = find_admissible_rays(system, "theorem2", hints=hints)
+            rays = find_admissible_rays(system, hints=hints)
             conditions["admissible_rays"] = (
                 ConditionResult("pass", witness=rays)
                 if rays is not None

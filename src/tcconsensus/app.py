@@ -3,8 +3,9 @@ execute simulate/analyze/equilibrium pipelines, and emit deterministic CSV
 trajectories and JSON reports.
 
 A custom system is read as a dense weight matrix or as a columnar edge
-table (:func:`system_from_dict`); either way the loader hands its validated
-columns to the :class:`System` as its edge table. Reports echo their config
+table (:func:`system_from_dict`); either way the loader checks the record
+once and hands its columns to the :class:`System` as its edge table, with
+no per-edge map. Reports echo their config
 with the system always in the columnar form (:func:`system_to_dict`), the
 stored edge table written back, whose size grows with the edge count, not
 with ``n**2``; an echoed config reproduces its report.
@@ -29,12 +30,14 @@ import numpy as np
 from . import constraints as _constraints
 from .analysis import classify_system
 from .dynamics import IntegrationSpec, System, attach_channels, integrate, monitor_trajectory
+from .dynamics import _edge_columns
 from .equilibrium import solve_equilibrium
 from .errors import (
     ConfigError,
     NonFiniteStateError,
     ParseError,
     TCConsensusError,
+    UnconvergedError,
     ValidationError,
 )
 from .graph import INTEGER, NUMBER, build_digraph, check_numbers
@@ -204,10 +207,10 @@ def _dense_system(record: dict) -> System:
     """Compile the dense form column by column: the types, keys and indices
     of the ``constraints`` entries are checked over whole columns, and only
     when a check fails are the entries walked again to report the first
-    bad one, with the message the per-entry check gives. The ``sender``,
-    ``receiver`` and function index columns are the edge table the
-    :class:`System` compiles, which names an index out of range, or a
-    missing or extra pair, as the constraint map's cover check does."""
+    bad one, with the message the per-entry check gives. The ``sender``
+    and ``receiver`` columns, checked against the matrix as a constraint
+    map's keys are, its weights and the function index are the edge table
+    the :class:`System` compiles."""
     rows = _list(record["weights"], "weights")
     if not all(map(isinstance, rows, repeat(list))):
         for row in rows:
@@ -224,22 +227,16 @@ def _dense_system(record: dict) -> System:
         list(map(itemgetter(name), entries)) for name in ("sender", "receiver", "fn")
     )
     senders, receivers = _agent_indices(senders), _agent_indices(receivers)
-    keys = list(zip(senders, receivers))
     objects, index = _load_fns(fns)
-    cmap = dict(zip(keys, map(objects.__getitem__, index)))
-    if len(cmap) < len(keys):
-        seen = set()
-        for key in keys:
-            if key in seen:
-                raise ValidationError(f"repeated constraint record for edge {key}")
-            seen.add(key)
-    return System._from_table(graph, cmap, senders, receivers, index, objects)
+    table = _edge_columns(graph, zip(senders, receivers), (senders, receivers))
+    return System._from_table(graph.n, *table, index, objects)
 
 
 def _columnar_system(record: dict) -> System:
     """Compile the columnar form: the ``edges`` columns, checked as whole
     arrays, with each ``function`` index mapped to its loaded object, are
-    the edge table the :class:`System` compiles."""
+    the edge table the :class:`System` compiles; the checks leave nothing
+    for a cover check to find."""
     n = record["agents"]
     check_numbers([n], "'agents'", INTEGER, ValidationError)
     if n < 0:
@@ -275,12 +272,8 @@ def _columnar_system(record: dict) -> System:
     unused = np.flatnonzero(np.bincount(index, minlength=len(fn_index)) == 0)
     if unused.size:
         raise ValidationError(f"function {unused[0]} is used by no edge")
-    w = np.zeros((n, n))
-    w[receivers, senders] = weights
     index = np.array(fn_index, dtype=np.intp)[index]
-    keys = zip(senders.tolist(), receivers.tolist())
-    cmap = dict(zip(keys, map(objects.__getitem__, index.tolist())))
-    return System._from_table(build_digraph(w), cmap, senders, receivers, index, objects)
+    return System._from_table(n, senders, receivers, weights, index, objects)
 
 
 def system_from_dict(record: dict) -> System:
@@ -437,7 +430,9 @@ def build_report(config: RunConfig, mode: str = "simulate"):
     A simulation that diverges returns its partial trajectory and a report
     whose ``divergence`` record holds the detection time, the last recorded
     time and the (0-based) agent with the largest ``|x|`` at that time, in
-    place of the final state and the monitor outcomes.
+    place of the final state and the monitor outcomes. A failed solve
+    leaves its ``error`` and, out of budget, its ``best`` point and
+    ``residual`` (``None`` when there is none) in the ``equilibrium`` record.
     """
     system, scn, spec, x0 = _resolve(config)
     hints = scn.ray_hints if scn is not None else ()
@@ -470,10 +465,16 @@ def build_report(config: RunConfig, mode: str = "simulate"):
                 "method": equilibrium.method,
                 "iterations": equilibrium.iterations,
             }
+        except UnconvergedError as err:
+            report["equilibrium"] = {
+                "error": str(err),
+                "best": None if err.best is None else err.best.tolist(),
+                "residual": err.residual if math.isfinite(err.residual) else None,
+            }
         except TCConsensusError as err:
             report["equilibrium"] = {"error": str(err)}
-            if mode == "equilibrium":
-                raise
+        if mode == "equilibrium" and "error" in report["equilibrium"]:
+            ok = False
 
     traj = None
     if mode == "simulate":
@@ -588,7 +589,8 @@ def run(config: RunConfig, mode: str = "simulate", out_dir=None) -> int:
     """Run the pipeline, write artifacts, and return the exit status.
 
     A simulation that diverges still writes ``report.json`` (with its
-    ``divergence`` record) and the partial ``trajectory.csv``, then exits 2.
+    ``divergence`` record) and the partial ``trajectory.csv``, then exits 2;
+    so does an ``equilibrium`` run whose solve fails, with its report.
     """
     import sys
 
@@ -605,6 +607,9 @@ def run(config: RunConfig, mode: str = "simulate", out_dir=None) -> int:
     if "divergence" in report:
         t = report["divergence"]["t_detected"]
         print(f"error: divergence detected at t={t:.6g}", file=sys.stderr)
+        status = 2
+    if mode == "equilibrium" and "error" in report["equilibrium"]:
+        print(f"error: {report['equilibrium']['error']}", file=sys.stderr)
         status = 2
 
     target = out_dir or config.output_dir

@@ -5,9 +5,10 @@ The state of agent ``i`` evolves as the weighted sum over in-edges of
 the transmission from ``j`` to ``i``. Gated edges drop their whole
 contribution while the sender state is outside the accepted interval.
 
-A :class:`System` compiles one edge table, ``(sender, receiver, weight,
-function)`` plus the distinct function objects, derived from its constraint
-map or taken from a loader's validated columns, into a table of rows keyed
+A :class:`System` is one edge table, ``(sender, receiver, weight,
+function)`` plus the distinct function objects, built from a constraint map
+or from a loader's checked columns; a loaded system's constraint map is a
+view of the table. The system compiles the table into a table of rows keyed
 by distinct function value, and its piecewise-linear functions into one bin
 table over the union of their knots. A mixture without a piecewise-linear
 form is not a function of the table: each of its members gets table rows of
@@ -39,7 +40,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 from numpy.typing import NDArray
@@ -56,22 +58,23 @@ from .rays import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class System:
     """A digraph plus one constraint per edge, keyed ``(sender, receiver)``.
 
     The system compiles one edge table: edge ``e`` runs from ``sender[e]``
     to ``receiver[e]`` with weight ``weight[e]`` and carries the distinct
-    function object ``function[e]``. Construction derives the table from
-    the map, grouping the edges by object identity in numpy (over the
-    objects' ``id``); the loaders pass the columns they have validated to
-    :meth:`_from_table` instead. The table is kept as ``_edges``, sorted by
-    ``(sender, receiver)`` with the objects in the order of their first
-    edges, which is the report's echo (``app.system_to_dict``). The objects
-    are then merged by value: variants are frozen dataclasses, so
-    equal-valued copies share one entry, and a map that reuses a few
-    objects on many edges costs one value hash per object, not per edge.
-    The kernel's table is built with array operations.
+    function object ``function[e]``. Construction checks the map's keys
+    (:func:`_edge_columns`) and derives the table, grouping the edges by
+    object identity in numpy (over the objects' ``id``); the loaders pass
+    their checked columns to :meth:`_from_table` instead. The table is kept
+    as ``_edges``, sorted by ``(sender, receiver)`` with the objects in the
+    order of their first edges, which is the report's echo
+    (``app.system_to_dict``). The objects are then merged by value:
+    variants are frozen dataclasses, so equal-valued copies share one
+    entry, and a map that reuses a few objects on many edges costs one
+    value hash per object, not per edge. The kernel's table is built with
+    array operations.
 
     - ``distinct`` pairs each distinct function with its first edge in
       sorted order. The ledger loops iterate it instead of every edge, and
@@ -98,11 +101,9 @@ class System:
       :func:`_receiver_slots`), once for all its rows and once for its gate
       rows. A dense product costs ``R * n`` multiply-adds per state and a
       gather-sum ``K * n`` gathers and multiply-adds, several times dearer
-      each. On the benchmark's networks (``K = 10``, ``R`` about
-      ``4.4 * n``) the two broke even between ``R / K = 31`` (n=70) and
-      ``39`` (n=90), for 1 to 1000 states. ``R`` never exceeds ``n * K``,
-      so every system of 32 agents or fewer, the built-in scenarios among
-      them, keeps its block.
+      each; the factor 32 sits where the two break even. ``R`` never
+      exceeds ``n * K``, so every system of 32 agents or fewer, the
+      built-in scenarios among them, keeps its block.
     - The ungated in-degree ``_plain_alpha`` sums ``a_ij`` over the edges,
       not the member rows (``a*w + a*(1 - w)`` need not round to ``a``), in
       the row order a table without member rows would have.
@@ -123,73 +124,60 @@ class System:
     """
 
     graph: Digraph
-    constraints: dict[tuple[int, int], ConstraintFn]
     distinct: tuple[tuple[tuple[int, int], ConstraintFn], ...] = field(
         init=False, repr=False, compare=False
     )
 
-    def __post_init__(self):
-        n, count = self.n, len(self.constraints)
-        keys = list(self.constraints)
-        fns = list(self.constraints.values())
-        ends = list(chain.from_iterable(keys))
-        # pairs of int indices in range; else the sets are built to name the
-        # difference, or to accept keys of other equal types
-        if not (
-            len(ends) == 2 * count
-            and set(map(type, ends)) <= {int}
-            and (not ends or (min(ends) >= 0 and max(ends) < n))
-        ):
-            self._check_cover()
-        senders, receivers = np.array(ends, dtype=np.intp).reshape(count, 2).T
-        ids = np.fromiter(map(id, fns), dtype=np.uint64, count=count)
-        _, obj_first, index = np.unique(ids, return_index=True, return_inverse=True)
-        self._compile(senders, receivers, index, [fns[e] for e in obj_first.tolist()])
-
-    @classmethod
-    def _from_table(
-        cls, graph: Digraph, constraints, senders, receivers, index, objects
-    ) -> System:
-        """The system whose edge ``e`` runs from ``senders[e]`` to
-        ``receivers[e]`` and carries ``objects[index[e]]``, compiled from
-        these columns instead of from ``constraints``, which must hold the
-        same map: the loaders have the columns already. The pairs must be
-        distinct and each object on some edge; a pair out of range, missing
-        or extra is named as :meth:`_check_cover` names it."""
-        self = cls.__new__(cls)
+    def __init__(self, graph: Digraph, constraints):
+        # not a field: a system built from a table derives its map instead
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "constraints", constraints)
-        try:
-            ends = np.array((senders, receivers), dtype=np.intp)
-            in_range = ends.min(initial=0) >= 0 and ends.max(initial=-1) < self.n
-        except OverflowError:  # an index beyond the dtype is no edge
-            in_range = False
-        if not in_range:
-            self._check_cover()
-        self._compile(*ends, np.asarray(index, dtype=np.intp), objects)
+        self.__post_init__()
+
+    def __post_init__(self):
+        keys, fns = list(self.constraints), list(self.constraints.values())
+        columns = _edge_columns(self.graph, keys)
+        ids = np.fromiter(map(id, fns), dtype=np.uint64, count=len(fns))
+        _, obj_first, index = np.unique(ids, return_index=True, return_inverse=True)
+        self._compile(*columns, index, [fns[e] for e in obj_first.tolist()])
+
+    @classmethod
+    def _from_table(cls, n: int, senders, receivers, weights, index, objects) -> System:
+        """The system of ``n`` agents whose edge ``e`` runs from
+        ``senders[e]`` to ``receivers[e]`` with weight ``weights[e]`` and
+        carries ``objects[index[e]]``: a loader's checked columns, trusted
+        as :meth:`_compile` trusts them. Its constraint map is derived from
+        the table when first read."""
+        matrix = np.zeros((n, n))
+        matrix[receivers, senders] = weights
+        matrix.setflags(write=False)
+        self = cls.__new__(cls)
+        object.__setattr__(self, "graph", Digraph(matrix))
+        self._compile(senders, receivers, weights, index, objects)
         return self
 
-    def _compile(self, senders, receivers, index, objects) -> None:
-        """Compile the edge table: edge ``e`` from ``senders[e]`` to
-        ``receivers[e]`` carries ``objects[index[e]]``. The pairs are
-        distinct and in range, the objects distinct by identity, and each
-        object is on some edge."""
-        n = self.n
-        weights = self.graph.weights
-        # as many pairs as edges, each an edge: the pairs are the edge set.
-        # Else the sets are built to name the difference.
-        if len(senders) != np.count_nonzero(weights):
-            self._check_cover()
-        edge_weights = weights[receivers, senders]
-        if not edge_weights.min(initial=np.inf) > 0:
-            self._check_cover()
+    @cached_property
+    def constraints(self) -> dict[tuple[int, int], ConstraintFn]:
+        """The constraint of each edge, keyed ``(sender, receiver)``: the
+        map the system was built from or, for a system built from a table,
+        a view of the table in its input order, derived when first read."""
+        senders, receivers, _, function, fns = self._edges
+        at = np.argsort(self._input_order)
+        keys = zip(senders[at].tolist(), receivers[at].tolist())
+        return dict(zip(keys, map(fns.__getitem__, function[at].tolist())))
 
+    def _compile(self, senders, receivers, weights, index, objects) -> None:
+        """Compile the edge table: edge ``e`` from ``senders[e]`` to
+        ``receivers[e]`` with weight ``weights[e]`` carries
+        ``objects[index[e]]``. The pairs are the graph's edges, each once,
+        the objects distinct by identity, and each object is on some edge."""
+        n = self.n
         # the table in sorted (sender, receiver) order, and the objects in
         # the order of their first edges; the pairs are distinct, so one
         # argsort of their keys sorts them
         order = np.argsort(senders * n + receivers)
         senders, receivers, edge_weights, index = (
-            a[order] for a in (senders, receivers, edge_weights, index)
+            np.asarray(a)[order] for a in (senders, receivers, weights, index)
         )
         first = np.full(len(objects), len(index))
         np.minimum.at(first, index, np.arange(len(index)))
@@ -202,6 +190,7 @@ class System:
         object.__setattr__(
             self, "_edges", (senders, receivers, edge_weights, function, tuple(fns))
         )
+        object.__setattr__(self, "_input_order", order)
 
         # the objects merged by value, so a map that reuses a few objects on
         # many edges costs one value hash per object, not per edge; a value
@@ -316,20 +305,44 @@ class System:
         object.__setattr__(self, "_gate_start", gate_start)
         object.__setattr__(self, "_plain_alpha", plain_alpha)
 
-    def _check_cover(self) -> None:
-        """Compare the keys with the edge set as sets of pairs, naming the
-        missing and extra pairs when they differ."""
-        edges = set(self.graph.edges())
-        covered = set(self.constraints)
-        if covered != edges:
-            raise ValueError(
-                f"constraint map must cover the edge set exactly; "
-                f"missing {sorted(edges - covered)}, extra {sorted(covered - edges)}"
-            )
-
     @property
     def n(self) -> int:
         return self.graph.n
+
+
+def _edge_columns(graph: Digraph, pairs, columns=None):
+    """The sender, receiver and weight columns of ``pairs``, an iterable of
+    ``(sender, receiver)`` pairs that must be the edges of ``graph``, each
+    once; ``columns`` are the pairs' senders and receivers as two lists, if
+    the caller has them. Else ``ValueError`` names the first repeated pair
+    or, compared as sets, the missing and extra pairs; pairs of other equal
+    types, such as numpy integers, cover the edges too."""
+    n, weights = graph.n, graph.weights
+    if columns is None and set(map(len, pairs)) == {2}:
+        columns = [list(map(itemgetter(k), pairs)) for k in (0, 1)]
+    ends = np.array(columns if columns is not None else ())
+    if ends.dtype.kind in "iu" and ends.min() >= 0 and ends.max() < n:
+        # as many pairs as edges, each on an edge, and no two alike
+        senders, receivers = ends.astype(np.intp)
+        column = weights[receivers, senders]
+        keys = np.sort(senders * n + receivers)
+        if len(keys) == np.count_nonzero(column) == np.count_nonzero(weights):
+            if (keys[1:] != keys[:-1]).all():
+                return senders, receivers, column
+    pairs = list(pairs)
+    seen = set()
+    for pair in pairs:
+        if pair in seen:
+            raise ValueError(f"repeated constraint record for edge {pair}")
+        seen.add(pair)
+    edges = set(graph.edges())
+    if seen != edges:
+        raise ValueError(
+            f"constraint map must cover the edge set exactly; "
+            f"missing {sorted(edges - seen)}, extra {sorted(seen - edges)}"
+        )
+    senders, receivers = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    return senders, receivers, weights[receivers, senders]
 
 
 def _members(fn: ConstraintFn) -> dict[ConstraintFn, float]:
@@ -373,9 +386,7 @@ def _gather_sum(V, rows, weights) -> NDArray[np.float64]:
     ``V`` is gathered into the slots, shape ``(m, K, n)``, and ``einsum``
     adds each receiver's products to a zero in slot order, that is in row
     order, in any batch; a padding slot adds a zero. A batch is gathered in
-    blocks of at most ``2**15`` values: one gather of 1000 states at n=200
-    is 16 MB of fresh memory on every call, which made the kernel slower
-    than the dense product.
+    blocks of at most ``2**15`` values, which bounds the temporary.
     """
     step = max(1, 2**15 // rows.size)
     if len(V) > step:

@@ -45,14 +45,6 @@ class BoxRaySpec:
     def slope_product(self) -> float:
         return self.k1 * self.k2
 
-    def check_unit_product(self, tol: float = PRODUCT_TOL) -> bool:
-        """Theorem-1/Lemma-5 slope rule: both negative, product one."""
-        return (
-            self.k1 < 0
-            and self.k2 < 0
-            and abs(self.k1 * self.k2 - 1.0) <= tol
-        )
-
 
 @dataclass(frozen=True)
 class EquilibriumRaySpec:

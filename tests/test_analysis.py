@@ -205,19 +205,10 @@ class TestFindAdmissibleRays:
     def test_bipartite_finds_none(self):
         assert find_admissible_rays(scenario_by_name("bipartite").system) is None
 
-    def test_theorem1_mode_requires_unit_product(self):
-        sc = scenario_by_name("ex1")
-        spec = find_admissible_rays(sc.system, mode="theorem1", hints=sc.ray_hints)
-        if spec is not None:
-            assert spec.check_unit_product(1e-9)
-        spec = find_admissible_rays(all_identity(), mode="theorem1")
-        assert spec is not None and spec.check_unit_product(1e-9)
-
-    @pytest.mark.parametrize("mode", ["theorem1", "theorem2"])
     @pytest.mark.parametrize("make", [all_identity, ring_plus_random])
-    def test_closed_form_slopes_are_certified(self, make, mode):
+    def test_closed_form_slopes_are_certified(self, make):
         system = make()
-        spec = find_admissible_rays(system, mode=mode)
+        spec = find_admissible_rays(system)
         assert spec is not None
         assert spec.k1 < 0 and spec.k2 < 0
         assert abs(spec.k1 * spec.k2 - 1.0) <= 1e-9
@@ -229,10 +220,6 @@ class TestFindAdmissibleRays:
         assert find_admissible_rays(system) is None
         assert classify_system(system).classification != "Consensus"
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            find_admissible_rays(all_identity(), mode="theorem7")
-
     def test_pchip_dip_box_is_a_box_violation(self):
         # the theorem-1 spec the search used to return for the dip ring: its
         # box [-3.0549, 2e-8] holds the dip, where f falls to about -5
@@ -242,8 +229,6 @@ class TestFindAdmissibleRays:
         spec = BoxRaySpec(lo, 2e-8, lo, -16.87570549977402, -0.059256781887631504)
         box = sector_membership(f, spec).box
         assert not box.passed and -3.0549 < box.first_violation < -3.0451
-        found = find_admissible_rays(system, mode="theorem1")
-        assert found is None or found.box_lo > -3.0451
 
     @pytest.mark.xfail(
         strict=True,
@@ -398,12 +383,12 @@ class TestClassify:
     def test_theorem2_spec_just_above_unit_product_is_refused(self):
         system, spec = self.ex2_spec_with_slope_product(1.0000000005)
         zone = consensus_zone(system)
-        assert not _spec_admits_all(system, spec, "theorem2", zone)
+        assert not _spec_admits_all(system, spec, zone)
 
     def test_theorem2_spec_above_the_margin_is_refused(self):
         system, spec = self.ex2_spec_with_slope_product(1.000000002)
         zone = consensus_zone(system)
-        assert not _spec_admits_all(system, spec, "theorem2", zone)
+        assert not _spec_admits_all(system, spec, zone)
 
     def test_vacuous_strict_chord_slope_condition_has_no_witness(self):
         verdict = classify_system(all_identity())

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from tcconsensus import Affine, Identity, build_digraph, System
+from tcconsensus import Affine, Identity, app, build_digraph, System
 from tcconsensus.app import (
     _encode_default,
     RunConfig,
@@ -19,7 +19,7 @@ from tcconsensus.app import (
     system_to_dict,
 )
 from tcconsensus.cli import main
-from tcconsensus.errors import ParseError, ValidationError
+from tcconsensus.errors import ParseError, UnconvergedError, ValidationError
 from tcconsensus.scenarios import builtin_scenarios
 from test_dynamics import load_netgen, random_catalog_system
 
@@ -324,6 +324,11 @@ DENSE_FAULTS = {
         ),
         "repeated constraint record for edge (1, 0)",
     ),
+    # as many records as edges, so only the repeat tells them apart
+    "repeated-pair-as-many-as-edges": (
+        lambda r: r["constraints"][1].update(sender=0, receiver=1),
+        "repeated constraint record for edge (0, 1)",
+    ),
 }
 
 
@@ -432,6 +437,57 @@ def columnar(edit):
 
 def set_column(name, position, value):
     return columnar(lambda r: r["edges"][name].__setitem__(position, value))
+
+
+# one fault in the columnar form, and the message it raises
+COLUMNAR_FAULTS = {
+    "sender-out-of-range": (
+        set_column("sender", 1, 2),
+        "sender 2 is out of range [0, 2)",
+    ),
+    "negative-receiver": (
+        set_column("receiver", 0, -1),
+        "receiver -1 is out of range [0, 2)",
+    ),
+    "function-out-of-range": (
+        set_column("function", 0, 1),
+        "function 1 is out of range [0, 1)",
+    ),
+    "negative-function-index": (
+        set_column("function", 0, -1),
+        "function -1 is out of range [0, 1)",
+    ),
+    "self-loop": (set_column("receiver", 0, 0), "self-loop on agent 0"),
+    "repeated-pair": (
+        columnar(lambda r: r["edges"].update(sender=[0, 0], receiver=[1, 1])),
+        "repeated edge (0, 1)",
+    ),
+    "zero-weight": (
+        set_column("weight", 0, 0.0),
+        "edge weights must be finite and positive",
+    ),
+    "negative-weight": (
+        set_column("weight", 1, -1.0),
+        "edge weights must be finite and positive",
+    ),
+    "nan-weight": (
+        set_column("weight", 0, float("nan")),
+        "edge weights must be finite and positive",
+    ),
+    "infinite-weight": (
+        set_column("weight", 1, math.inf),
+        "edge weights must be finite and positive",
+    ),
+    "unused-function": (
+        columnar(lambda r: r["functions"].append({"variant": "identity"})),
+        "function 1 is used by no edge",
+    ),
+    "unequal-columns": (
+        columnar(lambda r: r["edges"]["weight"].append(1.0)),
+        "edge columns must have equal lengths, got "
+        "{'sender': 2, 'receiver': 2, 'weight': 3, 'function': 2}",
+    ),
+}
 
 
 MALFORMED_SYSTEMS = {
@@ -582,6 +638,15 @@ class TestSystemValidation:
             system_from_dict(record)
         with pytest.raises(ValidationError):
             config_from_dict({"system": record, "x0": [0.0, 0.0]})
+
+
+class TestColumnarFaults:
+    @pytest.mark.parametrize("case", sorted(COLUMNAR_FAULTS))
+    def test_message(self, case):
+        edit, message = COLUMNAR_FAULTS[case]
+        with pytest.raises(ValidationError) as err:
+            system_from_dict(edited(edit))
+        assert str(err.value) == message
 
 
 def dense_record(system):
@@ -1058,7 +1123,82 @@ class TestReportsAreStrictJson:
         assert entry["note"].startswith("vacuous")
 
 
+    @pytest.mark.parametrize("seed", [None] + list(range(8)))
+    def test_custom_system_analyze_reports(self, tmp_path, seed):
+        # seed None: the 2-agent identity ring, whose zone is the real line
+        if seed is None:
+            system = {**COLUMNAR_SYSTEM, "functions": [{"variant": "identity"}]}
+        else:
+            system = system_to_dict(random_catalog_system(seed))
+        config = config_from_dict(
+            {
+                "system": system,
+                "x0": [0.5 * k for k in range(system["agents"])],
+                "integration": {"dt": 0.01, "t_final": 0.1},
+            }
+        )
+        assert run(config, mode="analyze", out_dir=tmp_path) < 2
+        report = strict_loads((tmp_path / "report.json").read_text())
+        if seed is None:
+            assert report["verdict"]["consensus_zone"] == [[None, None]]
+
+    def test_failed_solve_records_nulls(self, monkeypatch):
+        def unconverged(system, x0):
+            raise UnconvergedError("no equilibrium", best=None, residual=math.inf)
+
+        monkeypatch.setattr(app, "solve_equilibrium", unconverged)
+        config = config_from_dict({"scenario": "ex2"})
+        report, _, ok = build_report(config, mode="equilibrium")
+        record = strict_loads(render_report(report))["equilibrium"]
+        assert record == {"error": "no equilibrium", "best": None, "residual": None}
+        assert not ok and report["expectations_met"] is False
+
+
 class TestRun:
+    def test_failed_equilibrium_leaves_its_report(self, tmp_path, capsys):
+        config = config_from_dict(
+            {
+                "system": {
+                    **COLUMNAR_SYSTEM,
+                    "functions": [{"variant": "affine", "k": 2, "m": 0}],
+                },
+                "x0": [3, -2],
+                "integration": {"dt": 0.01, "t_final": 1.0},
+            }
+        )
+        assert run(config, mode="equilibrium", out_dir=tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no equilibrium within tol 1e-10; best residual")
+        record = strict_loads((tmp_path / "out" / "report.json").read_text())[
+            "equilibrium"
+        ]
+        assert record["error"] == err[len("error: ") :].rstrip("\n")
+        assert len(record["best"]) == 2 and record["residual"] > 1e-10
+
+    def test_equilibrium_without_in_edges_leaves_its_report(self, tmp_path, capsys):
+        # agent 2 sends to agent 0 but receives from no one
+        system = {
+            "agents": 3,
+            "functions": [{"variant": "identity"}],
+            "edges": {
+                "sender": [0, 1, 2],
+                "receiver": [1, 0, 0],
+                "weight": [1.0, 1.0, 1.0],
+                "function": [0, 0, 0],
+            },
+        }
+        config = config_from_dict(
+            {
+                "system": system,
+                "x0": [1.0, 2.0, 3.0],
+                "integration": {"dt": 0.01, "t_final": 1.0},
+            }
+        )
+        assert run(config, mode="equilibrium", out_dir=tmp_path / "out") == 2
+        assert capsys.readouterr().err == "error: agents without in-edges: [2]\n"
+        report = strict_loads((tmp_path / "out" / "report.json").read_text())
+        assert report["equilibrium"] == {"error": "agents without in-edges: [2]"}
+
     def test_run_writes_artifacts(self, tmp_path):
         config = config_from_dict({"scenario": "necessity-2agent"})
         code = run(config, out_dir=tmp_path / "out")

@@ -107,6 +107,8 @@ class TestRhs:
             ([(0, 1), (1, 0), (0, 2)], [], [(0, 2)]),
             ([(0, 1), (1, 0, 0)], [(1, 0)], [(1, 0, 0)]),
             ([(0, 1), (10**30, 0)], [(1, 0)], [(10**30, 0)]),
+            # flattened, these keys would read as the two edges
+            ([(0, 1, 1), (0,)], [(0, 1), (1, 0)], [(0,), (0, 1, 1)]),
         ],
     )
     def test_cover_check_names_the_difference(self, keys, missing, extra):
@@ -822,6 +824,32 @@ class TestCompileFromTable:
         shuffled = system_from_dict(record)
         assert list(shuffled.constraints) != list(dense.constraints)
         assert compiled(shuffled, repr) == compiled(dense, repr)
+
+    @pytest.mark.parametrize("name", ["netgen-50", "catalog-3"])
+    def test_loaded_constraint_map_is_a_view_of_the_table(self, name):
+        dense = loaded_forms(name)["dense"]
+        record = dense_form(dense)
+        random_order = np.random.default_rng(7).permutation(len(record["constraints"]))
+        record["constraints"] = [record["constraints"][k] for k in random_order]
+        columns = system_to_dict(dense)
+        columns["edges"] = {
+            key: [column[k] for k in random_order]
+            for key, column in columns["edges"].items()
+        }
+        edges = columns["edges"]
+        for sys_, keys in (
+            (
+                system_from_dict(record),
+                [(e["sender"], e["receiver"]) for e in record["constraints"]],
+            ),
+            (system_from_dict(columns), list(zip(edges["sender"], edges["receiver"]))),
+        ):
+            senders, receivers, _, function, fns = sys_._edges
+            table = zip(senders.tolist(), receivers.tolist(), function.tolist())
+            view = sys_.constraints
+            assert view is sys_.constraints and list(view) == keys
+            for j, i, k in table:
+                assert view[(j, i)] is fns[k]
 
     def test_table_is_sorted_with_functions_in_first_edge_order(self):
         a, b = Affine(0.5), Affine(0.5)  # equal values, two objects

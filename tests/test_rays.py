@@ -25,11 +25,6 @@ class TestBoxRaySpec:
         with pytest.raises(ValueError):
             BoxRaySpec(-1.0, 1.0, 2.0, -1.0, -1.0)
 
-    def test_unit_product_rule(self):
-        assert BoxRaySpec(-1, 1, 0, -0.5, -2.0).check_unit_product()
-        assert not BoxRaySpec(-1, 1, 0, -0.5, -1.0).check_unit_product()
-        assert not BoxRaySpec(-1, 1, 0, 0.5, 2.0).check_unit_product()
-
     def test_slope_product(self):
         assert BoxRaySpec(-1, 1, 0, -0.8, -0.8).slope_product == pytest.approx(0.64)
 
