@@ -4,11 +4,13 @@ trajectories and JSON reports.
 
 A custom system is read as a dense weight matrix or as a columnar edge
 table (:func:`system_from_dict`); either way the loader checks the record
-once and hands its columns to the :class:`System` as its edge table, with
-no per-edge map. Reports echo their config
-with the system always in the columnar form (:func:`system_to_dict`), the
-stored edge table written back, whose size grows with the edge count, not
-with ``n**2``; an echoed config reproduces its report.
+once and hands its graph and columns to the :class:`System` as its edge
+table, with no per-edge map. Only the dense record's own checks read an
+``n x n`` matrix; a columnar record costs ``O(n + E)``. Reports echo their
+config with the system always in the columnar form
+(:func:`system_to_dict`), the stored edge table written back, whose size
+grows with the edge count, not with ``n**2``; an echoed config reproduces
+its report.
 
 Exit code convention: 0 when every expectation attached to the run is met
 (or there are none), 1 when an expectation fails, 2 on configuration or
@@ -40,7 +42,7 @@ from .errors import (
     UnconvergedError,
     ValidationError,
 )
-from .graph import INTEGER, NUMBER, build_digraph, check_numbers
+from .graph import INTEGER, NUMBER, Digraph, build_digraph, check_numbers
 from .scenarios import Scenario, builtin_scenarios, scenario_by_name
 
 _TOP_LEVEL_KEYS = {
@@ -207,10 +209,11 @@ def _dense_system(record: dict) -> System:
     """Compile the dense form column by column: the types, keys and indices
     of the ``constraints`` entries are checked over whole columns, and only
     when a check fails are the entries walked again to report the first
-    bad one, with the message the per-entry check gives. The ``sender``
-    and ``receiver`` columns, checked against the matrix as a constraint
-    map's keys are, its weights and the function index are the edge table
-    the :class:`System` compiles."""
+    bad one, with the message the per-entry check gives. The matrix is
+    read once, by :func:`build_digraph`, into the graph's edge columns; the
+    ``sender`` and ``receiver`` columns, checked against the graph's edges
+    as a constraint map's keys are, its weights and the function index are
+    the edge table the :class:`System` compiles on that graph."""
     rows = _list(record["weights"], "weights")
     if not all(map(isinstance, rows, repeat(list))):
         for row in rows:
@@ -229,14 +232,14 @@ def _dense_system(record: dict) -> System:
     senders, receivers = _agent_indices(senders), _agent_indices(receivers)
     objects, index = _load_fns(fns)
     table = _edge_columns(graph, zip(senders, receivers), (senders, receivers))
-    return System._from_table(graph.n, *table, index, objects)
+    return System._from_table(graph, *table, index, objects)
 
 
 def _columnar_system(record: dict) -> System:
     """Compile the columnar form: the ``edges`` columns, checked as whole
     arrays, with each ``function`` index mapped to its loaded object, are
-    the edge table the :class:`System` compiles; the checks leave nothing
-    for a cover check to find."""
+    the edge table the :class:`System` compiles, and its graph; the checks
+    leave nothing for a cover check to find."""
     n = record["agents"]
     check_numbers([n], "'agents'", INTEGER, ValidationError)
     if n < 0:
@@ -273,7 +276,8 @@ def _columnar_system(record: dict) -> System:
     if unused.size:
         raise ValidationError(f"function {unused[0]} is used by no edge")
     index = np.array(fn_index, dtype=np.intp)[index]
-    return System._from_table(n, senders, receivers, weights, index, objects)
+    graph = Digraph.from_edges(n, senders, receivers, weights)
+    return System._from_table(graph, senders, receivers, weights, index, objects)
 
 
 def system_from_dict(record: dict) -> System:
@@ -284,8 +288,10 @@ def system_from_dict(record: dict) -> System:
     columnar, as :func:`system_to_dict` writes it: ``agents``, a
     ``functions`` table of ``fn`` records and four parallel ``edges``
     columns ``sender``, ``receiver``, ``weight`` and ``function`` (an index
-    into the table). Never both. The two forms compile to the same weight
-    matrix, constraint map and object sharing.
+    into the table). Never both. The two forms compile to the same graph
+    (the same edge columns), constraint map and object sharing; a system
+    too large for memory, such as one of ``10**15`` agents, is a
+    ``ValidationError`` too.
 
     ``fn`` records equal as written load as one shared, immutable object:
     two records share one exactly when their ``repr()`` strings are equal,
@@ -316,7 +322,8 @@ def system_from_dict(record: dict) -> System:
         return _columnar_system(record) if columnar else _dense_system(record)
     except KeyError as err:
         raise ValidationError(f"system record missing field {err}") from err
-    except (TypeError, ValueError, OverflowError) as err:
+    # MemoryError: an ``agents`` count whose arrays memory cannot hold
+    except (TypeError, ValueError, OverflowError, MemoryError) as err:
         raise ValidationError(str(err)) from err
 
 

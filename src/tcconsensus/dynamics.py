@@ -65,16 +65,17 @@ class System:
     The system compiles one edge table: edge ``e`` runs from ``sender[e]``
     to ``receiver[e]`` with weight ``weight[e]`` and carries the distinct
     function object ``function[e]``. Construction checks the map's keys
-    (:func:`_edge_columns`) and derives the table, grouping the edges by
-    object identity in numpy (over the objects' ``id``); the loaders pass
-    their checked columns to :meth:`_from_table` instead. The table is kept
-    as ``_edges``, sorted by ``(sender, receiver)`` with the objects in the
-    order of their first edges, which is the report's echo
-    (``app.system_to_dict``). The objects are then merged by value:
-    variants are frozen dataclasses, so equal-valued copies share one
-    entry, and a map that reuses a few objects on many edges costs one
-    value hash per object, not per edge. The kernel's table is built with
-    array operations.
+    against the graph's edge columns (:func:`_edge_columns`) and derives
+    the table, grouping the edges by object identity in numpy (over the
+    objects' ``id``); the loaders pass their graph and checked columns to
+    :meth:`_from_table` instead. No step builds or reads the graph's
+    ``n x n`` matrix. The table is kept as ``_edges``, sorted by ``(sender,
+    receiver)`` with the objects in the order of their first edges, which
+    is the report's echo (``app.system_to_dict``). The objects are then
+    merged by value: variants are frozen dataclasses, so equal-valued
+    copies share one entry, and a map that reuses a few objects on many
+    edges costs one value hash per object, not per edge. The kernel's
+    table is built with array operations.
 
     - ``distinct`` pairs each distinct function with its first edge in
       sorted order. The ledger loops iterate it instead of every edge, and
@@ -142,17 +143,15 @@ class System:
         self._compile(*columns, index, [fns[e] for e in obj_first.tolist()])
 
     @classmethod
-    def _from_table(cls, n: int, senders, receivers, weights, index, objects) -> System:
-        """The system of ``n`` agents whose edge ``e`` runs from
-        ``senders[e]`` to ``receivers[e]`` with weight ``weights[e]`` and
-        carries ``objects[index[e]]``: a loader's checked columns, trusted
-        as :meth:`_compile` trusts them. Its constraint map is derived from
-        the table when first read."""
-        matrix = np.zeros((n, n))
-        matrix[receivers, senders] = weights
-        matrix.setflags(write=False)
+    def _from_table(cls, graph, senders, receivers, weights, index, objects) -> System:
+        """The system on ``graph`` whose edge ``e`` runs from ``senders[e]``
+        to ``receivers[e]`` with weight ``weights[e]`` and carries
+        ``objects[index[e]]``: a loader's graph and checked columns, the
+        graph's edges in the loader's order, trusted as :meth:`_compile`
+        trusts them. Its constraint map is derived from the table when
+        first read."""
         self = cls.__new__(cls)
-        object.__setattr__(self, "graph", Digraph(matrix))
+        object.__setattr__(self, "graph", graph)
         self._compile(senders, receivers, weights, index, objects)
         return self
 
@@ -316,19 +315,16 @@ def _edge_columns(graph: Digraph, pairs, columns=None):
     once; ``columns`` are the pairs' senders and receivers as two lists, if
     the caller has them. Else ``ValueError`` names the first repeated pair
     or, compared as sets, the missing and extra pairs; pairs of other equal
-    types, such as numpy integers, cover the edges too."""
-    n, weights = graph.n, graph.weights
+    types, such as numpy integers, cover the edges too. The weights are the
+    graph's own (:meth:`Digraph.weights_of`), read from no matrix."""
     if columns is None and set(map(len, pairs)) == {2}:
         columns = [list(map(itemgetter(k), pairs)) for k in (0, 1)]
     ends = np.array(columns if columns is not None else ())
-    if ends.dtype.kind in "iu" and ends.min() >= 0 and ends.max() < n:
-        # as many pairs as edges, each on an edge, and no two alike
+    if ends.dtype.kind in "iu":
         senders, receivers = ends.astype(np.intp)
-        column = weights[receivers, senders]
-        keys = np.sort(senders * n + receivers)
-        if len(keys) == np.count_nonzero(column) == np.count_nonzero(weights):
-            if (keys[1:] != keys[:-1]).all():
-                return senders, receivers, column
+        weights = graph.weights_of(senders, receivers)
+        if weights is not None:
+            return senders, receivers, weights
     pairs = list(pairs)
     seen = set()
     for pair in pairs:
@@ -342,7 +338,7 @@ def _edge_columns(graph: Digraph, pairs, columns=None):
             f"missing {sorted(edges - seen)}, extra {sorted(seen - edges)}"
         )
     senders, receivers = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    return senders, receivers, weights[receivers, senders]
+    return senders, receivers, graph.weights_of(senders, receivers)
 
 
 def _members(fn: ConstraintFn) -> dict[ConstraintFn, float]:

@@ -803,6 +803,52 @@ class TestColumnarEcho:
             assert traj_again.to_csv() == traj.to_csv()
 
 
+def edgeless(agents):
+    return {
+        "agents": agents,
+        "functions": [],
+        "edges": {"sender": [], "receiver": [], "weight": [], "function": []},
+    }
+
+
+class TestGraphIsItsEdges:
+    """A loaded system's graph is its edge columns; the ``n x n`` matrix is
+    a view that no load or run builds."""
+
+    @pytest.mark.parametrize("form", ["dense", "columnar"])
+    def test_a_run_never_builds_the_matrix(self, form):
+        data = netgen_config()
+        if form == "columnar":
+            data["system"] = system_to_dict(system_from_dict(data["system"]))
+        config = config_from_dict(json.loads(json.dumps(data)))
+        for mode in ("analyze", "equilibrium", "simulate"):
+            build_report(config, mode=mode)
+        assert "weights" not in config.system.graph.__dict__
+
+    @pytest.mark.parametrize("n", [50, 200])
+    def test_both_forms_load_identical_columns(self, n):
+        dense = system_from_dict(netgen_config(n)["system"])
+        echo = json.loads(json.dumps(system_to_dict(dense)))
+        columnar = system_from_dict(echo)
+        assert columnar.graph.n == dense.graph.n == n
+        for name in ("senders", "receivers", "weight"):
+            got, want = getattr(columnar.graph, name), getattr(dense.graph, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_a_million_edgeless_agents_load(self):
+        assert system_from_dict(edgeless(10**6)).n == 10**6
+
+    def test_more_agents_than_memory_holds_is_a_config_error(self, tmp_path, capsys):
+        with pytest.raises(ValidationError):
+            system_from_dict(edgeless(10**15))
+        path = write_config(
+            tmp_path,
+            {"system": edgeless(10**15), "x0": [], "integration": {"dt": 0.1, "t_final": 1}},
+        )
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 BAD_FIELDS = {
     "string-record-stride": {"integration": {"record_stride": "5"}},
     "fractional-record-stride": {"integration": {"record_stride": 2.5}},

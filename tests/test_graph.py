@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tcconsensus import build_digraph, is_strongly_connected, row_stats
 from tcconsensus.errors import (
@@ -10,6 +11,7 @@ from tcconsensus.errors import (
     NonSquareError,
     NonzeroDiagonalError,
 )
+from test_dynamics import load_netgen
 
 IRREGULAR_5 = [
     [0, 0, 3.6, 0, 0],
@@ -57,8 +59,6 @@ class TestBuildDigraph:
     def test_edges_sender_first(self):
         g = build_digraph([[0, 2], [0, 0]])  # a_01 = 2: edge 1 -> 0
         assert g.edges() == [(1, 0)]
-        assert list(g.neighbors(0)) == [1]
-        assert list(g.neighbors(1)) == []
 
 
 class TestWeightsAreNumbers:
@@ -128,6 +128,57 @@ class TestRowStats:
     def test_laplacian_rows_sum_to_zero(self):
         L = build_digraph(IRREGULAR_5).laplacian()
         assert np.abs(L.sum(axis=1)).max() < 1e-12
+
+
+def former_edges(w):
+    """``Digraph.edges`` as it read the matrix, kept as the oracle."""
+    receivers, senders = np.nonzero(w)
+    return list(zip(senders.tolist(), receivers.tolist()))
+
+
+def assert_graph_of(g, matrix):
+    """``g`` stores the validated ``matrix`` as its edge columns."""
+    # a zero entry is no edge, so a -0.0 reads back as 0.0
+    w = np.array(matrix, dtype=np.float64) + 0.0
+    receivers, senders = np.nonzero(w)
+    assert g.n == len(w)
+    assert g.senders.tolist() == senders.tolist()
+    assert g.receivers.tolist() == receivers.tolist()
+    assert g.weight.tobytes() == w[receivers, senders].tobytes()
+    assert "weights" not in g.__dict__  # built on first read only
+    assert g.weights.tobytes() == w.tobytes() and not g.weights.flags.writeable
+    assert g.edges() == former_edges(w)
+    alpha, a_bar = row_stats(g)
+    dense = w.sum(axis=1)
+    assert alpha.dtype == dense.dtype
+    if len(w) < 8:  # the dense sum adds in sender order too
+        assert alpha.tobytes() == dense.tobytes()
+    else:  # the dense sum is pairwise: within one rounding per edge
+        deg = np.count_nonzero(w, axis=1)
+        assert (np.abs(alpha - dense) <= deg * np.finfo(float).eps * alpha).all()
+    assert a_bar == (alpha.max() if len(w) else 0.0)
+
+
+def square_matrices(max_n=7):
+    """Valid weight matrices: zero diagonal, entries 0, -0.0 or positive."""
+    entries = st.sampled_from([0.0, -0.0]) | st.floats(0.0, 1e6, allow_subnormal=True)
+    return st.integers(0, max_n).flatmap(
+        lambda n: arrays(np.float64, (n, n), elements=entries).map(
+            lambda w: w * (1 - np.eye(len(w)))
+        )
+    )
+
+
+class TestDigraphIsItsEdges:
+    @given(square_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_columns_match_the_matrix(self, w):
+        assert_graph_of(build_digraph(w), w)
+
+    @pytest.mark.parametrize("n", [50, 200])
+    def test_netgen_networks(self, n):
+        w = load_netgen().wide_network(1, n)["weights"]
+        assert_graph_of(build_digraph(w), w)
 
 
 def _reachability_oracle(adj):
@@ -200,6 +251,13 @@ class TestStrongConnectivity:
         ):
             g = build_digraph(w)
             assert is_strongly_connected(g) == dfs_strongly_connected(g) == expected
+
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_matches_dfs_oracle_on_a_2000_agent_ring(self, closed):
+        w = one_way_chain(2000)
+        w[0, -1] = float(closed)  # edge 1999 -> 0 closes the ring
+        g = build_digraph(w)
+        assert is_strongly_connected(g) == dfs_strongly_connected(g) == closed
 
     def test_complete_graph(self):
         assert is_strongly_connected(build_digraph(complete(5)))
