@@ -60,6 +60,8 @@ _INTEGRATION_KEYS = {"dt", "t_final", "method", "record_stride"}
 _DENSE_KEYS = {"weights", "constraints"}
 _COLUMNAR_KEYS = {"agents", "functions", "edges"}
 _EDGE_COLUMNS = ("sender", "receiver", "weight", "function")
+# the largest n with n * n - 1, the largest pair key, in int64
+_MAX_AGENTS = math.isqrt(2**63)
 _CONSTRAINT_KEYS = {"sender", "receiver", "fn"}
 
 
@@ -244,6 +246,11 @@ def _columnar_system(record: dict) -> System:
     check_numbers([n], "'agents'", INTEGER, ValidationError)
     if n < 0:
         raise ValidationError(f"'agents' must be a non-negative integer, got {n!r}")
+    if n > _MAX_AGENTS:
+        raise ValidationError(
+            f"'agents' must be at most {_MAX_AGENTS}, so that every pair key "
+            f"sender * agents + receiver fits in int64, got {n!r}"
+        )
     objects, fn_index = _load_fns(_list(record["functions"], "functions"))
     edges = record["edges"]
     _check_keys(edges, set(_EDGE_COLUMNS), "edges")
@@ -290,8 +297,9 @@ def system_from_dict(record: dict) -> System:
     columns ``sender``, ``receiver``, ``weight`` and ``function`` (an index
     into the table). Never both. The two forms compile to the same graph
     (the same edge columns), constraint map and object sharing; a system
-    too large for memory, such as one of ``10**15`` agents, is a
-    ``ValidationError`` too.
+    too large for memory is a ``ValidationError`` too, and so is an
+    ``agents`` count above 3037000499, whose pair keys ``sender * agents +
+    receiver`` would not fit in int64.
 
     ``fn`` records equal as written load as one shared, immutable object:
     two records share one exactly when their ``repr()`` strings are equal,

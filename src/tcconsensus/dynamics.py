@@ -20,8 +20,10 @@ scatter when it is compiled: a narrow table takes one dense product with its
 weight block, a wide one a gather-sum over receiver slots, which costs
 ``O(E)`` per state instead of ``O(rows * n)`` (see :func:`_gather_sum`). A
 wide table also bins each agent's state once and gathers the bins to its
-rows, which saves ``rows - n`` searches for one integer gather. When the
-table's rows are the agents in order, the kernel reads the states
+rows, which saves ``rows - n`` searches for one integer gather. A large
+batch counts the knots at or below each state instead of searching them,
+which gives the same bins; the batch's size picks the lookup at each call.
+When the table's rows are the agents in order, the kernel reads the states
 themselves instead of gathering sender columns. It returns the constrained
 input sum ``num_i = sum_j a_ij f_ji(x_j)`` and the active in-degree
 ``den_i = sum_j a_ij`` over the edges not gated shut, summed from the
@@ -58,9 +60,10 @@ from .rays import (
 )
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class System:
     """A digraph plus one constraint per edge, keyed ``(sender, receiver)``.
+    Systems compare and hash by identity, as their graphs do.
 
     The system compiles one edge table: edge ``e`` runs from ``sender[e]``
     to ``receiver[e]`` with weight ``weight[e]`` and carries the distinct
@@ -115,18 +118,19 @@ class System:
       piece its own ``searchsorted`` picks for ``G[g-1]``. The flat slope
       and intercept arrays hold that piece at ``r * (len(G) + 1) + g`` for
       the member of rank ``r``, and each table row carries the base offset
-      of its member, so one ``searchsorted`` over ``G`` selects the piece
-      of every column. Members without a piecewise-linear form hold zeros
-      there. A row's bin depends only on its sender, so a wide table
-      searches the ``n`` agents and gathers their bins to its ``R`` rows,
-      ``R - n`` searches fewer for one integer gather. A narrow table
-      searches its rows: there the gather costs more than the searches it
-      saves.
+      of its member, so one bin lookup over ``G`` selects the piece of
+      every column: a ``searchsorted``, or in a large batch a count of the
+      knots at or below each state (see :func:`_input_sums`). Members
+      without a piecewise-linear form hold zeros there. A row's bin depends
+      only on its sender, so a wide table bins the ``n`` agents and gathers
+      their bins to its ``R`` rows, ``R - n`` lookups fewer for one integer
+      gather. A narrow table bins its rows: there the gather costs more
+      than the lookups it saves.
     """
 
     graph: Digraph
     distinct: tuple[tuple[tuple[int, int], ConstraintFn], ...] = field(
-        init=False, repr=False, compare=False
+        init=False, repr=False
     )
 
     def __init__(self, graph: Digraph, constraints):
@@ -391,6 +395,25 @@ def _gather_sum(V, rows, weights) -> NDArray[np.float64]:
     return np.einsum("mkn,kn->mn", V.take(rows, axis=1), weights)
 
 
+_COUNT_FROM = 3072
+_COUNT_KNOTS = 16
+
+
+def _count_knots(knots, X) -> NDArray[np.intp]:
+    """The number of ``knots`` at or below each state of ``X``, which is
+    ``knots.searchsorted(X, side="right")`` for every state but NaN (0
+    here, ``len(knots)`` there): one broadcast comparison and one integer
+    sum over the knot axis, in blocks of at most ``2**16`` comparisons,
+    which bounds the boolean temporary."""
+    below = knots[:, None, None]
+    step = max(1, 2**16 // (knots.size * X.shape[1]))
+    key = np.empty(X.shape, dtype=np.intp)
+    for i in range(0, len(X), step):
+        block = below <= X[i : i + step]
+        np.add.reduce(block, axis=0, dtype=np.intp, out=key[i : i + step])
+    return key
+
+
 def _input_sums(
     system: System, X: NDArray[np.float64]
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -409,7 +432,7 @@ def _input_sums(
     lookup in the bin table: the same slope and intercept, and the same two
     operations, as :meth:`PWLRep.eval_array`, so the values are
     bit-identical. A wide table bins each agent once and gathers the bins
-    to its rows, ``R - n`` searches fewer for one integer gather; the keys
+    to its rows, ``R - n`` lookups fewer for one integer gather; the keys
     are the same integers as a search per row. Columns of functions without
     a piecewise-linear form are then overwritten. The table's scatter sums
     the columns into the receivers, and the gate columns, open or shut, into
@@ -417,6 +440,21 @@ def _input_sums(
     :func:`_gather_sum` over a wide table's receiver slots. A wide table
     gathers the sender columns with ``take``, the faster gather at small
     batches.
+
+    The batch picks the bin lookup. Fewer than ``_COUNT_FROM = 3072``
+    binned states (``m`` times the agents a wide table bins, else ``m``
+    times the rows), or a union of more than ``_COUNT_KNOTS = 16`` knots,
+    search the union and read the bin table by fancy indexing. A larger
+    batch counts the knots at or below each state (:func:`_count_knots`)
+    and reads the table with ``take``. The count is the search's bin for
+    every state but NaN, and a NaN state is NaN on any piece, so every
+    output keeps its bytes. A search's cost per state depends on where the
+    states fall, a count's is one vectorised comparison per knot. On
+    5-agent rings (2-vCPU x86, numpy 2.4) counting broke even at 1500-2000
+    states for 1 or 2 knots and at 2500-3000 for 3 to 16 knots, below which
+    numpy's broadcast comparison is several times slower per element; above
+    3000 states it took 0.6-0.9 of the search's ``rhs_batch`` time up to 16
+    knots, and lost at every size from 24 knots.
     """
     slots = system._by_receiver
     if system._identity:
@@ -425,14 +463,22 @@ def _input_sums(
         XS = X[:, system._senders]
     else:
         XS = X.take(system._senders, axis=1)
-    if system._knots.size:
-        if slots is None or system._identity:
-            key = system._knots.searchsorted(XS, side="right")
-        else:  # a wide table bins each agent once, then gathers the bins
-            key = system._knots.searchsorted(X, side="right")
+    knots = system._knots
+    if knots.size:
+        # a wide table bins each agent once, then gathers the bins
+        binned = XS if slots is None or system._identity else X
+        counted = binned.size >= _COUNT_FROM and knots.size <= _COUNT_KNOTS
+        if counted:
+            key = _count_knots(knots, binned)
+        else:
+            key = knots.searchsorted(binned, side="right")
+        if binned is not XS:
             key = key.take(system._senders, axis=1)
         key += system._base
-        V = system._slopes[key] * XS + system._icpts[key]
+        if counted:
+            V = system._slopes.take(key) * XS + system._icpts.take(key)
+        else:
+            V = system._slopes[key] * XS + system._icpts[key]
     else:  # no function has a piecewise-linear form: every column is direct
         V = np.empty_like(XS)
     for fn, a, b in system._direct:

@@ -28,11 +28,12 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Digraph:
     """Immutable weighted digraph over ``n`` agents: edge ``e`` runs from
     ``senders[e]`` to ``receivers[e]`` with weight ``weight[e] > 0``, the
     edges sorted by receiver and then sender, each pair once, no self-loop.
+    Graphs compare and hash by identity, as their fields are arrays.
 
     Construct through :func:`build_digraph`, which validates a weight matrix
     (square, finite, non-negative, zero diagonal), or :meth:`from_edges`,

@@ -482,6 +482,23 @@ COLUMNAR_FAULTS = {
         columnar(lambda r: r["functions"].append({"variant": "identity"})),
         "function 1 is used by no edge",
     ),
+    # pair keys sender * agents + receiver would wrap in int64 and read
+    # 2**31 -> 5 as 0 -> 5
+    "too-many-agents": (
+        columnar(
+            lambda r: r.update(
+                agents=2**33,
+                edges={
+                    "sender": [0, 2**31],
+                    "receiver": [5, 5],
+                    "weight": [1.0, 1.0],
+                    "function": [0, 0],
+                },
+            )
+        ),
+        "'agents' must be at most 3037000499, so that every pair key "
+        "sender * agents + receiver fits in int64, got 8589934592",
+    ),
     "unequal-columns": (
         columnar(lambda r: r["edges"]["weight"].append(1.0)),
         "edge columns must have equal lengths, got "

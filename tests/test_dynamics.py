@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcconsensus import (
     Affine,
@@ -40,7 +42,7 @@ from tcconsensus.dynamics import (
     rhs_batch,
 )
 from tcconsensus.rays import distance_to_box, lyapunov_V, lyapunov_Y
-from tcconsensus.equilibrium import _map_step
+from tcconsensus.equilibrium import _map_step, seed_stream, uniqueness_probe
 from tcconsensus.errors import MissingWitnessError, NonFiniteStateError
 
 from test_constraints import CATALOG
@@ -120,6 +122,11 @@ class TestRhs:
             "constraint map must cover the edge set exactly; "
             f"missing {missing}, extra {extra}"
         )
+
+    def test_systems_compare_and_hash_by_identity(self):
+        a, b = scenario_by_name("ex1").system, scenario_by_name("ex1").system
+        assert a == a and a != b and not (a == b)
+        assert hash(a) == hash(a) and len({a, b}) == 2
 
     def test_keys_of_other_integer_types_cover_edges(self):
         g = build_digraph([[0.0, 1.0], [1.0, 0.0]])
@@ -638,25 +645,33 @@ class TestReceiverSlots:
         assert (rhs_batch(sys_, X)[:, SILENT] == 0.0).all()
 
 
-def per_row_bin_sums(system, X):
-    """The wide-table kernel with every table row binned on its own, the
-    oracle for binning each agent once: the bins are the same integers, so
-    ``num`` and ``den`` must agree byte for byte."""
-    rows, gate_rows = system._by_receiver
-    XS = X.take(system._senders, axis=1)
+def searched_bin_sums(system, X):
+    """The kernel with every table row binned on its own by
+    ``searchsorted`` and the bin table read by fancy indexing, whatever the
+    batch size: the oracle for binning each agent of a wide table once, and
+    for counting knots in large batches. The bins are the same integers for
+    every state but NaN, which is NaN on every piece, so ``num`` and ``den``
+    must agree byte for byte."""
+    XS = X[:, system._senders]
     key = system._knots.searchsorted(XS, side="right") + system._base
     V = system._slopes[key] * XS + system._icpts[key]
     for fn, a, b in system._direct:
         V[:, a:b] = fn.eval_array(XS[:, a:b])
-    if not system._gates:
-        return dynamics._gather_sum(V, *rows), system._plain_alpha
     g = system._gate_start
+    slots = system._by_receiver
+
+    def scatter(V, gate):
+        if slots is None:
+            return V @ system._block[g * gate :]
+        return dynamics._gather_sum(V, *slots[gate])
+
+    if not system._gates:
+        return scatter(V, False), np.broadcast_to(system._plain_alpha, X.shape)
     open_ = np.empty((X.shape[0], XS.shape[1] - g))
     for fn, a, b in system._gates:
         open_[:, a - g : b - g] = fn.gate_mask(XS[:, a:b])
         V[:, a:b] *= open_[:, a - g : b - g]
-    num = dynamics._gather_sum(V, *rows)
-    return num, system._plain_alpha + dynamics._gather_sum(open_, *gate_rows)
+    return scatter(V, False), system._plain_alpha + scatter(open_, True)
 
 
 def wide_identity_system(n=100):
@@ -718,7 +733,7 @@ class TestAgentBins:
         rows = knot_probe_rows(sys_, rng)
         rows = np.vstack((rows, rng.uniform(-4.0, 4.0, size=(-len(rows) % m, sys_.n))))
         for X in np.split(rows, len(rows) // m):
-            want = per_row_bin_sums(sys_, X)
+            want = searched_bin_sums(sys_, X)
             assert_sums_match(dynamics._input_sums(sys_, X), want, X)
 
     @pytest.mark.parametrize("m", [1, 8])
@@ -737,6 +752,137 @@ class TestAgentBins:
             assert sys_._by_receiver is None
             X = rng.uniform(-4.0, 4.0, size=(m, sys_.n))
             assert binned_shapes(sys_, X) == [(m, len(sys_._senders))]
+
+
+def knot_union_system(kind, knots, rng):
+    """A system whose piecewise-linear functions have the knot union
+    ``knots``, the gate adding its knot at 0, on random weights:
+
+    - ``dense``: the complete 4-agent digraph, its edges alternating
+      between two functions, 8 table rows;
+    - ``identity``: a 4-agent ring, one function on senders 0 and 1 and
+      another on 2 and 3, so the rows are the agents;
+    - ``gated``: the complete 4-agent digraph, its edges cycling through two
+      functions and a gate, 12 rows;
+    - ``wide``: a 48-agent ring, the two functions alternating by sender,
+      which keeps receiver slots and bins its agents.
+    """
+
+    def pwl(xs):
+        ys = rng.uniform(-2.0, 2.0, size=len(xs)).tolist()
+        return PiecewiseLinear(tuple(zip(xs, ys)), *rng.uniform(-1.0, 1.0, size=2).tolist())
+
+    f, g = pwl(knots), pwl(knots[::2])
+    if kind in ("identity", "wide"):
+        n = 4 if kind == "identity" else 48
+        w = np.zeros((n, n))
+        w[(np.arange(n) + 1) % n, np.arange(n)] = rng.uniform(0.5, 1.5, size=n)
+        if kind == "identity":  # f on the first half of the senders, g after
+            fns = [f if 2 * j < n else g for j in range(n)]
+        else:
+            fns = [(f, g)[j % 2] for j in range(n)]
+        return System(build_digraph(w), {(j, (j + 1) % n): fns[j] for j in range(n)})
+    w = rng.uniform(0.5, 1.5, size=(4, 4)) * (1.0 - np.eye(4))
+    fns = (f, g) if kind == "dense" else (f, g, GatedIdentity(-1.0, 1.0))
+    graph = build_digraph(w)
+    return System(graph, {e: fns[k % len(fns)] for k, e in enumerate(sorted(graph.edges()))})
+
+
+KNOT_UNIONS = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, 5e-324, -5e-324, 1.0, -1.0]),
+        st.floats(-1e3, 1e3, allow_nan=False),
+    ),
+    min_size=1,
+    max_size=16,
+    unique=True,
+).map(sorted)
+EXTREME_STATES = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 5e-324]
+MONTE_CARLO_JOBS = (  # scenario, batch size, RK4 steps: the benchmark's jobs
+    ("ex1", 20, 200),
+    ("ex2", 1000, 50),
+    ("ex3", 50, 150),
+    ("bipartite", 20, 200),
+    ("discarded", 200, 100),
+)
+
+
+class TestCountedBins:
+    """A batch of at least ``_COUNT_FROM`` binned states over a union of at
+    most ``_COUNT_KNOTS`` knots counts the knots at or below each state
+    instead of searching them, and reads the bin table with ``take``;
+    every sum keeps its bytes."""
+
+    @pytest.mark.parametrize("kind", ["dense", "identity", "gated", "wide"])
+    @given(knots=KNOT_UNIONS, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_bit_identical_to_searching(self, kind, knots, seed):
+        rng = np.random.default_rng(seed)
+        sys_ = knot_union_system(kind, knots, rng)
+        assert (sys_._by_receiver is not None, sys_._identity, bool(sys_._gates)) == (
+            kind == "wide",
+            kind == "identity",
+            kind == "gated",
+        )
+        G = sys_._knots
+        pool = np.concatenate(
+            (G, np.nextafter(G, -np.inf), np.nextafter(G, np.inf), EXTREME_STATES)
+        )
+        # the wide table bins its agents, the others their table rows
+        width = sys_.n if kind == "wide" else len(sys_._senders)
+        at = dynamics._COUNT_FROM // width
+        assert at * width == dynamics._COUNT_FROM
+        for m in (at - 1, at):
+            X = rng.choice(pool, size=(m, sys_.n))
+            counted = m == at and G.size <= dynamics._COUNT_KNOTS
+            with np.errstate(all="ignore"):
+                want = searched_bin_sums(sys_, X)
+                assert_sums_match(dynamics._input_sums(sys_, X), want, X)
+                assert binned_shapes(sys_, X) == ([] if counted else [(m, width)])
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_unions_above_the_knot_cap_are_searched(self, extra):
+        knots = np.linspace(-2.0, 2.0, dynamics._COUNT_KNOTS + extra).tolist()
+        rng = np.random.default_rng(extra)
+        sys_ = knot_union_system("identity", knots, rng)
+        X = rng.uniform(-3.0, 3.0, size=(4 * dynamics._COUNT_FROM, sys_.n))
+        assert_sums_match(dynamics._input_sums(sys_, X), searched_bin_sums(sys_, X), X)
+        assert binned_shapes(sys_, X) == ([X.shape] if extra else [])
+
+    def test_counts_in_blocks(self):
+        # 2**16 // (16 * 7) = 585 rows a block: one full block and a ragged one
+        knots = np.sort(np.random.default_rng(1).uniform(-2.0, 2.0, size=16))
+        X = np.random.default_rng(2).uniform(-3.0, 3.0, size=(1000, 7))
+        X[:16, 3], X[-16:, 4] = knots, np.nextafter(knots, -np.inf)
+        key = dynamics._count_knots(knots, X)
+        assert key.dtype == np.intp
+        assert key.tolist() == knots.searchsorted(X, side="right").tolist()
+
+    def test_monte_carlo_jobs_and_probe_keep_their_bytes(self, monkeypatch):
+        netgen = system_from_dict(load_netgen().wide_network(1, 200))
+        jobs = []
+        for name, m, steps in MONTE_CARLO_JOBS:
+            sc = scenario_by_name(name)
+            if name == "ex2":  # criterion 4's starts inside the box
+                x0 = seed_stream(1, m, sc.system.n, -1.0, 1.0)
+            else:
+                x0 = sc.sample_x0(seed=1, count=m)
+            spec = IntegrationSpec(dt=1e-3, t_final=steps * 1e-3, record_stride=50)
+            jobs.append((sc.system, x0, spec))
+        assert binned_shapes(*jobs[1][:2]) == []  # ex2 at m=1000 counts
+
+        def outputs():
+            out = [integrate_batch(*job).states.tobytes() for job in jobs]
+            probe = uniqueness_probe(netgen, (-1.0, 1.0), 64, seed=3)
+            for o in probe.outcomes:
+                eq = o.equilibrium
+                out.append(o.error or (eq.method, eq.iterations, eq.point.tobytes()))
+            return out
+
+        counted = outputs()
+        # every batch searched, as before the size rule
+        monkeypatch.setattr(dynamics, "_COUNT_FROM", math.inf)
+        assert outputs() == counted
 
 
 def compiled(system, fn_key=id):

@@ -31,6 +31,11 @@ class TestBuildDigraph:
         g = build_digraph(IRREGULAR_5)
         assert g.n == 5
 
+    def test_graphs_compare_and_hash_by_identity(self):
+        g, h = build_digraph(IRREGULAR_5), build_digraph(IRREGULAR_5)
+        assert g == g and g != h and not (g == h)
+        assert hash(g) == hash(g) and len({g, h}) == 2
+
     def test_zero_matrix_is_empty_graph(self):
         g = build_digraph(np.zeros((2, 2)))
         assert g.edges() == []
