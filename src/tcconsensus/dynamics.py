@@ -444,17 +444,21 @@ def _input_sums(
     The batch picks the bin lookup. Fewer than ``_COUNT_FROM = 3072``
     binned states (``m`` times the agents a wide table bins, else ``m``
     times the rows), or a union of more than ``_COUNT_KNOTS = 16`` knots,
-    search the union and read the bin table by fancy indexing. A larger
-    batch counts the knots at or below each state (:func:`_count_knots`)
-    and reads the table with ``take``. The count is the search's bin for
-    every state but NaN, and a NaN state is NaN on any piece, so every
-    output keeps its bytes. A search's cost per state depends on where the
-    states fall, a count's is one vectorised comparison per knot. On
-    5-agent rings (2-vCPU x86, numpy 2.4) counting broke even at 1500-2000
-    states for 1 or 2 knots and at 2500-3000 for 3 to 16 knots, below which
-    numpy's broadcast comparison is several times slower per element; above
-    3000 states it took 0.6-0.9 of the search's ``rhs_batch`` time up to 16
-    knots, and lost at every size from 24 knots.
+    search the union. A larger batch counts the knots at or below each
+    state (:func:`_count_knots`). Either way the bin table is read by fancy
+    indexing: ``take`` is 1.5-1.8 times slower on the 5 to 100 keys of a
+    small batch (149 against 277 ns, 376 against 539 ns) and 4-13 % faster
+    from 1000 keys, which moved no counted batch's ``rhs_batch`` by more
+    than the noise (0.99-1.02 against ``take``). The count is the search's
+    bin for every state but NaN, and a NaN state is NaN on any piece, so
+    every output keeps its bytes. A search's cost per state depends on
+    where the states fall, a count's is one vectorised comparison per knot.
+    On 5-agent rings (2-vCPU x86, numpy 2.4) counting broke even at
+    1500-2000 states for 1 or 2 knots and at 2500-3000 for 3 to 16 knots,
+    below which numpy's broadcast comparison is several times slower per
+    element; above 3000 states it took 0.6-0.9 of the search's
+    ``rhs_batch`` time up to 16 knots, and lost at every size from 24
+    knots.
     """
     slots = system._by_receiver
     if system._identity:
@@ -467,18 +471,14 @@ def _input_sums(
     if knots.size:
         # a wide table bins each agent once, then gathers the bins
         binned = XS if slots is None or system._identity else X
-        counted = binned.size >= _COUNT_FROM and knots.size <= _COUNT_KNOTS
-        if counted:
+        if binned.size >= _COUNT_FROM and knots.size <= _COUNT_KNOTS:
             key = _count_knots(knots, binned)
         else:
             key = knots.searchsorted(binned, side="right")
         if binned is not XS:
             key = key.take(system._senders, axis=1)
         key += system._base
-        if counted:
-            V = system._slopes.take(key) * XS + system._icpts.take(key)
-        else:
-            V = system._slopes[key] * XS + system._icpts[key]
+        V = system._slopes[key] * XS + system._icpts[key]
     else:  # no function has a piecewise-linear form: every column is direct
         V = np.empty_like(XS)
     for fn, a, b in system._direct:

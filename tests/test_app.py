@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from tcconsensus import Affine, Identity, app, build_digraph, System
+from tcconsensus import Affine, Digraph, Identity, app, build_digraph, System
 from tcconsensus.app import (
     _encode_default,
     RunConfig,
@@ -856,7 +856,7 @@ class TestGraphIsItsEdges:
         assert system_from_dict(edgeless(10**6)).n == 10**6
 
     def test_more_agents_than_memory_holds_is_a_config_error(self, tmp_path, capsys):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="at most 3037000499"):
             system_from_dict(edgeless(10**15))
         path = write_config(
             tmp_path,
@@ -864,6 +864,24 @@ class TestGraphIsItsEdges:
         )
         assert main(["analyze", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_arrays_memory_cannot_hold_are_a_config_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # an agent count under the pair-key limit whose graph arrays do not
+        # fit: the allocation fails as numpy's would, without allocating
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 22.4 GiB for an array")
+
+        monkeypatch.setattr(Digraph, "from_edges", out_of_memory)
+        with pytest.raises(ValidationError, match="Unable to allocate"):
+            system_from_dict(edgeless(1000))
+        path = write_config(
+            tmp_path,
+            {"system": edgeless(1000), "x0": [], "integration": {"dt": 0.1, "t_final": 1}},
+        )
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err == "error: Unable to allocate 22.4 GiB for an array\n"
 
 
 BAD_FIELDS = {

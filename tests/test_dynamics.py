@@ -810,8 +810,7 @@ MONTE_CARLO_JOBS = (  # scenario, batch size, RK4 steps: the benchmark's jobs
 class TestCountedBins:
     """A batch of at least ``_COUNT_FROM`` binned states over a union of at
     most ``_COUNT_KNOTS`` knots counts the knots at or below each state
-    instead of searching them, and reads the bin table with ``take``;
-    every sum keeps its bytes."""
+    instead of searching them; every sum keeps its bytes."""
 
     @pytest.mark.parametrize("kind", ["dense", "identity", "gated", "wide"])
     @given(knots=KNOT_UNIONS, seed=st.integers(0, 2**32 - 1))
