@@ -377,9 +377,11 @@ class PiecewiseLinear(ConstraintFn):
 class GatedIdentity(ConstraintFn):
     """Identity transmission gated by an accepted interval.
 
-    Evaluation is total (returns ``x``); the dynamics module consults
-    :meth:`gate_mask` and drops the whole edge contribution when the sender
-    state falls outside the accepted interval.
+    Evaluation is total (returns ``x``); the dynamics module drops the whole
+    edge contribution when the sender state falls outside the accepted
+    interval. Its kernel compiles ``lo`` and ``hi`` into bounds per table
+    row and compares them as :meth:`gate_mask` does, which stays the array
+    reference: open on ``lo <= x <= hi``, shut on NaN.
     """
 
     variant = "gated_identity"

@@ -10,25 +10,30 @@ function)`` plus the distinct function objects, built from a constraint map
 or from a loader's checked columns; a loaded system's constraint map is a
 view of the table. The system compiles the table into a table of rows keyed
 by distinct function value, and its piecewise-linear functions into one bin
-table over the union of their knots. A mixture without a piecewise-linear
-form is not a function of the table: each of its members gets table rows of
-its own, weighted ``a * w`` and ``a * (1 - w)``. One kernel,
+table over their live knots: the knots of the union where some function
+changes piece. A mixture without a piecewise-linear form is not a function
+of the table: each of its members gets table rows of its own, weighted
+``a * w`` and ``a * (1 - w)``. Everything that does not depend on the state
+is compiled, the gates' accepted intervals among it. One kernel,
 :func:`_input_sums`, evaluates every piecewise-linear column with one lookup
-in the bin table, the other functions once each over their sender columns,
-and scatters the values to the receivers. The table's shape fixes the
-scatter when it is compiled: a narrow table takes one dense product with its
-weight block, a wide one a gather-sum over receiver slots, which costs
-``O(E)`` per state instead of ``O(rows * n)`` (see :func:`_gather_sum`). A
-wide table also bins each agent's state once and gathers the bins to its
-rows, which saves ``rows - n`` searches for one integer gather. A large
-batch counts the knots at or below each state instead of searching them,
-which gives the same bins; the batch's size picks the lookup at each call.
+in the bin table (none when no knot is live: each row has one piece), the
+other functions once each over their sender columns, opens every gate row
+with two comparisons, and scatters the values to the receivers. The
+table's shape fixes the scatter when it is compiled: a narrow table takes
+one dense product with its weight block, a wide one a gather-sum over
+receiver slots, which costs ``O(E)`` per state instead of ``O(rows * n)``
+(see :func:`_gather_sum`). A wide table also bins each agent's state once
+and gathers the bins to its rows, which saves ``rows - n`` searches for one
+integer gather. A large batch counts the knots at or below each state
+instead of searching them, which gives the same bins; the batch's size
+picks the lookup at each call.
 When the table's rows are the agents in order, the kernel reads the states
 themselves instead of gathering sender columns. It returns the constrained
 input sum ``num_i = sum_j a_ij f_ji(x_j)`` and the active in-degree
 ``den_i = sum_j a_ij`` over the edges not gated shut, summed from the
 edges, not from the member rows. An ungated system's ``den`` is its
-in-degree vector of shape ``(n,)``, which broadcasts over the batch.
+in-degree row of shape ``(1, n)``, which broadcasts over the batch and has
+the batch's own shape for one state.
 The right-hand side is ``num - x * den``; the equilibrium module's Picard
 map is ``num / den``.
 
@@ -49,7 +54,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .constraints import ConstraintFn, Mix
-from .errors import DimensionMismatchError, MissingWitnessError, NonFiniteStateError
+from .errors import (
+    DimensionMismatchError,
+    MissingWitnessError,
+    NonFiniteStateError,
+    ValidationError,
+)
 from .graph import INTEGER, NUMBER, Digraph, as_float, check_numbers, row_stats
 from .rays import (
     BoxRaySpec,
@@ -110,14 +120,22 @@ class System:
       built-in scenarios among them, keeps its block.
     - The ungated in-degree ``_plain_alpha`` sums ``a_ij`` over the edges,
       not the member rows (``a*w + a*(1 - w)`` need not round to ``a``), in
-      the row order a table without member rows would have.
+      the row order a table without member rows would have. It is kept as a
+      ``(1, n)`` row, and the base offsets ``_base`` as a ``(1, R)`` row:
+      numpy broadcasts an ``(n,)`` operand over a one-state batch at about
+      twice the cost of a same-shape one.
     - The bin table serves every member with a piecewise-linear form,
-      including a ``Mix`` that has one. Let ``G`` be the sorted union of
-      their knots. A state in bin ``g`` (``G[g-1] <= x < G[g]``, bin 0
-      unbounded below) lies on one fixed piece of each such member, the
-      piece its own ``searchsorted`` picks for ``G[g-1]``. The flat slope
-      and intercept arrays hold that piece at ``r * (len(G) + 1) + g`` for
-      the member of rank ``r``, and each table row carries the base offset
+      including a ``Mix`` that has one. Let ``G`` be the sorted live knots:
+      the knots of any member at which some member's slope or intercept
+      changes, compared bit for bit, so a ``-0.0``/``+0.0`` intercept pair
+      keeps its knot. The ``0.0`` knot of ``Affine``, ``Identity`` and
+      ``GatedIdentity`` is no piece change and drops out. A state in bin
+      ``g`` (``G[g-1] <= x < G[g]``, bin 0 unbounded below) lies on one
+      fixed piece of each such member, the piece its own ``searchsorted``
+      picks for ``G[g-1]``: a dropped knot inside the bin leaves every
+      member on the piece it was on. The flat slope and intercept arrays
+      hold that piece at ``r * (len(G) + 1) + g`` for the member of rank
+      ``r``, and each table row carries the base offset
       of its member, so one bin lookup over ``G`` selects the piece of
       every column: a ``searchsorted``, or in a large batch a count of the
       knots at or below each state (see :func:`_input_sums`). Members
@@ -125,7 +143,12 @@ class System:
       only on its sender, so a wide table bins the ``n`` agents and gathers
       their bins to its ``R`` rows, ``R - n`` lookups fewer for one integer
       gather. A narrow table bins its rows: there the gather costs more
-      than the lookups it saves.
+      than the lookups it saves. A table without live knots but with a
+      piecewise-linear member keeps each row's one slope and intercept as
+      two ``(1, R)`` rows, ``_one_piece``, and needs no lookup.
+    - The gate rows ``_gate_start:`` keep their gates' accepted intervals
+      as ``(1, R - _gate_start)`` rows ``lo`` and ``hi`` (``_gate_bounds``),
+      compared as :meth:`GatedIdentity.gate_mask` compares them.
     """
 
     graph: Digraph
@@ -287,11 +310,31 @@ class System:
                 piece = rep._axs.searchsorted(lefts, side="right")
                 slopes[r] = rep._slopes[piece]
                 icpts[r] = rep._intercepts[piece]
+        # only a knot where some member changes piece splits a bin; the
+        # columns are compared bit for bit, so a -0.0/+0.0 intercept pair
+        # keeps its knot
+        bits = np.concatenate((slopes, icpts)).view(np.uint64)
+        live = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
+        keep = np.concatenate(([True], live))
+        knots, slopes, icpts = knots[live], slopes[:, keep], icpts[:, keep]
+        base = row_keys // n * slopes.shape[1]
+        one_piece = None
+        if not knots.size and any(rep is not None for rep in reps):
+            one_piece = (slopes.ravel()[base][None, :], icpts.ravel()[base][None, :])
+        gate_bounds = None
+        if gates:
+            # each gate row's accepted interval, compared as
+            # GatedIdentity.gate_mask compares it
+            width = [b - a for _, a, b in spans[plain:]]
+            ends = np.array([(fn.lo, fn.hi) for fn, _, _ in spans[plain:]], np.float64)
+            gate_bounds = tuple(np.repeat(ends[:, k], width)[None, :] for k in (0, 1))
         row_senders = row_keys % n
         object.__setattr__(self, "_knots", knots)
-        object.__setattr__(self, "_base", row_keys // n * len(lefts))
+        object.__setattr__(self, "_base", base[None, :])
         object.__setattr__(self, "_slopes", slopes.ravel())
         object.__setattr__(self, "_icpts", icpts.ravel())
+        object.__setattr__(self, "_one_piece", one_piece)
+        object.__setattr__(self, "_gate_bounds", gate_bounds)
         object.__setattr__(
             self, "_direct", tuple(s for s, rep in zip(spans, reps) if rep is None)
         )
@@ -306,7 +349,7 @@ class System:
         object.__setattr__(self, "_block", block)
         object.__setattr__(self, "_by_receiver", by_receiver)
         object.__setattr__(self, "_gate_start", gate_start)
-        object.__setattr__(self, "_plain_alpha", plain_alpha)
+        object.__setattr__(self, "_plain_alpha", plain_alpha[None, :])
 
     @property
     def n(self) -> int:
@@ -420,10 +463,11 @@ def _input_sums(
     """Constrained input sums and active in-degrees for a batch of states.
 
     ``X`` has shape ``(m, n)``, and so has ``num``. ``den`` has shape
-    ``(m, n)`` when the system has a gate and is the in-degree vector of
-    shape ``(n,)`` otherwise; either broadcasts against ``X``. A gated edge
-    adds neither its value nor its weight while its sender is outside the
-    gate.
+    ``(m, n)`` when the system has a gate and is the in-degree row of shape
+    ``(1, n)`` otherwise; either broadcasts against ``X``. A gated edge adds
+    neither its value nor its weight while its sender is outside the gate.
+    Only what depends on the state is done per call; for one state every
+    per-row operand has the batch's shape.
 
     The columns are the table's rows, one per (member, sender) pair, so a
     ``Mix`` without a piecewise-linear form is evaluated member by member.
@@ -431,12 +475,18 @@ def _input_sums(
     agents in order. Every piecewise-linear column is evaluated by one
     lookup in the bin table: the same slope and intercept, and the same two
     operations, as :meth:`PWLRep.eval_array`, so the values are
-    bit-identical. A wide table bins each agent once and gathers the bins
-    to its rows, ``R - n`` lookups fewer for one integer gather; the keys
-    are the same integers as a search per row. Columns of functions without
-    a piecewise-linear form are then overwritten. The table's scatter sums
-    the columns into the receivers, and the gate columns, open or shut, into
-    ``den``: the dense product with a narrow table's block,
+    bit-identical. Without a live knot there is no lookup: each row's one
+    slope and intercept are applied as they stand, and a table without a
+    piecewise-linear row starts from an empty array. A wide table bins each
+    agent once and gathers the bins to its rows, ``R - n`` lookups fewer
+    for one integer gather; the keys are the same integers as a search per
+    row. Columns of functions without a piecewise-linear form are then
+    overwritten. Every gate row is open where its sender lies in the
+    compiled bounds, ``lo <= x <= hi``, two comparisons for all gates at
+    once, as :meth:`GatedIdentity.gate_mask` decides it (NaN is shut); its
+    column is multiplied by that mask. The table's scatter sums the columns
+    into the receivers, and the gate columns, open or shut, into ``den``:
+    the dense product with a narrow table's block,
     :func:`_gather_sum` over a wide table's receiver slots. A wide table
     gathers the sender columns with ``take``, the faster gather at small
     batches.
@@ -479,6 +529,9 @@ def _input_sums(
             key = key.take(system._senders, axis=1)
         key += system._base
         V = system._slopes[key] * XS + system._icpts[key]
+    elif system._one_piece is not None:  # no live knot: one piece per row
+        slopes, icpts = system._one_piece
+        V = slopes * XS + icpts
     else:  # no function has a piecewise-linear form: every column is direct
         V = np.empty_like(XS)
     for fn, a, b in system._direct:
@@ -487,10 +540,11 @@ def _input_sums(
         num = V @ system._block if slots is None else _gather_sum(V, *slots[0])
         return num, system._plain_alpha
     g = system._gate_start
-    open_ = np.empty((X.shape[0], XS.shape[1] - g))
-    for fn, a, b in system._gates:
-        open_[:, a - g : b - g] = fn.gate_mask(XS[:, a:b])
-        V[:, a:b] *= open_[:, a - g : b - g]
+    lo, hi = system._gate_bounds
+    XG = XS[:, g:]
+    # a float mask: numpy's matmul and einsum take a bool operand on a slow path
+    open_ = ((XG >= lo) & (XG <= hi)).astype(np.float64)
+    V[:, g:] *= open_
     if slots is None:
         return V @ system._block, system._plain_alpha + open_ @ system._block[g:]
     num = _gather_sum(V, *slots[0])
@@ -624,12 +678,18 @@ class BatchTrajectory:
 
 
 _DIVERGENCE_LIMIT = 1e12
+_CHECK_EVERY = 64
 
 
 def integrate_batch(
     system: System, X0, spec: IntegrationSpec
 ) -> BatchTrajectory:
-    """Fixed-step integration of many initial states in lockstep."""
+    """Fixed-step integration of many initial states in lockstep.
+
+    The states are checked against the divergence limit at every recorded
+    step, and at least every ``_CHECK_EVERY = 64`` steps whatever the
+    stride, so a long stride cannot carry a diverging run into overflow.
+    A record count that memory cannot hold is a ``ValidationError``."""
     X = np.array(X0, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != system.n:
         raise ValueError(f"X0 must have shape (m, {system.n})")
@@ -637,10 +697,18 @@ def integrate_batch(
         raise NonFiniteStateError("non-finite initial state")
     steps = spec.steps()
     stride = spec.stride()
+    check = min(stride, _CHECK_EVERY)
     dt = spec.dt
 
-    rec_times = np.empty(steps // stride + 1 + (steps % stride != 0))
-    rec_states = np.empty(rec_times.shape + X.shape)
+    samples = steps // stride + 1 + (steps % stride != 0)
+    try:
+        rec_times = np.empty(samples)
+        rec_states = np.empty(rec_times.shape + X.shape)
+    except (MemoryError, ValueError) as err:
+        raise ValidationError(
+            f"record_stride={stride} keeps {samples} samples of {X.shape} "
+            f"states, more than memory holds: {err}"
+        ) from err
     rec_times[0] = 0.0
     rec_states[0] = X
     count = 1
@@ -653,7 +721,8 @@ def integrate_batch(
             k3 = rhs_batch(system, X + 0.5 * dt * k2)
             k4 = rhs_batch(system, X + dt * k3)
             X = X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if k % stride == 0 or k == steps:
+        record = k % stride == 0 or k == steps
+        if record or k % check == 0:
             # NaN and inf fail the comparison too; an empty batch passes
             if not (np.abs(X).max(initial=0.0) <= _DIVERGENCE_LIMIT):
                 raise NonFiniteStateError(
@@ -663,6 +732,7 @@ def integrate_batch(
                     ),
                     time=k * dt,
                 )
+        if record:
             rec_times[count] = k * dt
             rec_states[count] = X
             count += 1

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -1334,6 +1335,47 @@ class TestRun:
         rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
         assert rows[0].startswith("t,x_1,x_2")
         assert float(rows[-1].split(",")[0]) == div["t_last_recorded"]
+
+    def test_long_stride_divergence_is_found_before_the_horizon(
+        self, tmp_path, capsys
+    ):
+        ring = {
+            "agents": 2,
+            "functions": [{"variant": "affine", "k": -3, "m": 0}],
+            "edges": {"sender": [0, 1], "receiver": [1, 0],
+                      "weight": [1.0, 1.0], "function": [0, 0]},
+        }
+        integration = {"dt": 0.01, "t_final": 400, "record_stride": 10**6}
+        path = write_config(
+            tmp_path, {"system": ring, "x0": [3, -2], "integration": integration}
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "divergence detected" in capsys.readouterr().err
+        div = json.loads((tmp_path / "out" / "report.json").read_text())["divergence"]
+        assert 13.0 < div["t_detected"] <= 14.0 + 64 * 0.01
+        assert div["t_last_recorded"] == 0.0
+
+    def test_unallocatable_record_count_exits_two(self, tmp_path, capsys, monkeypatch):
+        # 10**15 samples: numpy would fail to allocate them; the patched
+        # allocation fails the same way without trying
+        real_empty = np.empty
+
+        def empty(shape, *args, **kwargs):
+            if math.prod(np.atleast_1d(shape).tolist()) > 10**12:
+                raise MemoryError("Unable to allocate 7.11 PiB for an array")
+            return real_empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", empty)
+        integration = {"dt": 1e-9, "t_final": 1e6, "record_stride": 1}
+        path = write_config(
+            tmp_path, {"system": CUSTOM_SYSTEM, "x0": [1.0, -1.0], "integration": integration}
+        )
+        assert main(["simulate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: record_stride=1 keeps 1000000000000001 samples")
+        assert "Unable to allocate" in err
 
     def test_report_records_integrated_horizon(self):
         config = config_from_dict(

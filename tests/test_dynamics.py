@@ -3,6 +3,8 @@ import functools
 import importlib.util
 import json
 import math
+import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +45,7 @@ from tcconsensus.dynamics import (
 )
 from tcconsensus.rays import distance_to_box, lyapunov_V, lyapunov_Y
 from tcconsensus.equilibrium import _map_step, seed_stream, uniqueness_probe
-from tcconsensus.errors import MissingWitnessError, NonFiniteStateError
+from tcconsensus.errors import MissingWitnessError, NonFiniteStateError, ValidationError
 
 from test_constraints import CATALOG
 from test_rays import oracle_dist, oracle_V, oracle_Y
@@ -239,8 +241,8 @@ def per_span_sums(system, X):
 
 def assert_sums_match(got, want, X):
     """``num`` has the shape of ``X``; ``den`` broadcasts to it (an ungated
-    system returns the ``(n,)`` in-degree itself); both equal ``want`` byte
-    for byte."""
+    system returns its ``(1, n)`` in-degree row itself); both equal ``want``
+    byte for byte."""
     (num, den), (want_num, want_den) = got, want
     assert num.shape == X.shape
     assert np.broadcast_shapes(den.shape, X.shape) == X.shape
@@ -249,9 +251,12 @@ def assert_sums_match(got, want, X):
 
 
 def knot_probe_rows(system, rng, extra=40):
-    """Rows that put every global knot, its two float neighbours, +-0.0 and
-    +-1e300 on every sender column, followed by random rows."""
-    G = system._knots
+    """Rows that put every knot of every member, its two float neighbours,
+    +-0.0 and +-1e300 on every sender column, followed by random rows. The
+    members' own knots, not the compiled ones: a knot the compile dropped
+    must still be a point where every member keeps its piece."""
+    reps = [fn.pwl() for fn, _, _ in system._spans]
+    G = np.array(sorted({x for rep in reps if rep is not None for x in rep.xs}))
     special = np.concatenate(
         (G, np.nextafter(G, -np.inf), np.nextafter(G, np.inf), [0.0, -0.0, 1e300, -1e300])
     )
@@ -371,7 +376,8 @@ def assert_table_matches_oracle(system):
     """The compiled table against :func:`per_edge_table`. A table with more
     than 32 rows per receiver slot scatters by receiver slots and keeps no
     block: its slots, and those of its gate rows, must be the oracle
-    block's, and its dense materialisation the oracle block."""
+    block's, and its dense materialisation the oracle block. The in-degree
+    is kept as a ``(1, n)`` row, the shape of a one-state batch."""
     distinct, spans, senders, block, gate_start, plain_alpha = per_edge_table(system)
     assert system.distinct == distinct
     assert system._spans == spans
@@ -380,7 +386,7 @@ def assert_table_matches_oracle(system):
     pairs = [
         (system._senders, senders),
         (dense_block(system), block),
-        (system._plain_alpha, plain_alpha),
+        (system._plain_alpha, plain_alpha[None, :]),
     ]
     wide = len(senders) > 32 * len(slots_of(block)[0])
     assert (system._block is None) is wide is (system._by_receiver is not None)
@@ -643,6 +649,126 @@ class TestReceiverSlots:
         num, den = dynamics._input_sums(sys_, X)
         assert (num[:, SILENT] == 0.0).all() and (den[:, SILENT] == 0.0).all()
         assert (rhs_batch(sys_, X)[:, SILENT] == 0.0).all()
+
+
+def piece_change_knots(system):
+    """The knots at which some member's slope or intercept changes, compared
+    bit for bit, member by member: the oracle of the compiled knots."""
+    out = set()
+    for fn, _, _ in system._spans:
+        rep = fn.pwl()
+        if rep is not None:
+            pieces = [struct.pack("<dd", s, c) for _, _, s, c in rep.pieces()]
+            out.update(x for x, a, b in zip(rep.xs, pieces, pieces[1:]) if a != b)
+    return sorted(out)
+
+
+SCENARIO_NAMES = [s.name for s in builtin_scenarios()]
+LIVE_KNOTS = {
+    **{name: [] for name in ("ex3", "necessity-2agent", "bipartite", "discarded", "sine")},
+    **{f"netgen-{n}": [-1.5, -1.0, 1.0, 1.5] for n in (50, 200, 1000)},
+}
+# a gate at each end of the signed zeros and of the real line
+ZERO_GATES = [
+    GatedIdentity(-1.0, 1.0),
+    GatedIdentity(-0.0, 0.0),
+    GatedIdentity(0.0, math.inf),
+    GatedIdentity(-math.inf, -0.0),
+    Affine(0.5),
+]
+
+
+class TestLiveKnots:
+    """The bin table keeps only the knots where some member changes piece;
+    a table without one evaluates each row on its one piece, and the gate
+    rows are opened by their compiled bounds."""
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES + ["catalog", "bin-table", "mix", "wide"])
+    def test_compiled_knots_are_the_piece_changes(self, name):
+        if name == "catalog":
+            systems = [random_catalog_system(seed) for seed in range(12)]
+        elif name == "bin-table":
+            systems = [bin_table_system(seed) for seed in range(12)]
+        elif name == "mix":
+            systems = [mix_system(fns) for fns in MIX_CASES.values()]
+        elif name == "wide":
+            systems = [factory() for factory in WIDE_SYSTEMS.values()]
+        else:
+            systems = [scenario_by_name(name).system]
+        for sys_ in systems:
+            assert sys_._knots.tolist() == piece_change_knots(sys_)
+            width = len(sys_._knots) + 1
+            assert sys_._slopes.shape == sys_._icpts.shape == (len(sys_._spans) * width,)
+
+    @pytest.mark.parametrize("name", LIVE_KNOTS)
+    def test_scenario_and_netgen_knots(self, name):
+        kind, _, arg = name.partition("-")
+        if kind == "netgen":
+            sys_ = system_from_dict(load_netgen().wide_network(1, int(arg)))
+        else:
+            sys_ = scenario_by_name(name).system
+        assert sys_._knots.tolist() == LIVE_KNOTS[name]
+
+    def test_a_knot_of_another_member_stays(self):
+        # Affine's knot at 0 is no piece change, Saturation(0, 1)'s is
+        assert mix_system([Affine(0.5)])._knots.tolist() == []
+        sys_ = mix_system([Affine(0.5), Saturation(0.0, 1.0)])
+        assert sys_._knots.tolist() == [0.0, 1.0]
+
+    def test_a_signed_zero_intercept_change_keeps_its_knot(self):
+        # slope 1 on both sides of 0; the intercept is 0.0 left of it and
+        # -0.0 right of it
+        fn = PiecewiseLinear(((-1.0, -1.0), (0.0, -0.0)), 1.0, 1.0)
+        (_, _, s0, c0), (_, _, s1, c1), (_, _, s2, c2) = fn.pwl().pieces()
+        assert s0 == s1 == s2 == 1.0 and c0 == c1 == c2 == 0.0
+        assert [math.copysign(1.0, c) for c in (c0, c1, c2)] == [1.0, 1.0, -1.0]
+        sys_ = mix_system([fn])
+        assert sys_._knots.tolist() == [0.0]
+        X = knot_probe_rows(sys_, np.random.default_rng(0))
+        assert_sums_match(dynamics._input_sums(sys_, X), per_span_sums(sys_, X), X)
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    @pytest.mark.parametrize("m", [1, 7])
+    def test_scenario_sums(self, name, m):
+        sys_ = scenario_by_name(name).system
+        rng = np.random.default_rng(m)
+        rows = knot_probe_rows(sys_, rng)
+        rows = np.vstack((rows, rng.uniform(-4.0, 4.0, size=(-len(rows) % m, sys_.n))))
+        for X in np.split(rows, len(rows) // m):
+            assert_sums_match(dynamics._input_sums(sys_, X), per_span_sums(sys_, X), X)
+
+    def test_one_piece_rows(self):
+        rows = len(scenario_by_name("ex3").system._senders)
+        for name in SCENARIO_NAMES:
+            sys_ = scenario_by_name(name).system
+            has_pwl = any(fn.pwl() is not None for fn, _, _ in sys_._spans)
+            assert (sys_._one_piece is not None) is (has_pwl and not sys_._knots.size)
+        slopes, icpts = scenario_by_name("ex3").system._one_piece
+        assert slopes.shape == icpts.shape == (1, rows)
+        direct = [f for f in CATALOG if f.pwl() is None and not isinstance(f, Mix)]
+        assert random_catalog_system(0, direct)._one_piece is None
+
+    def test_row_shaped_constants(self):
+        for name in SCENARIO_NAMES:
+            sys_ = scenario_by_name(name).system
+            assert sys_._base.shape == (1, len(sys_._senders))
+            assert sys_._plain_alpha.shape == (1, sys_.n)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gate_bounds_agree_with_gate_mask(self, seed):
+        sys_ = mix_system(ZERO_GATES, seed)
+        g = sys_._gate_start
+        lo, hi = sys_._gate_bounds
+        assert lo.shape == hi.shape == (1, len(sys_._senders) - g)
+        ends = [fn.lo for fn in ZERO_GATES[:4]] + [fn.hi for fn in ZERO_GATES[:4]]
+        pool = np.array(ends + [np.nan, 0.5, -0.5, 2.0, -2.0])
+        pool = np.concatenate((pool, np.nextafter(pool, -np.inf), np.nextafter(pool, np.inf)))
+        X = np.random.default_rng(seed).choice(pool, size=(200, sys_.n))
+        XG = X[:, sys_._senders[g:]]
+        want = np.hstack([fn.gate_mask(XG[:, a - g : b - g]) for fn, a, b in sys_._gates])
+        assert ((XG >= lo) & (XG <= hi)).tolist() == want.tolist()
+        with np.errstate(all="ignore"):
+            assert_sums_match(dynamics._input_sums(sys_, X), per_span_sums(sys_, X), X)
 
 
 def searched_bin_sums(system, X):
@@ -1078,6 +1204,55 @@ class TestIntegrate:
         assert partial is not None
         assert partial.states.shape[1] == 2
         assert np.all(np.isfinite(partial.states))
+
+    @pytest.mark.parametrize("stride", [100, 10**6, 10**9])
+    def test_long_stride_stops_within_64_steps(self, stride):
+        # without the 64-step check this run overflows silently and reports
+        # the divergence at the horizon, t = 400
+        sys_ = two_agent(Affine(-3.0, 0.0), Affine(-3.0, 0.0))
+        dt = 0.01
+        with pytest.raises(NonFiniteStateError) as every_step:
+            integrate(sys_, [3.0, -2.0], IntegrationSpec(dt, 400.0, record_stride=1))
+        assert 13.0 < every_step.value.time <= 14.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteStateError) as exc:
+                integrate(sys_, [3.0, -2.0], IntegrationSpec(dt, 400.0, record_stride=stride))
+        assert every_step.value.time <= exc.value.time
+        assert exc.value.time <= every_step.value.time + dynamics._CHECK_EVERY * dt
+        times = exc.value.partial.times.tolist()
+        assert times == [k * stride * dt for k in range(len(times))]
+        assert times[-1] < exc.value.time
+
+    @pytest.mark.parametrize("stride", [7, 50, 64])
+    def test_short_strides_check_only_the_records(self, stride):
+        # a stride of at most 64 steps checks the states exactly when it
+        # records them: the run stops at the first record at or after the
+        # step a stride-1 run stops at, not at an earlier 64-step check
+        sys_ = two_agent(Affine(-3.0, 0.0), Affine(-3.0, 0.0))
+        dt = 0.01
+        stops = []
+        for every in (1, stride):
+            with pytest.raises(NonFiniteStateError) as exc:
+                integrate(sys_, [3.0, -2.0], IntegrationSpec(dt, 400.0, record_stride=every))
+            stops.append(round(exc.value.time / dt))
+        assert stops[0] == 1336
+        assert stops[1] == -(-stops[0] // stride) * stride
+
+    def test_unallocatable_record_count_is_a_validation_error(self, monkeypatch):
+        # a record count whose buffers memory cannot hold fails as numpy's
+        # allocation would, without allocating
+        real_empty = np.empty
+
+        def empty(shape, *args, **kwargs):
+            if math.prod(np.atleast_1d(shape).tolist()) > 10**12:
+                raise MemoryError("Unable to allocate 7.11 PiB for an array")
+            return real_empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics.np, "empty", empty)
+        spec = IntegrationSpec(1e-9, 1e6, record_stride=1)
+        with pytest.raises(ValidationError, match=r"record_stride=1 keeps 1000000000000001 samples"):
+            integrate(identity_pair(), [0.0, 2.0], spec)
 
     def test_batch_matches_single_runs(self):
         sys_ = scenario_by_name("ex2").system
