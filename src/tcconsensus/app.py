@@ -4,13 +4,13 @@ trajectories and JSON reports.
 
 A custom system is read as a dense weight matrix or as a columnar edge
 table (:func:`system_from_dict`); either way the loader checks the record
-once and hands its graph and columns to the :class:`System` as its edge
-table, with no per-edge map. Only the dense record's own checks read an
-``n x n`` matrix; a columnar record costs ``O(n + E)``. Reports echo their
-config with the system always in the columnar form
-(:func:`system_to_dict`), the stored edge table written back, whose size
-grows with the edge count, not with ``n**2``; an echoed config reproduces
-its report.
+once, sorts its edges once into the graph's order and hands the
+:class:`System` its graph and function column, with no per-edge map. Only
+the dense record's own checks read an ``n x n`` matrix; a columnar record
+costs ``O(n + E)``. Reports echo their config with the system always in
+the columnar form (:func:`system_to_dict`), the graph's columns and the
+function column written back, whose size grows with the edge count, not
+with ``n**2``; an echoed config reproduces its report.
 
 Exit code convention: 0 when every expectation attached to the run is met
 (or there are none), 1 when an expectation fails, 2 on configuration or
@@ -32,7 +32,7 @@ import numpy as np
 from . import constraints as _constraints
 from .analysis import classify_system
 from .dynamics import IntegrationSpec, System, attach_channels, integrate, monitor_trajectory
-from .dynamics import _edge_columns
+from .dynamics import _edge_order
 from .equilibrium import solve_equilibrium
 from .errors import (
     ConfigError,
@@ -125,15 +125,17 @@ def system_to_dict(system: System) -> dict:
     receiver)`` order. Each distinct function object is serialized once, in
     first-edge order, and each edge's ``function`` is its index in that
     table, so the record is O(E), not n x n. The record is the system's
-    compiled edge table, read back as it is stored (see :class:`System`)."""
-    senders, receivers, weights, function, fns = system._edges
+    graph and function column, read back as they are stored (see
+    :class:`System`)."""
+    graph = system.graph
+    function, fns = system._edges
     return {
         "agents": system.n,
         "functions": [fn.to_dict() for fn in fns],
         "edges": {
-            "sender": senders.tolist(),
-            "receiver": receivers.tolist(),
-            "weight": weights.tolist(),
+            "sender": graph.senders.tolist(),
+            "receiver": graph.receivers.tolist(),
+            "weight": graph.weight.tolist(),
             "function": function.tolist(),
         },
     }
@@ -162,11 +164,11 @@ def _column(values: list, name: str, kinds: tuple) -> np.ndarray:
         raise ValidationError(f"{name} out of range: {err}") from err
 
 
-def _load_fns(records: list) -> tuple[list[_constraints.ConstraintFn], list[int]]:
+def _load_fns(records: list) -> tuple[list[_constraints.ConstraintFn], np.ndarray]:
     """Load ``fn`` records as a list of objects, one per distinct record as
     written, each parsed once, in first-use order, and the index of each
-    record's object in that list. Two records share an object if and only
-    if their ``repr()`` strings are equal.
+    record's object in that list, as an integer array. Two records share an
+    object if and only if their ``repr()`` strings are equal.
 
     The memo key is the record's marshal (format 2) bytes, three times
     cheaper than ``repr``. For the types JSON produces, equal bytes mean
@@ -191,7 +193,7 @@ def _load_fns(records: list) -> tuple[list[_constraints.ConstraintFn], list[int]
         distinct = dict(zip(keys, records))
     objects = list(map(_constraints.from_dict, distinct.values()))
     position = dict(zip(distinct, range(len(distinct))))
-    return objects, list(map(position.__getitem__, keys))
+    return objects, np.fromiter(map(position.__getitem__, keys), np.intp, len(keys))
 
 
 def _loads_back(key: bytes, record) -> bool:
@@ -213,9 +215,9 @@ def _dense_system(record: dict) -> System:
     when a check fails are the entries walked again to report the first
     bad one, with the message the per-entry check gives. The matrix is
     read once, by :func:`build_digraph`, into the graph's edge columns; the
-    ``sender`` and ``receiver`` columns, checked against the graph's edges
-    as a constraint map's keys are, its weights and the function index are
-    the edge table the :class:`System` compiles on that graph."""
+    ``sender`` and ``receiver`` columns are checked against the graph's
+    edges as a constraint map's keys are, and the order that sorts them
+    into the graph's carries the function index into the graph's order."""
     rows = _list(record["weights"], "weights")
     if not all(map(isinstance, rows, repeat(list))):
         for row in rows:
@@ -233,15 +235,15 @@ def _dense_system(record: dict) -> System:
     )
     senders, receivers = _agent_indices(senders), _agent_indices(receivers)
     objects, index = _load_fns(fns)
-    table = _edge_columns(graph, zip(senders, receivers), (senders, receivers))
-    return System._from_table(graph, *table, index, objects)
+    order = _edge_order(graph, zip(senders, receivers), (senders, receivers))
+    return System._from_table(graph, index[order], objects, order)
 
 
 def _columnar_system(record: dict) -> System:
     """Compile the columnar form: the ``edges`` columns, checked as whole
-    arrays, with each ``function`` index mapped to its loaded object, are
-    the edge table the :class:`System` compiles, and its graph; the checks
-    leave nothing for a cover check to find."""
+    arrays and sorted once into the graph's edges, with each ``function``
+    index mapped to its loaded object; the checks leave nothing for a cover
+    check to find."""
     n = record["agents"]
     check_numbers([n], "'agents'", INTEGER, ValidationError)
     if n < 0:
@@ -273,18 +275,18 @@ def _columnar_system(record: dict) -> System:
     loops = senders[senders == receivers]
     if loops.size:
         raise ValidationError(f"self-loop on agent {loops[0]}")
-    pairs = np.sort(senders * n + receivers)
-    repeated = pairs[1:][pairs[1:] == pairs[:-1]]
-    if repeated.size:
-        raise ValidationError(f"repeated edge {divmod(int(repeated[0]), n)}")
+    graph, order = Digraph.from_edges(n, senders, receivers, weights)
+    senders, receivers = graph.senders, graph.receivers
+    repeated = (senders[1:] == senders[:-1]) & (receivers[1:] == receivers[:-1])
+    if repeated.any():
+        k = repeated.argmax()
+        raise ValidationError(f"repeated edge {(int(senders[k]), int(receivers[k]))}")
     if not (np.isfinite(weights).all() and (weights > 0).all()):
         raise ValidationError("edge weights must be finite and positive")
     unused = np.flatnonzero(np.bincount(index, minlength=len(fn_index)) == 0)
     if unused.size:
         raise ValidationError(f"function {unused[0]} is used by no edge")
-    index = np.array(fn_index, dtype=np.intp)[index]
-    graph = Digraph.from_edges(n, senders, receivers, weights)
-    return System._from_table(graph, senders, receivers, weights, index, objects)
+    return System._from_table(graph, fn_index[index[order]], objects, order)
 
 
 def system_from_dict(record: dict) -> System:

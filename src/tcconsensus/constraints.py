@@ -610,7 +610,10 @@ def from_dict(record: dict) -> ConstraintFn:
     are rejected. Each parameter must have its field's shape, and each
     number in it must be finite (:func:`~tcconsensus.graph.check_numbers`):
     ``true``, ``"0.5"``, ``null``, ``NaN``, ``10**400`` and misshapen lists
-    raise ``ValidationError`` naming the field."""
+    raise ``ValidationError`` naming the field, and so does a record that
+    is not an object."""
+    if not isinstance(record, dict):
+        raise ValidationError(f"a constraint record must be an object, got {record!r}")
     rec = dict(record)
     name = rec.pop("variant", None)
     cls = _VARIANTS.get(name)

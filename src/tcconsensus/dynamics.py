@@ -5,16 +5,17 @@ The state of agent ``i`` evolves as the weighted sum over in-edges of
 the transmission from ``j`` to ``i``. Gated edges drop their whole
 contribution while the sender state is outside the accepted interval.
 
-A :class:`System` is one edge table, ``(sender, receiver, weight,
-function)`` plus the distinct function objects, built from a constraint map
-or from a loader's checked columns; a loaded system's constraint map is a
-view of the table. The system compiles the table into a table of rows keyed
-by distinct function value, and its piecewise-linear functions into one bin
-table over their live knots: the knots of the union where some function
-changes piece. A mixture without a piecewise-linear form is not a function
-of the table: each of its members gets table rows of its own, weighted
-``a * w`` and ``a * (1 - w)``. Everything that does not depend on the state
-is compiled, the gates' accepted intervals among it. One kernel,
+A :class:`System` is its graph plus one function column: the graph's
+``(sender, receiver, weight)`` edge columns, in the graph's one edge order,
+and the index of each edge's function among the distinct function objects,
+built from a constraint map or from a loader's checked record; its
+constraint map is a view of the table. The system compiles the table into a
+table of rows keyed by distinct function value, and its piecewise-linear
+functions into one bin table over their live knots: the knots of the union
+where some function changes piece. A mixture without a piecewise-linear
+form is not a function of the table: each of its members gets table rows of
+its own, weighted ``a * w`` and ``a * (1 - w)``. Everything that does not
+depend on the state is compiled, the gates' accepted intervals among it. One kernel,
 :func:`_input_sums`, evaluates every piecewise-linear column with one lookup
 in the bin table (none when no knot is live: each row has one piece), the
 other functions once each over their sender columns, opens every gate row
@@ -46,9 +47,11 @@ there is no event detection.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
+from types import MappingProxyType
 
 import numpy as np
 from numpy.typing import NDArray
@@ -75,20 +78,23 @@ class System:
     """A digraph plus one constraint per edge, keyed ``(sender, receiver)``.
     Systems compare and hash by identity, as their graphs do.
 
-    The system compiles one edge table: edge ``e`` runs from ``sender[e]``
-    to ``receiver[e]`` with weight ``weight[e]`` and carries the distinct
-    function object ``function[e]``. Construction checks the map's keys
-    against the graph's edge columns (:func:`_edge_columns`) and derives
-    the table, grouping the edges by object identity in numpy (over the
-    objects' ``id``); the loaders pass their graph and checked columns to
+    The system compiles one edge table: the graph's edge ``e``, from
+    ``graph.senders[e]`` to ``graph.receivers[e]`` with weight
+    ``graph.weight[e]``, in the graph's ``(sender, receiver)`` order,
+    carries the distinct function object ``fns[function[e]]``.
+    Construction sorts the map's keys into the graph's edges once
+    (:func:`_edge_order`, which also checks that they cover them) and
+    groups the edges by object identity in numpy (over the objects'
+    ``id``); the loaders hand their graph, function index and order to
     :meth:`_from_table` instead. No step builds or reads the graph's
-    ``n x n`` matrix. The table is kept as ``_edges``, sorted by ``(sender,
-    receiver)`` with the objects in the order of their first edges, which
-    is the report's echo (``app.system_to_dict``). The objects are then
-    merged by value: variants are frozen dataclasses, so equal-valued
-    copies share one entry, and a map that reuses a few objects on many
-    edges costs one value hash per object, not per edge. The kernel's
-    table is built with array operations.
+    ``n x n`` matrix. The function column and the objects, in the order of
+    their first edges, are kept as ``_edges``; with the graph's columns
+    they are the report's echo (``app.system_to_dict``). The order the
+    edges were given in is kept for :attr:`constraints`, its only reader.
+    The objects are then merged by value: variants are frozen dataclasses,
+    so equal-valued copies share one entry, and a map that reuses a few
+    objects on many edges costs one value hash per object, not per edge.
+    The kernel's table is built with array operations.
 
     - ``distinct`` pairs each distinct function with its first edge in
       sorted order. The ledger loops iterate it instead of every edge, and
@@ -121,9 +127,8 @@ class System:
     - The ungated in-degree ``_plain_alpha`` sums ``a_ij`` over the edges,
       not the member rows (``a*w + a*(1 - w)`` need not round to ``a``), in
       the row order a table without member rows would have. It is kept as a
-      ``(1, n)`` row, and the base offsets ``_base`` as a ``(1, R)`` row:
-      numpy broadcasts an ``(n,)`` operand over a one-state batch at about
-      twice the cost of a same-shape one.
+      ``(1, n)`` row, and the base offsets ``_base`` as a ``(1, R)`` row,
+      so that one state's operands all have its shape.
     - The bin table serves every member with a piecewise-linear form,
       including a ``Mix`` that has one. Let ``G`` be the sorted live knots:
       the knots of any member at which some member's slope or intercept
@@ -157,54 +162,43 @@ class System:
     )
 
     def __init__(self, graph: Digraph, constraints):
-        # not a field: a system built from a table derives its map instead
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "constraints", constraints)
-        self.__post_init__()
-
-    def __post_init__(self):
-        keys, fns = list(self.constraints), list(self.constraints.values())
-        columns = _edge_columns(self.graph, keys)
+        keys, fns = list(constraints), list(constraints.values())
+        order = _edge_order(graph, keys)
         ids = np.fromiter(map(id, fns), dtype=np.uint64, count=len(fns))
         _, obj_first, index = np.unique(ids, return_index=True, return_inverse=True)
-        self._compile(*columns, index, [fns[e] for e in obj_first.tolist()])
+        self._compile(graph, index[order], [fns[e] for e in obj_first.tolist()], order)
 
     @classmethod
-    def _from_table(cls, graph, senders, receivers, weights, index, objects) -> System:
-        """The system on ``graph`` whose edge ``e`` runs from ``senders[e]``
-        to ``receivers[e]`` with weight ``weights[e]`` and carries
-        ``objects[index[e]]``: a loader's graph and checked columns, the
-        graph's edges in the loader's order, trusted as :meth:`_compile`
-        trusts them. Its constraint map is derived from the table when
-        first read."""
+    def _from_table(cls, graph, index, objects, order) -> System:
+        """The system on ``graph`` whose edge ``e`` carries
+        ``objects[index[e]]``: a loader's checked record, its edges given in
+        the order ``order`` (see :meth:`_compile`)."""
         self = cls.__new__(cls)
-        object.__setattr__(self, "graph", graph)
-        self._compile(senders, receivers, weights, index, objects)
+        self._compile(graph, index, objects, order)
         return self
 
     @cached_property
-    def constraints(self) -> dict[tuple[int, int], ConstraintFn]:
-        """The constraint of each edge, keyed ``(sender, receiver)``: the
-        map the system was built from or, for a system built from a table,
-        a view of the table in its input order, derived when first read."""
-        senders, receivers, _, function, fns = self._edges
+    def constraints(self) -> Mapping[tuple[int, int], ConstraintFn]:
+        """The constraint of each edge, keyed ``(sender, receiver)``, in the
+        order the edges were given: a read-only view of the table, derived
+        when first read, so a change to the map the system was built from
+        changes nothing here."""
+        function, fns = self._edges
         at = np.argsort(self._input_order)
-        keys = zip(senders[at].tolist(), receivers[at].tolist())
-        return dict(zip(keys, map(fns.__getitem__, function[at].tolist())))
+        keys = zip(self.graph.senders[at].tolist(), self.graph.receivers[at].tolist())
+        view = dict(zip(keys, map(fns.__getitem__, function[at].tolist())))
+        return MappingProxyType(view)
 
-    def _compile(self, senders, receivers, weights, index, objects) -> None:
-        """Compile the edge table: edge ``e`` from ``senders[e]`` to
-        ``receivers[e]`` with weight ``weights[e]`` carries
-        ``objects[index[e]]``. The pairs are the graph's edges, each once,
-        the objects distinct by identity, and each object is on some edge."""
+    def _compile(self, graph, index, objects, order) -> None:
+        """Compile the edge table: the graph's edge ``e`` carries
+        ``objects[index[e]]``, ``index`` an integer array, and was given at
+        position ``order[e]``. The objects are distinct by identity, and
+        each is on some edge."""
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "_input_order", order)
         n = self.n
-        # the table in sorted (sender, receiver) order, and the objects in
-        # the order of their first edges; the pairs are distinct, so one
-        # argsort of their keys sorts them
-        order = np.argsort(senders * n + receivers)
-        senders, receivers, edge_weights, index = (
-            np.asarray(a)[order] for a in (senders, receivers, weights, index)
-        )
+        senders, receivers, edge_weights = graph.senders, graph.receivers, graph.weight
+        # the objects in the order of their first edges
         first = np.full(len(objects), len(index))
         np.minimum.at(first, index, np.arange(len(index)))
         used = np.argsort(first)
@@ -213,10 +207,7 @@ class System:
         fn_rank[used] = np.arange(len(used))
         function = fn_rank[index]
         fns = [objects[k] for k in used.tolist()]
-        object.__setattr__(
-            self, "_edges", (senders, receivers, edge_weights, function, tuple(fns))
-        )
-        object.__setattr__(self, "_input_order", order)
+        object.__setattr__(self, "_edges", (function, tuple(fns)))
 
         # the objects merged by value, so a map that reuses a few objects on
         # many edges costs one value hash per object, not per edge; a value
@@ -269,9 +260,9 @@ class System:
         most_in = np.bincount(entry_receivers, minlength=n).max(initial=0)
         if len(row_keys) > 32 * most_in:
             block = None
-            order = np.argsort(entry_receivers * len(row_keys) + row_of_entry)
+            by_slot = np.argsort(entry_receivers * len(row_keys) + row_of_entry)
             rows, to, weight = (
-                a[order] for a in (row_of_entry, entry_receivers, entry_weights)
+                a[by_slot] for a in (row_of_entry, entry_receivers, entry_weights)
             )
             gate = rows >= gate_start
             by_receiver = (
@@ -356,22 +347,21 @@ class System:
         return self.graph.n
 
 
-def _edge_columns(graph: Digraph, pairs, columns=None):
-    """The sender, receiver and weight columns of ``pairs``, an iterable of
-    ``(sender, receiver)`` pairs that must be the edges of ``graph``, each
-    once; ``columns`` are the pairs' senders and receivers as two lists, if
-    the caller has them. Else ``ValueError`` names the first repeated pair
-    or, compared as sets, the missing and extra pairs; pairs of other equal
-    types, such as numpy integers, cover the edges too. The weights are the
-    graph's own (:meth:`Digraph.weights_of`), read from no matrix."""
+def _edge_order(graph: Digraph, pairs, columns=None) -> NDArray[np.intp]:
+    """The order that sorts ``pairs``, an iterable of ``(sender, receiver)``
+    pairs that must be the edges of ``graph``, each once, into the graph's
+    edges (:meth:`Digraph.order_of`); ``columns`` are the pairs' senders and
+    receivers as two lists, if the caller has them. Else ``ValueError``
+    names the first repeated pair or, compared as sets, the missing and
+    extra pairs; pairs of other equal types, such as numpy integers, cover
+    the edges too."""
     if columns is None and set(map(len, pairs)) == {2}:
         columns = [list(map(itemgetter(k), pairs)) for k in (0, 1)]
     ends = np.array(columns if columns is not None else ())
     if ends.dtype.kind in "iu":
-        senders, receivers = ends.astype(np.intp)
-        weights = graph.weights_of(senders, receivers)
-        if weights is not None:
-            return senders, receivers, weights
+        order = graph.order_of(*ends.astype(np.intp))
+        if order is not None:
+            return order
     pairs = list(pairs)
     seen = set()
     for pair in pairs:
@@ -384,8 +374,7 @@ def _edge_columns(graph: Digraph, pairs, columns=None):
             f"constraint map must cover the edge set exactly; "
             f"missing {sorted(edges - seen)}, extra {sorted(seen - edges)}"
         )
-    senders, receivers = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    return senders, receivers, graph.weights_of(senders, receivers)
+    return graph.order_of(*np.array(pairs, dtype=np.intp).reshape(-1, 2).T)
 
 
 def _members(fn: ConstraintFn) -> dict[ConstraintFn, float]:
@@ -495,20 +484,11 @@ def _input_sums(
     binned states (``m`` times the agents a wide table bins, else ``m``
     times the rows), or a union of more than ``_COUNT_KNOTS = 16`` knots,
     search the union. A larger batch counts the knots at or below each
-    state (:func:`_count_knots`). Either way the bin table is read by fancy
-    indexing: ``take`` is 1.5-1.8 times slower on the 5 to 100 keys of a
-    small batch (149 against 277 ns, 376 against 539 ns) and 4-13 % faster
-    from 1000 keys, which moved no counted batch's ``rhs_batch`` by more
-    than the noise (0.99-1.02 against ``take``). The count is the search's
-    bin for every state but NaN, and a NaN state is NaN on any piece, so
-    every output keeps its bytes. A search's cost per state depends on
-    where the states fall, a count's is one vectorised comparison per knot.
-    On 5-agent rings (2-vCPU x86, numpy 2.4) counting broke even at
-    1500-2000 states for 1 or 2 knots and at 2500-3000 for 3 to 16 knots,
-    below which numpy's broadcast comparison is several times slower per
-    element; above 3000 states it took 0.6-0.9 of the search's
-    ``rhs_batch`` time up to 16 knots, and lost at every size from 24
-    knots.
+    state (:func:`_count_knots`): one vectorised comparison per knot,
+    where a search's cost per state depends on where the states fall.
+    Either way the bin table is read by fancy indexing. The count is the
+    search's bin for every state but NaN, and a NaN state is NaN on any
+    piece, so every output keeps its bytes.
     """
     slots = system._by_receiver
     if system._identity:

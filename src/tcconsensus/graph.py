@@ -3,11 +3,12 @@
 Edge convention: ``weights[i, j] > 0`` means agent ``j`` transmits to agent
 ``i`` (directed edge ``j -> i``). All other modules inherit this convention.
 
-A graph is stored as its edges, and only this module knows how: ``n`` plus
-``senders``, ``receivers`` and ``weight`` columns in receiver-major order,
-the order ``np.nonzero`` reads a weight matrix in. A graph of ``E`` edges
-costs ``O(n + E)``; the dense matrix is a read-only view, built when first
-read, for the API, :meth:`Digraph.laplacian` and tests.
+A graph is stored as its edges, and only this module decides their order:
+``n`` plus ``senders``, ``receivers`` and ``weight`` columns sorted by
+``(sender, receiver)``, one sorted coordinate list. A system's edge table,
+its ledger and its report's echo read the edges in this order. A graph of
+``E`` edges costs ``O(n + E)``; the dense matrix is a read-only view, built
+when first read, for the API, :meth:`Digraph.laplacian` and tests.
 """
 
 from __future__ import annotations
@@ -32,12 +33,12 @@ from .errors import (
 class Digraph:
     """Immutable weighted digraph over ``n`` agents: edge ``e`` runs from
     ``senders[e]`` to ``receivers[e]`` with weight ``weight[e] > 0``, the
-    edges sorted by receiver and then sender, each pair once, no self-loop.
+    edges sorted by sender and then receiver, each pair once, no self-loop.
     Graphs compare and hash by identity, as their fields are arrays.
 
     Construct through :func:`build_digraph`, which validates a weight matrix
     (square, finite, non-negative, zero diagonal), or :meth:`from_edges`,
-    which sorts columns that its caller has checked.
+    which sorts columns in any order.
     """
 
     n: int
@@ -46,20 +47,22 @@ class Digraph:
     weight: NDArray[np.float64]
 
     @classmethod
-    def from_edges(cls, n: int, senders, receivers, weight) -> Digraph:
+    def from_edges(cls, n: int, senders, receivers, weight) -> tuple[Digraph, NDArray]:
         """The graph of ``n`` agents with the edges ``senders[e] ->
-        receivers[e]`` of weight ``weight[e]``, in any order; trusted to be
-        in range, positive, distinct and loop-free."""
-        order = np.argsort(receivers * n + senders)
-        return cls(n, senders[order], receivers[order], weight[order])
+        receivers[e]`` of weight ``weight[e]``, given in any order, and the
+        order that sorts them: the graph's edge ``e`` is the given edge
+        ``order[e]``. The edges are trusted to be in range, positive and
+        loop-free; a repeated pair lands on adjacent edges."""
+        order = np.argsort(senders * n + receivers)
+        return cls(n, senders[order], receivers[order], weight[order]), order
 
-    def weights_of(self, senders, receivers) -> NDArray[np.float64] | None:
-        """The weight of each pair ``senders[e] -> receivers[e]`` if the
-        pairs are this graph's edges, each once, in any order, else ``None``:
-        the pairs, sorted like the edges, must equal the edge columns."""
-        order = np.argsort(receivers * self.n + senders)
+    def order_of(self, senders, receivers) -> NDArray[np.intp] | None:
+        """The order that sorts the pairs ``senders[e] -> receivers[e]`` into
+        this graph's edges, as :meth:`from_edges` returns it, if they are the
+        edges, each once, in any order; else ``None``."""
+        order = np.argsort(senders * self.n + receivers)
         if np.array_equal((senders[order], receivers[order]), (self.senders, self.receivers)):
-            return self.weight[np.argsort(order)]
+            return order
         return None
 
     @cached_property
@@ -73,7 +76,7 @@ class Digraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as ``(j, i)`` pairs, ``j`` sender, ``i`` receiver, in
-        receiver-major order."""
+        sorted order."""
         return list(zip(self.senders.tolist(), self.receivers.tolist()))
 
     def laplacian(self) -> NDArray[np.float64]:
@@ -118,10 +121,10 @@ def build_digraph(weights) -> Digraph:
     an integer or float dtype; see :func:`check_numbers`), and on a
     non-square matrix, negative or non-finite entries, or a nonzero
     diagonal (self-loops are an error, not silently repaired). The checked
-    matrix is read once more, for its nonzero entries in row-major order,
-    which is the graph's receiver-major edge order; it is not kept. A zero
-    entry is no edge, so ``-0.0`` reads back as ``0.0`` from
-    :attr:`Digraph.weights`.
+    matrix is read once more, for the nonzero entries of its transpose in
+    row-major order, which is the graph's ``(sender, receiver)`` edge
+    order; it is not kept. A zero entry is no edge, so ``-0.0`` reads back
+    as ``0.0`` from :attr:`Digraph.weights`.
     """
     if isinstance(weights, np.ndarray):
         if weights.dtype.kind not in "iuf":
@@ -143,17 +146,17 @@ def build_digraph(weights) -> Digraph:
         raise NonzeroDiagonalError("weight matrix has nonzero diagonal entries")
     # the entries are non-negative, and np.nonzero is several times faster
     # on a boolean array than on floats
-    flat = np.flatnonzero(w > 0)
-    return Digraph(len(w), flat % len(w), flat // len(w), w.ravel()[flat])
+    senders, receivers = np.divmod(np.flatnonzero(w.T > 0), len(w))
+    return Digraph(len(w), senders, receivers, w[receivers, senders])
 
 
 def row_stats(g: Digraph) -> tuple[NDArray[np.float64], float]:
     """In-degrees ``alpha_i = sum_j a_ij`` and their maximum.
 
-    ``np.bincount`` adds each agent's in-edge weights to ``0.0`` in sender
-    order. The dense row sum ``weights.sum(axis=1)`` adds in the same order
-    below 8 agents, so there the two agree bit for bit; from 8 agents on it
-    sums pairwise and may differ in the last ulp."""
+    ``np.bincount`` adds each agent's in-edge weights to ``0.0`` in edge
+    order, which is sender order. The dense row sum ``weights.sum(axis=1)``
+    adds in the same order below 8 agents, so there the two agree bit for
+    bit; from 8 agents on it sums pairwise and may differ in the last ulp."""
     # without edges, np.bincount ignores the weights and counts in integers
     alpha = np.bincount(g.receivers, g.weight, minlength=g.n).astype(float, copy=False)
     return alpha, float(alpha.max(initial=0.0))

@@ -22,7 +22,7 @@ from tcconsensus.app import (
 from tcconsensus.cli import main
 from tcconsensus.errors import ParseError, UnconvergedError, ValidationError
 from tcconsensus.scenarios import builtin_scenarios
-from test_dynamics import load_netgen, random_catalog_system
+from test_dynamics import compiled, load_netgen, random_catalog_system
 
 CUSTOM_SYSTEM = {
     "weights": [[0.0, 1.0], [1.0, 0.0]],
@@ -308,6 +308,10 @@ DENSE_FAULTS = {
         lambda r: r["constraints"].__setitem__(1, 3),
         "'constraint' must be an object",
     ),
+    "fn-not-an-object": (
+        lambda r: r["constraints"][0].update(fn=3),
+        "a constraint record must be an object, got 3",
+    ),
     "entry-missing-fn": (
         lambda r: r["constraints"][1].pop("fn"),
         "system record missing field 'fn'",
@@ -483,6 +487,10 @@ COLUMNAR_FAULTS = {
         columnar(lambda r: r["functions"].append({"variant": "identity"})),
         "function 1 is used by no edge",
     ),
+    "function-not-an-object": (
+        columnar(lambda r: r["functions"].__setitem__(0, [1])),
+        "a constraint record must be an object, got [1]",
+    ),
     # pair keys sender * agents + receiver would wrap in int64 and read
     # 2**31 -> 5 as 0 -> 5
     "too-many-agents": (
@@ -520,6 +528,10 @@ MALFORMED_SYSTEMS = {
             "first": {"variant": "identity", "bogus": 3},
             "second": {"variant": "affine", "k": -0.5},
         }
+    ),
+    # dict() would read a list of key-value pairs as a record
+    "fn-list-of-pairs": lambda r: r["constraints"][0].update(
+        fn=[["variant", "affine"], ["k", -0.5]]
     ),
     "mix-member-not-a-record": lambda r: r["constraints"][0].update(
         fn={"variant": "mix", "first": 3, "second": {"variant": "identity"}}
@@ -829,6 +841,35 @@ def edgeless(agents):
     }
 
 
+def edgeless_records(agents):
+    """An edgeless system of ``agents`` agents in the dense and the
+    columnar form."""
+    dense = {"weights": [[0.0] * agents for _ in range(agents)], "constraints": []}
+    return {"dense": dense, "columnar": edgeless(agents)}
+
+
+class TestEdgelessRecords:
+    @pytest.mark.parametrize("agents", [1, 2])
+    def test_both_forms_compile_the_same(self, agents):
+        dense, columnar = map(system_from_dict, edgeless_records(agents).values())
+        assert compiled(dense) == compiled(columnar)
+
+    @pytest.mark.parametrize("form", ["dense", "columnar"])
+    @pytest.mark.parametrize("agents", [1, 2])
+    def test_every_mode_but_the_solve_runs(self, tmp_path, capsys, agents, form):
+        config = {
+            "system": edgeless_records(agents)[form],
+            "x0": [1.0 - k for k in range(agents)],
+            "integration": {"dt": 0.01, "t_final": 0.1},
+        }
+        path = write_config(tmp_path, config)
+        for mode in ("analyze", "simulate"):
+            assert main([mode, str(path), "--out", str(tmp_path / mode)]) == 0
+            strict_loads((tmp_path / mode / "report.json").read_text())
+        assert main(["equilibrium", str(path), "--out", str(tmp_path / "eq")]) == 2
+        assert "agents without in-edges" in capsys.readouterr().err
+
+
 class TestGraphIsItsEdges:
     """A loaded system's graph is its edge columns; the ``n x n`` matrix is
     a view that no load or run builds."""
@@ -1086,7 +1127,7 @@ class TestEchoReadsTheTable:
         echo = assert_former_echo(sys_)
         assert len(echo["functions"]) == 3
         assert echo["edges"]["function"][:5] == [0, 1, 2, 1, 0]
-        assert [id(fn) for fn in sys_._edges[4]] == [id(c), id(b), id(a)]
+        assert [id(fn) for fn in sys_._edges[1]] == [id(c), id(b), id(a)]
 
 
 def assert_former_echo(system):

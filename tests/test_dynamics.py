@@ -159,7 +159,10 @@ def random_catalog_system(seed, catalog=CATALOG):
     w = rng.uniform(0.2, 2.0, size=(n, n)) * (rng.random((n, n)) < 0.6)
     np.fill_diagonal(w, 0.0)
     g = build_digraph(w)
-    return System(g, {e: catalog[rng.integers(len(catalog))] for e in g.edges()})
+    # the functions are drawn in receiver-major edge order, the order the
+    # graph once stored, so each seed keeps its system
+    edges = sorted(g.edges(), key=lambda e: e[::-1])
+    return System(g, {e: catalog[rng.integers(len(catalog))] for e in edges})
 
 
 class TestEdgeTableMatchesPerEdgeLoop:
@@ -1021,7 +1024,8 @@ def compiled(system, fn_key=id):
         return [(fn_key(fn), a, b) for fn, a, b in entries]
 
     slots = system._by_receiver
-    *columns, fns = system._edges
+    function, fns = system._edges
+    graph = system.graph
     return {
         "knots": raw(system._knots),
         "base": raw(system._base),
@@ -1037,7 +1041,8 @@ def compiled(system, fn_key=id):
         "direct": spans(system._direct),
         "gates": spans(system._gates),
         "distinct": [(key, fn_key(fn)) for key, fn in system.distinct],
-        "edges": [raw(a) for a in columns] + [list(map(fn_key, fns))],
+        "edges": [raw(a) for a in (graph.senders, graph.receivers, graph.weight, function)]
+        + [list(map(fn_key, fns))],
     }
 
 
@@ -1115,8 +1120,9 @@ class TestCompileFromTable:
             ),
             (system_from_dict(columns), list(zip(edges["sender"], edges["receiver"]))),
         ):
-            senders, receivers, _, function, fns = sys_._edges
-            table = zip(senders.tolist(), receivers.tolist(), function.tolist())
+            function, fns = sys_._edges
+            graph = sys_.graph
+            table = zip(graph.senders.tolist(), graph.receivers.tolist(), function.tolist())
             view = sys_.constraints
             assert view is sys_.constraints and list(view) == keys
             for j, i, k in table:
@@ -1127,13 +1133,49 @@ class TestCompileFromTable:
         w = np.ones((4, 4)) - np.eye(4)
         keys = [(j, i) for i in range(4) for j in range(4) if i != j]
         sys_ = System(build_digraph(w), {key: (b, a)[k % 2] for k, key in enumerate(keys)})
-        senders, receivers, weights, function, fns = sys_._edges
-        assert list(zip(senders.tolist(), receivers.tolist())) == sorted(keys)
-        assert weights.tolist() == [w[i, j] for j, i in sorted(keys)]
+        graph = sys_.graph
+        function, fns = sys_._edges
+        assert list(zip(graph.senders.tolist(), graph.receivers.tolist())) == sorted(keys)
+        assert graph.weight.tolist() == [w[i, j] for j, i in sorted(keys)]
         assert fns[0] is sys_.constraints[(0, 1)] and len(fns) == 2
         for k, key in zip(function.tolist(), sorted(keys)):
             assert fns[k] is sys_.constraints[key]
         assert len(sys_.distinct) == 1 and sys_.distinct[0] == ((0, 1), fns[0])
+
+
+class TestOneEdgeOrder:
+    """A system is its graph plus one function column, whatever order its
+    edges were given in."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_shuffled_map_dense_record_and_echo_compile_the_same(self, seed):
+        system = random_catalog_system(seed)
+        items = list(system.constraints.items())
+        shuffle = np.random.default_rng(seed).permutation(len(items))
+        shuffled = System(system.graph, dict(items[k] for k in shuffle.tolist()))
+        assert list(shuffled.constraints) == [items[k][0] for k in shuffle.tolist()]
+        assert compiled(shuffled) == compiled(system)
+        echo = json.dumps(system_to_dict(shuffled))
+        for record in (dense_form(shuffled), json.loads(echo)):
+            loaded = system_from_dict(json.loads(json.dumps(record)))
+            assert compiled(loaded, repr) == compiled(shuffled, repr)
+            assert json.dumps(system_to_dict(loaded)) == echo
+
+    def test_the_map_is_read_once(self):
+        g = build_digraph([[0.0, 1.0], [1.0, 0.0]])
+        fns = {(0, 1): Affine(0.5), (1, 0): Identity()}
+        for read_first in (True, False):
+            m = dict(fns)
+            system = System(g, m)
+            if read_first:
+                system.constraints
+            m[(0, 1)] = Affine(-3.0)
+            m[(5, 5)] = Affine(1.0)
+            assert system.constraints == fns
+            assert all(system.constraints[key] is fn for key, fn in fns.items())
+            assert rhs(system, [1.0, 2.0]) == pytest.approx([2.0 - 1.0, 0.5 * 1.0 - 2.0])
+            with pytest.raises(TypeError):
+                system.constraints[(0, 1)] = Affine(-3.0)
 
 
 class TestIntegrationSpec:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tcconsensus import build_digraph, is_strongly_connected, row_stats
+from tcconsensus import Digraph, build_digraph, is_strongly_connected, row_stats
 from tcconsensus.errors import (
     NegativeWeightError,
     NonFiniteError,
@@ -136,8 +136,9 @@ class TestRowStats:
 
 
 def former_edges(w):
-    """``Digraph.edges`` as it read the matrix, kept as the oracle."""
-    receivers, senders = np.nonzero(w)
+    """``Digraph.edges`` read from the matrix, kept as the oracle: the
+    nonzero entries of its transpose, in ``(sender, receiver)`` order."""
+    senders, receivers = np.nonzero(w.T)
     return list(zip(senders.tolist(), receivers.tolist()))
 
 
@@ -145,7 +146,7 @@ def assert_graph_of(g, matrix):
     """``g`` stores the validated ``matrix`` as its edge columns."""
     # a zero entry is no edge, so a -0.0 reads back as 0.0
     w = np.array(matrix, dtype=np.float64) + 0.0
-    receivers, senders = np.nonzero(w)
+    senders, receivers = np.nonzero(w.T)
     assert g.n == len(w)
     assert g.senders.tolist() == senders.tolist()
     assert g.receivers.tolist() == receivers.tolist()
@@ -184,6 +185,40 @@ class TestDigraphIsItsEdges:
     def test_netgen_networks(self, n):
         w = load_netgen().wide_network(1, n)["weights"]
         assert_graph_of(build_digraph(w), w)
+
+
+def former_alpha(w):
+    """``row_stats`` as it summed the receiver-major edge columns, kept as
+    the oracle: each agent's in-edges added to ``0.0`` in sender order."""
+    flat = np.flatnonzero(w > 0)
+    alpha = np.bincount(flat // len(w), w.ravel()[flat], minlength=len(w))
+    return alpha.astype(float, copy=False)
+
+
+class TestOneEdgeOrder:
+    @given(square_matrices(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_columns_in_any_order_sort_to_the_graph(self, w, seed):
+        g = build_digraph(w)
+        keys = g.senders * g.n + g.receivers
+        assert (keys[1:] > keys[:-1]).all()
+        shuffle = np.random.default_rng(seed).permutation(len(keys))
+        columns = (g.senders[shuffle], g.receivers[shuffle], g.weight[shuffle])
+        h, order = Digraph.from_edges(g.n, *columns)
+        for name in ("senders", "receivers", "weight"):
+            got, want = getattr(h, name), getattr(g, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert shuffle[order].tolist() == list(range(len(keys)))
+        assert g.order_of(*columns[:2]).tolist() == order.tolist()
+        alpha, _ = row_stats(g)
+        assert alpha.tobytes() == former_alpha(w).tobytes()
+
+    def test_pairs_that_are_not_the_edges_have_no_order(self):
+        g = build_digraph(IRREGULAR_5)
+        senders, receivers = g.senders.copy(), g.receivers.copy()
+        assert g.order_of(senders[1:], receivers[1:]) is None
+        receivers[0] = (receivers[0] + 1) % g.n
+        assert g.order_of(senders, receivers) is None
 
 
 def _reachability_oracle(adj):

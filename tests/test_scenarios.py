@@ -41,13 +41,13 @@ class TestRegistry:
     @pytest.mark.parametrize("name", list(EXPECTED) + ["ex99"])
     def test_lookup_builds_only_the_named_system(self, name, monkeypatch):
         built = []
-        real = System.__post_init__
+        real = System._compile
 
-        def counted(system):
-            built.append(system.n)
-            real(system)
+        def counted(system, graph, *table):
+            built.append(graph.n)
+            real(system, graph, *table)
 
-        monkeypatch.setattr(System, "__post_init__", counted)
+        monkeypatch.setattr(System, "_compile", counted)
         if name not in EXPECTED:
             known = "known scenarios: " + ", ".join(EXPECTED)
             with pytest.raises(KeyError, match=known):
