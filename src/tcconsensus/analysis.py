@@ -3,9 +3,11 @@ classifier.
 
 The classifier runs a ledger of named conditions (connectivity, zone
 emptiness, chord-slope bounds, ray existence, self-mapped box) and maps the
-ledger to a verdict. The ray search tries a bounded set of boxes and anchors;
-for each it reads the ray slopes off the edges' ray-ratio ranges in closed
-form. "Not found" is recorded as inconclusive, never as a disproof.
+ledger to a verdict. The ray search tries the consensus zone's pieces as
+boxes, since theorem 2 needs the identity on the box, and a grid of anchors
+in each; for each it reads the ray slopes off the edges' ray-ratio ranges
+in closed form. "Not found" is recorded as inconclusive, never as a
+disproof.
 """
 
 from __future__ import annotations
@@ -59,41 +61,27 @@ def _contains_interval(s: IntervalSet, lo: float, hi: float) -> bool:
     return any(a - 1e-12 <= lo and hi <= b + 1e-12 for a, b in s.pieces)
 
 
-def _candidate_boxes(system: System, phi: IntervalSet) -> list[tuple[float, float]]:
-    boxes: list[tuple[float, float]] = []
-    if not phi.is_empty and phi.is_bounded:
-        boxes.append(phi.hull())
-        boxes.extend((lo, hi) for lo, hi in phi.pieces)
-    elif not phi.is_empty:
-        # unbounded zone (identity-like edges): try small degenerate boxes
-        boxes.append((0.0, 0.0))
-        boxes.extend((lo, hi) for lo, hi in phi.pieces if math.isfinite(lo) and math.isfinite(hi))
-    # geometric expansions of the union-of-fixed-points hull
-    lo = math.inf
-    hi = -math.inf
-    for _, fn in system.distinct:
-        try:
-            theta = fixed_point_set(fn)
-        except UnresolvableEnclosureError:
-            continue
-        if theta.is_empty or not theta.is_bounded:
-            continue
-        a, b = theta.hull()
-        lo, hi = min(lo, a), max(hi, b)
-    if math.isfinite(lo) and math.isfinite(hi):
-        c = 0.5 * (lo + hi)
-        h = max(0.5 * (hi - lo), 0.5)
-        for scale in (1.0, 1.5, 2.0, 4.0):
-            boxes.append((c - scale * h, c + scale * h))
-        boxes.append((lo, hi))
-    seen = set()
-    out = []
-    for b in boxes:
-        key = (round(b[0], 12), round(b[1], 12))
-        if key not in seen:
-            seen.add(key)
-            out.append(b)
-    return out
+def _candidate_boxes(phi: IntervalSet) -> list[tuple[float, float]]:
+    """The boxes the ray search tries: the zone's finite pieces in order,
+    after the degenerate box ``[0, 0]`` when the zone is unbounded and
+    contains 0.
+
+    Theorem 2 asks for the identity on the box, so the box lies in the zone,
+    and for a fixed anchor a whole piece is the best box. The hull of the
+    edges' fixed sets, or that hull grown, adds nothing:
+
+    - the zone lies inside every fixed set, so inside the hull of the
+      bounded ones;
+    - that hull, its expansions and the zone's hull all contain the zone's
+      hull;
+    - :func:`_contains_interval` admits a box only within 1e-12 of one zone
+      piece, so such a box is a piece tried here, up to 1e-12 at each end;
+    - an unbounded zone makes every fixed set unbounded: there is no hull.
+    """
+    pieces = [p for p in phi.pieces if math.isfinite(p[0]) and math.isfinite(p[1])]
+    if phi.is_bounded or not _contains_interval(phi, 0.0, 0.0):
+        return pieces
+    return [(0.0, 0.0)] + [p for p in pieces if p != (0.0, 0.0)]
 
 
 def _spec_admits_all(system: System, spec: BoxRaySpec, phi: IntervalSet) -> bool:
@@ -136,18 +124,17 @@ def find_admissible_rays(
 ) -> BoxRaySpec | None:
     """Search for a box-and-ray spec admitting every edge under theorem 2:
     slope product at most one and identity on the box. Hint specs are
-    verified first. Then the box and anchor are a bounded search, and for
-    each the slopes come in closed form (product one), certified by
-    :func:`sector_membership`. Returns ``None`` when no candidate admits
-    rays; absence is not a proof.
+    verified first. Then the boxes are the zone's pieces (the box must lie
+    in the zone, see :func:`_candidate_boxes`) with ``ANCHOR_COUNT``
+    anchors each, and for each the slopes come in closed form (product
+    one), re-verified by :func:`_spec_admits_all`. Returns ``None`` when no
+    candidate admits rays; absence is not a proof.
     """
     phi = consensus_zone(system)
     for hint in hints:
         if _spec_admits_all(system, hint, phi):
             return hint
-    for box_lo, box_hi in _candidate_boxes(system, phi):
-        if not _contains_interval(phi, box_lo, box_hi):
-            continue
+    for box_lo, box_hi in _candidate_boxes(phi):
         n = 1 if box_hi == box_lo else ANCHOR_COUNT
         for anchor in np.linspace(box_lo, box_hi, n):
             spec = _unit_product_rays(system, box_lo, box_hi, float(anchor))

@@ -32,6 +32,7 @@ from .rays import BoxRaySpec
 STRICT_MARGIN = 1e-12
 BISECTION_FP_TOL = 1e-8  # outer radius of each scanned fixed-point piece
 SCAN_RESOLUTION = 1e-3  # largest step of the fixed-point sign scan
+SCAN_MAX_SAMPLES = 2**20  # largest fixed-point scan; past it the set is unresolved
 RATIO_GRID = 5e-3  # ray-ratio sample step, relative to the window width
 BOX_SAMPLES = 2001  # samples of the box-range check
 
@@ -727,7 +728,9 @@ def _scan_fixed_points(f: ConstraintFn, domain: IntervalSet) -> IntervalSet:
     sign, which need not be the true root (for ``0.8*sin(x + pi)`` it is
     9.797e-17, not 0). The scan itself stays sampled: a root where ``g``
     touches zero without changing sign between samples, or a pair of roots
-    inside one grid step, is missed.
+    inside one grid step, is missed. A window that needs more than
+    ``SCAN_MAX_SAMPLES`` samples raises :class:`UnresolvableEnclosureError`
+    naming the window and the cap, before any sample is made.
     """
     lo, hi = _scan_window(f, domain)
     if hi < lo:
@@ -736,6 +739,11 @@ def _scan_fixed_points(f: ConstraintFn, domain: IntervalSet) -> IntervalSet:
         pieces = [(lo, lo)] if abs(f.evaluate(lo) - lo) <= BISECTION_FP_TOL else []
     else:
         n = max(int(math.ceil((hi - lo) / SCAN_RESOLUTION)) + 1, 16)
+        if n > SCAN_MAX_SAMPLES:
+            raise UnresolvableEnclosureError(
+                f"the fixed-point scan of [{lo!r}, {hi!r}] needs {n} samples, "
+                f"more than the cap of {SCAN_MAX_SAMPLES}"
+            )
         xs = np.linspace(lo, hi, n)
         g = f.eval_array(xs) - xs
         flat = np.abs(g) <= 1e-12

@@ -34,10 +34,17 @@ from tcconsensus import (
     system_from_dict,
     system_to_dict,
 )
-from tcconsensus.analysis import _spec_admits_all
+from tcconsensus import analysis
+from tcconsensus.analysis import (
+    _candidate_boxes,
+    _contains_interval,
+    _spec_admits_all,
+    _unit_product_rays,
+)
 from tcconsensus.constraints import BISECTION_FP_TOL
+from tcconsensus.errors import UnresolvableEnclosureError
 from tcconsensus.scenarios import builtin_scenarios
-from test_dynamics import random_catalog_system
+from test_dynamics import bin_table_system, load_netgen, random_catalog_system
 
 
 def two_agent(f_01, f_10):
@@ -244,6 +251,125 @@ class TestFindAdmissibleRays:
         bad = BoxRaySpec(-10.0, 10.0, 0.0, -0.8, -0.8)
         spec = find_admissible_rays(sc.system, hints=(bad,) + sc.ray_hints)
         assert spec is not None and spec != bad
+
+
+def former_candidate_boxes(system: System, phi: IntervalSet) -> list[tuple[float, float]]:
+    """The former box list, kept as the oracle: the zone's hull and pieces,
+    then the hull of the bounded fixed sets grown 1, 1.5, 2 and 4 times and
+    that hull itself, de-duplicated to 12 decimals. The search tried only
+    the boxes that pass ``_contains_interval``."""
+    boxes: list[tuple[float, float]] = []
+    if not phi.is_empty and phi.is_bounded:
+        boxes.append(phi.hull())
+        boxes.extend((lo, hi) for lo, hi in phi.pieces)
+    elif not phi.is_empty:
+        # unbounded zone (identity-like edges): try small degenerate boxes
+        boxes.append((0.0, 0.0))
+        boxes.extend((lo, hi) for lo, hi in phi.pieces if math.isfinite(lo) and math.isfinite(hi))
+    # geometric expansions of the union-of-fixed-points hull
+    lo = math.inf
+    hi = -math.inf
+    for _, fn in system.distinct:
+        try:
+            theta = fixed_point_set(fn)
+        except UnresolvableEnclosureError:
+            continue
+        if theta.is_empty or not theta.is_bounded:
+            continue
+        a, b = theta.hull()
+        lo, hi = min(lo, a), max(hi, b)
+    if math.isfinite(lo) and math.isfinite(hi):
+        c = 0.5 * (lo + hi)
+        h = max(0.5 * (hi - lo), 0.5)
+        for scale in (1.0, 1.5, 2.0, 4.0):
+            boxes.append((c - scale * h, c + scale * h))
+        boxes.append((lo, hi))
+    seen = set()
+    out = []
+    for b in boxes:
+        key = (round(b[0], 12), round(b[1], 12))
+        if key not in seen:
+            seen.add(key)
+            out.append(b)
+    return out
+
+
+def oracle_systems():
+    """(id, system, hints): the nine scenarios with and without their hints,
+    the wide networks at n = 50 and 200, and 900 seeded catalog systems."""
+    for sc in builtin_scenarios():
+        yield sc.name, sc.system, ()
+        yield f"{sc.name}+hints", sc.system, sc.ray_hints
+    netgen = load_netgen()
+    for n in (50, 200):
+        for seed in range(1, 6):
+            yield f"wide{n}-{seed}", system_from_dict(netgen.wide_network(seed, n)), ()
+    for seed in range(600):
+        yield f"catalog-{seed}", random_catalog_system(seed), ()
+    for seed in range(300):
+        yield f"bin-table-{seed}", bin_table_system(seed), ()
+
+
+class TestCandidateBoxesMatchTheFormerSearch:
+    def test_results_match(self, monkeypatch):
+        searched = 0
+        for name, system, hints in oracle_systems():
+            phi = consensus_zone(system)
+            kept = [b for b in former_candidate_boxes(system, phi)
+                    if _contains_interval(phi, *b)]
+            assert _candidate_boxes(phi) == kept, name
+            new = (find_admissible_rays(system, hints),
+                   classify_system(system, hints).to_dict())
+            with monkeypatch.context() as m:
+                m.setattr(analysis, "_candidate_boxes", lambda phi: kept)
+                old = (find_admissible_rays(system, hints),
+                       classify_system(system, hints).to_dict())
+            assert new == old, name
+            spec = new[0]
+            if spec is not None:
+                searched += 1
+                # what the search returns passes theorem 2's sector test on
+                # every distinct function, whatever the acceptance margins
+                for _, fn in system.distinct:
+                    assert sector_membership(fn, spec).passed, name
+        assert searched >= 150
+
+    def test_unbounded_zone_tries_the_origin_first(self):
+        phi = IntervalSet(((-3.0, -2.0), (0.0, 0.0), (1.0, math.inf)))
+        assert _candidate_boxes(phi) == [(0.0, 0.0), (-3.0, -2.0)]
+        assert _candidate_boxes(IntervalSet(((1.0, math.inf),))) == []
+        assert _candidate_boxes(IntervalSet.reals()) == [(0.0, 0.0)]
+        assert _candidate_boxes(IntervalSet.empty()) == []
+
+
+class TestConstructedSpecIsRechecked:
+    """``_unit_product_rays`` solves ``(p+t)(q+t) = 1`` in floats, and
+    ``_spec_admits_all`` re-verifies the spec it builds."""
+
+    @staticmethod
+    def pair(eps):
+        # zone {0}; tails of slope -2 and -(1 - eps)/2: p = 2, q = (1 - eps)/2
+        f = PiecewiseLinear(((0.0, 0.0),), -2.0, -0.5 * (1 - eps))
+        return two_agent(f, f)
+
+    def test_slack_below_the_strict_margin_is_refused(self):
+        # the exact product p*q is below 1, so t > 0 exists; but the t that
+        # comes out (about 1e-15) is below STRICT_MARGIN, and the sector
+        # check refuses the spec. Zero-slack decisions (ROADMAP direction 9)
+        # may turn this case into a pass.
+        system = self.pair(5e-15)
+        spec = _unit_product_rays(system, 0.0, 0.0, 0.0)
+        assert spec.k1 == -2.0000000000000018
+        assert not _spec_admits_all(system, spec, consensus_zone(system))
+        assert find_admissible_rays(system) is None
+        assert classify_system(system).conditions["admissible_rays"].status == "inconclusive"
+
+    def test_slack_above_the_strict_margin_passes(self):
+        system = self.pair(1e-9)
+        spec = find_admissible_rays(system)
+        assert spec == _unit_product_rays(system, 0.0, 0.0, 0.0)
+        assert spec.k1 == -2.0000000004
+        assert classify_system(system).conditions["admissible_rays"].status == "pass"
 
 
 LEDGER_CONDITIONS = (

@@ -6,7 +6,18 @@ import warnings
 import numpy as np
 import pytest
 
-from tcconsensus import Affine, Digraph, Identity, app, build_digraph, System
+from tcconsensus import (
+    Affine,
+    Digraph,
+    Identity,
+    Mix,
+    ScaledSine,
+    System,
+    Tabulated,
+    app,
+    build_digraph,
+    classify_system,
+)
 from tcconsensus.app import (
     _encode_default,
     RunConfig,
@@ -20,6 +31,7 @@ from tcconsensus.app import (
     system_to_dict,
 )
 from tcconsensus.cli import main
+from tcconsensus.constraints import SCAN_MAX_SAMPLES
 from tcconsensus.errors import ParseError, UnconvergedError, ValidationError
 from tcconsensus.scenarios import builtin_scenarios
 from test_dynamics import compiled, load_netgen, random_catalog_system
@@ -1434,6 +1446,73 @@ class TestRun:
         listed = list_scenarios()
         assert [s["name"] for s in listed][:2] == ["ex1", "ex2"]
         assert all({"name", "agents", "expected_class"} <= set(s) for s in listed)
+
+
+def unscannable_functions():
+    """Two functions whose fixed-point scan window needs more samples than
+    ``SCAN_MAX_SAMPLES``: a sine-affine mix whose envelope slope is 1 - 5e-8
+    (window +-1e7), and ROADMAP direction 1's pchip dip scaled by 2**20
+    (knots at +-6.3e6)."""
+    xs = (-6, -5, -4, -3.2, -3.06, -3.05, -3.04, -2.9, -2, -1, 0, 1, 2, 3, 4, 5, 6)
+    ys = [-5.0 if x == -3.05 else min(max(0.5 * x, -1.0), 1.0) for x in xs]
+    scale = 2.0**20
+    return {
+        "mix": Mix(ScaledSine(1.0, 0.0), Affine(1.9999999, 0.0), 0.5),
+        "pchip": Tabulated(
+            tuple(scale * x for x in xs), tuple(scale * y for y in ys), "pchip"
+        ),
+    }
+
+
+class TestUnscannableFixedPoints:
+    """A scan past the cap raises before it samples, and the ledger records
+    the zone and the self-mapped box as inconclusive."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_large_linspace(self, monkeypatch):
+        # nothing here may allocate a scan beyond the cap
+        real = np.linspace
+
+        def linspace(start, stop, num=50, *args, **kwargs):
+            assert num <= SCAN_MAX_SAMPLES, f"linspace asked for {num} samples"
+            return real(start, stop, num, *args, **kwargs)
+
+        monkeypatch.setattr(np, "linspace", linspace)
+
+    @staticmethod
+    def assert_inconclusive(conditions):
+        zone = conditions["consensus_zone_nonempty"]
+        assert zone["status"] == "inconclusive"
+        assert f"more than the cap of {SCAN_MAX_SAMPLES}" in zone["note"]
+        assert zone["note"].startswith("the fixed-point scan of [")
+        assert conditions["self_mapped_box"]["status"] == "inconclusive"
+
+    @pytest.mark.parametrize("name", ["mix", "pchip"])
+    def test_classify(self, name):
+        f = unscannable_functions()[name]
+        system = System(build_digraph([[0.0, 1.0], [1.0, 0.0]]), {(0, 1): f, (1, 0): f})
+        verdict = classify_system(system).to_dict()
+        assert verdict["classification"] == "Inconclusive"
+        self.assert_inconclusive(verdict["conditions"])
+
+    @pytest.mark.parametrize("name", ["mix", "pchip"])
+    def test_analyze_writes_its_report(self, tmp_path, name):
+        f = unscannable_functions()[name]
+        record = {**COLUMNAR_SYSTEM, "functions": [f.to_dict()]}
+        config = config_from_dict(
+            {"system": record, "x0": [1.0, -1.0],
+             "integration": {"dt": 0.01, "t_final": 1.0}}
+        )
+        assert run(config, mode="analyze", out_dir=tmp_path) == 0
+        report = strict_loads((tmp_path / "report.json").read_text())
+        self.assert_inconclusive(report["verdict"]["conditions"])
+
+    def test_twin_under_the_cap_is_scanned(self):
+        # k = 1.998 puts the window at +-500: 1,000,002 samples, under the cap
+        f = Mix(ScaledSine(1.0, 0.0), Affine(1.998, 0.0), 0.5)
+        system = System(build_digraph([[0.0, 1.0], [1.0, 0.0]]), {(0, 1): f, (1, 0): f})
+        zone = classify_system(system).conditions["consensus_zone_nonempty"]
+        assert zone.status == "pass"
 
 
 class TestWideNetwork:

@@ -470,6 +470,29 @@ class TestPchip:
             Tabulated((0.0, 1.0), (0.0, 1.0), "cubic")
 
 
+class TestScaledSineDerivativeRange:
+    def test_short_windows_contain_every_sample(self):
+        # windows shorter than 2 pi hold 0, 1 or 2 crests of the cosine
+        rng = np.random.default_rng(11)
+        crests = set()
+        for _ in range(300):
+            amplitude = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)
+            phase = rng.uniform(-5.0, 5.0)
+            lo = rng.uniform(-20.0, 20.0)
+            hi = lo + (0.0 if rng.random() < 0.1 else rng.uniform(0.0, 2 * math.pi))
+            f = ScaledSine(amplitude, phase)
+            d_lo, d_hi = f.derivative_range(lo, hi)
+            samples = [amplitude * math.cos(x + phase) for x in np.linspace(lo, hi, 2001)]
+            assert d_lo <= min(samples) and max(samples) <= d_hi, (f, lo, hi)
+            # the range is the sampled one up to the grid's curvature error
+            assert d_hi - max(samples) <= 1e-5 and min(samples) - d_lo <= 1e-5
+            if lo == hi:
+                assert d_lo == d_hi == samples[0]
+            k = math.ceil((lo + phase) / math.pi)
+            crests.add(sum(1 for j in (k, k + 1, k + 2) if j * math.pi <= hi + phase))
+        assert crests == {0, 1, 2}
+
+
 class TestDifferenceQuotientBounds:
     def test_affine_constant_slope(self):
         qb = difference_quotient_bounds(Affine(-0.5, 0.0))

@@ -40,6 +40,7 @@ from tcconsensus import dynamics
 from tcconsensus.dynamics import (
     MONOTONE_TOL_ABS,
     MONOTONE_TOL_REL,
+    Trajectory,
     _monotone,
     rhs_batch,
 )
@@ -1409,6 +1410,33 @@ class TestMonitors:
         traj = integrate(sys_, [2.0, -2.0], IntegrationSpec(1e-3, 2.0))
         report = monitor_trajectory(traj, sys_, ["lemma6"], box=BOX)
         assert not report.results["lemma6"].passed
+
+    # Hand-made trajectories whose first state makes an edge term attain
+    # Y(t0): with slopes -1 and the anchor at one box end, (2, 0) lifts
+    # x_max - box_lo to 3 against 2 for every other term, and (0, -2)
+    # lifts box_hi - x_min the same way. The monitor's tolerance is
+    # 10 * dt * max(a_bar, 1) = 0.1.
+    @pytest.mark.parametrize(
+        "term, anchor, x_max, x_min, passed, value, bound",
+        [
+            ("xM_minus_lo", 1.0, [2.0, 1.5, 1.0], [0.0, -0.5, -0.75], True, -0.25,
+             "x_min >= min(x_min(0), box_lo) = -1"),
+            ("xM_minus_lo", 1.0, [2.0, 1.0], [0.0, -1.5], False, 0.5,
+             "x_min >= min(x_min(0), box_lo) = -1"),
+            ("hi_minus_xm", -1.0, [0.0, 0.5, 0.75], [-2.0, -1.5, -1.0], True, -0.25,
+             "x_max <= max(x_max(0), box_hi) = 1"),
+            ("hi_minus_xm", -1.0, [0.0, 1.5], [-2.0, -1.0], False, 0.5,
+             "x_max <= max(x_max(0), box_hi) = 1"),
+        ],
+    )
+    def test_lemma6_edge_term_cases(self, term, anchor, x_max, x_min, passed, value, bound):
+        spec = BoxRaySpec(-1.0, 1.0, anchor, -1.0, -1.0)
+        states = np.column_stack([x_max, x_min])
+        assert lyapunov_Y(states[0], spec) == (3.0, term)
+        traj = Trajectory(0.01 * np.arange(len(states)), states, 0.01)
+        res = monitor_trajectory(traj, identity_pair(), ["lemma6"], box=spec).results["lemma6"]
+        assert (res.passed, res.value) == (passed, value)
+        assert res.detail == f"case {term}: {bound} (tol 0.1)"
 
 
 def monotone_oracle(series, tol_rel, tol_abs):
