@@ -284,14 +284,15 @@ def classify_system(
             "inconclusive", note="ray search only runs for a non-empty zone"
         )
 
+    note = "no self-mapped box certified"
     try:
         box = invariant_box(system)
-    except (EmptyFixedPointSetError, UnresolvableEnclosureError):
-        box = None
+    except (EmptyFixedPointSetError, UnresolvableEnclosureError) as err:
+        box, note = None, str(err)
     conditions["self_mapped_box"] = (
         ConditionResult("pass", witness=box)
         if box is not None
-        else ConditionResult("inconclusive", note="no self-mapped box certified")
+        else ConditionResult("inconclusive", note=note)
     )
 
     if sc and not zone.is_empty and (

@@ -5,38 +5,13 @@ The state of agent ``i`` evolves as the weighted sum over in-edges of
 the transmission from ``j`` to ``i``. Gated edges drop their whole
 contribution while the sender state is outside the accepted interval.
 
-A :class:`System` is its graph plus one function column: the graph's
-``(sender, receiver, weight)`` edge columns, in the graph's one edge order,
-and the index of each edge's function among the distinct function objects,
-built from a constraint map or from a loader's checked record; its
-constraint map is a view of the table. The system compiles the table into a
-table of rows keyed by distinct function value, and its piecewise-linear
-functions into one bin table over their live knots: the knots of the union
-where some function changes piece. A mixture without a piecewise-linear
-form is not a function of the table: each of its members gets table rows of
-its own, weighted ``a * w`` and ``a * (1 - w)``. Everything that does not
-depend on the state is compiled, the gates' accepted intervals among it. One kernel,
-:func:`_input_sums`, evaluates every piecewise-linear column with one lookup
-in the bin table (none when no knot is live: each row has one piece), the
-other functions once each over their sender columns, opens every gate row
-with two comparisons, and scatters the values to the receivers. The
-table's shape fixes the scatter when it is compiled: a narrow table takes
-one dense product with its weight block, a wide one a gather-sum over
-receiver slots, which costs ``O(E)`` per state instead of ``O(rows * n)``
-(see :func:`_gather_sum`). A wide table also bins each agent's state once
-and gathers the bins to its rows, which saves ``rows - n`` searches for one
-integer gather. A large batch counts the knots at or below each state
-instead of searching them, which gives the same bins; the batch's size
-picks the lookup at each call.
-When the table's rows are the agents in order, the kernel reads the states
-themselves instead of gathering sender columns. It returns the constrained
-input sum ``num_i = sum_j a_ij f_ji(x_j)`` and the active in-degree
-``den_i = sum_j a_ij`` over the edges not gated shut, summed from the
-edges, not from the member rows. An ungated system's ``den`` is its
-in-degree row of shape ``(1, n)``, which broadcasts over the batch and has
-the batch's own shape for one state.
-The right-hand side is ``num - x * den``; the equilibrium module's Picard
-map is ``num / den``.
+A :class:`System` is its graph plus one function column, compiled once
+into an edge table keyed by distinct function value. One kernel,
+:func:`_input_sums`, evaluates the table at a batch of states and returns
+the constrained input sum ``num_i = sum_j a_ij f_ji(x_j)`` and the active
+in-degree ``den_i = sum_j a_ij`` over the edges not gated shut. The
+right-hand side is ``num - x * den``; the equilibrium module's Picard map
+is ``num / den``.
 
 Integration is deterministic fixed-step forward integration (RK4 by
 default): identical inputs produce bit-identical trajectories. For
@@ -78,82 +53,37 @@ class System:
     """A digraph plus one constraint per edge, keyed ``(sender, receiver)``.
     Systems compare and hash by identity, as their graphs do.
 
-    The system compiles one edge table: the graph's edge ``e``, from
-    ``graph.senders[e]`` to ``graph.receivers[e]`` with weight
-    ``graph.weight[e]``, in the graph's ``(sender, receiver)`` order,
-    carries the distinct function object ``fns[function[e]]``.
-    Construction sorts the map's keys into the graph's edges once
-    (:func:`_edge_order`, which also checks that they cover them) and
-    groups the edges by object identity in numpy (over the objects'
-    ``id``); the loaders hand their graph, function index and order to
-    :meth:`_from_table` instead. No step builds or reads the graph's
-    ``n x n`` matrix. The function column and the objects, in the order of
-    their first edges, are kept as ``_edges``; with the graph's columns
-    they are the report's echo (``app.system_to_dict``). The order the
-    edges were given in is kept for :attr:`constraints`, its only reader.
-    The objects are then merged by value: variants are frozen dataclasses,
-    so equal-valued copies share one entry, and a map that reuses a few
-    objects on many edges costs one value hash per object, not per edge.
-    The kernel's table is built with array operations.
+    The graph's edge ``e`` carries ``fns[function[e]]``; ``_edges`` keeps
+    the function column and the objects, distinct by identity, in the order
+    of their first edges, for the report's echo. :attr:`constraints` lists
+    the edges in the order they were given. No step builds the graph's
+    ``n x n`` matrix.
 
-    - ``distinct`` pairs each distinct function with its first edge in
-      sorted order. The ledger loops iterate it instead of every edge, and
-      still name the edge the per-edge loop would have stopped at. A
-      ``Mix`` is listed as itself, as the report's echo writes it.
-    - The table has one row per distinct (member, sender) pair and one
-      entry ``(row, receiver, weight)`` per edge and member. An edge's
-      members are its function, except for a ``Mix`` without a
-      piecewise-linear form, whose members are those of its two functions
-      with factors ``w`` and ``1 - w`` (see :func:`_members`): row ``k``
-      holds the weight ``a_ij * factor`` for every receiver ``i`` whose edge
-      from the row's sender ``j`` has the row's function as a member. A
-      member equal to another edge's function shares its rows. Members
-      follow in the first-edge order of their functions, gated functions
-      last; each member's rows (its span) are contiguous, its senders
-      ascending. ``_senders`` lists the row senders; when they are
-      ``0..n-1`` in order, ``_identity`` tells the kernel to skip the
-      gather.
-    - One of two scatters holds the entries, chosen by the table's shape.
-      Let ``R`` be its rows and ``K`` the most entries into one agent. A
-      table with ``R <= 32 * K`` keeps the dense weight block ``_block``
-      (``R`` by ``n``, ``block[row, receiver] = weight``). A wider table
-      keeps no block but receiver slots ``_by_receiver`` (see
-      :func:`_receiver_slots`), once for all its rows and once for its gate
-      rows. A dense product costs ``R * n`` multiply-adds per state and a
-      gather-sum ``K * n`` gathers and multiply-adds, several times dearer
-      each; the factor 32 sits where the two break even. ``R`` never
-      exceeds ``n * K``, so every system of 32 agents or fewer, the
-      built-in scenarios among them, keeps its block.
-    - The ungated in-degree ``_plain_alpha`` sums ``a_ij`` over the edges,
-      not the member rows (``a*w + a*(1 - w)`` need not round to ``a``), in
-      the row order a table without member rows would have. It is kept as a
-      ``(1, n)`` row, and the base offsets ``_base`` as a ``(1, R)`` row,
-      so that one state's operands all have its shape.
-    - The bin table serves every member with a piecewise-linear form,
-      including a ``Mix`` that has one. Let ``G`` be the sorted live knots:
-      the knots of any member at which some member's slope or intercept
-      changes, compared bit for bit, so a ``-0.0``/``+0.0`` intercept pair
-      keeps its knot. The ``0.0`` knot of ``Affine``, ``Identity`` and
-      ``GatedIdentity`` is no piece change and drops out. A state in bin
-      ``g`` (``G[g-1] <= x < G[g]``, bin 0 unbounded below) lies on one
-      fixed piece of each such member, the piece its own ``searchsorted``
-      picks for ``G[g-1]``: a dropped knot inside the bin leaves every
-      member on the piece it was on. The flat slope and intercept arrays
-      hold that piece at ``r * (len(G) + 1) + g`` for the member of rank
-      ``r``, and each table row carries the base offset
-      of its member, so one bin lookup over ``G`` selects the piece of
-      every column: a ``searchsorted``, or in a large batch a count of the
-      knots at or below each state (see :func:`_input_sums`). Members
-      without a piecewise-linear form hold zeros there. A row's bin depends
-      only on its sender, so a wide table bins the ``n`` agents and gathers
-      their bins to its ``R`` rows, ``R - n`` lookups fewer for one integer
-      gather. A narrow table bins its rows: there the gather costs more
-      than the lookups it saves. A table without live knots but with a
-      piecewise-linear member keeps each row's one slope and intercept as
-      two ``(1, R)`` rows, ``_one_piece``, and needs no lookup.
-    - The gate rows ``_gate_start:`` keep their gates' accepted intervals
-      as ``(1, R - _gate_start)`` rows ``lo`` and ``hi`` (``_gate_bounds``),
-      compared as :meth:`GatedIdentity.gate_mask` compares them.
+    - ``distinct`` pairs each function distinct by value with its first
+      edge in sorted order; a ``Mix`` is listed as itself.
+    - The kernel's table has one row per distinct (member, sender) pair.
+      An edge's members are its function, or for a ``Mix`` without a
+      piecewise-linear form its members weighted ``w`` and ``1 - w``
+      (:func:`_members`). Each member's rows are contiguous, gated members
+      last from ``_gate_start``; ``_identity`` says the row senders are the
+      agents in order.
+    - With ``R`` rows and ``K`` the most entries into one agent, a table
+      with ``R <= 32 * K`` keeps the dense ``R x n`` weight block
+      ``_block``; a wider one keeps receiver slots ``_by_receiver`` (see
+      :func:`_receiver_slots`), where the gather-sum costs less. Every
+      system of at most 32 agents keeps its block.
+    - ``_plain_alpha``, the ungated in-degree as a ``(1, n)`` row, sums the
+      edge weights, not the member rows (``a*w + a*(1 - w)`` need not round
+      to ``a``), in the order of a table without member rows.
+    - The bin table serves every member with a piecewise-linear form. Its
+      knots ``_knots`` are those where some member's slope or intercept
+      changes, compared bit for bit; inside a bin every such member stays
+      on the piece its own search picks, so one bin lookup, offset by the
+      row's ``_base``, reads each row's slope and intercept. Without a live
+      knot, ``_one_piece`` holds them as two ``(1, R)`` rows.
+    - ``_gate_bounds`` holds the gate rows' accepted intervals as
+      ``(1, R - _gate_start)`` rows, compared as
+      :meth:`GatedIdentity.gate_mask` compares them.
     """
 
     graph: Digraph
@@ -454,41 +384,19 @@ def _input_sums(
     ``X`` has shape ``(m, n)``, and so has ``num``. ``den`` has shape
     ``(m, n)`` when the system has a gate and is the in-degree row of shape
     ``(1, n)`` otherwise; either broadcasts against ``X``. A gated edge adds
-    neither its value nor its weight while its sender is outside the gate.
-    Only what depends on the state is done per call; for one state every
-    per-row operand has the batch's shape.
+    neither its value nor its weight while its sender is outside the gate,
+    decided as :meth:`GatedIdentity.gate_mask` decides it (NaN is shut).
 
-    The columns are the table's rows, one per (member, sender) pair, so a
-    ``Mix`` without a piecewise-linear form is evaluated member by member.
-    They are the columns of ``X`` itself when the rows' senders are the
-    agents in order. Every piecewise-linear column is evaluated by one
-    lookup in the bin table: the same slope and intercept, and the same two
-    operations, as :meth:`PWLRep.eval_array`, so the values are
-    bit-identical. Without a live knot there is no lookup: each row's one
-    slope and intercept are applied as they stand, and a table without a
-    piecewise-linear row starts from an empty array. A wide table bins each
-    agent once and gathers the bins to its rows, ``R - n`` lookups fewer
-    for one integer gather; the keys are the same integers as a search per
-    row. Columns of functions without a piecewise-linear form are then
-    overwritten. Every gate row is open where its sender lies in the
-    compiled bounds, ``lo <= x <= hi``, two comparisons for all gates at
-    once, as :meth:`GatedIdentity.gate_mask` decides it (NaN is shut); its
-    column is multiplied by that mask. The table's scatter sums the columns
-    into the receivers, and the gate columns, open or shut, into ``den``:
-    the dense product with a narrow table's block,
-    :func:`_gather_sum` over a wide table's receiver slots. A wide table
-    gathers the sender columns with ``take``, the faster gather at small
-    batches.
-
-    The batch picks the bin lookup. Fewer than ``_COUNT_FROM = 3072``
-    binned states (``m`` times the agents a wide table bins, else ``m``
-    times the rows), or a union of more than ``_COUNT_KNOTS = 16`` knots,
-    search the union. A larger batch counts the knots at or below each
-    state (:func:`_count_knots`): one vectorised comparison per knot,
-    where a search's cost per state depends on where the states fall.
-    Either way the bin table is read by fancy indexing. The count is the
-    search's bin for every state but NaN, and a NaN state is NaN on any
-    piece, so every output keeps its bytes.
+    Each column is bit-identical to its member's ``eval_array``: a
+    piecewise-linear row applies the same slope and intercept with the same
+    two operations. The bin lookup counts the knots at or below each state
+    (:func:`_count_knots`) when at least ``_COUNT_FROM`` states are binned
+    over at most ``_COUNT_KNOTS`` knots, and searches them otherwise; a
+    wide table bins each agent once and gathers the bins to its rows. The
+    count is the search's bin for every state but NaN, which is NaN on any
+    piece. A narrow table scatters with ``ndarray.dot``, the same BLAS
+    product as ``@`` at less call overhead; a wide one with
+    :func:`_gather_sum`.
     """
     slots = system._by_receiver
     if system._identity:
@@ -514,19 +422,19 @@ def _input_sums(
         V = slopes * XS + icpts
     else:  # no function has a piecewise-linear form: every column is direct
         V = np.empty_like(XS)
-    for fn, a, b in system._direct:
-        V[:, a:b] = fn.eval_array(XS[:, a:b])
+    for fn, a, b in system._direct:  # members without a piecewise-linear form
+        V[:, a:b] = fn._eval_direct(XS[:, a:b])
     if not system._gates:
-        num = V @ system._block if slots is None else _gather_sum(V, *slots[0])
+        num = V.dot(system._block) if slots is None else _gather_sum(V, *slots[0])
         return num, system._plain_alpha
     g = system._gate_start
     lo, hi = system._gate_bounds
     XG = XS[:, g:]
-    # a float mask: numpy's matmul and einsum take a bool operand on a slow path
+    # a float mask: numpy's dot and einsum take a bool operand on a slow path
     open_ = ((XG >= lo) & (XG <= hi)).astype(np.float64)
     V[:, g:] *= open_
     if slots is None:
-        return V @ system._block, system._plain_alpha + open_ @ system._block[g:]
+        return V.dot(system._block), system._plain_alpha + open_.dot(system._block[g:])
     num = _gather_sum(V, *slots[0])
     return num, system._plain_alpha + _gather_sum(open_, *slots[1])
 
@@ -666,10 +574,14 @@ def integrate_batch(
 ) -> BatchTrajectory:
     """Fixed-step integration of many initial states in lockstep.
 
-    The states are checked against the divergence limit at every recorded
-    step, and at least every ``_CHECK_EVERY = 64`` steps whatever the
-    stride, so a long stride cannot carry a diverging run into overflow.
-    A record count that memory cannot hold is a ``ValidationError``."""
+    Every record is checked against ``|x| <= _DIVERGENCE_LIMIT`` (NaN and
+    inf fail), and with a stride above ``_CHECK_EVERY = 64`` steps so is
+    the state every 64 steps. The checks run in blocks: every 64 steps and
+    at the last, one vectorised call covers the states since the previous
+    block. The first state that fails raises ``NonFiniteStateError`` with
+    its time and the records before it as ``partial``; the run has gone at
+    most 63 steps past it. A record count that memory cannot hold is a
+    ``ValidationError``."""
     X = np.array(X0, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != system.n:
         raise ValueError(f"X0 must have shape (m, {system.n})")
@@ -679,6 +591,8 @@ def integrate_batch(
     stride = spec.stride()
     check = min(stride, _CHECK_EVERY)
     dt = spec.dt
+    half, sixth = 0.5 * dt, dt / 6.0
+    euler = spec.method == "euler"
 
     samples = steps // stride + 1 + (steps % stride != 0)
     try:
@@ -691,31 +605,37 @@ def integrate_batch(
         ) from err
     rec_times[0] = 0.0
     rec_states[0] = X
-    count = 1
+    count = checked = end = 1
     for k in range(1, steps + 1):
-        if spec.method == "euler":
+        if euler:
             X = X + dt * rhs_batch(system, X)
         else:
             k1 = rhs_batch(system, X)
-            k2 = rhs_batch(system, X + 0.5 * dt * k1)
-            k3 = rhs_batch(system, X + 0.5 * dt * k2)
+            k2 = rhs_batch(system, X + half * k1)
+            k3 = rhs_batch(system, X + half * k2)
             k4 = rhs_batch(system, X + dt * k3)
-            X = X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            # k + k is 2.0 * k exactly, and cheaper
+            X = X + sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
         record = k % stride == 0 or k == steps
         if record or k % check == 0:
-            # NaN and inf fail the comparison too; an empty batch passes
-            if not (np.abs(X).max(initial=0.0) <= _DIVERGENCE_LIMIT):
-                raise NonFiniteStateError(
-                    f"divergence detected at t={k * dt:.6g}",
-                    partial=BatchTrajectory(
-                        rec_times[:count], rec_states[:count], dt
-                    ),
-                    time=k * dt,
-                )
-        if record:
+            # a state checked between records holds the next record's slot
+            # until that record overwrites it
             rec_times[count] = k * dt
             rec_states[count] = X
-            count += 1
+            end = count + 1
+            count += record
+        if k % _CHECK_EVERY == 0 or k == steps:
+            block = np.abs(rec_states[checked:end])
+            # NaN and inf fail the comparison too; an empty batch passes
+            if not (block.max(initial=0.0) <= _DIVERGENCE_LIMIT):
+                ok = (block <= _DIVERGENCE_LIMIT).reshape(len(block), -1)
+                j = checked + int(ok.all(axis=1).argmin())
+                raise NonFiniteStateError(
+                    f"divergence detected at t={rec_times[j]:.6g}",
+                    partial=BatchTrajectory(rec_times[:j], rec_states[:j], dt),
+                    time=float(rec_times[j]),
+                )
+            checked = count
     return BatchTrajectory(rec_times, rec_states, dt)
 
 

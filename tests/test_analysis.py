@@ -474,6 +474,25 @@ class TestClassify:
         q = verdict.conditions["quotient_in_unit_sector"]
         assert q.status == "fail" and q.witness[0] == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize(
+        "name, note",
+        [
+            # invariant_box raises: the note is its reason
+            ("necessity-2agent", "edge (0, 1) has an empty fixed-point set"),
+            # invariant_box finds no box without raising
+            ("sine", "no self-mapped box certified"),
+            ("bipartite", "no self-mapped box certified"),
+            ("netgen-200", "no self-mapped box certified"),
+        ],
+    )
+    def test_self_mapped_box_note_names_its_reason(self, name, note):
+        if name == "netgen-200":
+            system = system_from_dict(load_netgen().wide_network(1, 200))
+        else:
+            system = scenario_by_name(name).system
+        box = classify_system(system).conditions["self_mapped_box"]
+        assert (box.status, box.witness, box.note) == ("inconclusive", None, note)
+
     @pytest.mark.xfail(
         strict=True,
         reason="ROADMAP direction 9: the unit-sector test accepts chord slopes "

@@ -1485,7 +1485,12 @@ class TestUnscannableFixedPoints:
         assert zone["status"] == "inconclusive"
         assert f"more than the cap of {SCAN_MAX_SAMPLES}" in zone["note"]
         assert zone["note"].startswith("the fixed-point scan of [")
-        assert conditions["self_mapped_box"]["status"] == "inconclusive"
+        # the same scan stops the box, and its note says so
+        assert conditions["self_mapped_box"] == {
+            "status": "inconclusive",
+            "witness": None,
+            "note": zone["note"],
+        }
 
     @pytest.mark.parametrize("name", ["mix", "pchip"])
     def test_classify(self, name):

@@ -38,10 +38,14 @@ from tcconsensus.scenarios import F_A, builtin_scenarios
 from tcconsensus.app import system_from_dict, system_to_dict
 from tcconsensus import dynamics
 from tcconsensus.dynamics import (
+    _CHECK_EVERY,
+    _DIVERGENCE_LIMIT,
     MONOTONE_TOL_ABS,
     MONOTONE_TOL_REL,
+    BatchTrajectory,
     Trajectory,
     _monotone,
+    default_dt,
     rhs_batch,
 )
 from tcconsensus.rays import distance_to_box, lyapunov_V, lyapunov_Y
@@ -1337,6 +1341,137 @@ class TestIntegrate:
         # round-trip one row through float parsing
         row = [float(v) for v in lines[1].split(",")]
         assert row[0] == traj.times[0]
+
+
+def former_integrate_batch(
+    system: System, X0, spec: IntegrationSpec
+) -> BatchTrajectory:
+    """Fixed-step integration of many initial states in lockstep.
+
+    The states are checked against the divergence limit at every recorded
+    step, and at least every ``_CHECK_EVERY = 64`` steps whatever the
+    stride, so a long stride cannot carry a diverging run into overflow.
+    A record count that memory cannot hold is a ``ValidationError``."""
+    X = np.array(X0, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != system.n:
+        raise ValueError(f"X0 must have shape (m, {system.n})")
+    if not np.all(np.isfinite(X)):
+        raise NonFiniteStateError("non-finite initial state")
+    steps = spec.steps()
+    stride = spec.stride()
+    check = min(stride, _CHECK_EVERY)
+    dt = spec.dt
+
+    samples = steps // stride + 1 + (steps % stride != 0)
+    try:
+        rec_times = np.empty(samples)
+        rec_states = np.empty(rec_times.shape + X.shape)
+    except (MemoryError, ValueError) as err:
+        raise ValidationError(
+            f"record_stride={stride} keeps {samples} samples of {X.shape} "
+            f"states, more than memory holds: {err}"
+        ) from err
+    rec_times[0] = 0.0
+    rec_states[0] = X
+    count = 1
+    for k in range(1, steps + 1):
+        if spec.method == "euler":
+            X = X + dt * rhs_batch(system, X)
+        else:
+            k1 = rhs_batch(system, X)
+            k2 = rhs_batch(system, X + 0.5 * dt * k1)
+            k3 = rhs_batch(system, X + 0.5 * dt * k2)
+            k4 = rhs_batch(system, X + dt * k3)
+            X = X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        record = k % stride == 0 or k == steps
+        if record or k % check == 0:
+            # NaN and inf fail the comparison too; an empty batch passes
+            if not (np.abs(X).max(initial=0.0) <= _DIVERGENCE_LIMIT):
+                raise NonFiniteStateError(
+                    f"divergence detected at t={k * dt:.6g}",
+                    partial=BatchTrajectory(
+                        rec_times[:count], rec_states[:count], dt
+                    ),
+                    time=k * dt,
+                )
+        if record:
+            rec_times[count] = k * dt
+            rec_states[count] = X
+            count += 1
+    return BatchTrajectory(rec_times, rec_states, dt)
+
+
+def run_outcome(integrate_fn, system, X0, spec):
+    """What a caller sees of one integration: the record bytes, or the
+    error's message, time and partial record bytes."""
+    try:
+        batch = integrate_fn(system, X0, spec)
+    except NonFiniteStateError as err:
+        partial = err.partial
+        return (
+            "raised",
+            str(err),
+            err.time,
+            partial.times.tobytes(),
+            partial.states.tobytes(),
+            partial.states.shape,
+        )
+    return "returned", batch.times.tobytes(), batch.states.tobytes(), batch.states.shape
+
+
+def oracle_loop_systems():
+    """The nine scenarios and an edgeless 3-agent system."""
+    systems = {sc.name: sc.system for sc in builtin_scenarios()}
+    systems["edgeless-3"] = System(build_digraph(np.zeros((3, 3))), {})
+    return systems
+
+
+class TestFormerLoopIsTheOracle:
+    """The integration loop against the former one, which checked every
+    recorded state as it was made: the same bytes, the same errors."""
+
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    @pytest.mark.parametrize("m", [0, 1, 3, 1000])
+    @pytest.mark.parametrize("name", sorted(oracle_loop_systems()))
+    def test_records_match(self, name, m, method):
+        system = oracle_loop_systems()[name]
+        X0 = np.random.default_rng(m).uniform(-3.0, 3.0, (m, system.n))
+        dt = default_dt(system)
+        # 131 steps: two 64-step blocks and three steps more
+        for stride in (None, 1, 7, 64, 65, 100):
+            spec = IntegrationSpec(dt, 131 * dt, method, stride)
+            assert spec.steps() == 131
+            want = run_outcome(former_integrate_batch, system, X0, spec)
+            assert want[0] == "returned"
+            assert run_outcome(integrate_batch, system, X0, spec) == want
+
+    @pytest.mark.parametrize("stride", [1, 3, 64, 100, 10**6])
+    def test_divergence_matches(self, stride):
+        system = two_agent(Affine(-3.0, 0.0), Affine(-3.0, 0.0))
+        X0 = np.array([[3.0, -2.0]])
+        spec = IntegrationSpec(0.01, 400.0, record_stride=stride)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = run_outcome(former_integrate_batch, system, X0, spec)
+            assert want[0] == "raised"
+            assert run_outcome(integrate_batch, system, X0, spec) == want
+
+    @pytest.mark.parametrize("stride", [1, 8])
+    def test_raises_at_a_mid_block_step(self, stride):
+        # the ring first leaves the limit at step 1336 = 20 * 64 + 56, a
+        # recorded step; the run stops there, not at the block end 1344
+        system = two_agent(Affine(-3.0, 0.0), Affine(-3.0, 0.0))
+        dt = 0.01
+        before = integrate(system, [3.0, -2.0], IntegrationSpec(dt, 1335 * dt, record_stride=1))
+        assert np.abs(before.states).max() <= _DIVERGENCE_LIMIT
+        with pytest.raises(NonFiniteStateError) as exc:
+            integrate(system, [3.0, -2.0], IntegrationSpec(dt, 400.0, record_stride=stride))
+        assert 1336 % _CHECK_EVERY != 0
+        assert exc.value.time == 1336 * dt
+        assert str(exc.value) == "divergence detected at t=13.36"
+        times = exc.value.partial.times
+        assert times.tolist() == [k * stride * dt for k in range(1336 // stride)]
+        assert exc.value.partial.states.tobytes() == before.states[::stride].tobytes()
 
 
 BOX = BoxRaySpec(-1.0, 1.0, 0.0, -1.0, -1.0)
