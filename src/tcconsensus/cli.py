@@ -3,7 +3,8 @@
 Subcommands: ``simulate``, ``analyze``, ``equilibrium`` (all config-driven),
 ``scenario <name>`` (run a built-in by name), and ``list-scenarios``.
 Shared flags ``--dt``, ``--t-final``, ``--seed``, ``--out`` override the
-corresponding config fields.
+corresponding config fields. Exit status 0: expectations met; 1: not met;
+2: an error, an unexpected one with its traceback on stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import traceback
 
 from .app import RunConfig, list_scenarios, load_config, run
 from .dynamics import IntegrationSpec
@@ -101,7 +103,13 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
-    return run(config, mode=mode)
+    try:
+        return run(config, mode=mode)
+    except Exception as err:
+        # exit 1 means "expectations not met"; a crash is not a verdict
+        traceback.print_exc()
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

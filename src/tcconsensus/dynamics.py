@@ -26,7 +26,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -358,32 +358,36 @@ def _gather_sum(V, rows, weights) -> NDArray[np.float64]:
 
 
 _COUNT_FROM = 3072
-_COUNT_KNOTS = 16
+_COUNT_KNOTS = 16  # below 256: a count fits a uint8
 
 
 def _count_knots(knots, X) -> NDArray[np.intp]:
     """The number of ``knots`` at or below each state of ``X``, which is
     ``knots.searchsorted(X, side="right")`` for every state but NaN (0
-    here, ``len(knots)`` there): one broadcast comparison and one integer
-    sum over the knot axis, in blocks of at most ``2**16`` comparisons,
-    which bounds the boolean temporary."""
+    here, ``len(knots)`` there): one broadcast comparison and one uint8 sum
+    over the knot axis, in blocks of at most ``2**16`` comparisons, which
+    bounds the boolean temporary, widened to intp once."""
     below = knots[:, None, None]
     step = max(1, 2**16 // (knots.size * X.shape[1]))
-    key = np.empty(X.shape, dtype=np.intp)
+    key = np.empty(X.shape, dtype=np.uint8)
     for i in range(0, len(X), step):
-        block = below <= X[i : i + step]
-        np.add.reduce(block, axis=0, dtype=np.intp, out=key[i : i + step])
-    return key
+        block = (below <= X[i : i + step]).view(np.uint8)
+        np.add.reduce(block, axis=0, dtype=np.uint8, out=key[i : i + step])
+    return key.astype(np.intp)
 
 
 def _input_sums(
-    system: System, X: NDArray[np.float64]
+    system: System, X: NDArray[np.float64], tiles=None
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Constrained input sums and active in-degrees for a batch of states.
 
     ``X`` has shape ``(m, n)``, and so has ``num``. ``den`` has shape
-    ``(m, n)`` when the system has a gate and is the in-degree row of shape
-    ``(1, n)`` otherwise; either broadcasts against ``X``. A gated edge adds
+    ``(m, n)`` when the system has a gate and is the in-degree operand
+    otherwise; either broadcasts against ``X``. The row operands
+    ``_base``, ``_plain_alpha``, ``_one_piece`` and ``_gate_bounds`` come
+    compiled, as the system's ``(1, n)`` and ``(1, R)`` rows, or
+    batch-shaped, from ``tiles`` (:func:`_tile_rows`); the sums are
+    bit-identical either way. A gated edge adds
     neither its value nor its weight while its sender is outside the gate,
     decided as :meth:`GatedIdentity.gate_mask` decides it (NaN is shut).
 
@@ -398,6 +402,7 @@ def _input_sums(
     product as ``@`` at less call overhead; a wide one with
     :func:`_gather_sum`.
     """
+    rows = system if tiles is None else tiles
     slots = system._by_receiver
     if system._identity:
         XS = X
@@ -415,10 +420,10 @@ def _input_sums(
             key = knots.searchsorted(binned, side="right")
         if binned is not XS:
             key = key.take(system._senders, axis=1)
-        key += system._base
+        key += rows._base
         V = system._slopes[key] * XS + system._icpts[key]
-    elif system._one_piece is not None:  # no live knot: one piece per row
-        slopes, icpts = system._one_piece
+    elif rows._one_piece is not None:  # no live knot: one piece per row
+        slopes, icpts = rows._one_piece
         V = slopes * XS + icpts
     else:  # no function has a piecewise-linear form: every column is direct
         V = np.empty_like(XS)
@@ -426,17 +431,17 @@ def _input_sums(
         V[:, a:b] = fn._eval_direct(XS[:, a:b])
     if not system._gates:
         num = V.dot(system._block) if slots is None else _gather_sum(V, *slots[0])
-        return num, system._plain_alpha
+        return num, rows._plain_alpha
     g = system._gate_start
-    lo, hi = system._gate_bounds
+    lo, hi = rows._gate_bounds
     XG = XS[:, g:]
     # a float mask: numpy's dot and einsum take a bool operand on a slow path
     open_ = ((XG >= lo) & (XG <= hi)).astype(np.float64)
     V[:, g:] *= open_
     if slots is None:
-        return V.dot(system._block), system._plain_alpha + open_.dot(system._block[g:])
+        return V.dot(system._block), rows._plain_alpha + open_.dot(system._block[g:])
     num = _gather_sum(V, *slots[0])
-    return num, system._plain_alpha + _gather_sum(open_, *slots[1])
+    return num, rows._plain_alpha + _gather_sum(open_, *slots[1])
 
 
 def _state_vector(system: System, x) -> NDArray[np.float64]:
@@ -457,10 +462,32 @@ def rhs(system: System, x) -> NDArray[np.float64]:
     return rhs_batch(system, x[None, :])[0]
 
 
-def rhs_batch(system: System, X: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Right-hand side for a batch of states, shape ``(m, n)``."""
-    num, den = _input_sums(system, X)
+def rhs_batch(
+    system: System, X: NDArray[np.float64], tiles=None
+) -> NDArray[np.float64]:
+    """Right-hand side for a batch of states, shape ``(m, n)``; ``tiles``
+    are the row operands shaped to the batch (:func:`_tile_rows`)."""
+    num, den = _input_sums(system, X, tiles)
     return num - X * den
+
+
+_TILE_MAX = 2**15
+
+
+def _tile_rows(system: System, m: int) -> SimpleNamespace:
+    """The row operands of :func:`_input_sums` for batches of ``m`` states:
+    each compiled row repeated ``m`` times when that holds at most
+    ``_TILE_MAX`` values, else the row itself, which broadcasts."""
+
+    def tile(row):
+        return row if m * row.shape[1] > _TILE_MAX else np.repeat(row, m, axis=0)
+
+    return SimpleNamespace(
+        _base=tile(system._base),
+        _plain_alpha=tile(system._plain_alpha),
+        _one_piece=system._one_piece and tuple(map(tile, system._one_piece)),
+        _gate_bounds=system._gate_bounds and tuple(map(tile, system._gate_bounds)),
+    )
 
 
 def default_dt(system: System) -> float:
@@ -581,7 +608,11 @@ def integrate_batch(
     block. The first state that fails raises ``NonFiniteStateError`` with
     its time and the records before it as ``partial``; the run has gone at
     most 63 steps past it. A record count that memory cannot hold is a
-    ``ValidationError``."""
+    ``ValidationError``.
+
+    A batch of more than one state shapes the kernel's row operands to
+    itself once per call, up to ``_TILE_MAX`` values each
+    (:func:`_tile_rows`)."""
     X = np.array(X0, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != system.n:
         raise ValueError(f"X0 must have shape (m, {system.n})")
@@ -593,6 +624,7 @@ def integrate_batch(
     dt = spec.dt
     half, sixth = 0.5 * dt, dt / 6.0
     euler = spec.method == "euler"
+    tiles = _tile_rows(system, len(X)) if len(X) > 1 else None
 
     samples = steps // stride + 1 + (steps % stride != 0)
     try:
@@ -608,12 +640,12 @@ def integrate_batch(
     count = checked = end = 1
     for k in range(1, steps + 1):
         if euler:
-            X = X + dt * rhs_batch(system, X)
+            X = X + dt * rhs_batch(system, X, tiles)
         else:
-            k1 = rhs_batch(system, X)
-            k2 = rhs_batch(system, X + half * k1)
-            k3 = rhs_batch(system, X + half * k2)
-            k4 = rhs_batch(system, X + dt * k3)
+            k1 = rhs_batch(system, X, tiles)
+            k2 = rhs_batch(system, X + half * k1, tiles)
+            k3 = rhs_batch(system, X + half * k2, tiles)
+            k4 = rhs_batch(system, X + dt * k3, tiles)
             # k + k is 2.0 * k exactly, and cheaper
             X = X + sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
         record = k % stride == 0 or k == steps

@@ -1560,6 +1560,23 @@ class TestCli:
         assert main(["simulate", str(tmp_path / "nope.json")]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("error", [RuntimeError, MemoryError])
+    @pytest.mark.parametrize("mode", ["simulate", "analyze", "equilibrium"])
+    def test_a_crash_exits_two_with_its_traceback(
+        self, tmp_path, capsys, monkeypatch, mode, error
+    ):
+        # exit 1 means "expectations not met"; a crash must not read as one
+        def crash(config, mode):
+            raise error("boom")
+
+        monkeypatch.setattr(app, "build_report", crash)
+        path = write_config(tmp_path, {"scenario": "ex3"})
+        assert main([mode, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert "in crash\n" in err
+        assert err.endswith(f"error: {error.__name__}: boom\n")
+
     def test_scenario_run_with_overrides(self, tmp_path):
         out = tmp_path / "artifacts"
         code = main(

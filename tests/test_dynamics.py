@@ -991,6 +991,27 @@ class TestCountedBins:
         assert key.dtype == np.intp
         assert key.tolist() == knots.searchsorted(X, side="right").tolist()
 
+    def test_uint8_counts_at_the_cap(self):
+        # the counts are summed in uint8; a cap of 256 knots would wrap
+        assert dynamics._COUNT_KNOTS < 256
+        knots = np.sort(np.random.default_rng(3).uniform(-2.0, 2.0, dynamics._COUNT_KNOTS))
+        pool = np.concatenate(
+            (
+                knots,
+                np.nextafter(knots, -np.inf),
+                np.nextafter(knots, np.inf),
+                [np.inf, -np.inf, np.nan],
+            )
+        )
+        # 2**16 // (16 * 7) = 585 rows a block: the second block starts at
+        # row 585, mid-batch, and the 51 states repeat through both blocks
+        X = np.resize(pool, (1000, 7))
+        key = dynamics._count_knots(knots, X)
+        assert key.dtype == np.intp
+        want = np.where(np.isnan(X), 0, knots.searchsorted(X, side="right"))
+        assert key.tolist() == want.tolist()
+        assert key.max() == dynamics._COUNT_KNOTS
+
     def test_monte_carlo_jobs_and_probe_keep_their_bytes(self, monkeypatch):
         netgen = system_from_dict(load_netgen().wide_network(1, 200))
         jobs = []
@@ -1013,6 +1034,9 @@ class TestCountedBins:
             return out
 
         counted = outputs()
+        # the former loop, on the compiled rows
+        former = [former_integrate_batch(*job).states.tobytes() for job in jobs]
+        assert counted[: len(jobs)] == former
         # every batch searched, as before the size rule
         monkeypatch.setattr(dynamics, "_COUNT_FROM", math.inf)
         assert outputs() == counted
@@ -1426,15 +1450,33 @@ def oracle_loop_systems():
     return systems
 
 
+def row_operands(rows):
+    """The row operands of ``_input_sums`` held by a system (its compiled
+    rows) or by ``_tile_rows``' tiles."""
+    return [rows._base, rows._plain_alpha, *(rows._one_piece or ()), *(rows._gate_bounds or ())]
+
+
+def tile_heights(system, m):
+    """The row counts of the operands ``integrate_batch`` passes for ``m``
+    states: ``{m}`` when every one is tiled, ``{1}`` when every one
+    broadcasts."""
+    return {len(row) for row in row_operands(dynamics._tile_rows(system, m))}
+
+
 class TestFormerLoopIsTheOracle:
     """The integration loop against the former one, which checked every
-    recorded state as it was made: the same bytes, the same errors."""
+    recorded state as it was made and called ``rhs_batch`` on the compiled
+    row operands, where the loop shapes them to a batch of more than one
+    state, up to ``_TILE_MAX`` values each: the same bytes, the same
+    errors."""
 
     @pytest.mark.parametrize("method", ["rk4", "euler"])
-    @pytest.mark.parametrize("m", [0, 1, 3, 1000])
+    @pytest.mark.parametrize("m", [0, 1, 3, 20, 50, 200, 1000])
     @pytest.mark.parametrize("name", sorted(oracle_loop_systems()))
     def test_records_match(self, name, m, method):
         system = oracle_loop_systems()[name]
+        if m > 1:  # the monte-carlo batch sizes among them
+            assert tile_heights(system, m) == {m}
         X0 = np.random.default_rng(m).uniform(-3.0, 3.0, (m, system.n))
         dt = default_dt(system)
         # 131 steps: two 64-step blocks and three steps more
@@ -1445,16 +1487,40 @@ class TestFormerLoopIsTheOracle:
             assert want[0] == "returned"
             assert run_outcome(integrate_batch, system, X0, spec) == want
 
-    @pytest.mark.parametrize("stride", [1, 3, 64, 100, 10**6])
-    def test_divergence_matches(self, stride):
+    @staticmethod
+    def assert_divergence_matches(X0, stride):
         system = two_agent(Affine(-3.0, 0.0), Affine(-3.0, 0.0))
-        X0 = np.array([[3.0, -2.0]])
+        X0 = np.array(X0)
+        if len(X0) > 1:
+            assert tile_heights(system, len(X0)) == {len(X0)}
         spec = IntegrationSpec(0.01, 400.0, record_stride=stride)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             want = run_outcome(former_integrate_batch, system, X0, spec)
             assert want[0] == "raised"
             assert run_outcome(integrate_batch, system, X0, spec) == want
+
+    @pytest.mark.parametrize("stride", [1, 3, 64, 100, 10**6])
+    def test_divergence_matches(self, stride):
+        self.assert_divergence_matches([[3.0, -2.0]], stride)
+
+    @pytest.mark.parametrize("stride", [1, 3, 64, 100, 10**6])
+    def test_divergence_matches_on_a_tiled_batch(self, stride):
+        self.assert_divergence_matches([[3.0, -2.0], [1.0, 1.0], [0.5, -0.25]], stride)
+
+    @pytest.mark.parametrize("shape", ["empty", "tiled", "broadcast"])
+    def test_wide_network(self, shape):
+        system = binned_system("netgen-200")
+        narrowest = min(row.shape[1] for row in row_operands(system))
+        # past the bound every operand stays a row and broadcasts
+        m = {"empty": 0, "tiled": 8, "broadcast": dynamics._TILE_MAX // narrowest + 1}[shape]
+        if m:
+            assert tile_heights(system, m) == ({m} if shape == "tiled" else {1})
+        X0 = np.random.default_rng(m).uniform(-3.0, 3.0, (m, system.n))
+        spec = IntegrationSpec(1e-3, 13e-3, record_stride=5)
+        want = run_outcome(former_integrate_batch, system, X0, spec)
+        assert want[0] == "returned"
+        assert run_outcome(integrate_batch, system, X0, spec) == want
 
     @pytest.mark.parametrize("stride", [1, 8])
     def test_raises_at_a_mid_block_step(self, stride):
