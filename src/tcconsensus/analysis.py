@@ -64,20 +64,8 @@ def _contains_interval(s: IntervalSet, lo: float, hi: float) -> bool:
 def _candidate_boxes(phi: IntervalSet) -> list[tuple[float, float]]:
     """The boxes the ray search tries: the zone's finite pieces in order,
     after the degenerate box ``[0, 0]`` when the zone is unbounded and
-    contains 0.
-
-    Theorem 2 asks for the identity on the box, so the box lies in the zone,
-    and for a fixed anchor a whole piece is the best box. The hull of the
-    edges' fixed sets, or that hull grown, adds nothing:
-
-    - the zone lies inside every fixed set, so inside the hull of the
-      bounded ones;
-    - that hull, its expansions and the zone's hull all contain the zone's
-      hull;
-    - :func:`_contains_interval` admits a box only within 1e-12 of one zone
-      piece, so such a box is a piece tried here, up to 1e-12 at each end;
-    - an unbounded zone makes every fixed set unbounded: there is no hull.
-    """
+    contains 0. Theorem 2 asks for the identity on the box, so the box lies
+    in the zone, and for a fixed anchor a whole piece is the best box."""
     pieces = [p for p in phi.pieces if math.isfinite(p[0]) and math.isfinite(p[1])]
     if phi.is_bounded or not _contains_interval(phi, 0.0, 0.0):
         return pieces
@@ -158,7 +146,7 @@ class ConditionResult:
 class TheoremVerdict:
     classification: str  # Consensus | UniqueEquilibrium | EquilibriumExists | Inconclusive
     conditions: dict[str, ConditionResult]
-    zone: IntervalSet
+    zone: IntervalSet | None  # None: an enclosure could not be computed
     rays: BoxRaySpec | None = None
 
     def to_dict(self) -> dict:
@@ -252,7 +240,7 @@ def classify_system(
             "pass" if not zone.is_empty else "fail", witness=zone
         )
     except UnresolvableEnclosureError as err:
-        zone = IntervalSet.empty()
+        zone = None
         conditions["consensus_zone_nonempty"] = ConditionResult(
             "inconclusive", note=str(err)
         )
@@ -263,7 +251,11 @@ def classify_system(
     )
 
     rays = None
-    if sc and not zone.is_empty:
+    if zone is None:
+        conditions["admissible_rays"] = ConditionResult(
+            "inconclusive", note="ray search not run: the zone is unresolved"
+        )
+    elif sc and not zone.is_empty:
         if hints or conditions["quotient_in_unit_sector"].status != "pass":
             rays = find_admissible_rays(system, hints=hints)
             conditions["admissible_rays"] = (
@@ -295,14 +287,13 @@ def classify_system(
         else ConditionResult("inconclusive", note=note)
     )
 
-    if sc and not zone.is_empty and (
+    if sc and zone is not None and not zone.is_empty and (
         conditions["quotient_in_unit_sector"].status == "pass"
         or conditions["admissible_rays"].status == "pass"
     ):
         cls = "Consensus"
     elif (
         sc
-        and zone.is_empty
         and conditions["strict_quotient_off_fixed_set"].status == "pass"
         and conditions["consensus_zone_nonempty"].status == "fail"
     ):

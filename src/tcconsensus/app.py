@@ -3,14 +3,10 @@ execute simulate/analyze/equilibrium pipelines, and emit deterministic CSV
 trajectories and JSON reports.
 
 A custom system is read as a dense weight matrix or as a columnar edge
-table (:func:`system_from_dict`); either way the loader checks the record
-once, sorts its edges once into the graph's order and hands the
-:class:`System` its graph and function column, with no per-edge map. Only
-the dense record's own checks read an ``n x n`` matrix; a columnar record
-costs ``O(n + E)``. Reports echo their config with the system always in
-the columnar form (:func:`system_to_dict`), the graph's columns and the
-function column written back, whose size grows with the edge count, not
-with ``n**2``; an echoed config reproduces its report.
+table (:func:`system_from_dict`); only the dense record's own checks read
+an ``n x n`` matrix, and a columnar record costs ``O(n + E)``. Reports
+echo their config with the system always in the columnar form
+(:func:`system_to_dict`); an echoed config reproduces its report.
 
 Exit code convention: 0 when every expectation attached to the run is met
 (or there are none), 1 when an expectation fails, 2 on configuration or
@@ -19,10 +15,10 @@ runtime errors.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import marshal
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
@@ -56,7 +52,7 @@ _TOP_LEVEL_KEYS = {
 }
 _ANALYSIS_DEFAULTS = (("classify", True), ("equilibrium", False), ("monitors", True))
 _ANALYSIS_KEYS = {key for key, _ in _ANALYSIS_DEFAULTS}
-_INTEGRATION_KEYS = {"dt", "t_final", "method", "record_stride"}
+_INTEGRATION_KEYS = {f.name for f in dataclasses.fields(IntegrationSpec)}
 _DENSE_KEYS = {"weights", "constraints"}
 _COLUMNAR_KEYS = {"agents", "functions", "edges"}
 _EDGE_COLUMNS = ("sender", "receiver", "weight", "function")
@@ -65,7 +61,7 @@ _MAX_AGENTS = math.isqrt(2**63)
 _CONSTRAINT_KEYS = {"sender", "receiver", "fn"}
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """A validated run request: exactly one of a built-in scenario name or a
     custom system (see :func:`system_from_dict` for its two record forms)."""
@@ -102,18 +98,8 @@ class RunConfig:
         if self.x0 is not None:
             out["x0"] = list(self.x0)
         if self.integration is not None:
-            spec = self.integration
-            out["integration"] = {
-                "dt": spec.dt,
-                "t_final": spec.t_final,
-                "method": spec.method,
-                "record_stride": spec.record_stride,
-            }
-        out["analysis"] = {
-            "classify": self.classify,
-            "equilibrium": self.equilibrium,
-            "monitors": self.monitors,
-        }
+            out["integration"] = dataclasses.asdict(self.integration)
+        out["analysis"] = {key: getattr(self, key) for key, _ in _ANALYSIS_DEFAULTS}
         if self.output_dir is not None:
             out["output_dir"] = self.output_dir
         return out
@@ -170,17 +156,11 @@ def _load_fns(records: list) -> tuple[list[_constraints.ConstraintFn], np.ndarra
     record's object in that list, as an integer array. Two records share an
     object if and only if their ``repr()`` strings are equal.
 
-    The memo key is the record's marshal (format 2) bytes, three times
-    cheaper than ``repr``. For the types JSON produces, equal bytes mean
-    equal ``repr``: marshal writes each type under its own code (``1``,
-    ``1.0`` and ``True`` differ), a float by its bits (``0.0`` and ``-0.0``
-    differ), a dict in key order, and a string by its characters, interned
-    or not (format 3 and later mark interned strings). Other types either
-    cannot be marshalled or, with the buffer protocol, are written as their
-    raw bytes, so ``np.int64(1)`` and ``np.float64(5e-324)`` collide; a key
-    whose record does not load back equal from it exposes such a
-    type, and then every record is keyed by ``repr`` instead. Records
-    with one key are equal as written, so any of them may stand for all."""
+    The memo key is the record's marshal (format 2) bytes, which for the
+    types JSON produces are equal exactly when the ``repr`` strings are
+    (types, float bits and key order included; format 3 would mark
+    interned strings). A key whose record does not load back equal from it
+    exposes another type, and then every record is keyed by ``repr``."""
     try:
         keys = list(map(marshal.dumps, records, repeat(2)))
         # distinct keys in first-use order, each with its last record
@@ -210,14 +190,10 @@ def _agent_indices(values: list) -> list[int]:
 
 
 def _dense_system(record: dict) -> System:
-    """Compile the dense form column by column: the types, keys and indices
-    of the ``constraints`` entries are checked over whole columns, and only
-    when a check fails are the entries walked again to report the first
-    bad one, with the message the per-entry check gives. The matrix is
-    read once, by :func:`build_digraph`, into the graph's edge columns; the
-    ``sender`` and ``receiver`` columns are checked against the graph's
-    edges as a constraint map's keys are, and the order that sorts them
-    into the graph's carries the function index into the graph's order."""
+    """Compile the dense form: the ``constraints`` entries' types, keys and
+    indices are checked over whole columns (a failed check names the first
+    bad entry), and their ``(sender, receiver)`` pairs must be the
+    matrix's edges, each once, as a constraint map's keys must."""
     rows = _list(record["weights"], "weights")
     if not all(map(isinstance, rows, repeat(list))):
         for row in rows:
@@ -241,9 +217,8 @@ def _dense_system(record: dict) -> System:
 
 def _columnar_system(record: dict) -> System:
     """Compile the columnar form: the ``edges`` columns, checked as whole
-    arrays and sorted once into the graph's edges, with each ``function``
-    index mapped to its loaded object; the checks leave nothing for a cover
-    check to find."""
+    arrays and sorted into the graph's edges, with each ``function`` index
+    mapped to its loaded object."""
     n = record["agents"]
     check_numbers([n], "'agents'", INTEGER, ValidationError)
     if n < 0:
@@ -292,32 +267,14 @@ def _columnar_system(record: dict) -> System:
 def system_from_dict(record: dict) -> System:
     """Validate a system record and compile it into a :class:`System`.
 
-    The record is either dense, ``weights`` (an n x n matrix) plus one
-    ``{"sender", "receiver", "fn"}`` entry per edge in ``constraints``, or
-    columnar, as :func:`system_to_dict` writes it: ``agents``, a
-    ``functions`` table of ``fn`` records and four parallel ``edges``
-    columns ``sender``, ``receiver``, ``weight`` and ``function`` (an index
-    into the table). Never both. The two forms compile to the same graph
-    (the same edge columns), constraint map and object sharing; a system
-    too large for memory is a ``ValidationError`` too, and so is an
-    ``agents`` count above 3037000499, whose pair keys ``sender * agents +
-    receiver`` would not fit in int64.
-
-    ``fn`` records equal as written load as one shared, immutable object:
-    two records share one exactly when their ``repr()`` strings are equal,
-    which is exact (a float's ``repr`` round-trips) and keeps types apart
-    (``1`` and ``1.0`` differ), so each distinct record is parsed
-    and validated once and echoes back as written (:func:`_load_fns`).
-
-    Rejected: unknown keys, a repeated ``(sender, receiver)`` pair, agent
-    indices that are not integers, weights that are not numbers, function
-    parameters that are not finite numbers (``bool`` is neither an integer
-    nor a number: :func:`~tcconsensus.graph.check_numbers`); in the
-    columnar form also unequal columns, out-of-range indices, self-loops,
-    weights that are not finite and positive, and table entries no edge
-    uses. Both forms check whole columns, with no Python statement per
-    edge; only a failed check walks a column again to name its first bad
-    value.
+    The record is dense (``weights`` plus ``constraints``) or columnar (as
+    :func:`system_to_dict` writes it), never both; the README's "JSON
+    config" section gives both forms and what each rejects. The two forms
+    compile to the same graph, function column and object sharing: ``fn``
+    records equal as written load as one object (:func:`_load_fns`). Every
+    rejection is a ``ValidationError``, also a system too large for memory
+    and an ``agents`` count above 3037000499, whose pair keys ``sender *
+    agents + receiver`` would not fit in int64.
     """
     if not isinstance(record, dict):
         raise ValidationError("'system' must be an object")
@@ -589,12 +546,8 @@ def render_report(report: dict) -> str:
     Containers down to depth 3 (the report itself is depth 0) are indented
     by two spaces per level; each deeper container goes on one line, so an
     edge column or a function record of the echoed system, or a condition
-    witness, is one line. An indented list of scalars, such as ``x0`` or
-    an equilibrium point, is written by one encoder call whose item
-    separator is the line break and indent, the same bytes as one call per
-    element.
-    Numpy arrays and scalars render as lists and numbers, frozensets as
-    sorted lists.
+    witness, is one line. Numpy arrays and scalars render as lists and
+    numbers, frozensets as sorted lists.
     """
     out: list[str] = []
     _render(report, 0, out)

@@ -16,7 +16,6 @@ import sys
 import traceback
 
 from .app import RunConfig, list_scenarios, load_config, run
-from .dynamics import IntegrationSpec
 from .errors import TCConsensusError, ValidationError
 from .scenarios import scenario_by_name
 
@@ -68,11 +67,10 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
                 "--dt/--t-final need an integration section to override"
             )
         try:
-            updates["integration"] = IntegrationSpec(
+            updates["integration"] = dataclasses.replace(
+                base,
                 dt=args.dt if args.dt is not None else base.dt,
                 t_final=args.t_final if args.t_final is not None else base.t_final,
-                method=base.method,
-                record_stride=base.record_stride,
             )
         except ValueError as err:
             raise ValidationError(str(err)) from err

@@ -1,7 +1,7 @@
 """Catalog of per-edge transmission constraint functions.
 
 Each variant is an immutable scalar map with extras needed by the
-verification machinery: an exact piecewise-linear representation where one
+verification machinery: an exact :class:`PiecewiseLinear` form where one
 exists, fixed-point sets, difference-quotient bounds, and sector-membership
 checks against a :class:`~tcconsensus.rays.BoxRaySpec`.
 
@@ -38,28 +38,212 @@ BOX_SAMPLES = 2001  # samples of the box-range check
 
 
 # ---------------------------------------------------------------------------
-# piecewise-linear representation
+# variants
 
 
-def _check_knots(xs: tuple[float, ...], ys: tuple[float, ...]) -> None:
-    if not all(map(math.isfinite, (*xs, *ys))):
-        raise ValueError("knot coordinates must be finite")
-    if not xs or any(b <= a for a, b in zip(xs, xs[1:])):
-        raise ValueError("knot x-coordinates must be non-empty and strictly increasing")
+class ConstraintFn:
+    """Base class for catalog variants. Instances are immutable values.
+
+    Piecewise-linear variants define ``_make_pwl``; their
+    :class:`PiecewiseLinear` form is built once per object and serves both
+    :meth:`pwl` and :meth:`eval_array`. The others define ``_eval_direct``
+    instead. Every variant keeps a scalar :meth:`evaluate`, written from its
+    own formula, as the reference.
+    """
+
+    variant: str = ""
+    is_gate: bool = False
+
+    def evaluate(self, x: float) -> float:
+        raise NotImplementedError
+
+    def _make_pwl(self) -> PiecewiseLinear | None:
+        return None
+
+    def _eval_direct(self, x: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    @cached_property
+    def _rep(self) -> PiecewiseLinear | None:
+        return self._make_pwl()
+
+    @cached_property
+    def _fixed_points(self) -> IntervalSet:
+        return _fixed_points_in(self, IntervalSet.reals())
+
+    def pwl(self) -> PiecewiseLinear | None:
+        return self._rep
+
+    def eval_array(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        rep = self._rep
+        return rep.eval_array(x) if rep is not None else self._eval_direct(x)
+
+    def bounded_range(self):
+        p = self.pwl()
+        return p.bounded_range() if p is not None else None
+
+    def envelope(self):
+        """A linear envelope ``(s, c)``: ``|f(x) - s*x| <= c`` for every
+        ``x``, or ``None``. A range ``[lo, hi]`` gives ``s = 0``."""
+        p = self.pwl()
+        if p is not None:
+            return p.envelope()
+        rng = self.bounded_range()
+        return None if rng is None else (0.0, max(-rng[0], rng[1]))
+
+    def to_dict(self) -> dict:
+        out = {"variant": self.variant}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, ConstraintFn):
+                v = v.to_dict()
+            elif isinstance(v, tuple):
+                v = [list(k) if isinstance(k, tuple) else k for k in v]
+            out[f.name] = v
+        return out
 
 
 @dataclass(frozen=True)
-class PWLRep:
-    """Continuous piecewise-linear function: knots plus affine tails."""
+class Identity(ConstraintFn):
+    variant = "identity"
 
-    xs: tuple[float, ...]
-    ys: tuple[float, ...]
-    left_slope: float
-    right_slope: float
+    def evaluate(self, x: float) -> float:
+        return x
+
+    def _make_pwl(self):
+        return PiecewiseLinear(((0.0, 0.0),), 1.0, 1.0)
+
+
+@dataclass(frozen=True)
+class Affine(ConstraintFn):
+    variant = "affine"
+    k: float
+    m: float = 0.0
+
+    def evaluate(self, x: float) -> float:
+        return self.k * x + self.m
+
+    def _make_pwl(self):
+        return PiecewiseLinear(((0.0, self.m),), self.k, self.k)
+
+
+@dataclass(frozen=True)
+class Saturation(ConstraintFn):
+    variant = "saturation"
+    lo: float
+    hi: float
 
     def __post_init__(self):
-        _check_knots(self.xs, self.ys)
-        object.__setattr__(self, "_axs", np.asarray(self.xs, dtype=np.float64))
+        if self.lo > self.hi:
+            raise ValueError("saturation bounds out of order")
+
+    def evaluate(self, x: float) -> float:
+        return min(max(x, self.lo), self.hi)
+
+    def _make_pwl(self):
+        if self.lo == self.hi:
+            return PiecewiseLinear(((self.lo, self.lo),))
+        return PiecewiseLinear(((self.lo, self.lo), (self.hi, self.hi)))
+
+
+@dataclass(frozen=True)
+class IntervalProjection(ConstraintFn):
+    """Identity on ``[p, q]``; outside, contracts toward the nearer end with
+    rate ``rho``: ``rho*x + (1-rho)*q`` above ``q``, mirrored below ``p``."""
+
+    variant = "interval_projection"
+    p: float
+    q: float
+    rho: float
+
+    def __post_init__(self):
+        if self.p > self.q:
+            raise ValueError("interval ends out of order")
+        if not (0.0 < self.rho < 1.0):
+            raise ValueError("contraction rate must be in (0, 1)")
+
+    def evaluate(self, x: float) -> float:
+        if x > self.q:
+            return self.rho * x + (1.0 - self.rho) * self.q
+        if x < self.p:
+            return self.rho * x + (1.0 - self.rho) * self.p
+        return x
+
+    def _make_pwl(self):
+        if self.p == self.q:
+            return PiecewiseLinear(((self.p, self.p),), self.rho, self.rho)
+        return PiecewiseLinear(((self.p, self.p), (self.q, self.q)), self.rho, self.rho)
+
+
+@dataclass(frozen=True)
+class ScaledSine(ConstraintFn):
+    """``amplitude * sin(x + phase)``."""
+
+    variant = "scaled_sine"
+    derivative_bounds_attained = False  # no chord attains an isolated extreme
+    amplitude: float
+    phase: float = 0.0
+
+    def evaluate(self, x: float) -> float:
+        return self.amplitude * math.sin(x + self.phase)
+
+    def _eval_direct(self, x):
+        return self.amplitude * np.sin(x + self.phase)
+
+    def bounded_range(self):
+        a = abs(self.amplitude)
+        return -a, a
+
+    def derivative_range(self, lo: float, hi: float) -> tuple[float, float]:
+        """Exact range of the derivative ``amplitude*cos(x+phase)`` on
+        ``[lo, hi]``; equals the closure of the chord-slope range there."""
+        a = self.amplitude
+        if not (math.isfinite(lo) and math.isfinite(hi)) or hi - lo >= 2 * math.pi:
+            return -abs(a), abs(a)
+        c_lo, c_hi = _cos_range(lo + self.phase, hi + self.phase)
+        vals = (a * c_lo, a * c_hi)
+        return min(vals), max(vals)
+
+
+def _cos_range(lo: float, hi: float) -> tuple[float, float]:
+    vals = [math.cos(lo), math.cos(hi)]
+    # critical points k*pi inside [lo, hi]
+    k = math.ceil(lo / math.pi)
+    while k * math.pi <= hi:
+        vals.append(1.0 if k % 2 == 0 else -1.0)
+        k += 1
+    return min(vals), max(vals)
+
+
+@dataclass(frozen=True)
+class PiecewiseLinear(ConstraintFn):
+    """Continuous piecewise-linear map given by knots ``(x, y)`` with linear
+    extension slopes beyond the first/last knot.
+
+    This is the exact form :meth:`ConstraintFn.pwl` returns for every
+    piecewise-linear variant; its own :meth:`pwl` is the object itself. The
+    knot coordinates are stored as floats and must be finite, with strictly
+    increasing ``x`` (``ValueError`` if not); the tail slopes are kept as
+    given. ``xs`` and ``ys`` are the knot columns.
+    """
+
+    variant = "piecewise_linear"
+    knots: tuple[tuple[float, float], ...]
+    left_slope: float = 0.0
+    right_slope: float = 0.0
+
+    def __post_init__(self):
+        knots = tuple((float(a), float(b)) for a, b in self.knots)
+        xs, ys = tuple(k[0] for k in knots), tuple(k[1] for k in knots)
+        if not all(map(math.isfinite, (*xs, *ys))):
+            raise ValueError("knot coordinates must be finite")
+        if not xs or any(b <= a for a, b in zip(xs, xs[1:])):
+            raise ValueError("knot x-coordinates must be non-empty and strictly increasing")
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
+        object.__setattr__(self, "_axs", np.asarray(xs, dtype=np.float64))
         # per-piece slope/intercept tables indexed by searchsorted bin
         pieces = self.pieces()
         object.__setattr__(
@@ -68,6 +252,9 @@ class PWLRep:
         object.__setattr__(
             self, "_intercepts", np.array([p[3] for p in pieces], dtype=np.float64)
         )
+
+    def pwl(self) -> PiecewiseLinear:
+        return self
 
     def pieces(self) -> list[tuple[float, float, float, float]]:
         """Affine pieces ``(a, b, slope, intercept)`` covering the real line."""
@@ -94,7 +281,7 @@ class PWLRep:
         )
         return out
 
-    def eval(self, x: float) -> float:
+    def evaluate(self, x: float) -> float:
         xs, ys = self.xs, self.ys
         if x <= xs[0]:
             return ys[0] + self.left_slope * (x - xs[0])
@@ -104,7 +291,8 @@ class PWLRep:
         t = (x - xs[i]) / (xs[i + 1] - xs[i])
         return ys[i] + t * (ys[i + 1] - ys[i])
 
-    def eval_array(self, x: np.ndarray) -> np.ndarray:
+    def eval_array(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
         idx = self._axs.searchsorted(x, side="right")
         return self._slopes[idx] * x + self._intercepts[idx]
 
@@ -169,211 +357,6 @@ class PWLRep:
         return s, max(abs(y - s * x) for x, y in zip(self.xs, self.ys))
 
 
-# ---------------------------------------------------------------------------
-# variants
-
-
-class ConstraintFn:
-    """Base class for catalog variants. Instances are immutable values.
-
-    Piecewise-linear variants define ``_make_pwl``; the representation is
-    built once per object and serves both :meth:`pwl` and :meth:`eval_array`.
-    The others define ``_eval_direct`` instead. Every variant keeps a scalar
-    :meth:`evaluate`, written from its own formula, as the reference.
-    """
-
-    variant: str = ""
-    is_gate: bool = False
-
-    def evaluate(self, x: float) -> float:
-        raise NotImplementedError
-
-    def _make_pwl(self) -> PWLRep | None:
-        return None
-
-    def _eval_direct(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    @cached_property
-    def _rep(self) -> PWLRep | None:
-        return self._make_pwl()
-
-    @cached_property
-    def _fixed_points(self) -> IntervalSet:
-        return _fixed_points_in(self, IntervalSet.reals())
-
-    def pwl(self) -> PWLRep | None:
-        return self._rep
-
-    def eval_array(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        rep = self._rep
-        return rep.eval_array(x) if rep is not None else self._eval_direct(x)
-
-    def bounded_range(self):
-        p = self.pwl()
-        return p.bounded_range() if p is not None else None
-
-    def envelope(self):
-        """A linear envelope ``(s, c)``: ``|f(x) - s*x| <= c`` for every
-        ``x``, or ``None``. A range ``[lo, hi]`` gives ``s = 0``."""
-        p = self.pwl()
-        if p is not None:
-            return p.envelope()
-        rng = self.bounded_range()
-        return None if rng is None else (0.0, max(-rng[0], rng[1]))
-
-    def to_dict(self) -> dict:
-        out = {"variant": self.variant}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, ConstraintFn):
-                v = v.to_dict()
-            elif isinstance(v, tuple):
-                v = [list(k) if isinstance(k, tuple) else k for k in v]
-            out[f.name] = v
-        return out
-
-
-@dataclass(frozen=True)
-class Identity(ConstraintFn):
-    variant = "identity"
-
-    def evaluate(self, x: float) -> float:
-        return x
-
-    def _make_pwl(self):
-        return PWLRep((0.0,), (0.0,), 1.0, 1.0)
-
-
-@dataclass(frozen=True)
-class Affine(ConstraintFn):
-    variant = "affine"
-    k: float
-    m: float = 0.0
-
-    def evaluate(self, x: float) -> float:
-        return self.k * x + self.m
-
-    def _make_pwl(self):
-        return PWLRep((0.0,), (self.m,), self.k, self.k)
-
-
-@dataclass(frozen=True)
-class Saturation(ConstraintFn):
-    variant = "saturation"
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("saturation bounds out of order")
-
-    def evaluate(self, x: float) -> float:
-        return min(max(x, self.lo), self.hi)
-
-    def _make_pwl(self):
-        if self.lo == self.hi:
-            return PWLRep((self.lo,), (self.lo,), 0.0, 0.0)
-        return PWLRep((self.lo, self.hi), (self.lo, self.hi), 0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class IntervalProjection(ConstraintFn):
-    """Identity on ``[p, q]``; outside, contracts toward the nearer end with
-    rate ``rho``: ``rho*x + (1-rho)*q`` above ``q``, mirrored below ``p``."""
-
-    variant = "interval_projection"
-    p: float
-    q: float
-    rho: float
-
-    def __post_init__(self):
-        if self.p > self.q:
-            raise ValueError("interval ends out of order")
-        if not (0.0 < self.rho < 1.0):
-            raise ValueError("contraction rate must be in (0, 1)")
-
-    def evaluate(self, x: float) -> float:
-        if x > self.q:
-            return self.rho * x + (1.0 - self.rho) * self.q
-        if x < self.p:
-            return self.rho * x + (1.0 - self.rho) * self.p
-        return x
-
-    def _make_pwl(self):
-        if self.p == self.q:
-            return PWLRep((self.p,), (self.p,), self.rho, self.rho)
-        return PWLRep((self.p, self.q), (self.p, self.q), self.rho, self.rho)
-
-
-@dataclass(frozen=True)
-class ScaledSine(ConstraintFn):
-    """``amplitude * sin(x + phase)``."""
-
-    variant = "scaled_sine"
-    derivative_bounds_attained = False  # no chord attains an isolated extreme
-    amplitude: float
-    phase: float = 0.0
-
-    def evaluate(self, x: float) -> float:
-        return self.amplitude * math.sin(x + self.phase)
-
-    def _eval_direct(self, x):
-        return self.amplitude * np.sin(x + self.phase)
-
-    def bounded_range(self):
-        a = abs(self.amplitude)
-        return -a, a
-
-    def derivative_range(self, lo: float, hi: float) -> tuple[float, float]:
-        """Exact range of the derivative ``amplitude*cos(x+phase)`` on
-        ``[lo, hi]``; equals the closure of the chord-slope range there."""
-        a = self.amplitude
-        if not (math.isfinite(lo) and math.isfinite(hi)) or hi - lo >= 2 * math.pi:
-            return -abs(a), abs(a)
-        c_lo, c_hi = _cos_range(lo + self.phase, hi + self.phase)
-        vals = (a * c_lo, a * c_hi)
-        return min(vals), max(vals)
-
-
-def _cos_range(lo: float, hi: float) -> tuple[float, float]:
-    vals = [math.cos(lo), math.cos(hi)]
-    # critical points k*pi inside [lo, hi]
-    k = math.ceil(lo / math.pi)
-    while k * math.pi <= hi:
-        vals.append(1.0 if k % 2 == 0 else -1.0)
-        k += 1
-    return min(vals), max(vals)
-
-
-@dataclass(frozen=True)
-class PiecewiseLinear(ConstraintFn):
-    """Continuous piecewise-linear map given by knots ``(x, y)`` with linear
-    extension slopes beyond the first/last knot."""
-
-    variant = "piecewise_linear"
-    knots: tuple[tuple[float, float], ...]
-    left_slope: float = 0.0
-    right_slope: float = 0.0
-
-    def __post_init__(self):
-        knots = tuple((float(a), float(b)) for a, b in self.knots)
-        object.__setattr__(self, "knots", knots)
-        _check_knots(tuple(k[0] for k in knots), tuple(k[1] for k in knots))
-
-    def evaluate(self, x: float) -> float:
-        return self._rep.eval(x)
-
-    def _make_pwl(self):
-        return PWLRep(
-            tuple(k[0] for k in self.knots),
-            tuple(k[1] for k in self.knots),
-            self.left_slope,
-            self.right_slope,
-        )
-
-
 @dataclass(frozen=True)
 class GatedIdentity(ConstraintFn):
     """Identity transmission gated by an accepted interval.
@@ -402,7 +385,7 @@ class GatedIdentity(ConstraintFn):
         return (x >= self.lo) & (x <= self.hi)
 
     def _make_pwl(self):
-        return PWLRep((0.0,), (0.0,), 1.0, 1.0)
+        return PiecewiseLinear(((0.0, 0.0),), 1.0, 1.0)
 
 
 def _pchip_coefficients(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -470,15 +453,19 @@ class Tabulated(ConstraintFn):
             raise ValueError("need matching xs/ys with at least two samples")
         if self.interpolation not in ("linear", "pchip"):
             raise ValueError(f"unknown interpolation rule {self.interpolation!r}")
-        _check_knots(self.xs, self.ys)
-        if self.interpolation == "pchip":
+        # building the linear rule's form checks the samples as knots; for
+        # that rule it is the cached form itself
+        form = PiecewiseLinear(tuple(zip(self.xs, self.ys)))
+        if self.interpolation == "linear":
+            object.__setattr__(self, "_rep", form)
+        else:
             xs, ys = np.array(self.xs), np.array(self.ys)
             object.__setattr__(self, "_axs", xs)
             object.__setattr__(self, "_coef", _pchip_coefficients(xs, ys))
 
     def evaluate(self, x: float) -> float:
         if self.interpolation == "linear":
-            return self._rep.eval(x)
+            return self._rep.evaluate(x)
         xs = self.xs
         x = min(max(x, xs[0]), xs[-1])
         i = min(bisect.bisect_right(xs, x), len(xs) - 1) - 1
@@ -495,11 +482,6 @@ class Tabulated(ConstraintFn):
         s = x - xs[i]
         s2 = s * s
         return ((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)
-
-    def _make_pwl(self):
-        if self.interpolation == "linear":
-            return PWLRep(self.xs, self.ys, 0.0, 0.0)
-        return None
 
     def bounded_range(self):
         return min(self.ys), max(self.ys)
@@ -553,11 +535,9 @@ class Mix(ConstraintFn):
         if p1 is None or p2 is None:
             return None
         w = self.weight
-        xs = tuple(sorted(set(p1.xs) | set(p2.xs)))
-        ys = tuple(w * p1.eval(x) + (1.0 - w) * p2.eval(x) for x in xs)
-        return PWLRep(
-            xs,
-            ys,
+        xs = sorted(set(p1.xs) | set(p2.xs))
+        return PiecewiseLinear(
+            tuple((x, w * p1.evaluate(x) + (1.0 - w) * p2.evaluate(x)) for x in xs),
             w * p1.left_slope + (1.0 - w) * p2.left_slope,
             w * p1.right_slope + (1.0 - w) * p2.right_slope,
         )
@@ -719,18 +699,16 @@ def _scan_fixed_points(f: ConstraintFn, domain: IntervalSet) -> IntervalSet:
     (at least 16 samples) over :func:`_scan_window`, the part of ``domain``
     inside the range of ``f`` or, for an unbounded range, inside the bound
     that the linear envelope (:meth:`ConstraintFn.envelope`) puts on fixed
-    points. Each maximal run of samples with
-    ``|g| <= 1e-12`` becomes a piece from its first to its last sample; each
-    sign change between two neighbouring samples off those runs is refined
-    by :func:`_bisect_root`. Every piece is widened by ``BISECTION_FP_TOL``
-    on both sides and the result clipped to ``domain``. The pad is needed:
-    a bisected root is where float evaluation finds ``g`` zero or changing
-    sign, which need not be the true root (for ``0.8*sin(x + pi)`` it is
-    9.797e-17, not 0). The scan itself stays sampled: a root where ``g``
-    touches zero without changing sign between samples, or a pair of roots
-    inside one grid step, is missed. A window that needs more than
-    ``SCAN_MAX_SAMPLES`` samples raises :class:`UnresolvableEnclosureError`
-    naming the window and the cap, before any sample is made.
+    points. Each maximal run of samples with ``|g| <= 1e-12`` becomes a
+    piece from its first to its last sample; each sign change between two
+    neighbouring samples off those runs is refined by :func:`_bisect_root`.
+    Every piece is widened by ``BISECTION_FP_TOL`` on both sides, as a
+    bisected root need not be the true one, and the result clipped to
+    ``domain``. A root where ``g`` touches zero without changing sign
+    between samples, or a pair of roots inside one grid step, is missed. A
+    window that needs more than ``SCAN_MAX_SAMPLES`` samples raises
+    :class:`UnresolvableEnclosureError` naming the window and the cap,
+    before any sample is made.
     """
     lo, hi = _scan_window(f, domain)
     if hi < lo:
@@ -765,13 +743,11 @@ def _bisect_root(g, a: float, b: float) -> float:
 
     Halves the bracket until ``g`` is exactly zero at the midpoint or the
     midpoint equals an endpoint, i.e. ``a`` and ``b`` are adjacent floats;
-    then returns the endpoint with the smaller ``|g|``. The returned root
-    therefore has ``g == 0`` or a sign change of ``g`` to a neighbouring
-    float. No tolerance is involved: a bracket of width ``w`` reaches
-    adjacent floats after about ``log2(w / 2**-1074)`` halvings at most (the
-    worst case is a root at 0), about 1065 for the scan's ``w <= 1e-3``.
-    Raises :class:`UnresolvableEnclosureError` when ``g`` does not confirm
-    the sign change at the ends.
+    then returns the endpoint with the smaller ``|g|``: a root with
+    ``g == 0`` or a sign change of ``g`` to a neighbouring float, after at
+    most about 1065 halvings of the scan's brackets (``w <= 1e-3``). Raises
+    :class:`UnresolvableEnclosureError` when ``g`` does not confirm the sign
+    change at the ends.
     """
     ga, gb = g(a), g(b)
     if not (ga < 0.0 < gb or gb < 0.0 < ga):

@@ -7,10 +7,9 @@ degree-normalized update map, then damped (Krasnosel'skii-Mann) iteration,
 and finally long-horizon integration. A start leaves a rung when it
 diverges, exhausts its budget or stalls (its residual stops halving every 64
 iterations while the state circles rather than drifts), and its method note
-records why; see :func:`solve_equilibrium`.
-The starts climb the ladder rung by rung, the starts on a rung in lockstep:
-one kernel call per iteration serves every start on the rung, and the same
-input sums give their residuals at each check.
+records why; see :func:`solve_equilibrium`. The starts climb the ladder
+rung by rung, the starts on a rung in lockstep, one kernel call per
+iteration.
 """
 
 from __future__ import annotations
@@ -213,17 +212,19 @@ def solve_equilibrium(
 _MASK = (1 << 64) - 1
 
 
-def seed_stream(seed: int, count: int, n: int, lo: float, hi: float) -> np.ndarray:
+def seed_stream(seed: int, count: int, n: int, lo, hi) -> np.ndarray:
     """``count`` deterministic pseudo-random points in ``[lo, hi]^n``: the
     splitmix64 finalizer of the counters ``base + c * n + k``, wrapping
-    modulo 2**64, scaled from its top 53 bits."""
+    modulo 2**64, scaled from its top 53 bits. ``lo`` and ``hi`` broadcast
+    against the ``(count, n)`` result, so either may be one bound per
+    agent."""
     base = np.uint64((seed * 0x2545F4914F6CDD1D + 0x632BE59BD9B4E019) & _MASK)
     z = (base + np.arange(count * n, dtype=np.uint64)) * np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
     u = (z >> np.uint64(11)).astype(np.float64) / float(1 << 53)
-    return (lo + (hi - lo) * u).reshape(count, n)
+    return lo + (hi - lo) * u.reshape(count, n)
 
 
 @dataclass(frozen=True)

@@ -92,8 +92,7 @@ def check_numbers(values, what: str, kinds=NUMBER, error=TypeError) -> set[type]
     """The type rule for numbers read from outside: raise ``error`` unless
     every entry of ``values`` is an instance of ``kinds``, never ``bool``
     (``np.array`` and ``float`` read ``True`` as 1.0, ``'1.5'`` as 1.5), and
-    return the set of their types. One C-level pass collects the types; only
-    a wrong one walks the values again, to name the first bad value."""
+    return the set of their types. The error names the first bad value."""
     found = set(map(type, values))
     if not all(k is not bool and issubclass(k, kinds) for k in found):
         kind = "an integer" if kinds is INTEGER else "a number"
@@ -120,11 +119,9 @@ def build_digraph(weights) -> Digraph:
     Raises ``TypeError`` on a weight that is not a number (an array needs
     an integer or float dtype; see :func:`check_numbers`), and on a
     non-square matrix, negative or non-finite entries, or a nonzero
-    diagonal (self-loops are an error, not silently repaired). The checked
-    matrix is read once more, for the nonzero entries of its transpose in
-    row-major order, which is the graph's ``(sender, receiver)`` edge
-    order; it is not kept. A zero entry is no edge, so ``-0.0`` reads back
-    as ``0.0`` from :attr:`Digraph.weights`.
+    diagonal (self-loops are an error, not silently repaired). The matrix
+    is not kept. A zero entry is no edge, so ``-0.0`` reads back as ``0.0``
+    from :attr:`Digraph.weights`.
     """
     if isinstance(weights, np.ndarray):
         if weights.dtype.kind not in "iuf":
@@ -151,12 +148,8 @@ def build_digraph(weights) -> Digraph:
 
 
 def row_stats(g: Digraph) -> tuple[NDArray[np.float64], float]:
-    """In-degrees ``alpha_i = sum_j a_ij`` and their maximum.
-
-    ``np.bincount`` adds each agent's in-edge weights to ``0.0`` in edge
-    order, which is sender order. The dense row sum ``weights.sum(axis=1)``
-    adds in the same order below 8 agents, so there the two agree bit for
-    bit; from 8 agents on it sums pairwise and may differ in the last ulp."""
+    """In-degrees ``alpha_i = sum_j a_ij``, each agent's in-edge weights
+    added to ``0.0`` in edge (sender) order, and their maximum."""
     # without edges, np.bincount ignores the weights and counts in integers
     alpha = np.bincount(g.receivers, g.weight, minlength=g.n).astype(float, copy=False)
     return alpha, float(alpha.max(initial=0.0))
@@ -164,14 +157,8 @@ def row_stats(g: Digraph) -> tuple[NDArray[np.float64], float]:
 
 def is_strongly_connected(g: Digraph) -> bool:
     """Exact strong-connectivity test: agent 0 reaches every agent and every
-    agent reaches agent 0.
-
-    Each search expands a whole boolean frontier per step over the edge
-    columns, so it costs one ``O(n + E)`` numpy pass per distance level
-    rather than Python work per vertex. The forward search follows the
-    edges from sender to receiver, the backward search from receiver to
-    sender.
-    """
+    agent reaches agent 0. Each search costs one ``O(n + E)`` pass over the
+    edge columns per distance level."""
     n = g.n
     if n <= 1:
         return True

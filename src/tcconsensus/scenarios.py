@@ -35,34 +35,22 @@ from .rays import BoxRaySpec, EquilibriumRaySpec
 
 @dataclass(frozen=True)
 class X0Policy:
-    """Initial-state policy: a fixed vector, a seeded-uniform box, or
-    per-block seeded-uniform ranges."""
+    """Initial states drawn uniformly from the box ``[lo, hi]`` by
+    :func:`~tcconsensus.equilibrium.seed_stream`. Each bound is a number or
+    one value per agent (``ValueError`` from :meth:`sample` for another
+    width); ``lo == hi`` is a fixed start."""
 
-    kind: str  # "fixed" | "uniform" | "blocks"
-    fixed: tuple[float, ...] | None = None
-    lo: float = 0.0
-    hi: float = 0.0
-    blocks: tuple[tuple[tuple[int, ...], float, float], ...] = ()
+    lo: float | tuple[float, ...]
+    hi: float | tuple[float, ...]
 
     def sample(self, n: int, seed: int = 0, count: int = 1) -> NDArray[np.float64]:
-        if self.kind == "fixed":
-            return np.tile(np.asarray(self.fixed, dtype=np.float64), (count, 1))
-        if self.kind == "uniform":
-            return seed_stream(seed, count, n, self.lo, self.hi)
-        if self.kind == "blocks":
-            agents = sorted(i for idx, _, _ in self.blocks for i in idx)
-            if agents != list(range(n)):
+        lo, hi = np.asarray(self.lo, np.float64), np.asarray(self.hi, np.float64)
+        for bound in (lo, hi):
+            if bound.ndim and bound.shape != (n,):
                 raise ValueError(
-                    f"blocks must cover each of the {n} agents exactly once, "
-                    f"got {agents}"
+                    f"an x0 bound must be a number or {n} values, got {bound.tolist()}"
                 )
-            unit = seed_stream(seed, count, n, 0.0, 1.0)
-            out = np.empty((count, n))
-            for idx, lo, hi in self.blocks:
-                for i in idx:
-                    out[:, i] = lo + (hi - lo) * unit[:, i]
-            return out
-        raise ValueError(f"unknown x0 policy kind {self.kind!r}")
+        return seed_stream(seed, count, n, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -154,7 +142,7 @@ def _ex1() -> Scenario:
             "constraint fixes only the origin, so the consensus zone is {0}"
         ),
         system=System(build_digraph(weights), constraints),
-        x0=X0Policy("uniform", lo=-10.0, hi=10.0),
+        x0=X0Policy(-10.0, 10.0),
         integration=IntegrationSpec(dt=1e-3, t_final=50.0),
         expected_class="Consensus",
         checks=("consensus", "y_monotone", "lemma6"),
@@ -180,7 +168,7 @@ def _ex2() -> Scenario:
             "states settle to a common value inside that interval"
         ),
         system=System(build_digraph(_complete_graph(n)), _per_sender(n, fns)),
-        x0=X0Policy("uniform", lo=-5.0, hi=5.0),
+        x0=X0Policy(-5.0, 5.0),
         integration=IntegrationSpec(dt=1e-3, t_final=50.0),
         expected_class="Consensus",
         checks=("consensus", "y_monotone", "box_invariance", "lemma6"),
@@ -205,7 +193,7 @@ def _ex3() -> Scenario:
             "empty consensus zone and a unique, stable equilibrium"
         ),
         system=System(build_digraph(_complete_graph(n)), _per_sender(n, fns)),
-        x0=X0Policy("uniform", lo=-5.0, hi=5.0),
+        x0=X0Policy(-5.0, 5.0),
         integration=IntegrationSpec(dt=1e-3, t_final=50.0),
         expected_class="UniqueEquilibrium",
         checks=("v_monotone",),
@@ -230,7 +218,7 @@ def _ex4() -> Scenario:
             "self-mapped box"
         ),
         system=System(build_digraph(_complete_graph(n)), _per_sender(n, fns)),
-        x0=X0Policy("uniform", lo=-3.0, hi=3.0),
+        x0=X0Policy(-3.0, 3.0),
         integration=IntegrationSpec(dt=1e-3, t_final=5.0),
         expected_class="EquilibriumExists",
         checks=("box_invariance",),
@@ -252,7 +240,7 @@ def _interval() -> Scenario:
             "accepted intervals; consensus lands in the common core [-0.5, 0.5]"
         ),
         system=System(build_digraph(_complete_graph(n)), _per_sender(n, fns)),
-        x0=X0Policy("uniform", lo=-5.0, hi=5.0),
+        x0=X0Policy(-5.0, 5.0),
         integration=IntegrationSpec(dt=1e-3, t_final=50.0),
         expected_class="Consensus",
         checks=("consensus", "distance_decay"),
@@ -271,7 +259,7 @@ def _discarded() -> Scenario:
             "are dropped entirely rather than distorted"
         ),
         system=System(build_digraph(_complete_graph(n)), constraints),
-        x0=X0Policy("uniform", lo=-2.4, hi=2.4),
+        x0=X0Policy(-2.4, 2.4),
         integration=IntegrationSpec(dt=1e-3, t_final=50.0),
         expected_class="Consensus",
         checks=("consensus",),
@@ -289,7 +277,7 @@ def _sine() -> Scenario:
             "-sin(x) on every edge; consensus at the origin"
         ),
         system=System(build_digraph(_complete_graph(n)), constraints),
-        x0=X0Policy("uniform", lo=-3.0, hi=3.0),
+        x0=X0Policy(-3.0, 3.0),
         integration=IntegrationSpec(dt=1e-3, t_final=50.0),
         expected_class="Consensus",
         checks=("consensus",),
@@ -310,7 +298,7 @@ def _necessity_2agent() -> Scenario:
             "box [-1, 1]; the distance-decay check is expected to fail"
         ),
         system=System(build_digraph(weights), constraints),
-        x0=X0Policy("fixed", fixed=(0.5, 1.5)),
+        x0=X0Policy((0.5, 1.5), (0.5, 1.5)),
         integration=IntegrationSpec(dt=1e-3, t_final=10.0),
         expected_class="Inconclusive",
         checks=("distance_decay",),
@@ -343,8 +331,8 @@ def _bipartite() -> Scenario:
         ),
         system=System(build_digraph(_complete_graph(n)), constraints),
         x0=X0Policy(
-            "blocks",
-            blocks=((block_a, 2.0, 3.0), (block_b, -3.0, -2.0)),
+            tuple((2.0, -3.0)[same[i]] for i in range(n)),
+            tuple((3.0, -2.0)[same[i]] for i in range(n)),
         ),
         integration=IntegrationSpec(dt=1e-3, t_final=20.0),
         expected_class="Inconclusive",

@@ -1466,7 +1466,8 @@ def unscannable_functions():
 
 class TestUnscannableFixedPoints:
     """A scan past the cap raises before it samples, and the ledger records
-    the zone and the self-mapped box as inconclusive."""
+    the zone and the self-mapped box as inconclusive; the report's zone is
+    then ``null``, not the ``[]`` of a proven empty zone."""
 
     @pytest.fixture(autouse=True)
     def refuse_large_linspace(self, monkeypatch):
@@ -1480,7 +1481,14 @@ class TestUnscannableFixedPoints:
         monkeypatch.setattr(np, "linspace", linspace)
 
     @staticmethod
-    def assert_inconclusive(conditions):
+    def assert_inconclusive(verdict):
+        assert verdict["consensus_zone"] is None
+        conditions = verdict["conditions"]
+        assert conditions["admissible_rays"] == {
+            "status": "inconclusive",
+            "witness": None,
+            "note": "ray search not run: the zone is unresolved",
+        }
         zone = conditions["consensus_zone_nonempty"]
         assert zone["status"] == "inconclusive"
         assert f"more than the cap of {SCAN_MAX_SAMPLES}" in zone["note"]
@@ -1496,9 +1504,11 @@ class TestUnscannableFixedPoints:
     def test_classify(self, name):
         f = unscannable_functions()[name]
         system = System(build_digraph([[0.0, 1.0], [1.0, 0.0]]), {(0, 1): f, (1, 0): f})
-        verdict = classify_system(system).to_dict()
-        assert verdict["classification"] == "Inconclusive"
-        self.assert_inconclusive(verdict["conditions"])
+        verdict = classify_system(system)
+        assert verdict.zone is None
+        report = verdict.to_dict()
+        assert report["classification"] == "Inconclusive"
+        self.assert_inconclusive(report)
 
     @pytest.mark.parametrize("name", ["mix", "pchip"])
     def test_analyze_writes_its_report(self, tmp_path, name):
@@ -1509,8 +1519,29 @@ class TestUnscannableFixedPoints:
              "integration": {"dt": 0.01, "t_final": 1.0}}
         )
         assert run(config, mode="analyze", out_dir=tmp_path) == 0
+        text = (tmp_path / "report.json").read_text()
+        assert '"consensus_zone": null' in text
+        self.assert_inconclusive(strict_loads(text)["verdict"])
+
+    @pytest.mark.parametrize(
+        "record, zone",
+        [
+            ({"scenario": "ex3"}, []),  # proven empty
+            (
+                {
+                    "system": {**COLUMNAR_SYSTEM, "functions": [{"variant": "identity"}]},
+                    "x0": [1.0, -1.0],
+                    "integration": {"dt": 0.01, "t_final": 1.0},
+                },
+                [[None, None]],  # the whole real line
+            ),
+        ],
+        ids=["ex3", "identity-ring"],
+    )
+    def test_resolved_zones_keep_their_reading(self, tmp_path, record, zone):
+        assert run(config_from_dict(record), mode="analyze", out_dir=tmp_path) < 2
         report = strict_loads((tmp_path / "report.json").read_text())
-        self.assert_inconclusive(report["verdict"]["conditions"])
+        assert report["verdict"]["consensus_zone"] == zone
 
     def test_twin_under_the_cap_is_scanned(self):
         # k = 1.998 puts the window at +-500: 1,000,002 samples, under the cap

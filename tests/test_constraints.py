@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -692,7 +694,7 @@ def _old_box_self_mapped(f, lo, hi):
     rep = f.pwl()
     if rep is not None:
         pts = [lo, hi] + [x for x in rep.xs if lo < x < hi]
-        vals = [rep.eval(p) for p in pts]
+        vals = [rep.evaluate(p) for p in pts]
         f_lo, f_hi = min(vals), max(vals)
     else:
         xs = np.linspace(lo, hi, constraints.BOX_SAMPLES)
@@ -766,6 +768,50 @@ class TestSerialization:
         json.dumps(rec)  # must be JSON-serializable as-is
         back = from_dict(rec)
         assert back == f
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            *(f for f in CATALOG if f.pwl() is not None),
+            Affine(2, 1),  # integer tails stay integers
+            Saturation(0.5, 0.5),
+            IntervalProjection(1.0, 1.0, 0.25),
+            Mix(Identity(), Tabulated((-1.0, 0.0, 3.0), (1.0, 0.0, 1.0)), 0.3),
+        ],
+        ids=lambda f: f.variant,
+    )
+    def test_pwl_form_is_exact_and_a_record(self, f):
+        form = f.pwl()
+        assert type(form) is PiecewiseLinear
+        assert form.pwl() is form
+        assert from_dict(form.to_dict()) == form
+        assert from_dict(json.loads(json.dumps(form.to_dict()))) == form
+        xs = np.array(form.xs)
+        grid = np.concatenate(
+            (
+                xs,
+                np.nextafter(xs, -np.inf),
+                np.nextafter(xs, np.inf),
+                np.linspace(xs[0] - 3.0, xs[-1] + 3.0, 1001),
+                [0.0, -0.0, 1e300, -1e300],
+            )
+        )
+        assert form.eval_array(grid).tobytes() == f.eval_array(grid).tobytes()
+
+    def test_a_form_holds_no_reference_to_itself(self):
+        g = PiecewiseLinear(((-1.0, -1.0), (1.0, 1.0)), 0.0, -1.5)
+        assert g.pwl() is g
+        # fill every cache the analysis reads
+        fixed_point_set(g)
+        difference_quotient_bounds(g)
+        g.eval_array([0.0])
+        ref = weakref.ref(g)
+        gc.disable()
+        try:
+            del g
+            assert ref() is None  # freed by refcount, with no cycle to collect
+        finally:
+            gc.enable()
 
     def test_unknown_variant(self):
         with pytest.raises(UnknownConstraintVariantError):

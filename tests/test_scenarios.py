@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,11 @@ from tcconsensus import (
     X0Policy,
     builtin_scenarios,
     classify_system,
+    rhs_batch,
     scenario_by_name,
+    seed_stream,
 )
+from tcconsensus.scenarios import BIPARTITE_BLOCKS
 
 EXPECTED = {
     "ex1": "Consensus",
@@ -81,15 +86,85 @@ class TestRegistry:
         assert verdict.classification == sc.expected_class
 
 
+def former_sample(kind, n, seed=0, count=1, fixed=None, lo=0.0, hi=0.0, blocks=()):
+    """The three-kind sampler the one-box ``X0Policy`` replaced, verbatim:
+    the oracle for the box rule."""
+    if kind == "fixed":
+        return np.tile(np.asarray(fixed, dtype=np.float64), (count, 1))
+    if kind == "uniform":
+        return seed_stream(seed, count, n, lo, hi)
+    if kind == "blocks":
+        agents = sorted(i for idx, _, _ in blocks for i in idx)
+        if agents != list(range(n)):
+            raise ValueError(
+                f"blocks must cover each of the {n} agents exactly once, "
+                f"got {agents}"
+            )
+        unit = seed_stream(seed, count, n, 0.0, 1.0)
+        out = np.empty((count, n))
+        for idx, lo, hi in blocks:
+            for i in idx:
+                out[:, i] = lo + (hi - lo) * unit[:, i]
+        return out
+    raise ValueError(f"unknown x0 policy kind {kind!r}")
+
+
+# each built-in scenario's policy as the three-kind sampler took it
+FORMER_POLICIES = {
+    "ex1": ("uniform", {"lo": -10.0, "hi": 10.0}),
+    "ex2": ("uniform", {"lo": -5.0, "hi": 5.0}),
+    "ex3": ("uniform", {"lo": -5.0, "hi": 5.0}),
+    "ex4": ("uniform", {"lo": -3.0, "hi": 3.0}),
+    "interval": ("uniform", {"lo": -5.0, "hi": 5.0}),
+    "discarded": ("uniform", {"lo": -2.4, "hi": 2.4}),
+    "sine": ("uniform", {"lo": -3.0, "hi": 3.0}),
+    "necessity-2agent": ("fixed", {"fixed": (0.5, 1.5)}),
+    "bipartite": (
+        "blocks",
+        {"blocks": ((BIPARTITE_BLOCKS[0], 2.0, 3.0), (BIPARTITE_BLOCKS[1], -3.0, -2.0))},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(EXPECTED))
+def test_pwl_edges_as_their_forms_keep_verdict_and_kernel_bytes(name):
+    """Each ungated edge with a piecewise-linear form, replaced by the form
+    itself, leaves the verdict and the right-hand side bit for bit as they
+    were."""
+    sc = scenario_by_name(name)
+    forms = {
+        edge: fn if fn.is_gate or fn.pwl() is None else fn.pwl()
+        for edge, fn in sc.system.constraints.items()
+    }
+    twin = System(sc.system.graph, forms)
+    verdicts = [
+        json.dumps(classify_system(s, hints=sc.ray_hints).to_dict(), sort_keys=True)
+        for s in (sc.system, twin)
+    ]
+    assert verdicts[0] == verdicts[1]
+    knots = sorted({x for fn in forms.values() if fn.pwl() is not None for x in fn.pwl().xs})
+    points = np.concatenate(
+        (knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf), [0.0, -0.0])
+    )
+    X = np.vstack(
+        (
+            np.repeat(points[:, None], sc.system.n, axis=1),
+            seed_stream(3, 50, sc.system.n, -6.0, 6.0),
+        )
+    )
+    for m in (1, 20, len(X)):
+        assert rhs_batch(twin, X[:m]).tobytes() == rhs_batch(sc.system, X[:m]).tobytes()
+
+
 class TestX0Policy:
     def test_fixed(self):
-        p = X0Policy("fixed", fixed=(0.5, 1.5))
+        p = X0Policy((0.5, 1.5), (0.5, 1.5))
         x = p.sample(2, seed=9, count=3)
         assert x.shape == (3, 2)
         assert np.all(x == [0.5, 1.5])
 
     def test_uniform_bounds_and_determinism(self):
-        p = X0Policy("uniform", lo=-10.0, hi=10.0)
+        p = X0Policy(-10.0, 10.0)
         a = p.sample(5, seed=1, count=4)
         b = p.sample(5, seed=1, count=4)
         assert a.shape == (4, 5)
@@ -98,28 +173,34 @@ class TestX0Policy:
         assert not np.allclose(a, p.sample(5, seed=2, count=4))
 
     def test_blocks(self):
-        p = X0Policy(
-            "blocks", blocks=(((0, 1, 2), 2.0, 3.0), ((3, 4), -3.0, -2.0))
-        )
+        p = X0Policy((2.0, 2.0, 2.0, -3.0, -3.0), (3.0, 3.0, 3.0, -2.0, -2.0))
         x = p.sample(5, seed=0, count=10)
         assert x[:, :3].min() >= 2.0 and x[:, :3].max() <= 3.0
         assert x[:, 3:].min() >= -3.0 and x[:, 3:].max() <= -2.0
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            X0Policy("gaussian").sample(3)
-
     @pytest.mark.parametrize(
-        "blocks",
+        "lo, hi",
         [
-            (((0, 1), 2.0, 3.0),),  # agents 2 and 3 in no block
-            (((0, 1, 2), 2.0, 3.0), ((2, 3), -3.0, -2.0)),  # agent 2 twice
-            (((0, 1, 2, 3, 4), 2.0, 3.0),),  # agent 4 does not exist
+            ((0.0, 1.0, 2.0), 5.0),  # three bounds for four agents
+            (0.0, (1.0,)),  # one bound would broadcast: still the wrong width
+            ((0.0,) * 5, (1.0,) * 5),
+            (((0.0,) * 4,) * 2, 1.0),  # a matrix of bounds
         ],
     )
-    def test_blocks_must_cover_each_agent_once(self, blocks):
-        with pytest.raises(ValueError, match="exactly once"):
-            X0Policy("blocks", blocks=blocks).sample(4)
+    def test_a_bound_of_the_wrong_width_raises(self, lo, hi):
+        with pytest.raises(ValueError, match="a number or 4 values"):
+            X0Policy(lo, hi).sample(4)
+
+    @pytest.mark.parametrize("name", list(EXPECTED))
+    def test_matches_the_former_sampler(self, name):
+        sc = scenario_by_name(name)
+        kind, params = FORMER_POLICIES[name]
+        for seed in (0, 1, 2, 5, 7):
+            for count in (1, 20, 1000):
+                got = sc.sample_x0(seed=seed, count=count)
+                want = former_sample(kind, sc.system.n, seed, count, **params)
+                assert got.shape == want.shape == (count, sc.system.n)
+                assert got.tobytes() == want.tobytes(), (name, seed, count)
 
     def test_scenario_sample_matches_system_width(self):
         for s in builtin_scenarios():
