@@ -36,7 +36,6 @@ from .constraints import (
 from .dynamics import (
     BatchTrajectory,
     IntegrationSpec,
-    MonitorReport,
     System,
     Trajectory,
     attach_channels,
@@ -86,7 +85,6 @@ __all__ = [
     "IntervalProjection",
     "IntervalSet",
     "Mix",
-    "MonitorReport",
     "PiecewiseLinear",
     "QuotientBounds",
     "RunConfig",

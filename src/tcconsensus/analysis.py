@@ -166,8 +166,6 @@ class TheoremVerdict:
             if isinstance(v, (float, np.floating)):
                 # an unbounded end is null: strict JSON has no infinity
                 return None if math.isinf(v) else float(v)
-            if isinstance(v, np.integer):
-                return float(v)
             return v
 
         return {

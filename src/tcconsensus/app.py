@@ -221,8 +221,8 @@ def _columnar_system(record: dict) -> System:
     mapped to its loaded object."""
     n = record["agents"]
     check_numbers([n], "'agents'", INTEGER, ValidationError)
-    if n < 0:
-        raise ValidationError(f"'agents' must be a non-negative integer, got {n!r}")
+    if n < 1:
+        raise ValidationError(f"'agents' must be a positive integer, got {n!r}")
     if n > _MAX_AGENTS:
         raise ValidationError(
             f"'agents' must be at most {_MAX_AGENTS}, so that every pair key "
@@ -477,9 +477,9 @@ def build_report(config: RunConfig, mode: str = "simulate"):
                 )
                 report["monitors"] = {
                     name: {"passed": r.passed, "value": r.value, "detail": r.detail}
-                    for name, r in mon.results.items()
+                    for name, r in mon.items()
                 }
-                failures = {name for name, r in mon.results.items() if not r.passed}
+                failures = {name for name, r in mon.items() if not r.passed}
                 expected = set(scn.expected_check_failures)
                 report["expected_check_failures"] = sorted(expected)
                 report["checks_match_expected"] = failures == expected

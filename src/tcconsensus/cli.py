@@ -4,7 +4,9 @@ Subcommands: ``simulate``, ``analyze``, ``equilibrium`` (all config-driven),
 ``scenario <name>`` (run a built-in by name), and ``list-scenarios``.
 Shared flags ``--dt``, ``--t-final``, ``--seed``, ``--out`` override the
 corresponding config fields. Exit status 0: expectations met; 1: not met;
-2: an error, an unexpected one with its traceback on stderr.
+2: an error. A package error (a malformed config or record among them)
+or an ``OSError`` prints one ``error:`` line on stderr; any other
+exception prints its traceback first.
 """
 
 from __future__ import annotations

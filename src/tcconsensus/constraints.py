@@ -642,10 +642,6 @@ def _numbers(v, kind: str, what: str) -> list:
 # operations
 
 
-def evaluate(f: ConstraintFn, x: float) -> float:
-    return f.evaluate(float(x))
-
-
 def fixed_point_set(f: ConstraintFn, domain: IntervalSet | None = None) -> IntervalSet:
     """Fixed points of ``f`` restricted to ``domain`` (whole line by default).
 

@@ -587,10 +587,6 @@ class BatchTrajectory:
     def single(self, run: int) -> Trajectory:
         return Trajectory(self.times, np.array(self.states[:, run, :]), self.dt)
 
-    @property
-    def runs(self) -> int:
-        return self.states.shape[1]
-
 
 _DIVERGENCE_LIMIT = 1e12
 _CHECK_EVERY = 64
@@ -699,11 +695,6 @@ class CheckResult:
     detail: str = ""
 
 
-@dataclass
-class MonitorReport:
-    results: dict[str, CheckResult]
-
-
 def attach_channels(
     traj: Trajectory,
     box: BoxRaySpec | None = None,
@@ -751,8 +742,9 @@ def monitor_trajectory(
     box: BoxRaySpec | None = None,
     equilibrium=None,
     eq_spec: EquilibriumRaySpec | None = None,
-) -> MonitorReport:
-    """Run the selected per-trajectory checks and report pass/fail data.
+) -> dict[str, CheckResult]:
+    """Run the selected per-trajectory checks; one result per check, by
+    name.
 
     ``checks`` is an iterable drawn from ``{"box_invariance", "y_monotone",
     "v_monotone", "lemma6", "consensus", "distance_decay"}``. Checks that
@@ -812,7 +804,7 @@ def monitor_trajectory(
             )
         else:
             raise ValueError(f"unknown check {check!r}")
-    return MonitorReport(results)
+    return results
 
 
 def _lemma6_check(traj: Trajectory, b: BoxRaySpec, tol: float) -> CheckResult:

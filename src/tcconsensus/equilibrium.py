@@ -59,13 +59,10 @@ _BUDGET = 20000
 _RUNGS = ((1.0, "picard"), (0.5, "damped-0.5"), (0.25, "damped-0.25"))
 
 
-def _ladder(system: System, seeds, tol: float, budget: int) -> list:
+def _ladder(system: System, seeds, tol: float) -> list:
     """Climb the ladder from every row of ``seeds``, rung by rung, the
     starts on a rung in lockstep; one ``Equilibrium`` or
     ``UnconvergedError`` per row."""
-    check_numbers([budget], "budget", INTEGER, ValueError)
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget!r}")
     check_numbers([tol], "tol", NUMBER, ValueError)
     tol = as_float(tol)
     if not (math.isfinite(tol) and tol > 0):
@@ -93,7 +90,7 @@ def _ladder(system: System, seeds, tol: float, budget: int) -> list:
             num, den = _input_sums(system, E)
             T = _map_step(E, num, den)
             gone = np.zeros(rows.size, dtype=bool)
-            if it % 8 == 0 or it == budget:
+            if it % 8 == 0 or it == _BUDGET:
                 r = np.abs(num - E * den).max(axis=1)
                 better = r < best_res[rows]
                 best[rows[better]], best_res[rows[better]] = E[better], r[better]
@@ -106,12 +103,12 @@ def _ladder(system: System, seeds, tol: float, budget: int) -> list:
                     past, then = history[0]
                     with np.errstate(all="ignore"):
                         ratio = np.where(past > 0, r / past, math.inf)
-                        slow = r * ratio ** ((budget - it) / 64) > tol
+                        slow = r * ratio ** ((_BUDGET - it) / 64) > tol
                     moved = np.abs(E - then).max(axis=1)
                     span = 32 * d * np.abs(T - E).max(axis=1)
                     stalled = (ratio > 0.5) & ((ratio >= 1.0) | slow) & (moved < span)
                 done = (r <= tol) & (it > 0)
-                gone = done | stalled | (it == budget)
+                gone = done | stalled | (it == _BUDGET)
                 for i in np.flatnonzero(done).tolist():
                     method = ";".join(notes[rows[i]] + [name])
                     eq = Equilibrium(E[i].copy(), float(r[i]), method, it)
@@ -119,7 +116,7 @@ def _ladder(system: System, seeds, tol: float, budget: int) -> list:
                 for i in np.flatnonzero(gone & ~done).tolist():
                     why = (
                         "budget exhausted"
-                        if it == budget
+                        if it == _BUDGET
                         else f"stalled at {it} (residual ratio {ratio[i]:.2f})"
                     )
                     notes[rows[i]].append(f"{name}: {why}")
@@ -142,7 +139,7 @@ def _ladder(system: System, seeds, tol: float, budget: int) -> list:
     spec = IntegrationSpec(dt=default_dt(system), t_final=10.0, record_stride=10**9)
     for k in climbing.tolist():
         e, steps = seeds[k], 0
-        for _ in range(min(60, max(2, budget // 1000))):
+        for _ in range(_BUDGET // 1000):
             try:
                 e = integrate(system, e, spec).final_state()
             except NonFiniteStateError:
@@ -167,12 +164,7 @@ def _ladder(system: System, seeds, tol: float, budget: int) -> list:
     ]
 
 
-def solve_equilibrium(
-    system: System,
-    seed,
-    tol: float = 1e-10,
-    budget: int = _BUDGET,
-) -> Equilibrium:
+def solve_equilibrium(system: System, seed, tol: float = 1e-10) -> Equilibrium:
     """Solve for an equilibrium starting from ``seed``, a state of shape
     ``(n,)``.
 
@@ -180,7 +172,7 @@ def solve_equilibrium(
     then integration. Each rung starts from the seed, whose residual is the
     check at iteration 0; the residual is checked again every 8 iterations
     and at the budget, and the rung converges at a later check within
-    ``tol``. A rung is left when the state diverges, when ``budget``
+    ``tol``. A rung is left when the state diverges, when ``_BUDGET``
     iterations pass, or when it stalls: the residual at a check exceeds half
     the residual 8 checks (64 iterations) earlier, that ratio, kept up over
     the rest of the budget, would not bring it within ``tol``, and the state
@@ -188,9 +180,8 @@ def solve_equilibrium(
     A cycle or an oscillation stalls; a steady drift with a flat residual
     keeps its rung. Raises ``UnconvergedError`` with the best point found
     when every rung and the integration tail fail, ``ValueError`` unless
-    ``budget`` is an integer of at least 1 and ``tol`` a finite positive
-    number (neither a ``bool``), and ``DimensionMismatchError`` for a seed
-    of another shape.
+    ``tol`` is a finite positive number (not a ``bool``), and
+    ``DimensionMismatchError`` for a seed of another shape.
 
     The method note is one ``<rung>: <why>`` entry per rung left, then the
     converging rung (``picard``, ``damped-0.5``, ``damped-0.25`` or
@@ -200,7 +191,7 @@ def solve_equilibrium(
     1.00);damped-0.5``. ``iterations`` counts the converging rung's
     iterations, or the integration tail's steps.
     """
-    out = _ladder(system, _state_vector(system, seed)[None, :], tol, budget)[0]
+    out = _ladder(system, _state_vector(system, seed)[None, :], tol)[0]
     if isinstance(out, UnconvergedError):
         raise out
     return out
@@ -279,7 +270,7 @@ def uniqueness_probe(
         raise ValueError(f"box must be finite with lo <= hi, got {(lo, hi)!r}")
     seeds = seed_stream(int(seed), n_starts, system.n, lo, hi)
     try:
-        solved = _ladder(system, seeds, tol, _BUDGET)
+        solved = _ladder(system, seeds, tol)
     except NoInEdgeAgentError as err:
         solved = [err] * n_starts
     cluster_radius = 1e3 * tol

@@ -1,24 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: each is a
+``TCConsensusError``, and each fault in a config or system record, the
+weight-matrix faults included, a ``ConfigError``."""
 
 
 class TCConsensusError(Exception):
     """Base class for all package-specific errors."""
-
-
-class NonSquareError(TCConsensusError):
-    pass
-
-
-class NegativeWeightError(TCConsensusError):
-    pass
-
-
-class NonzeroDiagonalError(TCConsensusError):
-    pass
-
-
-class NonFiniteError(TCConsensusError):
-    pass
 
 
 class NonFiniteStateError(TCConsensusError):
@@ -35,7 +21,9 @@ class NonFiniteStateError(TCConsensusError):
 
 
 class UnresolvableEnclosureError(TCConsensusError):
-    """Bisection could not certify a fixed-point enclosure within budget."""
+    """A fixed-point enclosure could not be certified: the scan window is
+    unbounded or wider than the sample cap, or bisection did not confirm
+    a sign change."""
 
 
 class DimensionMismatchError(TCConsensusError):
@@ -52,8 +40,9 @@ class NoInEdgeAgentError(TCConsensusError):
 
 
 class UnconvergedError(TCConsensusError):
-    """Solver budget exhausted; ``best`` and ``residual`` carry the closest
-    point found."""
+    """No rung of the equilibrium ladder converged; ``best`` and
+    ``residual`` carry the closest point found (``best`` is ``None`` when
+    no residual was finite)."""
 
     def __init__(self, message, best=None, residual=None):
         super().__init__(message)
@@ -78,4 +67,20 @@ class UnknownConstraintVariantError(ConfigError):
 
 
 class ValidationError(ConfigError):
+    pass
+
+
+class NonSquareError(ValidationError):
+    pass
+
+
+class NegativeWeightError(ValidationError):
+    pass
+
+
+class NonzeroDiagonalError(ValidationError):
+    pass
+
+
+class NonFiniteError(ValidationError):
     pass

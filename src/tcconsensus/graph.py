@@ -117,11 +117,13 @@ def build_digraph(weights) -> Digraph:
     """Validate a weight matrix and return its :class:`Digraph`.
 
     Raises ``TypeError`` on a weight that is not a number (an array needs
-    an integer or float dtype; see :func:`check_numbers`), and on a
-    non-square matrix, negative or non-finite entries, or a nonzero
-    diagonal (self-loops are an error, not silently repaired). The matrix
-    is not kept. A zero entry is no edge, so ``-0.0`` reads back as ``0.0``
-    from :attr:`Digraph.weights`.
+    an integer or float dtype; see :func:`check_numbers`), and a
+    ``ValidationError`` on a non-square matrix (``NonSquareError``),
+    non-finite or negative entries (``NonFiniteError``,
+    ``NegativeWeightError``) or a nonzero diagonal
+    (``NonzeroDiagonalError``): self-loops are an error, not silently
+    repaired. The matrix is not kept. A zero entry is no edge, so ``-0.0``
+    reads back as ``0.0`` from :attr:`Digraph.weights`.
     """
     if isinstance(weights, np.ndarray):
         if weights.dtype.kind not in "iuf":

@@ -26,6 +26,8 @@ class IntervalSet:
 
     @staticmethod
     def from_pieces(pieces) -> "IntervalSet":
+        """Sort and merge ``(lo, hi)`` pairs, dropping those with ``lo >
+        hi``; a NaN endpoint raises ``ValueError``."""
         cleaned = []
         for lo, hi in pieces:
             if math.isnan(lo) or math.isnan(hi):
@@ -45,10 +47,6 @@ class IntervalSet:
     @staticmethod
     def empty() -> "IntervalSet":
         return IntervalSet(())
-
-    @staticmethod
-    def point(x: float) -> "IntervalSet":
-        return IntervalSet(((float(x), float(x)),))
 
     @staticmethod
     def closed(lo: float, hi: float) -> "IntervalSet":

@@ -356,7 +356,7 @@ _FACTORIES = {
 
 
 def builtin_scenarios() -> list[Scenario]:
-    """The immutable registry of built-in scenarios, in a fixed order."""
+    """Every built-in scenario, freshly built, in registry order."""
     return [make() for make in _FACTORIES.values()]
 
 

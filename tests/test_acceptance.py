@@ -101,7 +101,7 @@ def test_criterion_3_monitor_Y_non_increasing(ex1_batch, ex2_batch):
     for sc, _, batch in (ex1_batch[:3], ex2_batch):
         spec = find_admissible_rays(sc.system, hints=sc.ray_hints)
         assert spec is not None
-        for r in range(batch.runs):
+        for r in range(batch.states.shape[1]):
             ys = np.array(
                 [lyapunov_Y(s, spec)[0] for s in batch.states[:, r, :]]
             )
@@ -154,7 +154,7 @@ def test_criterion_5_unique_stable_equilibrium():
     # indistinguishable, so monotonicity is only meaningful above it
     v_floor = 1e-8
     v_ok = True
-    for r in range(batch.runs):
+    for r in range(batch.states.shape[1]):
         vs = np.array(
             [lyapunov_V(s, rep, sc.eq_spec) for s in batch.states[:, r, :]]
         )

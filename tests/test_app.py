@@ -452,6 +452,14 @@ def columnar(edit):
     return apply
 
 
+# a columnar record without agents: nothing to integrate or solve
+ZERO_AGENTS = {
+    "agents": 0,
+    "functions": [],
+    "edges": {"sender": [], "receiver": [], "weight": [], "function": []},
+}
+
+
 def set_column(name, position, value):
     return columnar(lambda r: r["edges"][name].__setitem__(position, value))
 
@@ -618,6 +626,12 @@ MALFORMED_SYSTEMS = {
     "dense-bool-weight": lambda r: r.update(weights=[[0, True], [True, 0]]),
     "dense-string-weight": lambda r: r.update(weights=[["0", "1.5"], ["1", 0]]),
     "row-not-a-list": lambda r: r.update(weights=[[0.0, 1.0], 3]),
+    # the weight-matrix faults of the dense form
+    "dense-non-square": lambda r: r.update(weights=[[0.0, 1.0]]),
+    "dense-negative-weight": lambda r: r.update(weights=[[0, -1], [1, 0]]),
+    "dense-nonzero-diagonal": lambda r: r.update(weights=[[1.0, 1.0], [1.0, 0.0]]),
+    "dense-nan-weight": lambda r: r.update(weights=[[0.0, float("nan")], [1.0, 0.0]]),
+    "dense-zero-agents": lambda r: r.update(weights=[], constraints=[]),
     "infinite-mix-member": lambda r: r["constraints"][0].update(
         fn={
             "variant": "mix",
@@ -639,6 +653,7 @@ MALFORMED_SYSTEMS = {
     "bool-agents": columnar(lambda r: r.update(agents=True)),
     "float-agents": columnar(lambda r: r.update(agents=2.0)),
     "negative-agents": columnar(lambda r: r.update(agents=-1)),
+    "zero-agents": columnar(lambda r: r.update(ZERO_AGENTS)),
     # np.asarray([True, 1]) is an int array: the type check runs first
     "bool-sender": set_column("sender", 1, True),
     "float-receiver": set_column("receiver", 0, 1.0),
@@ -1628,6 +1643,16 @@ class TestCli:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"scenario": "ex3"}), encoding="utf-8")
         assert main(["analyze", str(path)]) == 0
+
+    @pytest.mark.parametrize("mode", ["simulate", "analyze", "equilibrium"])
+    def test_zero_agents_exits_two_without_a_traceback(self, tmp_path, capsys, mode):
+        integration = {"dt": 0.01, "t_final": 1.0}
+        config = {"system": ZERO_AGENTS, "x0": [], "integration": integration}
+        path = write_config(tmp_path, config)
+        assert main([mode, str(path), "--out", str(tmp_path / "out")]) == 2
+        want = "error: 'agents' must be a positive integer, got 0\n"
+        assert capsys.readouterr().err == want
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("mode", ["simulate", "analyze", "equilibrium"])
     @pytest.mark.parametrize("x0", [[1.0, 2.0], [0.5] * 6])

@@ -28,7 +28,7 @@ from tcconsensus import (
     sector_membership,
 )
 from tcconsensus import constraints
-from tcconsensus.constraints import evaluate, ratio_range
+from tcconsensus.constraints import ratio_range
 from tcconsensus.errors import (
     UnknownConstraintVariantError,
     UnresolvableEnclosureError,
@@ -56,30 +56,30 @@ CATALOG = [
 class TestEvaluate:
     def test_interval_projection_above(self):
         f = IntervalProjection(-1.0, 1.0, 0.5)
-        assert evaluate(f, 2.0) == pytest.approx(1.5)
+        assert f.evaluate(2.0) == pytest.approx(1.5)
 
     def test_interval_projection_below_and_inside(self):
         f = IntervalProjection(-1.0, 1.0, 0.5)
-        assert evaluate(f, -3.0) == pytest.approx(0.5 * -3.0 + 0.5 * -1.0)
-        assert evaluate(f, 0.25) == 0.25
+        assert f.evaluate(-3.0) == pytest.approx(0.5 * -3.0 + 0.5 * -1.0)
+        assert f.evaluate(0.25) == 0.25
 
     def test_scaled_sine_at_origin(self):
-        assert evaluate(ScaledSine(1.0, math.pi), 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert ScaledSine(1.0, math.pi).evaluate(0.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_saturation_interior(self):
-        assert evaluate(Saturation(-1.0, 1.0), 0.3) == 0.3
+        assert Saturation(-1.0, 1.0).evaluate(0.3) == 0.3
 
     def test_saturation_clamps(self):
-        assert evaluate(Saturation(-1.0, 1.0), 5.0) == 1.0
+        assert Saturation(-1.0, 1.0).evaluate(5.0) == 1.0
 
     def test_piecewise_linear_tails(self):
         f = PiecewiseLinear(((0.0, 0.0),), -0.9, -0.7)
-        assert evaluate(f, -2.0) == pytest.approx(1.8)
-        assert evaluate(f, 3.0) == pytest.approx(-2.1)
+        assert f.evaluate(-2.0) == pytest.approx(1.8)
+        assert f.evaluate(3.0) == pytest.approx(-2.1)
 
     def test_mix_is_pointwise_average(self):
         f = Mix(Affine(1.0, 0.0), Affine(0.0, 2.0), 0.25)
-        assert evaluate(f, 4.0) == pytest.approx(0.25 * 4.0 + 0.75 * 2.0)
+        assert f.evaluate(4.0) == pytest.approx(0.25 * 4.0 + 0.75 * 2.0)
 
     @pytest.mark.parametrize("f", CATALOG, ids=lambda f: f.variant)
     def test_eval_array_matches_scalar(self, f):

@@ -1561,7 +1561,7 @@ class TestMonitors:
             equilibrium=np.zeros(2),
             eq_spec=EquilibriumRaySpec(-1.0, -1.0),
         )
-        assert all(r.passed for r in report.results.values())
+        assert all(r.passed for r in report.values())
 
     def test_missing_box_witness(self):
         traj = self.constant_traj()
@@ -1581,13 +1581,13 @@ class TestMonitors:
     def test_consensus_check_on_converged_pair(self):
         traj = integrate(identity_pair(), [0.0, 2.0], IntegrationSpec(1e-3, 20.0))
         report = monitor_trajectory(traj, identity_pair(), ["consensus"])
-        assert report.results["consensus"].passed
-        assert report.results["consensus"].value < 1e-3
+        assert report["consensus"].passed
+        assert report["consensus"].value < 1e-3
 
     def test_consensus_check_fails_without_convergence(self):
         traj = integrate(identity_pair(), [0.0, 2.0], IntegrationSpec(1e-3, 0.1))
         report = monitor_trajectory(traj, identity_pair(), ["consensus"])
-        assert not report.results["consensus"].passed
+        assert not report["consensus"].passed
 
     def test_distance_decay_failure_reports_final_distance(self):
         sc = scenario_by_name("necessity-2agent")
@@ -1595,7 +1595,7 @@ class TestMonitors:
         report = monitor_trajectory(
             traj, sc.system, ["distance_decay"], box=sc.box_spec
         )
-        res = report.results["distance_decay"]
+        res = report["distance_decay"]
         assert not res.passed
         assert res.value == pytest.approx(0.5, abs=1e-6)
 
@@ -1603,14 +1603,14 @@ class TestMonitors:
         sys_ = two_agent(Affine(-0.5, 0.0), Affine(-0.5, 0.0))
         traj = integrate(sys_, [3.0, -2.0], IntegrationSpec(1e-3, 10.0))
         report = monitor_trajectory(traj, sys_, ["y_monotone", "lemma6"], box=BOX)
-        assert all(r.passed for r in report.results.values())
+        assert all(r.passed for r in report.values())
 
     def test_lemma6_detects_escape(self):
         # expanding dynamics violate every case bound eventually
         sys_ = two_agent(Affine(-3.0, 0.0), Affine(-3.0, 0.0))
         traj = integrate(sys_, [2.0, -2.0], IntegrationSpec(1e-3, 2.0))
         report = monitor_trajectory(traj, sys_, ["lemma6"], box=BOX)
-        assert not report.results["lemma6"].passed
+        assert not report["lemma6"].passed
 
     # Hand-made trajectories whose first state makes an edge term attain
     # Y(t0): with slopes -1 and the anchor at one box end, (2, 0) lifts
@@ -1635,7 +1635,7 @@ class TestMonitors:
         states = np.column_stack([x_max, x_min])
         assert lyapunov_Y(states[0], spec) == (3.0, term)
         traj = Trajectory(0.01 * np.arange(len(states)), states, 0.01)
-        res = monitor_trajectory(traj, identity_pair(), ["lemma6"], box=spec).results["lemma6"]
+        res = monitor_trajectory(traj, identity_pair(), ["lemma6"], box=spec)["lemma6"]
         assert (res.passed, res.value) == (passed, value)
         assert res.detail == f"case {term}: {bound} (tol 0.1)"
 
@@ -1719,7 +1719,7 @@ class TestChannels:
             eq_spec=EquilibriumRaySpec(-1.0, -1.0),
         )
         assert len(calls) == 1
-        assert report.results["y_monotone"].value == lyapunov_Y(traj.states[-1], BOX)[0]
-        assert report.results["v_monotone"].value == lyapunov_V(
+        assert report["y_monotone"].value == lyapunov_Y(traj.states[-1], BOX)[0]
+        assert report["v_monotone"].value == lyapunov_V(
             traj.states[-1], np.zeros(2), EquilibriumRaySpec(-1.0, -1.0)
         )

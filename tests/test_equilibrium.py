@@ -111,39 +111,31 @@ class TestSolveEquilibrium:
         with pytest.raises(NoInEdgeAgentError):
             solve_equilibrium(sys_, [0.0, 0.0])
 
-    def test_unconverged_reports_best_point(self):
+    def test_unconverged_reports_best_point(self, monkeypatch):
         # both edges shift by +1: the mean drifts and no equilibrium exists
+        monkeypatch.setattr(equilibrium, "_BUDGET", 50)
         sys_ = two_agent(Affine(1.0, 1.0), Affine(1.0, 1.0))
         with pytest.raises(UnconvergedError) as exc:
-            solve_equilibrium(sys_, [0.0, 0.0], budget=50)
+            solve_equilibrium(sys_, [0.0, 0.0])
         assert np.all(np.isfinite(exc.value.best))
         assert exc.value.residual > 0
 
     @pytest.mark.parametrize(
-        "limits",
-        [
-            {"budget": -5},
-            {"budget": 0},
-            {"budget": True},
-            {"tol": float("nan")},
-            {"tol": -1.0},
-            {"tol": True},
-            {"tol": 10**400},  # beyond the float range
-        ],
+        "tol",
+        [float("nan"), -1.0, True, 10**400],
+        ids=["nan", "negative", "bool", "beyond-the-float-range"],
     )
-    def test_bad_budget_or_tol_raises_before_iterating(self, limits, monkeypatch):
-        # a negative budget used to put every check behind the iteration
-        # counter, so the solve never ended; no kernel call may be made
+    def test_bad_tol_raises_before_iterating(self, tol, monkeypatch):
+        # no kernel call may be made before the tolerance is checked
         def kernel(*args):
             raise AssertionError("the ladder iterated")
 
         monkeypatch.setattr(equilibrium, "_input_sums", kernel)
         pair = two_agent(Affine(0.5), Affine(0.5))
-        with pytest.raises(ValueError, match="budget|tol"):
-            solve_equilibrium(pair, [0.0, 0.0], **limits)
-        if "tol" in limits:
-            with pytest.raises(ValueError, match="tol"):
-                uniqueness_probe(pair, (-1.0, 1.0), 2, **limits)
+        with pytest.raises(ValueError, match="tol"):
+            solve_equilibrium(pair, [0.0, 0.0], tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            uniqueness_probe(pair, (-1.0, 1.0), 2, tol=tol)
 
     @pytest.mark.parametrize(
         "call, state",
@@ -247,7 +239,7 @@ class TestLadder:
         # which every rung diverges or stalls on, while the dynamics contract
         # it; the other mode (eigenvalue 8) diverges under the dynamics too
         sys_ = two_agent(Affine(-8.0, 0.0), Affine(-8.0, 0.0))
-        tail, lost = _ladder(sys_, np.array([[1.0, 1.0], [1.0, -0.5]]), 1e-10, 20000)
+        tail, lost = _ladder(sys_, np.array([[1.0, 1.0], [1.0, -0.5]]), 1e-10)
         rungs = [note.split(":")[0] for note in tail.method.split(";")]
         assert rungs == ["picard", "damped-0.5", "damped-0.25", "integration-tail"]
         assert tail.method.startswith("picard: diverged;damped-0.5: diverged;")
@@ -265,7 +257,7 @@ class TestLadder:
         # check history must not move the other row's stall test
         sc = scenario_by_name("sine")
         seeds = np.array([np.zeros(sc.system.n), sc.sample_x0(0)[0]])
-        origin, sampled = _ladder(sc.system, seeds, 1e-10, 20000)
+        origin, sampled = _ladder(sc.system, seeds, 1e-10)
         assert (origin.method, origin.iterations) == ("picard", 8)
         stall = "picard: stalled at 456 (residual ratio 0.93)"
         assert sampled.method == f"{stall};damped-0.5"
@@ -288,7 +280,7 @@ class TestLadder:
                 (eq.method, eq.iterations, eq.point.tobytes(), eq.residual)
                 if isinstance(eq, equilibrium.Equilibrium)
                 else (str(eq), eq.best.tobytes(), eq.residual)
-                for eq in _ladder(sc.system, seeds, 1e-10, 20000)
+                for eq in _ladder(sc.system, seeds, 1e-10)
             ]
 
         broadcast = outcomes()

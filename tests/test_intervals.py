@@ -44,7 +44,7 @@ class TestQueries:
         assert IntervalSet.empty().is_bounded
 
     def test_point_and_iter(self):
-        s = IntervalSet.point(2.0)
+        s = IntervalSet.closed(2.0, 2.0)
         assert s.pieces == ((2.0, 2.0),)
 
 
@@ -60,7 +60,7 @@ class TestSetOperations:
     def test_intersect_respects_tolerances(self):
         # an outer set of a root that float evaluation puts at 8.9e-17,
         # padded by its tolerance, meets the exact root {0} at 0 itself
-        exact = IntervalSet.point(0.0)
+        exact = IntervalSet.closed(0.0, 0.0)
         outer = IntervalSet.closed(8.9e-17 - 1e-8, 8.9e-17 + 1e-8)
         assert exact.intersect(outer).pieces == ((0.0, 0.0),)
 
