@@ -19,6 +19,8 @@ import numpy as np
 
 from .constraints import (
     STRICT_MARGIN,
+    Mix,
+    Tabulated,
     difference_quotient_bounds,
     fixed_point_set,
     ratio_range,
@@ -83,7 +85,15 @@ def _spec_admits_all(system: System, spec: BoxRaySpec, phi: IntervalSet) -> bool
         report = sector_membership(fn, spec)
         if not (report.lower.passed and report.upper.passed):
             return False
-    return True
+    # samples may refute a pchip edge's sectors, never certify them
+    return not any(_has_pchip(fn) for _, fn in system.distinct)
+
+
+def _has_pchip(fn) -> bool:
+    """Whether ``fn`` is a pchip ``Tabulated`` or a ``Mix`` with one."""
+    if isinstance(fn, Mix):
+        return _has_pchip(fn.first) or _has_pchip(fn.second)
+    return isinstance(fn, Tabulated) and fn.interpolation == "pchip"
 
 
 def _unit_product_rays(

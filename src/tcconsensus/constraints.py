@@ -188,8 +188,12 @@ class ScaledSine(ConstraintFn):
     def evaluate(self, x: float) -> float:
         return self.amplitude * math.sin(x + self.phase)
 
+    @cached_property
+    def _operands(self):  # 0-d arrays: numpy 2 is slower on a float (NEP 50)
+        return np.array(self.amplitude), np.array(self.phase)
+
     def _eval_direct(self, x):
-        return self.amplitude * np.sin(x + self.phase)
+        return self._operands[0] * np.sin(x + self._operands[1])
 
     def bounded_range(self):
         a = abs(self.amplitude)
@@ -542,9 +546,13 @@ class Mix(ConstraintFn):
             w * p1.right_slope + (1.0 - w) * p2.right_slope,
         )
 
+    @cached_property
+    def _operands(self):  # 0-d arrays: numpy 2 is slower on a float (NEP 50)
+        return np.array(self.weight), np.array(1.0 - self.weight)
+
     def _eval_direct(self, x):
-        w = self.weight
-        return w * self.first.eval_array(x) + (1.0 - w) * self.second.eval_array(x)
+        w, rest = self._operands
+        return w * self.first.eval_array(x) + rest * self.second.eval_array(x)
 
     def bounded_range(self):
         r1 = self.first.bounded_range()

@@ -6,11 +6,11 @@ the transmission from ``j`` to ``i``. Gated edges drop their whole
 contribution while the sender state is outside the accepted interval.
 
 A :class:`System` is its graph plus one function column, compiled once
-into an edge table keyed by distinct function value. One kernel,
-:func:`_input_sums`, evaluates the table at a batch of states and returns
-the constrained input sum ``num_i = sum_j a_ij f_ji(x_j)`` and the active
-in-degree ``den_i = sum_j a_ij`` over the edges not gated shut. The
-right-hand side is ``num - x * den``; the equilibrium module's Picard map
+into an edge table keyed by distinct function value. Its kernel, prepared
+once per batch size (:func:`_prepare`), evaluates the table at a batch of
+states and returns the constrained input sum ``num_i = sum_j a_ij
+f_ji(x_j)`` and the active in-degree ``den_i = sum_j a_ij`` over the edges
+not gated shut. The right-hand side is ``num - x * den``; the equilibrium module's Picard map
 is ``num / den``.
 
 Integration is deterministic fixed-step forward integration (RK4 by
@@ -26,7 +26,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from types import MappingProxyType, SimpleNamespace
+from types import MappingProxyType
 
 import numpy as np
 from numpy.typing import NDArray
@@ -57,7 +57,8 @@ class System:
     the function column and the objects, distinct by identity, in the order
     of their first edges, for the report's echo. :attr:`constraints` lists
     the edges in the order they were given. No step builds the graph's
-    ``n x n`` matrix.
+    ``n x n`` matrix. A kernel reads the attributes below when it is
+    prepared (:func:`_prepare`).
 
     - ``distinct`` pairs each function distinct by value with its first
       edge in sorted order; a ``Mix`` is listed as itself.
@@ -376,24 +377,27 @@ def _count_knots(knots, X) -> NDArray[np.intp]:
     return key.astype(np.intp)
 
 
-def _input_sums(
-    system: System, X: NDArray[np.float64], tiles=None
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Constrained input sums and active in-degrees for a batch of states.
+_TAKE_BELOW = 64  # states: X.take gathers faster below, fancy indexing from here
 
-    ``X`` has shape ``(m, n)``, and so has ``num``. ``den`` has shape
-    ``(m, n)`` when the system has a gate and is the in-degree operand
-    otherwise; either broadcasts against ``X``. The row operands
-    ``_base``, ``_plain_alpha``, ``_one_piece`` and ``_gate_bounds`` come
-    compiled, as the system's ``(1, n)`` and ``(1, R)`` rows, or
-    batch-shaped, from ``tiles`` (:func:`_tile_rows`); the sums are
-    bit-identical either way. A gated edge adds
-    neither its value nor its weight while its sender is outside the gate,
-    decided as :meth:`GatedIdentity.gate_mask` decides it (NaN is shut).
+
+def _prepare(system: System, m: int, *, tile: bool):
+    """The kernel of ``system`` for batches ``X`` of ``m`` states: it returns
+    the constrained input sums ``num``, shaped as ``X``, and the active
+    in-degrees ``den``, shaped as ``X`` when the system has a gate and else
+    the in-degree operand, which broadcasts against ``X``. Every choice that
+    depends only on the system and ``m`` is made here, from the system's
+    attributes as they are now. With ``tile``, each row operand (``_base``,
+    ``_plain_alpha``, ``_one_piece``, ``_gate_bounds``) is repeated to
+    ``m > 1`` rows when that holds at most ``_TILE_MAX`` values, with the
+    same sums. A gated edge adds neither its value nor its weight while its
+    sender is outside the gate, decided as :meth:`GatedIdentity.gate_mask`
+    decides it (NaN is shut).
 
     Each column is bit-identical to its member's ``eval_array``: a
     piecewise-linear row applies the same slope and intercept with the same
-    two operations. The bin lookup counts the knots at or below each state
+    two operations. The rows' states are gathered with ``X.take`` on a wide
+    table or below ``_TAKE_BELOW`` states, and by fancy indexing otherwise.
+    The bin lookup counts the knots at or below each state
     (:func:`_count_knots`) when at least ``_COUNT_FROM`` states are binned
     over at most ``_COUNT_KNOTS`` knots, and searches them otherwise; a
     wide table bins each agent once and gathers the bins to its rows. The
@@ -402,46 +406,54 @@ def _input_sums(
     product as ``@`` at less call overhead; a wide one with
     :func:`_gather_sum`.
     """
-    rows = system if tiles is None else tiles
-    slots = system._by_receiver
-    if system._identity:
-        XS = X
-    elif slots is None:
-        XS = X[:, system._senders]
-    else:
-        XS = X.take(system._senders, axis=1)
-    knots = system._knots
-    if knots.size:
-        # a wide table bins each agent once, then gathers the bins
-        binned = XS if slots is None or system._identity else X
-        if binned.size >= _COUNT_FROM and knots.size <= _COUNT_KNOTS:
-            key = _count_knots(knots, binned)
-        else:
-            key = knots.searchsorted(binned, side="right")
-        if binned is not XS:
-            key = key.take(system._senders, axis=1)
-        key += rows._base
-        V = system._slopes[key] * XS + system._icpts[key]
-    elif rows._one_piece is not None:  # no live knot: one piece per row
-        slopes, icpts = rows._one_piece
-        V = slopes * XS + icpts
-    else:  # no function has a piecewise-linear form: every column is direct
-        V = np.empty_like(XS)
-    for fn, a, b in system._direct:  # members without a piecewise-linear form
-        V[:, a:b] = fn._eval_direct(XS[:, a:b])
-    if not system._gates:
-        num = V.dot(system._block) if slots is None else _gather_sum(V, *slots[0])
-        return num, rows._plain_alpha
-    g = system._gate_start
-    lo, hi = rows._gate_bounds
-    XG = XS[:, g:]
-    # a float mask: numpy's dot and einsum take a bool operand on a slow path
-    open_ = ((XG >= lo) & (XG <= hi)).astype(np.float64)
-    V[:, g:] *= open_
-    if slots is None:
-        return V.dot(system._block), rows._plain_alpha + open_.dot(system._block[g:])
-    num = _gather_sum(V, *slots[0])
-    return num, rows._plain_alpha + _gather_sum(open_, *slots[1])
+
+    def shaped(row):
+        if not tile or m <= 1 or m * row.shape[1] > _TILE_MAX:
+            return row
+        return np.repeat(row, m, axis=0)
+
+    senders, knots, slots = system._senders, system._knots, system._by_receiver
+    identity, binning = system._identity, knots.size > 0
+    take = slots is not None or m < _TAKE_BELOW
+    by_agent = slots is not None and not identity  # bin agents, gather bins
+    width = system.n if by_agent else len(senders)
+    count = m * width >= _COUNT_FROM and knots.size <= _COUNT_KNOTS
+    base, slopes, icpts = shaped(system._base), system._slopes, system._icpts
+    one_piece = system._one_piece and tuple(map(shaped, system._one_piece))
+    direct = [(fn._eval_direct, np.s_[:, a:b]) for fn, a, b in system._direct]
+    alpha, gated = shaped(system._plain_alpha), bool(system._gates)
+    lo, hi = map(shaped, system._gate_bounds) if gated else (None, None)
+    gate_cols = np.s_[:, system._gate_start :]
+    block = system._block
+    gate_block = None if block is None else block[system._gate_start :]
+
+    def kernel(X):
+        XS = X if identity else X.take(senders, axis=1) if take else X[:, senders]
+        if binning:
+            B = X if by_agent else XS
+            key = _count_knots(knots, B) if count else knots.searchsorted(B, side="right")
+            if by_agent:
+                key = key.take(senders, axis=1)
+            key += base
+            V = slopes[key] * XS + icpts[key]
+        elif one_piece:  # no live knot: one piece per row
+            V = one_piece[0] * XS + one_piece[1]
+        else:  # no function has a piecewise-linear form: every column is direct
+            V = np.empty_like(XS)
+        for evaluate, cols in direct:  # members without a piecewise-linear form
+            V[cols] = evaluate(XS[cols])
+        if not gated:
+            num = V.dot(block) if slots is None else _gather_sum(V, *slots[0])
+            return num, alpha
+        XG = XS[gate_cols]
+        # a float mask: numpy's dot and einsum take a bool operand on a slow path
+        open_ = ((XG >= lo) & (XG <= hi)).astype(np.float64)
+        V[gate_cols] *= open_
+        if slots is None:
+            return V.dot(block), alpha + open_.dot(gate_block)
+        return _gather_sum(V, *slots[0]), alpha + _gather_sum(open_, *slots[1])
+
+    return kernel
 
 
 def _state_vector(system: System, x) -> NDArray[np.float64]:
@@ -462,32 +474,16 @@ def rhs(system: System, x) -> NDArray[np.float64]:
     return rhs_batch(system, x[None, :])[0]
 
 
-def rhs_batch(
-    system: System, X: NDArray[np.float64], tiles=None
-) -> NDArray[np.float64]:
-    """Right-hand side for a batch of states, shape ``(m, n)``; ``tiles``
-    are the row operands shaped to the batch (:func:`_tile_rows`)."""
-    num, den = _input_sums(system, X, tiles)
+def rhs_batch(system: System, X: NDArray[np.float64], kernel=None) -> NDArray[np.float64]:
+    """Right-hand side for a batch of states, shape ``(m, n)``, by ``kernel``
+    (:func:`_prepare`) or an untiled kernel prepared for this call."""
+    if kernel is None:
+        kernel = _prepare(system, len(X), tile=False)
+    num, den = kernel(X)
     return num - X * den
 
 
 _TILE_MAX = 2**15
-
-
-def _tile_rows(system: System, m: int) -> SimpleNamespace:
-    """The row operands of :func:`_input_sums` for batches of ``m`` states:
-    each compiled row repeated ``m`` times when that holds at most
-    ``_TILE_MAX`` values, else the row itself, which broadcasts."""
-
-    def tile(row):
-        return row if m * row.shape[1] > _TILE_MAX else np.repeat(row, m, axis=0)
-
-    return SimpleNamespace(
-        _base=tile(system._base),
-        _plain_alpha=tile(system._plain_alpha),
-        _one_piece=system._one_piece and tuple(map(tile, system._one_piece)),
-        _gate_bounds=system._gate_bounds and tuple(map(tile, system._gate_bounds)),
-    )
 
 
 def default_dt(system: System) -> float:
@@ -606,9 +602,9 @@ def integrate_batch(
     most 63 steps past it. A record count that memory cannot hold is a
     ``ValidationError``.
 
-    A batch of more than one state shapes the kernel's row operands to
-    itself once per call, up to ``_TILE_MAX`` values each
-    (:func:`_tile_rows`)."""
+    The system's kernel is prepared once per call, for this batch size and
+    with its row operands tiled (:func:`_prepare`), and every step
+    evaluates it through :func:`rhs_batch`."""
     X = np.array(X0, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != system.n:
         raise ValueError(f"X0 must have shape (m, {system.n})")
@@ -618,9 +614,10 @@ def integrate_batch(
     stride = spec.stride()
     check = min(stride, _CHECK_EVERY)
     dt = spec.dt
-    half, sixth = 0.5 * dt, dt / 6.0
+    # 0-d arrays: numpy 2 is slower on a float operand (NEP 50), same bytes
+    h, half, sixth = map(np.array, (dt, 0.5 * dt, dt / 6.0))
     euler = spec.method == "euler"
-    tiles = _tile_rows(system, len(X)) if len(X) > 1 else None
+    kernel = _prepare(system, len(X), tile=True)
 
     samples = steps // stride + 1 + (steps % stride != 0)
     try:
@@ -636,12 +633,12 @@ def integrate_batch(
     count = checked = end = 1
     for k in range(1, steps + 1):
         if euler:
-            X = X + dt * rhs_batch(system, X, tiles)
+            X = X + h * rhs_batch(system, X, kernel)
         else:
-            k1 = rhs_batch(system, X, tiles)
-            k2 = rhs_batch(system, X + half * k1, tiles)
-            k3 = rhs_batch(system, X + half * k2, tiles)
-            k4 = rhs_batch(system, X + dt * k3, tiles)
+            k1 = rhs_batch(system, X, kernel)
+            k2 = rhs_batch(system, X + half * k1, kernel)
+            k3 = rhs_batch(system, X + half * k2, kernel)
+            k4 = rhs_batch(system, X + h * k3, kernel)
             # k + k is 2.0 * k exactly, and cheaper
             X = X + sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
         record = k % stride == 0 or k == steps

@@ -21,13 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import box_violation, difference_quotient_bounds, fixed_point_set
-from .dynamics import _DIVERGENCE_LIMIT, IntegrationSpec, System, _input_sums
+from .dynamics import _DIVERGENCE_LIMIT, IntegrationSpec, System, _prepare
 from .dynamics import _state_vector, default_dt, integrate, rhs
 from .errors import (
     EmptyFixedPointSetError,
     NoInEdgeAgentError,
     NonFiniteStateError,
     UnconvergedError,
+    ValidationError,
 )
 from .graph import INTEGER, NUMBER, as_float, check_numbers, row_stats
 from .intervals import IntervalSet
@@ -62,11 +63,14 @@ _RUNGS = ((1.0, "picard"), (0.5, "damped-0.5"), (0.25, "damped-0.25"))
 def _ladder(system: System, seeds, tol: float) -> list:
     """Climb the ladder from every row of ``seeds``, rung by rung, the
     starts on a rung in lockstep; one ``Equilibrium`` or
-    ``UnconvergedError`` per row."""
+    ``UnconvergedError`` per row; a system without agents is a
+    ``ValidationError``."""
     check_numbers([tol], "tol", NUMBER, ValueError)
     tol = as_float(tol)
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if system.n == 0:
+        raise ValidationError("a system without agents has no equilibrium")
     alpha, _ = row_stats(system.graph)
     if np.any(alpha <= 0):
         raise NoInEdgeAgentError(
@@ -84,10 +88,12 @@ def _ladder(system: System, seeds, tol: float) -> list:
     for d, name in _RUNGS:
         # the rows on this rung, their states after ``it`` iterations from
         # their seeds, and their residuals and states at the last 8 checks
-        rows, E, it = climbing, seeds[climbing], 0
+        rows, E, it, kernel = climbing, seeds[climbing], 0, None
         history: deque = deque(maxlen=8)
         while rows.size:
-            num, den = _input_sums(system, E)
+            if kernel is None:  # prepared again whenever starts leave the rung
+                kernel = _prepare(system, rows.size, tile=True)
+            num, den = kernel(E)
             T = _map_step(E, num, den)
             gone = np.zeros(rows.size, dtype=bool)
             if it % 8 == 0 or it == _BUDGET:
@@ -131,6 +137,7 @@ def _ladder(system: System, seeds, tol: float) -> list:
                 keep = ~gone
                 rows, E = rows[keep], E[keep]
                 history = deque(((h[keep], s[keep]) for h, s in history), maxlen=8)
+                kernel = None
             it += 1
         climbing = climbing[[outcomes[k] is None for k in climbing.tolist()]]
 
@@ -180,8 +187,9 @@ def solve_equilibrium(system: System, seed, tol: float = 1e-10) -> Equilibrium:
     A cycle or an oscillation stalls; a steady drift with a flat residual
     keeps its rung. Raises ``UnconvergedError`` with the best point found
     when every rung and the integration tail fail, ``ValueError`` unless
-    ``tol`` is a finite positive number (not a ``bool``), and
-    ``DimensionMismatchError`` for a seed of another shape.
+    ``tol`` is a finite positive number (not a ``bool``),
+    ``DimensionMismatchError`` for a seed of another shape, and
+    ``ValidationError`` for a system without agents.
 
     The method note is one ``<rung>: <why>`` entry per rung left, then the
     converging rung (``picard``, ``damped-0.5``, ``damped-0.25`` or

@@ -237,14 +237,66 @@ class TestFindAdmissibleRays:
         box = sector_membership(f, spec).box
         assert not box.passed and -3.0549 < box.first_violation < -3.0451
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP direction 1: the ray conditions of non-PWL edges are "
-        "sampled on a 0.1-spaced grid that steps over the dip",
-    )
     def test_pchip_dip_ring_does_not_pass_admissible_rays(self):
+        # the ray conditions of non-PWL edges are sampled on a 0.1-spaced
+        # grid that steps over the dip, so a pchip edge certifies nothing
         verdict = classify_system(pchip_dip_ring())
         assert verdict.conditions["admissible_rays"].status != "pass"
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            # ROADMAP direction 16, reproduction A: f(x) > x on (0, s), and
+            # the whole function lies inside one sampling step
+            *(
+                two_agent(pchip, pchip)
+                for s in (2.0**-6, 2.0**-10)
+                for pchip in [
+                    Tabulated(
+                        tuple(s * x for x in (-2.0, -1.0, 1.0, 2.0)),
+                        tuple(s * y for y in (-1.5, -1.0, 1.0, 1.5)),
+                        "pchip",
+                    )
+                ]
+            ),
+            # reproduction B: a box in the outer zone at scale 16
+            System(
+                build_digraph([[0.0, 1.0, 0.5], [1.0, 0.0, 0.7], [0.3, 1.2, 0.0]]),
+                dict.fromkeys(
+                    [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)],
+                    Tabulated(
+                        tuple(16.0 * x for x in (-6, -3, -1, -0.5, 0, 0.5, 1, 3, 6)),
+                        tuple(16.0 * y for y in (-2, -1.4, -1, -0.5, 0, 0.5, 1, 1.4, 2)),
+                        "pchip",
+                    ),
+                ),
+            ),
+        ],
+        ids=["A-2^-6", "A-2^-10", "B-16"],
+    )
+    def test_rescaled_pchip_rings_are_inconclusive(self, system):
+        verdict = classify_system(system)
+        assert verdict.classification == "Inconclusive"
+        assert verdict.conditions["admissible_rays"].status == "inconclusive"
+
+    @pytest.mark.parametrize("wrap", ["plain", "mix", "nested-mix"])
+    def test_a_pchip_member_refuses_a_spec_that_passes_its_sectors(self, wrap):
+        # the spec the search once returned for the dip ring: the samples
+        # pass every sector, the identity ring admits it
+        (_, dip), = pchip_dip_ring().distinct
+        fn = {
+            "plain": dip,
+            "mix": Mix(Identity(), dip, 0.5),
+            "nested-mix": Mix(Mix(Identity(), dip, 0.5), Identity(), 0.5),
+        }[wrap]
+        system = two_agent(fn, fn)
+        spec = BoxRaySpec(-1e-8, 1e-8, -1e-8, -1.0, -1.0)
+        report = sector_membership(fn, spec)
+        assert report.lower.passed and report.upper.passed
+        assert _contains_interval(consensus_zone(system), spec.box_lo, spec.box_hi)
+        assert not _spec_admits_all(system, spec, consensus_zone(system))
+        linear = two_agent(Identity(), Identity())
+        assert _spec_admits_all(linear, spec, consensus_zone(linear))
 
     def test_bad_hint_is_ignored(self):
         sc = scenario_by_name("ex2")

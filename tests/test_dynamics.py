@@ -59,9 +59,16 @@ SINE = ScaledSine(0.8, math.pi)
 PCHIP = Tabulated((-2.0, -1.0, 1.0, 2.0), (-1.5, -1.0, 1.0, 1.5), "pchip")
 
 
+def input_sums(system, X):
+    """The kernel's input sums and in-degrees for the batch ``X``, from a
+    kernel prepared for its size with the compiled rows, as an ad-hoc
+    ``rhs_batch`` prepares one."""
+    return dynamics._prepare(system, len(X), tile=False)(X)
+
+
 def picard_map(system, e):
     """The equilibrium solver's update map at one state."""
-    return _map_step(e[None, :], *dynamics._input_sums(system, e[None, :]))[0]
+    return _map_step(e[None, :], *input_sums(system, e[None, :]))[0]
 
 
 def two_agent(f_01, f_10):
@@ -300,7 +307,7 @@ class TestBinTableMatchesPerSpanKernel:
         pad = -len(rows) % m
         rows = np.vstack((rows, rng.uniform(-4.0, 4.0, size=(pad, sys_.n))))
         for X in np.split(rows, len(rows) // m):
-            assert_sums_match(dynamics._input_sums(sys_, X), per_span_sums(sys_, X), X)
+            assert_sums_match(input_sums(sys_, X), per_span_sums(sys_, X), X)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_no_piecewise_linear_function(self, seed):
@@ -310,7 +317,7 @@ class TestBinTableMatchesPerSpanKernel:
         sys_ = random_catalog_system(seed, direct + [Mix(SINE, PCHIP, 0.3)])
         assert sys_._knots.size == 0
         X = np.random.default_rng(seed).uniform(-4.0, 4.0, size=(7, sys_.n))
-        assert_sums_match(dynamics._input_sums(sys_, X), per_span_sums(sys_, X), X)
+        assert_sums_match(input_sums(sys_, X), per_span_sums(sys_, X), X)
 
     def test_seeds_cover_gated_and_ungated_systems(self):
         assert {bool(bin_table_system(s)._gates) for s in range(12)} == {True, False}
@@ -513,7 +520,7 @@ class TestMixExpansion:
         rows = np.vstack((rows, rng.uniform(-4.0, 4.0, size=(-len(rows) % m, sys_.n))))
         eps, eta = np.finfo(float).eps, np.finfo(float).smallest_subnormal
         for X in np.split(rows, len(rows) // m):
-            num, den = dynamics._input_sums(sys_, X)
+            num, den = input_sums(sys_, X)
             assert_sums_match((num, den), per_span_sums(sys_, X), X)
             for x, got in zip(X, num):
                 want, _ = per_edge_sums(sys_, x)
@@ -634,7 +641,7 @@ class TestReceiverSlots:
         rng = np.random.default_rng(700 + m)
         rows = knot_probe_rows(sys_, rng)
         rows = np.vstack((rows, rng.uniform(-4.0, 4.0, size=(-len(rows) % m, sys_.n))))
-        parts = [dynamics._input_sums(sys_, X) for X in np.split(rows, len(rows) // m)]
+        parts = [input_sums(sys_, X) for X in np.split(rows, len(rows) // m)]
         num = np.vstack([p[0] for p in parts])
         den = np.vstack([np.broadcast_to(p[1], p[0].shape) for p in parts])
         assert_within_rounding(sys_, rows, num, den)
@@ -654,7 +661,7 @@ class TestReceiverSlots:
     def test_zero_in_degree_agents_get_zero_sums(self):
         sys_ = wide_system(silent=SILENT)
         X = np.random.default_rng(800).uniform(-4.0, 4.0, size=(5, sys_.n))
-        num, den = dynamics._input_sums(sys_, X)
+        num, den = input_sums(sys_, X)
         assert (num[:, SILENT] == 0.0).all() and (den[:, SILENT] == 0.0).all()
         assert (rhs_batch(sys_, X)[:, SILENT] == 0.0).all()
 
@@ -733,7 +740,7 @@ class TestLiveKnots:
         sys_ = mix_system([fn])
         assert sys_._knots.tolist() == [0.0]
         X = knot_probe_rows(sys_, np.random.default_rng(0))
-        assert_sums_match(dynamics._input_sums(sys_, X), per_span_sums(sys_, X), X)
+        assert_sums_match(input_sums(sys_, X), per_span_sums(sys_, X), X)
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     @pytest.mark.parametrize("m", [1, 7])
@@ -743,7 +750,7 @@ class TestLiveKnots:
         rows = knot_probe_rows(sys_, rng)
         rows = np.vstack((rows, rng.uniform(-4.0, 4.0, size=(-len(rows) % m, sys_.n))))
         for X in np.split(rows, len(rows) // m):
-            assert_sums_match(dynamics._input_sums(sys_, X), per_span_sums(sys_, X), X)
+            assert_sums_match(input_sums(sys_, X), per_span_sums(sys_, X), X)
 
     def test_one_piece_rows(self):
         rows = len(scenario_by_name("ex3").system._senders)
@@ -776,7 +783,7 @@ class TestLiveKnots:
         want = np.hstack([fn.gate_mask(XG[:, a - g : b - g]) for fn, a, b in sys_._gates])
         assert ((XG >= lo) & (XG <= hi)).tolist() == want.tolist()
         with np.errstate(all="ignore"):
-            assert_sums_match(dynamics._input_sums(sys_, X), per_span_sums(sys_, X), X)
+            assert_sums_match(input_sums(sys_, X), per_span_sums(sys_, X), X)
 
 
 def searched_bin_sums(system, X):
@@ -843,13 +850,14 @@ class BinProbe(np.ndarray):
 
 
 def binned_shapes(system, X):
-    """The shapes ``_input_sums`` bins for the batch ``X``, on a copy of the
-    system whose knots are a :class:`BinProbe`."""
+    """The shapes the kernel bins for the batch ``X``, on a copy of the
+    system whose knots are a :class:`BinProbe`: the kernel is prepared from
+    the copy's attributes."""
     probe = copy.copy(system)
     knots = system._knots.view(BinProbe)
     knots.binned = []
     object.__setattr__(probe, "_knots", knots)
-    dynamics._input_sums(probe, X)
+    input_sums(probe, X)
     return knots.binned
 
 
@@ -868,7 +876,7 @@ class TestAgentBins:
         rows = np.vstack((rows, rng.uniform(-4.0, 4.0, size=(-len(rows) % m, sys_.n))))
         for X in np.split(rows, len(rows) // m):
             want = searched_bin_sums(sys_, X)
-            assert_sums_match(dynamics._input_sums(sys_, X), want, X)
+            assert_sums_match(input_sums(sys_, X), want, X)
 
     @pytest.mark.parametrize("m", [1, 8])
     def test_what_is_binned(self, m):
@@ -970,7 +978,7 @@ class TestCountedBins:
             counted = m == at and G.size <= dynamics._COUNT_KNOTS
             with np.errstate(all="ignore"):
                 want = searched_bin_sums(sys_, X)
-                assert_sums_match(dynamics._input_sums(sys_, X), want, X)
+                assert_sums_match(input_sums(sys_, X), want, X)
                 assert binned_shapes(sys_, X) == ([] if counted else [(m, width)])
 
     @pytest.mark.parametrize("extra", [0, 1])
@@ -979,7 +987,7 @@ class TestCountedBins:
         rng = np.random.default_rng(extra)
         sys_ = knot_union_system("identity", knots, rng)
         X = rng.uniform(-3.0, 3.0, size=(4 * dynamics._COUNT_FROM, sys_.n))
-        assert_sums_match(dynamics._input_sums(sys_, X), searched_bin_sums(sys_, X), X)
+        assert_sums_match(input_sums(sys_, X), searched_bin_sums(sys_, X), X)
         assert binned_shapes(sys_, X) == ([X.shape] if extra else [])
 
     def test_counts_in_blocks(self):
@@ -1450,17 +1458,30 @@ def oracle_loop_systems():
     return systems
 
 
-def row_operands(rows):
-    """The row operands of ``_input_sums`` held by a system (its compiled
-    rows) or by ``_tile_rows``' tiles."""
-    return [rows._base, rows._plain_alpha, *(rows._one_piece or ()), *(rows._gate_bounds or ())]
+def row_operands(system):
+    """The kernel's row operands as the system compiles them."""
+    return [
+        system._base,
+        system._plain_alpha,
+        *(system._one_piece or ()),
+        *(system._gate_bounds or ()),
+    ]
+
+
+def kernel_cells(kernel):
+    """The variables a prepared kernel closes over, by name."""
+    names = kernel.__code__.co_freevars
+    return {name: cell.cell_contents for name, cell in zip(names, kernel.__closure__)}
 
 
 def tile_heights(system, m):
-    """The row counts of the operands ``integrate_batch`` passes for ``m``
-    states: ``{m}`` when every one is tiled, ``{1}`` when every one
-    broadcasts."""
-    return {len(row) for row in row_operands(dynamics._tile_rows(system, m))}
+    """The row counts of the operands of the kernel ``integrate_batch``
+    prepares for ``m`` states: ``{m}`` when every one is tiled, ``{1}`` when
+    every one broadcasts."""
+    cells = kernel_cells(dynamics._prepare(system, m, tile=True))
+    rows = [cells["base"], cells["alpha"], *(cells["one_piece"] or ())]
+    rows += [cells[k] for k in ("lo", "hi") if cells[k] is not None]
+    return {len(row) for row in rows}
 
 
 class TestFormerLoopIsTheOracle:
@@ -1538,6 +1559,104 @@ class TestFormerLoopIsTheOracle:
         times = exc.value.partial.times
         assert times.tolist() == [k * stride * dt for k in range(1336 // stride)]
         assert exc.value.partial.states.tobytes() == before.states[::stride].tobytes()
+
+
+def kernel_systems():
+    """The nine scenarios, an edgeless 3-agent system and the n = 200
+    benchmark network, whose table keeps receiver slots."""
+    return {**oracle_loop_systems(), "netgen-200": binned_system("netgen-200")}
+
+
+def flip_sizes(system):
+    """The batch sizes around each one at which a choice of the prepared
+    kernel flips: the empty batch and one and two states (tiling), either
+    side of ``_TAKE_BELOW`` (the gather), of the smallest batch whose bins
+    are counted (``_COUNT_FROM``, 614 and 615 states on 5 rows), and of the
+    largest batch each row operand is tiled for (``_TILE_MAX``)."""
+    take = dynamics._TAKE_BELOW
+    sizes = {0, 1, 2, take - 1, take, take + 1}
+    by_agent = system._by_receiver is not None and not system._identity
+    binned = system.n if by_agent else len(system._senders)
+    if binned:
+        at = -(-dynamics._COUNT_FROM // binned)
+        sizes |= {at - 1, at}
+    for width in {row.shape[1] for row in row_operands(system)} - {0}:
+        top = dynamics._TILE_MAX // width
+        sizes |= {top - 1, top, top + 1}
+    return sorted(sizes)
+
+
+class TestPreparedKernel:
+    """The kernel prepared for a batch size, tiled as ``integrate_batch``
+    prepares it and untiled as an ad-hoc ``rhs_batch`` does, against the
+    former kernels, byte for byte, at the sizes where its choices flip:
+    ``searched_bin_sums`` everywhere, and ``per_span_sums`` where the dense
+    product is the scatter."""
+
+    @pytest.mark.parametrize("name", sorted(kernel_systems()))
+    def test_bit_identical_where_the_choices_flip(self, name):
+        system = kernel_systems()[name]
+        rng = np.random.default_rng(11)
+        probe = knot_probe_rows(system, rng, extra=0)
+        for m in flip_sizes(system):
+            X = rng.uniform(-4.0, 4.0, size=(m, system.n))
+            X[: len(probe)] = probe[:m]
+            want = searched_bin_sums(system, X)
+            if system._by_receiver is None:  # a wide table's sums round apart
+                assert_sums_match(per_span_sums(system, X), want, X)
+            for tile in (True, False):
+                assert_sums_match(dynamics._prepare(system, m, tile=tile)(X), want, X)
+
+    def test_the_choices_flip_at_the_stated_sizes(self):
+        # ex1: 12 dense rows on 5 agents, 9 live knots
+        system = scenario_by_name("ex1").system
+        assert (len(system._senders), system.n, system._knots.size) == (12, 5, 9)
+
+        def cells(m):
+            return kernel_cells(dynamics._prepare(system, m, tile=True))
+
+        take = dynamics._TAKE_BELOW
+        assert cells(take - 1)["take"] and not cells(take)["take"]
+        at = dynamics._COUNT_FROM // 12
+        assert not cells(at - 1)["count"] and cells(at)["count"]
+        top = dynamics._TILE_MAX // 12  # the bin offsets; the in-degree is 5 wide
+        assert tile_heights(system, top) == {top}
+        assert tile_heights(system, top + 1) == {top + 1, 1}
+        assert tile_heights(system, dynamics._TILE_MAX // 5 + 1) == {1}
+        assert tile_heights(system, 1) == {1}
+        untiled = kernel_cells(dynamics._prepare(system, 20, tile=False))
+        assert untiled["base"] is system._base and untiled["alpha"] is system._plain_alpha
+        # a wide table gathers with take at any size
+        assert kernel_cells(dynamics._prepare(binned_system("netgen-200"), 1000, tile=True))["take"]
+
+
+class TestSeams:
+    """``integrate_batch`` prepares one kernel per call and evaluates every
+    stage through the module-level ``rhs_batch``, which profilers and tests
+    patch."""
+
+    @pytest.mark.parametrize("method, per_step", [("rk4", 4), ("euler", 1)])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_one_kernel_and_one_rhs_batch_call_per_stage(self, method, per_step, m, monkeypatch):
+        prepared, kernels = [], []
+        prepare, rhs = dynamics._prepare, dynamics.rhs_batch
+
+        def counting_prepare(system, m, tile):
+            prepared.append(prepare(system, m, tile=tile))
+            return prepared[-1]
+
+        def counting_rhs(system, X, kernel=None):
+            kernels.append(kernel)
+            return rhs(system, X, kernel)
+
+        monkeypatch.setattr(dynamics, "_prepare", counting_prepare)
+        monkeypatch.setattr(dynamics, "rhs_batch", counting_rhs)
+        system = scenario_by_name("ex1").system
+        X0 = np.random.default_rng(m).uniform(-3.0, 3.0, (m, system.n))
+        integrate_batch(system, X0, IntegrationSpec(1e-3, 37e-3, method, 5))
+        assert len(prepared) == 1
+        assert len(kernels) == per_step * 37
+        assert all(kernel is prepared[0] for kernel in kernels)
 
 
 BOX = BoxRaySpec(-1.0, 1.0, 0.0, -1.0, -1.0)

@@ -30,6 +30,7 @@ from tcconsensus.errors import (
     EmptyFixedPointSetError,
     NoInEdgeAgentError,
     UnconvergedError,
+    ValidationError,
 )
 from test_dynamics import load_netgen
 
@@ -120,17 +121,28 @@ class TestSolveEquilibrium:
         assert np.all(np.isfinite(exc.value.best))
         assert exc.value.residual > 0
 
+    def test_a_system_without_agents_is_refused_before_iterating(self, monkeypatch):
+        def prepare(*args, **kwargs):
+            raise AssertionError("the ladder iterated")
+
+        monkeypatch.setattr(equilibrium, "_prepare", prepare)
+        empty = System(build_digraph(np.zeros((0, 0))), {})
+        with pytest.raises(ValidationError, match="without agents"):
+            solve_equilibrium(empty, [])
+        with pytest.raises(ValidationError, match="without agents"):
+            uniqueness_probe(empty, (-1.0, 1.0), 2)
+
     @pytest.mark.parametrize(
         "tol",
         [float("nan"), -1.0, True, 10**400],
         ids=["nan", "negative", "bool", "beyond-the-float-range"],
     )
     def test_bad_tol_raises_before_iterating(self, tol, monkeypatch):
-        # no kernel call may be made before the tolerance is checked
-        def kernel(*args):
+        # no kernel may be prepared before the tolerance is checked
+        def prepare(*args, **kwargs):
             raise AssertionError("the ladder iterated")
 
-        monkeypatch.setattr(equilibrium, "_input_sums", kernel)
+        monkeypatch.setattr(equilibrium, "_prepare", prepare)
         pair = two_agent(Affine(0.5), Affine(0.5))
         with pytest.raises(ValueError, match="tol"):
             solve_equilibrium(pair, [0.0, 0.0], tol=tol)
@@ -269,9 +281,10 @@ class TestLadder:
 
     @pytest.mark.parametrize("name", [s.name for s in builtin_scenarios()])
     def test_points_do_not_depend_on_the_in_degree_shape(self, name, monkeypatch):
-        # an ungated system's kernel returns its in-degree with shape (n,);
-        # broadcast to the batch's shape, as the kernel returned it before,
-        # it must give the same outcomes bit for bit
+        # an ungated system's untiled kernel returns its in-degree with shape
+        # (1, n); the ladder's kernel tiles it to the batch; broadcast to the
+        # batch's shape, as the kernel returned it before, it must give the
+        # same outcomes bit for bit
         sc = scenario_by_name(name)
         seeds = np.vstack((sc.sample_x0(0, count=2), np.zeros((1, sc.system.n))))
 
@@ -283,15 +296,54 @@ class TestLadder:
                 for eq in _ladder(sc.system, seeds, 1e-10)
             ]
 
-        broadcast = outcomes()
-        kernel = equilibrium._input_sums
+        tiled = outcomes()
+        prepare = equilibrium._prepare
 
-        def full_shape(system, E):
-            num, den = kernel(system, E)
-            return num, np.broadcast_to(den, E.shape).copy()
+        def untiled(system, m, tile):
+            return prepare(system, m, tile=False)
 
-        monkeypatch.setattr(equilibrium, "_input_sums", full_shape)
-        assert outcomes() == broadcast
+        def full_shape(system, m, tile):
+            kernel = prepare(system, m, tile=False)
+
+            def sums(E):
+                num, den = kernel(E)
+                return num, np.broadcast_to(den, E.shape).copy()
+
+            return sums
+
+        for patch in (untiled, full_shape):
+            monkeypatch.setattr(equilibrium, "_prepare", patch)
+            assert outcomes() == tiled
+
+    def test_every_kernel_call_goes_through_the_seam(self, monkeypatch):
+        # the ladder prepares its kernel through ``equilibrium._prepare`` for
+        # the starts on a rung, and again when some leave it, and iterates
+        # only with it
+        prepared, calls = [], []
+        prepare = equilibrium._prepare
+
+        def counting(system, m, tile):
+            kernel = prepare(system, m, tile=tile)
+            prepared.append(m)
+
+            def sums(E):
+                assert len(E) == m
+                calls.append(m)
+                return kernel(E)
+
+            return sums
+
+        monkeypatch.setattr(equilibrium, "_prepare", counting)
+        eq = solve_equilibrium(AFFINE_PAIR, [-2.0, 2.0])
+        assert (eq.method, eq.iterations) == ("picard", 8)
+        assert calls == [1] * 9 and prepared == [1]
+        prepared.clear()
+        calls.clear()
+        # three of interval's five starts converge at one check, one more
+        # at a later one
+        report = uniqueness_probe(scenario_by_name("interval").system, (-3.0, 3.0), 5)
+        assert all(o.equilibrium is not None for o in report.outcomes)
+        assert prepared == [5, 2, 1] and set(calls) == {5, 2, 1}
 
     def test_seed_at_an_equilibrium_still_iterates_to_the_first_check(self):
         eq = solve_equilibrium(AFFINE_PAIR, [-2.0, 2.0])
@@ -382,10 +434,10 @@ class TestUniquenessProbe:
         ],
     )
     def test_bad_arguments_raise_before_any_start(self, args, monkeypatch):
-        def kernel(*a):
+        def prepare(*a, **kw):
             raise AssertionError("the ladder iterated")
 
-        monkeypatch.setattr(equilibrium, "_input_sums", kernel)
+        monkeypatch.setattr(equilibrium, "_prepare", prepare)
         call = {"box": (-5.0, 5.0), "n_starts": 3, "seed": 0, **args}
         with pytest.raises(ValueError, match="n_starts|seed|box"):
             uniqueness_probe(AFFINE_PAIR, call.pop("box"), **call)
