@@ -7,7 +7,8 @@ ledger to a verdict. The ray search tries the consensus zone's pieces as
 boxes, since theorem 2 needs the identity on the box, and a grid of anchors
 in each; for each it reads the ray slopes off the edges' ray-ratio ranges
 in closed form. "Not found" is recorded as inconclusive, never as a
-disproof.
+disproof. A system with a pchip edge is not searched: its sector
+conditions are only sampled, and samples never certify.
 """
 
 from __future__ import annotations
@@ -85,15 +86,20 @@ def _spec_admits_all(system: System, spec: BoxRaySpec, phi: IntervalSet) -> bool
         report = sector_membership(fn, spec)
         if not (report.lower.passed and report.upper.passed):
             return False
-    # samples may refute a pchip edge's sectors, never certify them
-    return not any(_has_pchip(fn) for _, fn in system.distinct)
+    return True
 
 
-def _has_pchip(fn) -> bool:
-    """Whether ``fn`` is a pchip ``Tabulated`` or a ``Mix`` with one."""
-    if isinstance(fn, Mix):
-        return _has_pchip(fn.first) or _has_pchip(fn.second)
-    return isinstance(fn, Tabulated) and fn.interpolation == "pchip"
+def _has_pchip(system: System) -> bool:
+    """Whether a distinct function of ``system`` is a pchip ``Tabulated``
+    or a ``Mix`` with one: samples may refute its sectors, never certify."""
+    stack = [fn for _, fn in system.distinct]
+    while stack:
+        fn = stack.pop()
+        if isinstance(fn, Mix):
+            stack += [fn.first, fn.second]
+        elif isinstance(fn, Tabulated) and fn.interpolation == "pchip":
+            return True
+    return False
 
 
 def _unit_product_rays(
@@ -126,8 +132,11 @@ def find_admissible_rays(
     in the zone, see :func:`_candidate_boxes`) with ``ANCHOR_COUNT``
     anchors each, and for each the slopes come in closed form (product
     one), re-verified by :func:`_spec_admits_all`. Returns ``None`` when no
-    candidate admits rays; absence is not a proof.
+    candidate admits rays; absence is not a proof. With a pchip edge
+    (:func:`_has_pchip`) it returns ``None`` before computing anything.
     """
+    if _has_pchip(system):
+        return None
     phi = consensus_zone(system)
     for hint in hints:
         if _spec_admits_all(system, hint, phi):
@@ -260,29 +269,24 @@ def classify_system(
 
     rays = None
     if zone is None:
-        conditions["admissible_rays"] = ConditionResult(
-            "inconclusive", note="ray search not run: the zone is unresolved"
+        note = "ray search not run: the zone is unresolved"
+    elif not sc or zone.is_empty:
+        note = "ray search only runs for a non-empty zone"
+    elif not hints and conditions["quotient_in_unit_sector"].status == "pass":
+        note = "not searched; chord-slope bounds already certify consensus"
+    elif _has_pchip(system):
+        note = (
+            "not searched: a pchip edge's sector conditions are only sampled, "
+            "and samples never certify"
         )
-    elif sc and not zone.is_empty:
-        if hints or conditions["quotient_in_unit_sector"].status != "pass":
-            rays = find_admissible_rays(system, hints=hints)
-            conditions["admissible_rays"] = (
-                ConditionResult("pass", witness=rays)
-                if rays is not None
-                else ConditionResult(
-                    "inconclusive",
-                    note="bounded search found no rays; absence is not a proof",
-                )
-            )
-        else:
-            conditions["admissible_rays"] = ConditionResult(
-                "inconclusive",
-                note="not searched; chord-slope bounds already certify consensus",
-            )
     else:
-        conditions["admissible_rays"] = ConditionResult(
-            "inconclusive", note="ray search only runs for a non-empty zone"
-        )
+        rays = find_admissible_rays(system, hints=hints)
+        note = "bounded search found no rays; absence is not a proof"
+    conditions["admissible_rays"] = (
+        ConditionResult("pass", witness=rays)
+        if rays is not None
+        else ConditionResult("inconclusive", note=note)
+    )
 
     note = "no self-mapped box certified"
     try:

@@ -50,15 +50,16 @@ from .rays import (
 
 @dataclass(frozen=True, init=False, eq=False)
 class System:
-    """A digraph plus one constraint per edge, keyed ``(sender, receiver)``.
+    """A digraph of at least one agent plus one constraint per edge, keyed
+    ``(sender, receiver)``; a graph without agents is a ``ValidationError``.
     Systems compare and hash by identity, as their graphs do.
 
     The graph's edge ``e`` carries ``fns[function[e]]``; ``_edges`` keeps
     the function column and the objects, distinct by identity, in the order
     of their first edges, for the report's echo. :attr:`constraints` lists
     the edges in the order they were given. No step builds the graph's
-    ``n x n`` matrix. A kernel reads the attributes below when it is
-    prepared (:func:`_prepare`).
+    ``n x n`` matrix. A kernel reads the private attributes below, and no
+    others, when it is prepared (:func:`_prepare`).
 
     - ``distinct`` pairs each function distinct by value with its first
       edge in sorted order; a ``Mix`` is listed as itself.
@@ -66,8 +67,8 @@ class System:
       An edge's members are its function, or for a ``Mix`` without a
       piecewise-linear form its members weighted ``w`` and ``1 - w``
       (:func:`_members`). Each member's rows are contiguous, gated members
-      last from ``_gate_start``; ``_identity`` says the row senders are the
-      agents in order.
+      last from ``_gate_start``. ``_senders`` holds the rows' senders, and
+      ``_identity`` says they are the agents in order.
     - With ``R`` rows and ``K`` the most entries into one agent, a table
       with ``R <= 32 * K`` keeps the dense ``R x n`` weight block
       ``_block``; a wider one keeps receiver slots ``_by_receiver`` (see
@@ -80,11 +81,13 @@ class System:
       knots ``_knots`` are those where some member's slope or intercept
       changes, compared bit for bit; inside a bin every such member stays
       on the piece its own search picks, so one bin lookup, offset by the
-      row's ``_base``, reads each row's slope and intercept. Without a live
-      knot, ``_one_piece`` holds them as two ``(1, R)`` rows.
+      row's ``_base``, reads each row's slope and intercept from
+      ``_slopes`` and ``_icpts``. Without a live knot, ``_one_piece`` holds
+      them as two ``(1, R)`` rows. ``_direct`` lists every other member
+      with its rows ``[a, b)``.
     - ``_gate_bounds`` holds the gate rows' accepted intervals as
       ``(1, R - _gate_start)`` rows, compared as
-      :meth:`GatedIdentity.gate_mask` compares them.
+      :meth:`GatedIdentity.gate_mask` compares them, or is ``None``.
     """
 
     graph: Digraph
@@ -125,6 +128,8 @@ class System:
         ``objects[index[e]]``, ``index`` an integer array, and was given at
         position ``order[e]``. The objects are distinct by identity, and
         each is on some edge."""
+        if graph.n == 0:
+            raise ValidationError("a system needs at least one agent")
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "_input_order", order)
         n = self.n
@@ -260,8 +265,6 @@ class System:
         object.__setattr__(
             self, "_direct", tuple(s for s, rep in zip(spans, reps) if rep is None)
         )
-        object.__setattr__(self, "_gates", spans[plain:])
-        object.__setattr__(self, "_spans", spans)
         object.__setattr__(self, "_senders", row_senders)
         object.__setattr__(
             self,
@@ -360,6 +363,8 @@ def _gather_sum(V, rows, weights) -> NDArray[np.float64]:
 
 _COUNT_FROM = 3072
 _COUNT_KNOTS = 16  # below 256: a count fits a uint8
+_TAKE_BELOW = 64  # states: X.take gathers faster below, fancy indexing from here
+_TILE_MAX = 2**15  # values: a row operand is repeated to the batch up to here
 
 
 def _count_knots(knots, X) -> NDArray[np.intp]:
@@ -377,21 +382,18 @@ def _count_knots(knots, X) -> NDArray[np.intp]:
     return key.astype(np.intp)
 
 
-_TAKE_BELOW = 64  # states: X.take gathers faster below, fancy indexing from here
-
-
-def _prepare(system: System, m: int, *, tile: bool):
+def _prepare(system: System, m: int):
     """The kernel of ``system`` for batches ``X`` of ``m`` states: it returns
     the constrained input sums ``num``, shaped as ``X``, and the active
     in-degrees ``den``, shaped as ``X`` when the system has a gate and else
     the in-degree operand, which broadcasts against ``X``. Every choice that
     depends only on the system and ``m`` is made here, from the system's
-    attributes as they are now. With ``tile``, each row operand (``_base``,
-    ``_plain_alpha``, ``_one_piece``, ``_gate_bounds``) is repeated to
-    ``m > 1`` rows when that holds at most ``_TILE_MAX`` values, with the
-    same sums. A gated edge adds neither its value nor its weight while its
-    sender is outside the gate, decided as :meth:`GatedIdentity.gate_mask`
-    decides it (NaN is shut).
+    attributes as they are now; ``m`` alone decides them. Each row operand
+    (``_base``, ``_plain_alpha``, ``_one_piece``, ``_gate_bounds``) is
+    repeated to ``m > 1`` rows when that holds at most ``_TILE_MAX``
+    values, with the same sums. A gated edge adds neither its value nor
+    its weight while its sender is outside the gate, decided as
+    :meth:`GatedIdentity.gate_mask` decides it (NaN is shut).
 
     Each column is bit-identical to its member's ``eval_array``: a
     piecewise-linear row applies the same slope and intercept with the same
@@ -408,7 +410,7 @@ def _prepare(system: System, m: int, *, tile: bool):
     """
 
     def shaped(row):
-        if not tile or m <= 1 or m * row.shape[1] > _TILE_MAX:
+        if m <= 1 or m * row.shape[1] > _TILE_MAX:
             return row
         return np.repeat(row, m, axis=0)
 
@@ -421,7 +423,7 @@ def _prepare(system: System, m: int, *, tile: bool):
     base, slopes, icpts = shaped(system._base), system._slopes, system._icpts
     one_piece = system._one_piece and tuple(map(shaped, system._one_piece))
     direct = [(fn._eval_direct, np.s_[:, a:b]) for fn, a, b in system._direct]
-    alpha, gated = shaped(system._plain_alpha), bool(system._gates)
+    alpha, gated = shaped(system._plain_alpha), system._gate_bounds is not None
     lo, hi = map(shaped, system._gate_bounds) if gated else (None, None)
     gate_cols = np.s_[:, system._gate_start :]
     block = system._block
@@ -476,14 +478,11 @@ def rhs(system: System, x) -> NDArray[np.float64]:
 
 def rhs_batch(system: System, X: NDArray[np.float64], kernel=None) -> NDArray[np.float64]:
     """Right-hand side for a batch of states, shape ``(m, n)``, by ``kernel``
-    (:func:`_prepare`) or an untiled kernel prepared for this call."""
+    (:func:`_prepare`) or a kernel prepared for this call."""
     if kernel is None:
-        kernel = _prepare(system, len(X), tile=False)
+        kernel = _prepare(system, len(X))
     num, den = kernel(X)
     return num - X * den
-
-
-_TILE_MAX = 2**15
 
 
 def default_dt(system: System) -> float:
@@ -602,9 +601,9 @@ def integrate_batch(
     most 63 steps past it. A record count that memory cannot hold is a
     ``ValidationError``.
 
-    The system's kernel is prepared once per call, for this batch size and
-    with its row operands tiled (:func:`_prepare`), and every step
-    evaluates it through :func:`rhs_batch`."""
+    The system's kernel is prepared once per call, for this batch size
+    (:func:`_prepare`), and every step evaluates it through
+    :func:`rhs_batch`."""
     X = np.array(X0, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != system.n:
         raise ValueError(f"X0 must have shape (m, {system.n})")
@@ -617,7 +616,7 @@ def integrate_batch(
     # 0-d arrays: numpy 2 is slower on a float operand (NEP 50), same bytes
     h, half, sixth = map(np.array, (dt, 0.5 * dt, dt / 6.0))
     euler = spec.method == "euler"
-    kernel = _prepare(system, len(X), tile=True)
+    kernel = _prepare(system, len(X))
 
     samples = steps // stride + 1 + (steps % stride != 0)
     try:

@@ -28,7 +28,6 @@ from .errors import (
     NoInEdgeAgentError,
     NonFiniteStateError,
     UnconvergedError,
-    ValidationError,
 )
 from .graph import INTEGER, NUMBER, as_float, check_numbers, row_stats
 from .intervals import IntervalSet
@@ -63,14 +62,11 @@ _RUNGS = ((1.0, "picard"), (0.5, "damped-0.5"), (0.25, "damped-0.25"))
 def _ladder(system: System, seeds, tol: float) -> list:
     """Climb the ladder from every row of ``seeds``, rung by rung, the
     starts on a rung in lockstep; one ``Equilibrium`` or
-    ``UnconvergedError`` per row; a system without agents is a
-    ``ValidationError``."""
+    ``UnconvergedError`` per row."""
     check_numbers([tol], "tol", NUMBER, ValueError)
     tol = as_float(tol)
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    if system.n == 0:
-        raise ValidationError("a system without agents has no equilibrium")
     alpha, _ = row_stats(system.graph)
     if np.any(alpha <= 0):
         raise NoInEdgeAgentError(
@@ -92,7 +88,7 @@ def _ladder(system: System, seeds, tol: float) -> list:
         history: deque = deque(maxlen=8)
         while rows.size:
             if kernel is None:  # prepared again whenever starts leave the rung
-                kernel = _prepare(system, rows.size, tile=True)
+                kernel = _prepare(system, rows.size)
             num, den = kernel(E)
             T = _map_step(E, num, den)
             gone = np.zeros(rows.size, dtype=bool)
@@ -187,9 +183,8 @@ def solve_equilibrium(system: System, seed, tol: float = 1e-10) -> Equilibrium:
     A cycle or an oscillation stalls; a steady drift with a flat residual
     keeps its rung. Raises ``UnconvergedError`` with the best point found
     when every rung and the integration tail fail, ``ValueError`` unless
-    ``tol`` is a finite positive number (not a ``bool``),
-    ``DimensionMismatchError`` for a seed of another shape, and
-    ``ValidationError`` for a system without agents.
+    ``tol`` is a finite positive number (not a ``bool``), and
+    ``DimensionMismatchError`` for a seed of another shape.
 
     The method note is one ``<rung>: <why>`` entry per rung left, then the
     converging rung (``picard``, ``damped-0.5``, ``damped-0.25`` or

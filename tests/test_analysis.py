@@ -34,7 +34,7 @@ from tcconsensus import (
     system_from_dict,
     system_to_dict,
 )
-from tcconsensus import analysis
+from tcconsensus import analysis, constraints, equilibrium
 from tcconsensus.analysis import (
     _candidate_boxes,
     _contains_interval,
@@ -91,6 +91,33 @@ def pchip_dip_ring():
     return two_agent(f, f)
 
 
+def pchip_rings():
+    """The pchip-dip ring and ROADMAP direction 16's reproductions, by name.
+    Reproduction A: f(x) > x on (0, s), and the whole function lies inside
+    one sampling step. Reproduction B: a box in the outer zone at scale
+    16."""
+    rings = {"dip": pchip_dip_ring()}
+    for s, name in ((2.0**-6, "A-2^-6"), (2.0**-10, "A-2^-10")):
+        pchip = Tabulated(
+            tuple(s * x for x in (-2.0, -1.0, 1.0, 2.0)),
+            tuple(s * y for y in (-1.5, -1.0, 1.0, 1.5)),
+            "pchip",
+        )
+        rings[name] = two_agent(pchip, pchip)
+    rings["B-16"] = System(
+        build_digraph([[0.0, 1.0, 0.5], [1.0, 0.0, 0.7], [0.3, 1.2, 0.0]]),
+        dict.fromkeys(
+            [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)],
+            Tabulated(
+                tuple(16.0 * x for x in (-6, -3, -1, -0.5, 0, 0.5, 1, 3, 6)),
+                tuple(16.0 * y for y in (-2, -1.4, -1, -0.5, 0, 0.5, 1, 1.4, 2)),
+                "pchip",
+            ),
+        ),
+    )
+    return rings
+
+
 def ring(fns):
     """Directed ring ``i -> i+1`` whose edge out of agent ``i`` is ``fns[i]``."""
     n = len(fns)
@@ -118,6 +145,12 @@ ZONE_POOL = (
     ScaledSine(0.5, 0.0),
     ScaledSine(2.5, 0.0),
     Tabulated((-2.0, -1.0, 1.0, 2.0), (-1.5, -1.0, 1.0, 1.5), "pchip"),
+)
+
+
+PCHIP_NOTE = (
+    "not searched: a pchip edge's sector conditions are only sampled, "
+    "and samples never certify"
 )
 
 
@@ -243,41 +276,49 @@ class TestFindAdmissibleRays:
         verdict = classify_system(pchip_dip_ring())
         assert verdict.conditions["admissible_rays"].status != "pass"
 
-    @pytest.mark.parametrize(
-        "system",
-        [
-            # ROADMAP direction 16, reproduction A: f(x) > x on (0, s), and
-            # the whole function lies inside one sampling step
-            *(
-                two_agent(pchip, pchip)
-                for s in (2.0**-6, 2.0**-10)
-                for pchip in [
-                    Tabulated(
-                        tuple(s * x for x in (-2.0, -1.0, 1.0, 2.0)),
-                        tuple(s * y for y in (-1.5, -1.0, 1.0, 1.5)),
-                        "pchip",
-                    )
-                ]
-            ),
-            # reproduction B: a box in the outer zone at scale 16
-            System(
-                build_digraph([[0.0, 1.0, 0.5], [1.0, 0.0, 0.7], [0.3, 1.2, 0.0]]),
-                dict.fromkeys(
-                    [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)],
-                    Tabulated(
-                        tuple(16.0 * x for x in (-6, -3, -1, -0.5, 0, 0.5, 1, 3, 6)),
-                        tuple(16.0 * y for y in (-2, -1.4, -1, -0.5, 0, 0.5, 1, 1.4, 2)),
-                        "pchip",
-                    ),
-                ),
-            ),
-        ],
-        ids=["A-2^-6", "A-2^-10", "B-16"],
-    )
-    def test_rescaled_pchip_rings_are_inconclusive(self, system):
-        verdict = classify_system(system)
+    @pytest.mark.parametrize("name", ["A-2^-6", "A-2^-10", "B-16"])
+    def test_rescaled_pchip_rings_are_inconclusive(self, name):
+        verdict = classify_system(pchip_rings()[name])
         assert verdict.classification == "Inconclusive"
         assert verdict.conditions["admissible_rays"].status == "inconclusive"
+
+    @pytest.mark.parametrize("name", ["dip", "A-2^-6", "A-2^-10", "B-16"])
+    def test_pchip_rings_are_not_searched(self, name, monkeypatch):
+        # a pchip edge certifies nothing, so the search is not run: no
+        # sector, ratio or box sample is taken, and the ledger is as when
+        # every candidate was searched and refused
+        system = pchip_rings()[name]
+        calls = []
+
+        def counting(module, attr):
+            fn = getattr(module, attr)
+
+            def wrapped(*args, **kwargs):
+                calls.append(attr)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, attr, wrapped)
+
+        counting(analysis, "sector_membership")
+        counting(analysis, "ratio_range")
+        counting(constraints, "ratio_range")
+        counting(constraints, "box_violation")
+        counting(equilibrium, "box_violation")
+        verdict = classify_system(system)
+        assert find_admissible_rays(system) is None
+        assert calls == []
+        assert verdict.classification == "Inconclusive"
+        statuses = {key: c.status for key, c in verdict.conditions.items()}
+        assert statuses == {
+            "strongly_connected": "pass",
+            "consensus_zone_nonempty": "pass",
+            "quotient_in_unit_sector": "fail",
+            "strict_quotient_off_fixed_set": "fail",
+            "admissible_rays": "inconclusive",
+            "self_mapped_box": "inconclusive",
+            "inconclusive_because": "inconclusive",
+        }
+        assert verdict.conditions["admissible_rays"].note == PCHIP_NOTE
 
     @pytest.mark.parametrize("wrap", ["plain", "mix", "nested-mix"])
     def test_a_pchip_member_refuses_a_spec_that_passes_its_sectors(self, wrap):
@@ -294,9 +335,21 @@ class TestFindAdmissibleRays:
         report = sector_membership(fn, spec)
         assert report.lower.passed and report.upper.passed
         assert _contains_interval(consensus_zone(system), spec.box_lo, spec.box_hi)
-        assert not _spec_admits_all(system, spec, consensus_zone(system))
+        assert find_admissible_rays(system, hints=(spec,)) is None
         linear = two_agent(Identity(), Identity())
-        assert _spec_admits_all(linear, spec, consensus_zone(linear))
+        assert find_admissible_rays(linear, hints=(spec,)) is spec
+
+    def test_a_pchip_hint_names_the_rule(self):
+        # a hint makes the classifier search even where the chord slopes
+        # certify consensus; a pchip edge still stops it, and the note says why
+        pchip = Tabulated((-2.0, -1.0, 1.0, 2.0), (-1.5, -1.0, 1.0, 1.5), "pchip")
+        spec = BoxRaySpec(-1e-8, 1e-8, -1e-8, -1.0, -1.0)
+        rays = classify_system(two_agent(pchip, pchip), hints=(spec,)).conditions[
+            "admissible_rays"
+        ]
+        assert (rays.status, rays.note) == ("inconclusive", PCHIP_NOTE)
+        rays = classify_system(diverging_pair()).conditions["admissible_rays"]
+        assert rays.note == "bounded search found no rays; absence is not a proof"
 
     def test_bad_hint_is_ignored(self):
         sc = scenario_by_name("ex2")

@@ -61,9 +61,9 @@ PCHIP = Tabulated((-2.0, -1.0, 1.0, 2.0), (-1.5, -1.0, 1.0, 1.5), "pchip")
 
 def input_sums(system, X):
     """The kernel's input sums and in-degrees for the batch ``X``, from a
-    kernel prepared for its size with the compiled rows, as an ad-hoc
-    ``rhs_batch`` prepares one."""
-    return dynamics._prepare(system, len(X), tile=False)(X)
+    kernel prepared for its size, as an ad-hoc ``rhs_batch`` prepares
+    one."""
+    return dynamics._prepare(system, len(X))(X)
 
 
 def picard_map(system, e):
@@ -244,7 +244,7 @@ def per_span_sums(system, X):
     V = np.empty_like(XS)
     g = system._gate_start
     open_ = np.empty((X.shape[0], XS.shape[1] - g))
-    for fn, a, b in system._spans:
+    for fn, a, b in spans_of(system):
         V[:, a:b] = fn.eval_array(XS[:, a:b])
         if fn.is_gate:
             open_[:, a - g : b - g] = fn.gate_mask(XS[:, a:b])
@@ -270,7 +270,7 @@ def knot_probe_rows(system, rng, extra=40):
     +-0.0 and +-1e300 on every sender column, followed by random rows. The
     members' own knots, not the compiled ones: a knot the compile dropped
     must still be a point where every member keeps its piece."""
-    reps = [fn.pwl() for fn, _, _ in system._spans]
+    reps = [fn.pwl() for fn, _, _ in spans_of(system)]
     G = np.array(sorted({x for rep in reps if rep is not None for x in rep.xs}))
     special = np.concatenate(
         (G, np.nextafter(G, -np.inf), np.nextafter(G, np.inf), [0.0, -0.0, 1e300, -1e300])
@@ -320,7 +320,8 @@ class TestBinTableMatchesPerSpanKernel:
         assert_sums_match(input_sums(sys_, X), per_span_sums(sys_, X), X)
 
     def test_seeds_cover_gated_and_ungated_systems(self):
-        assert {bool(bin_table_system(s)._gates) for s in range(12)} == {True, False}
+        gated = {bin_table_system(s)._gate_bounds is not None for s in range(12)}
+        assert gated == {True, False}
 
 
 def member_terms(fn, factor=1.0):
@@ -345,8 +346,9 @@ def edge_members(fn):
 
 def per_edge_table(system):
     """The per-edge table build, kept as the oracle: returns ``distinct``,
-    ``_spans``, ``_senders``, ``_block``, ``_gate_start`` and
-    ``_plain_alpha`` as the compiled table must hold them.
+    the spans (each member with its rows ``[a, b)``, in row order),
+    ``_senders``, ``_block``, ``_gate_start`` and ``_plain_alpha`` as the
+    compiled table must hold them.
 
     Rows are keyed by member function: a mix without a piecewise-linear form
     fills one row per member (see :func:`edge_members`) with weight
@@ -387,6 +389,36 @@ def per_edge_table(system):
     return distinct, spans, senders, block, gate_start, flat[:flat_gate_start].sum(axis=0)
 
 
+@functools.lru_cache(maxsize=16)
+def spans_of(system):
+    """The table's members with their rows ``[a, b)``, in row order, gated
+    members last, as the per-edge build lays them out."""
+    return per_edge_table(system)[1]
+
+
+def gate_spans(system):
+    """The gated members' spans, in row order."""
+    return [span for span in spans_of(system) if span[0].is_gate]
+
+
+def assert_spans_match(system, spans):
+    """What the compile keeps of ``spans``: each row's bin-table offset
+    (its member's rank times the bin count), the direct members with their
+    rows as ``int`` bounds, and the gate rows' accepted intervals."""
+    width = len(system._knots) + 1
+    rank = np.repeat(np.arange(len(spans)), [b - a for _, a, b in spans])
+    assert system._base.tolist() == [(rank * width).tolist()]
+    assert system._direct == tuple(s for s in spans if s[0].pwl() is None)
+    assert [type(v) for s in system._direct for v in s[1:]] == [int] * 2 * len(system._direct)
+    gates = [(fn, a, b) for fn, a, b in spans if fn.is_gate]
+    if not gates:
+        assert system._gate_bounds is None
+        return
+    for got, end in zip(system._gate_bounds, ("lo", "hi")):
+        want = np.array([[getattr(fn, end) for fn, a, b in gates for _ in range(a, b)]])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def assert_table_matches_oracle(system):
     """The compiled table against :func:`per_edge_table`. A table with more
     than 32 rows per receiver slot scatters by receiver slots and keeps no
@@ -395,8 +427,7 @@ def assert_table_matches_oracle(system):
     is kept as a ``(1, n)`` row, the shape of a one-state batch."""
     distinct, spans, senders, block, gate_start, plain_alpha = per_edge_table(system)
     assert system.distinct == distinct
-    assert system._spans == spans
-    assert [type(v) for s in system._spans for v in s[1:]] == [int] * 2 * len(spans)
+    assert_spans_match(system, spans)
     assert system._gate_start == gate_start and type(system._gate_start) is int
     pairs = [
         (system._senders, senders),
@@ -433,11 +464,19 @@ class TestEdgeTableMatchesPerEdgeBuild:
     def test_scenarios(self, name):
         assert_table_matches_oracle(scenario_by_name(name).system)
 
-    @pytest.mark.parametrize("n", [0, 1, 3, 100])
+    @pytest.mark.parametrize("n", [1, 3, 100])
     def test_edgeless_system(self, n):
         sys_ = System(build_digraph(np.zeros((n, n))), {})
         assert_table_matches_oracle(sys_)
         assert rhs_batch(sys_, np.ones((2, n))).tolist() == np.zeros((2, n)).tolist()
+
+    def test_a_system_without_agents_is_refused(self):
+        graph = build_digraph(np.zeros((0, 0)))
+        with pytest.raises(ValidationError, match="^a system needs at least one agent$"):
+            System(graph, {})
+        empty = np.zeros(0, dtype=np.intp)
+        with pytest.raises(ValidationError, match="^a system needs at least one agent$"):
+            System._from_table(graph, empty, [], empty)
 
 
 MIX_CASES = {
@@ -496,7 +535,8 @@ class TestMixExpansion:
         assert [fn for fn, _, _ in sys_._direct] == [SINE]
         # a mix with a piecewise-linear form stays one bin-table column
         pwl = mix_system(MIX_CASES["all piecewise-linear"])
-        assert [fn for fn, _, _ in pwl._spans] == MIX_CASES["all piecewise-linear"]
+        assert [fn for fn, _, _ in spans_of(pwl)] == MIX_CASES["all piecewise-linear"]
+        assert_table_matches_oracle(pwl)
         assert not pwl._direct
         assert scenario_by_name("ex1").system._direct == ((F_A, 1, 4),)
 
@@ -534,8 +574,9 @@ class TestMixExpansion:
                         scale[i] += abs(a * factor * member.evaluate(float(x[j])))
                 bound = (terms + 4) * eps * scale + 4 * terms * eta
                 assert (np.abs(got - want) <= bound).all()
-        if not sys_._gates:
-            assert den.tobytes() == per_edge_table(sys_)[5].tobytes()
+        if sys_._gate_bounds is None:  # one in-degree row, tiled to the batch
+            want = np.broadcast_to(per_edge_table(sys_)[5], X.shape)
+            assert np.broadcast_to(den, X.shape).tobytes() == want.tobytes()
 
 
 def per_edge_batch(system, X):
@@ -630,7 +671,7 @@ class TestReceiverSlots:
     @pytest.mark.parametrize("name", WIDE_SYSTEMS)
     def test_table_matches_oracle(self, name):
         sys_ = WIDE_SYSTEMS[name]()
-        assert sys_._block is None and sys_._gates
+        assert sys_._block is None and sys_._gate_bounds is not None
         assert bool(sys_._direct) is (name != "netgen-200")
         assert_table_matches_oracle(sys_)
 
@@ -670,7 +711,7 @@ def piece_change_knots(system):
     """The knots at which some member's slope or intercept changes, compared
     bit for bit, member by member: the oracle of the compiled knots."""
     out = set()
-    for fn, _, _ in system._spans:
+    for fn, _, _ in spans_of(system):
         rep = fn.pwl()
         if rep is not None:
             pieces = [struct.pack("<dd", s, c) for _, _, s, c in rep.pieces()]
@@ -713,7 +754,7 @@ class TestLiveKnots:
         for sys_ in systems:
             assert sys_._knots.tolist() == piece_change_knots(sys_)
             width = len(sys_._knots) + 1
-            assert sys_._slopes.shape == sys_._icpts.shape == (len(sys_._spans) * width,)
+            assert sys_._slopes.shape == sys_._icpts.shape == (len(spans_of(sys_)) * width,)
 
     @pytest.mark.parametrize("name", LIVE_KNOTS)
     def test_scenario_and_netgen_knots(self, name):
@@ -756,7 +797,7 @@ class TestLiveKnots:
         rows = len(scenario_by_name("ex3").system._senders)
         for name in SCENARIO_NAMES:
             sys_ = scenario_by_name(name).system
-            has_pwl = any(fn.pwl() is not None for fn, _, _ in sys_._spans)
+            has_pwl = any(fn.pwl() is not None for fn, _, _ in spans_of(sys_))
             assert (sys_._one_piece is not None) is (has_pwl and not sys_._knots.size)
         slopes, icpts = scenario_by_name("ex3").system._one_piece
         assert slopes.shape == icpts.shape == (1, rows)
@@ -780,7 +821,8 @@ class TestLiveKnots:
         pool = np.concatenate((pool, np.nextafter(pool, -np.inf), np.nextafter(pool, np.inf)))
         X = np.random.default_rng(seed).choice(pool, size=(200, sys_.n))
         XG = X[:, sys_._senders[g:]]
-        want = np.hstack([fn.gate_mask(XG[:, a - g : b - g]) for fn, a, b in sys_._gates])
+        gates = gate_spans(sys_)
+        want = np.hstack([fn.gate_mask(XG[:, a - g : b - g]) for fn, a, b in gates])
         assert ((XG >= lo) & (XG <= hi)).tolist() == want.tolist()
         with np.errstate(all="ignore"):
             assert_sums_match(input_sums(sys_, X), per_span_sums(sys_, X), X)
@@ -806,10 +848,10 @@ def searched_bin_sums(system, X):
             return V @ system._block[g * gate :]
         return dynamics._gather_sum(V, *slots[gate])
 
-    if not system._gates:
+    if system._gate_bounds is None:
         return scatter(V, False), np.broadcast_to(system._plain_alpha, X.shape)
     open_ = np.empty((X.shape[0], XS.shape[1] - g))
-    for fn, a, b in system._gates:
+    for fn, a, b in gate_spans(system):
         open_[:, a - g : b - g] = fn.gate_mask(XS[:, a:b])
         V[:, a:b] *= open_[:, a - g : b - g]
     return scatter(V, False), system._plain_alpha + scatter(open_, True)
@@ -869,7 +911,8 @@ class TestAgentBins:
     @pytest.mark.parametrize("m", [1, 3, 8, 1000])
     def test_bit_identical_to_binning_rows(self, name, m):
         sys_ = binned_system(name)
-        assert sys_._by_receiver is not None and sys_._knots.size and sys_._gates
+        assert sys_._by_receiver is not None and sys_._knots.size
+        assert sys_._gate_bounds is not None
         assert sys_._identity is (name == "identity")
         rng = np.random.default_rng(900 + m)
         rows = knot_probe_rows(sys_, rng)
@@ -960,7 +1003,8 @@ class TestCountedBins:
     def test_bit_identical_to_searching(self, kind, knots, seed):
         rng = np.random.default_rng(seed)
         sys_ = knot_union_system(kind, knots, rng)
-        assert (sys_._by_receiver is not None, sys_._identity, bool(sys_._gates)) == (
+        gated = sys_._gate_bounds is not None
+        assert (sys_._by_receiver is not None, sys_._identity, gated) == (
             kind == "wide",
             kind == "identity",
             kind == "gated",
@@ -1074,9 +1118,9 @@ def compiled(system, fn_key=id):
         "by_receiver": slots and [raw(a) for pair in slots for a in pair],
         "gate_start": system._gate_start,
         "plain_alpha": raw(system._plain_alpha),
-        "spans": spans(system._spans),
         "direct": spans(system._direct),
-        "gates": spans(system._gates),
+        "one_piece": system._one_piece and [raw(a) for a in system._one_piece],
+        "gate_bounds": system._gate_bounds and [raw(a) for a in system._gate_bounds],
         "distinct": [(key, fn_key(fn)) for key, fn in system.distinct],
         "edges": [raw(a) for a in (graph.senders, graph.receivers, graph.weight, function)]
         + [list(map(fn_key, fns))],
@@ -1478,7 +1522,7 @@ def tile_heights(system, m):
     """The row counts of the operands of the kernel ``integrate_batch``
     prepares for ``m`` states: ``{m}`` when every one is tiled, ``{1}`` when
     every one broadcasts."""
-    cells = kernel_cells(dynamics._prepare(system, m, tile=True))
+    cells = kernel_cells(dynamics._prepare(system, m))
     rows = [cells["base"], cells["alpha"], *(cells["one_piece"] or ())]
     rows += [cells[k] for k in ("lo", "hi") if cells[k] is not None]
     return {len(row) for row in rows}
@@ -1587,9 +1631,9 @@ def flip_sizes(system):
 
 
 class TestPreparedKernel:
-    """The kernel prepared for a batch size, tiled as ``integrate_batch``
-    prepares it and untiled as an ad-hoc ``rhs_batch`` does, against the
-    former kernels, byte for byte, at the sizes where its choices flip:
+    """The kernel prepared for a batch size, as ``integrate_batch`` and an
+    ad-hoc ``rhs_batch`` prepare it, against the former kernels, byte for
+    byte, at the sizes where its choices flip:
     ``searched_bin_sums`` everywhere, and ``per_span_sums`` where the dense
     product is the scatter."""
 
@@ -1604,8 +1648,7 @@ class TestPreparedKernel:
             want = searched_bin_sums(system, X)
             if system._by_receiver is None:  # a wide table's sums round apart
                 assert_sums_match(per_span_sums(system, X), want, X)
-            for tile in (True, False):
-                assert_sums_match(dynamics._prepare(system, m, tile=tile)(X), want, X)
+            assert_sums_match(dynamics._prepare(system, m)(X), want, X)
 
     def test_the_choices_flip_at_the_stated_sizes(self):
         # ex1: 12 dense rows on 5 agents, 9 live knots
@@ -1613,7 +1656,7 @@ class TestPreparedKernel:
         assert (len(system._senders), system.n, system._knots.size) == (12, 5, 9)
 
         def cells(m):
-            return kernel_cells(dynamics._prepare(system, m, tile=True))
+            return kernel_cells(dynamics._prepare(system, m))
 
         take = dynamics._TAKE_BELOW
         assert cells(take - 1)["take"] and not cells(take)["take"]
@@ -1624,10 +1667,11 @@ class TestPreparedKernel:
         assert tile_heights(system, top + 1) == {top + 1, 1}
         assert tile_heights(system, dynamics._TILE_MAX // 5 + 1) == {1}
         assert tile_heights(system, 1) == {1}
-        untiled = kernel_cells(dynamics._prepare(system, 20, tile=False))
-        assert untiled["base"] is system._base and untiled["alpha"] is system._plain_alpha
+        # one state reads the compiled rows themselves
+        single = kernel_cells(dynamics._prepare(system, 1))
+        assert single["base"] is system._base and single["alpha"] is system._plain_alpha
         # a wide table gathers with take at any size
-        assert kernel_cells(dynamics._prepare(binned_system("netgen-200"), 1000, tile=True))["take"]
+        assert kernel_cells(dynamics._prepare(binned_system("netgen-200"), 1000))["take"]
 
 
 class TestSeams:
@@ -1641,8 +1685,8 @@ class TestSeams:
         prepared, kernels = [], []
         prepare, rhs = dynamics._prepare, dynamics.rhs_batch
 
-        def counting_prepare(system, m, tile):
-            prepared.append(prepare(system, m, tile=tile))
+        def counting_prepare(system, m):
+            prepared.append(prepare(system, m))
             return prepared[-1]
 
         def counting_rhs(system, X, kernel=None):

@@ -121,16 +121,10 @@ class TestSolveEquilibrium:
         assert np.all(np.isfinite(exc.value.best))
         assert exc.value.residual > 0
 
-    def test_a_system_without_agents_is_refused_before_iterating(self, monkeypatch):
-        def prepare(*args, **kwargs):
-            raise AssertionError("the ladder iterated")
-
-        monkeypatch.setattr(equilibrium, "_prepare", prepare)
-        empty = System(build_digraph(np.zeros((0, 0))), {})
-        with pytest.raises(ValidationError, match="without agents"):
-            solve_equilibrium(empty, [])
-        with pytest.raises(ValidationError, match="without agents"):
-            uniqueness_probe(empty, (-1.0, 1.0), 2)
+    def test_a_system_without_agents_is_refused_before_iterating(self):
+        # refused where it is built, so no solver ever sees one
+        with pytest.raises(ValidationError, match="at least one agent"):
+            System(build_digraph(np.zeros((0, 0))), {})
 
     @pytest.mark.parametrize(
         "tol",
@@ -281,10 +275,11 @@ class TestLadder:
 
     @pytest.mark.parametrize("name", [s.name for s in builtin_scenarios()])
     def test_points_do_not_depend_on_the_in_degree_shape(self, name, monkeypatch):
-        # an ungated system's untiled kernel returns its in-degree with shape
-        # (1, n); the ladder's kernel tiles it to the batch; broadcast to the
-        # batch's shape, as the kernel returned it before, it must give the
-        # same outcomes bit for bit
+        # an ungated system's kernel prepared for one state returns its
+        # in-degree with shape (1, n); the ladder's kernel tiles it to the
+        # batch; broadcast to the batch's shape, as the kernel returned it
+        # before, it must give the same outcomes bit for bit. The batches
+        # here make the same gather and bin choices at any size from one
         sc = scenario_by_name(name)
         seeds = np.vstack((sc.sample_x0(0, count=2), np.zeros((1, sc.system.n))))
 
@@ -299,11 +294,11 @@ class TestLadder:
         tiled = outcomes()
         prepare = equilibrium._prepare
 
-        def untiled(system, m, tile):
-            return prepare(system, m, tile=False)
+        def untiled(system, m):
+            return prepare(system, 1)
 
-        def full_shape(system, m, tile):
-            kernel = prepare(system, m, tile=False)
+        def full_shape(system, m):
+            kernel = prepare(system, 1)
 
             def sums(E):
                 num, den = kernel(E)
@@ -322,8 +317,8 @@ class TestLadder:
         prepared, calls = [], []
         prepare = equilibrium._prepare
 
-        def counting(system, m, tile):
-            kernel = prepare(system, m, tile=tile)
+        def counting(system, m):
+            kernel = prepare(system, m)
             prepared.append(m)
 
             def sums(E):
