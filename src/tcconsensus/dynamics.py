@@ -601,6 +601,14 @@ def integrate_batch(
     most 63 steps past it. A record count that memory cannot hold is a
     ``ValidationError``.
 
+    After step 1 and at every block end, a batch whose states all have the
+    bits they had one step before, within the limit, stops stepping: each
+    remaining record holds that batch. This is exact, not a tolerance. The
+    system is autonomous and the kernel and step constants are fixed for
+    the call, so a step is a function of the state's bits alone, and a
+    state it maps to itself it keeps for the rest of the run. The bits are
+    compared, not the values, because ``-0.0 == 0.0``.
+
     The system's kernel is prepared once per call, for this batch size
     (:func:`_prepare`), and every step evaluates it through
     :func:`rhs_batch`."""
@@ -631,6 +639,7 @@ def integrate_batch(
     rec_states[0] = X
     count = checked = end = 1
     for k in range(1, steps + 1):
+        prev = X
         if euler:
             X = X + h * rhs_batch(system, X, kernel)
         else:
@@ -660,6 +669,16 @@ def integrate_batch(
                     time=float(rec_times[j]),
                 )
             checked = count
+        if (
+            (k == 1 or k % _CHECK_EVERY == 0)
+            and X.tobytes() == prev.tobytes()
+            and np.abs(X).max(initial=0.0) <= _DIVERGENCE_LIMIT
+        ):
+            # a fixed point of the step map: every later step returns X (one
+            # past the limit steps on to raise at its next check)
+            rec_times[count:] = [min(j * stride, steps) * dt for j in range(count, samples)]
+            rec_states[count:] = X
+            break
     return BatchTrajectory(rec_times, rec_states, dt)
 
 

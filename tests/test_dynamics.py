@@ -1502,6 +1502,38 @@ def oracle_loop_systems():
     return systems
 
 
+def heavy_ring(fn):
+    """A 2-agent ring at weight 100 with ``fn`` on both edges."""
+    g = build_digraph([[0.0, 100.0], [100.0, 0.0]])
+    return System(g, {(0, 1): fn, (1, 0): fn})
+
+
+def fixed_point_runs():
+    """Runs with ``default_dt`` that reach a fixed point of the step map,
+    by name: the system, one start, and a horizon in steps past the exit.
+    necessity-2agent starts at an equilibrium and never moves; the heavy
+    rings freeze mid-run; the signed-zero ring's first step turns its
+    -0.0 start into +0.0, equal by value but not by bits."""
+    return {
+        "necessity-2agent": (scenario_by_name("necessity-2agent").system, (0.5, 1.5), 200),
+        "saturation-100": (heavy_ring(Saturation(-1.0, 1.0)), (3.0, -2.0), 1000),
+        "affine-100": (heavy_ring(Affine(0.5, 1.0)), (3.0, -2.0), 1000),
+        "signed-zero": (two_agent(Affine(0.5, 0.0), Affine(0.5, 0.0)), (-0.0, -0.0), 200),
+    }
+
+
+def count_rhs_calls(monkeypatch):
+    """Patch ``dynamics.rhs_batch`` to log each call; return the log."""
+    calls, rhs = [], dynamics.rhs_batch
+
+    def counting_rhs(system, X, kernel=None):
+        calls.append(len(X))
+        return rhs(system, X, kernel)
+
+    monkeypatch.setattr(dynamics, "rhs_batch", counting_rhs)
+    return calls
+
+
 def row_operands(system):
     """The kernel's row operands as the system compiles them."""
     return [
@@ -1551,6 +1583,42 @@ class TestFormerLoopIsTheOracle:
             want = run_outcome(former_integrate_batch, system, X0, spec)
             assert want[0] == "returned"
             assert run_outcome(integrate_batch, system, X0, spec) == want
+
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    @pytest.mark.parametrize("name", sorted(fixed_point_runs()))
+    def test_records_match_where_the_run_freezes(self, name, m, method):
+        system, start, steps = fixed_point_runs()[name]
+        X0 = np.tile(start, (m, 1))
+        dt = default_dt(system)
+        for stride in (None, 1, 7, 64, 65, 100, 10**9):
+            spec = IntegrationSpec(dt, steps * dt, method, stride)
+            assert spec.steps() == steps
+            want = run_outcome(former_integrate_batch, system, X0, spec)
+            assert want[0] == "returned"
+            assert run_outcome(integrate_batch, system, X0, spec) == want
+
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    def test_a_frozen_row_does_not_stop_a_moving_one(self, method):
+        # from (3, -2) the ring freezes by step 188; from (1, -1) it moves
+        # until step 3717, past this horizon
+        system = heavy_ring(Saturation(-1.0, 1.0))
+        X0 = np.array([[3.0, -2.0], [1.0, -1.0]])
+        for stride in (None, 1, 7, 64, 65, 100, 10**9):
+            spec = IntegrationSpec(1e-3, 1.0, method, stride)
+            want = run_outcome(former_integrate_batch, system, X0, spec)
+            assert want[0] == "returned"
+            assert run_outcome(integrate_batch, system, X0, spec) == want
+
+    @pytest.mark.parametrize("stride", [1, 7, 100, 10**6])
+    def test_a_fixed_point_past_the_limit_still_raises(self, stride):
+        # an identity ring holds any consensus state, here one past the
+        # divergence limit from the start
+        X0 = np.full((1, 2), 2.0 * _DIVERGENCE_LIMIT)
+        spec = IntegrationSpec(1e-3, 1.0, record_stride=stride)
+        want = run_outcome(former_integrate_batch, identity_pair(), X0, spec)
+        assert want[0] == "raised"
+        assert run_outcome(integrate_batch, identity_pair(), X0, spec) == want
 
     @staticmethod
     def assert_divergence_matches(X0, stride):
@@ -1701,6 +1769,75 @@ class TestSeams:
         assert len(prepared) == 1
         assert len(kernels) == per_step * 37
         assert all(kernel is prepared[0] for kernel in kernels)
+
+
+class TestFixedPointExit:
+    """A run stops stepping at the first check, after step 1 or at a
+    64-step block end, at which every state has the bits it had one step
+    before; a run that never gets there makes every step."""
+
+    @pytest.mark.parametrize(
+        "name, method, frozen, exit_step",
+        [
+            ("saturation-100", "rk4", 188, 192),
+            ("saturation-100", "euler", 169, 192),
+            ("affine-100", "rk4", 681, 704),
+            ("affine-100", "euler", 665, 704),
+            # +0.0 == -0.0: a value test would stop after step 1
+            ("signed-zero", "rk4", 1, 64),
+            ("signed-zero", "euler", 1, 64),
+        ],
+    )
+    def test_exits_at_the_first_check_past_the_fixed_point(
+        self, name, method, frozen, exit_step, monkeypatch
+    ):
+        system, start, steps = fixed_point_runs()[name]
+        dt = default_dt(system)
+        spec = IntegrationSpec(dt, steps * dt, method, 1)
+        states = integrate(system, start, spec).states
+        # the first state the step map returns bit for bit
+        bits = [row.tobytes() for row in states[: frozen + 2]]
+        assert bits[frozen] == bits[frozen + 1] != bits[frozen - 1]
+        calls = count_rhs_calls(monkeypatch)
+        integrate(system, start, spec)
+        assert len(calls) == (4 if method == "rk4" else 1) * exit_step
+
+    @pytest.mark.parametrize("method, calls", [("rk4", 4), ("euler", 1)])
+    def test_a_start_at_a_fixed_point_makes_one_step(self, method, calls, monkeypatch):
+        sc = scenario_by_name("necessity-2agent")
+        spec = IntegrationSpec(sc.integration.dt, sc.integration.t_final, method)
+        assert spec.steps() == 10_000
+        log = count_rhs_calls(monkeypatch)
+        traj = integrate(sc.system, sc.x0.sample(sc.system.n)[0], spec)
+        assert len(log) == calls
+        assert len(traj.times) == 1001
+        assert traj.states.tolist() == [[0.5, 1.5]] * 1001
+
+    def test_a_run_that_never_freezes_makes_every_step(self, monkeypatch):
+        sc = scenario_by_name("ex4")
+        calls = count_rhs_calls(monkeypatch)
+        integrate(sc.system, sc.x0.sample(sc.system.n)[0], sc.integration)
+        assert len(calls) == 4 * sc.integration.steps() == 20_000
+
+    def test_a_batch_with_one_moving_row_makes_every_step(self, monkeypatch):
+        X0 = np.array([[3.0, -2.0], [1.0, -1.0]])
+        calls = count_rhs_calls(monkeypatch)
+        integrate_batch(heavy_ring(Saturation(-1.0, 1.0)), X0, IntegrationSpec(1e-3, 1.0))
+        assert len(calls) == 4 * 1000
+
+    @pytest.mark.parametrize("stride", [1, 8, 10**6])
+    def test_a_divergence_still_raises_where_it_did(self, stride, monkeypatch):
+        # the Affine(-3) ring leaves the limit at step 1336 and the run
+        # steps on to the block end 1344; a stride of at most 64 reports the
+        # record at step 1336, a longer one the state checked at 1344
+        system = two_agent(Affine(-3.0, 0.0), Affine(-3.0, 0.0))
+        calls = count_rhs_calls(monkeypatch)
+        with pytest.raises(NonFiniteStateError) as exc:
+            integrate(system, [3.0, -2.0], IntegrationSpec(0.01, 400.0, record_stride=stride))
+        assert len(calls) == 4 * 1344
+        stop = 1336 if stride <= _CHECK_EVERY else 1344
+        assert str(exc.value) == f"divergence detected at t={stop * 0.01:.6g}"
+        assert len(exc.value.partial.times) == -(-stop // stride)
 
 
 BOX = BoxRaySpec(-1.0, 1.0, 0.0, -1.0, -1.0)
